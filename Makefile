@@ -50,14 +50,16 @@ fuzz-smoke:
 
 # Saturation smoke: the dynamic-traffic stack (renewal sources, the
 # adversary, injector checkpointing, single and sharded engines) under the
-# race detector, plus a short Bernoulli-vs-adversary sweep through the real
-# CLI path.
+# race detector, plus short Bernoulli, adversary and Poisson (the
+# event-indexed generator) sweeps through the real CLI path.
 saturation-smoke:
 	$(GO) test -race -run 'TestInjector|TestAdversary|TestDynamic' ./internal/traffic/
 	$(GO) run ./cmd/sweep -n 8 -trials 2 -workload none \
 		-arrivals 'bernoulli:rate=0.05,until=60' -max-steps 5000
 	$(GO) run ./cmd/sweep -n 8 -trials 2 -workload none \
 		-arrivals 'adversary:rho=3,sigma=8,until=60' -max-steps 5000
+	$(GO) run ./cmd/sweep -n 8 -trials 2 -workload none \
+		-arrivals 'poisson:rate=0.01,until=60' -max-steps 5000
 
 fmt:
 	gofmt -w .

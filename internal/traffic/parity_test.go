@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 
 	"hotpotato/internal/core"
@@ -254,7 +255,9 @@ func TestInjectorShardCheckpointParity(t *testing.T) {
 }
 
 // TestRestoreRejectsWrongShape: restoring a source with a different
-// generator count is a spec mismatch, not silent corruption.
+// generator count, or per-node generator state that does not cover the
+// source's mesh, is a spec mismatch reported as an error — not silent
+// corruption, and not an index panic on the next Generate.
 func TestRestoreRejectsWrongShape(t *testing.T) {
 	g1, _ := NewPoisson(0.1, 10)
 	g2, _ := NewPoisson(0.1, 10)
@@ -273,5 +276,46 @@ func TestRestoreRejectsWrongShape(t *testing.T) {
 	}
 	if err := one.RestoreState(state); err == nil {
 		t.Error("restore with mismatched generator count accepted")
+	}
+
+	for name, tc := range map[string]struct {
+		gen   func() (Generator, error)
+		state string
+	}{
+		"renewal": {func() (Generator, error) { return NewPoisson(0.1, 10) }, `{"next":[0.5,0.5]}`},
+		"onoff":   {func() (Generator, error) { return NewOnOff(0.4, 8, 16, 10) }, `{"on":[true,false]}`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			build := func() *Source {
+				g, err := tc.gen()
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, err := NewSource(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return src
+			}
+			short := `{"nodes":64,"generated":0,"injected":0,"cur_backlog":0,"max_backlog":0,"gens":[` + tc.state + `]}`
+			err := build().RestoreState([]byte(short))
+			if err == nil || !strings.HasPrefix(err.Error(), "traffic:") {
+				t.Errorf("2-node generator state on a 64-node source: got %v, want a traffic: error", err)
+			}
+			// A source snapshotted before its first Inject has sized nothing.
+			unsized, err := build().SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := build()
+			if err := src.RestoreState(unsized); err != nil {
+				t.Fatalf("unsized state rejected: %v", err)
+			}
+			e := newEngine(t, mesh.MustNew(2, 8), 3)
+			e.SetInjector(src)
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

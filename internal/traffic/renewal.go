@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"hotpotato/internal/mesh"
 )
@@ -51,6 +52,12 @@ type Renewal struct {
 
 	scale float64   // precomputed distribution scale for the mean-1/rate normalization
 	next  []float64 // per-node next arrival epoch, lazily sized to the mesh
+
+	// due indexes next by the step each epoch falls in, so Generate visits
+	// only the nodes that fire. It is derived from next — never serialized,
+	// rebuilt whenever it does not cover next (first use, after a restore).
+	due   dueHeap
+	ready []mesh.NodeID // scratch: the nodes firing this step
 }
 
 var _ StatefulGenerator = (*Renewal)(nil)
@@ -135,7 +142,9 @@ func sampleGamma(rng *rand.Rand, shape float64) float64 {
 }
 
 // Generate implements Generator: every node emits one packet per renewal
-// epoch that falls inside [t, t+1), in node order.
+// epoch that falls inside [t, t+1), in node order. Only the nodes the due
+// index reports are visited, so a step costs O(arrivals · log nodes); the
+// draws and their order are those of a scan over every node's clock.
 func (g *Renewal) Generate(t int, m *mesh.Mesh, rng *rand.Rand, out []Gen) []Gen {
 	if g.next == nil {
 		g.next = make([]float64, m.Size())
@@ -146,14 +155,103 @@ func (g *Renewal) Generate(t int, m *mesh.Mesh, rng *rand.Rand, out []Gen) []Gen
 	if g.Until > 0 && t >= g.Until {
 		return out
 	}
+	if len(g.due) != len(g.next) {
+		g.due = slices.Grow(g.due[:0], len(g.next))
+		for node, at := range g.next {
+			g.due = append(g.due, dueAt(mesh.NodeID(node), at))
+		}
+		g.due.init()
+	}
+	// The heap yields (step, node) order, which is node order unless some
+	// clock is more than a step behind (a source installed mid-run).
+	g.ready = g.ready[:0]
+	for len(g.due) > 0 && g.due[0].step() <= t {
+		g.ready = append(g.ready, g.due.pop().node())
+	}
+	if !slices.IsSorted(g.ready) {
+		slices.Sort(g.ready)
+	}
 	limit := float64(t) + 1
-	for node := mesh.NodeID(0); int(node) < m.Size(); node++ {
+	for _, node := range g.ready {
 		for g.next[node] < limit {
 			out = append(out, Gen{Src: node, Dst: drawDest(g.Dest, node, m, rng), Class: g.Class})
 			g.next[node] += g.sample(rng)
 		}
+		g.due.push(dueAt(node, g.next[node]))
 	}
 	return out
+}
+
+// dueKey files one node's next arrival epoch under the step it falls in:
+// the step in the high half, the node in the low half, so integer order is
+// (step, node) order. Steps are clamped to [0, farStep]: every t reaches
+// step 0, and a node filed at farStep too early has nothing to emit when
+// Generate gets there and is filed again, so the emitted stream never
+// depends on the clamp.
+type dueKey uint64
+
+const farStep = 1<<32 - 1
+
+func dueAt(node mesh.NodeID, at float64) dueKey {
+	step := uint64(farStep)
+	if at < farStep {
+		step = uint64(max(at, 0))
+	}
+	return dueKey(step<<32 | uint64(uint32(node)))
+}
+
+func (k dueKey) step() int         { return int(k >> 32) }
+func (k dueKey) node() mesh.NodeID { return mesh.NodeID(uint32(k)) }
+
+// dueHeap is a binary min-heap of dueKey. It is typed rather than a
+// container/heap.Interface so push and pop do not box a key per arrival.
+type dueHeap []dueKey
+
+func (h dueHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *dueHeap) push(k dueKey) {
+	s := append(*h, k)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *dueHeap) pop() dueKey {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	s.down(0)
+	return top
+}
+
+func (h dueHeap) down(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l] < h[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] < h[least] {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // Done implements Generator.
@@ -178,5 +276,6 @@ func (g *Renewal) RestoreGenerator(data json.RawMessage) error {
 		}
 	}
 	g.next = st.Next
+	g.due = g.due[:0]
 	return nil
 }

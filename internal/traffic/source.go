@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/sim"
@@ -56,16 +55,8 @@ type StatefulGenerator interface {
 // deterministic, and the generation time of every packet is recorded for
 // end-to-end latency and backlog (saturation) measurement.
 type Source struct {
-	gens    []Generator
-	backlog [][]pending
-	scratch []Gen
-
-	generated  int
-	injected   int
-	curBacklog int
-	maxBacklog int
-	genTime    map[int]int // packet ID -> generation step
-
+	backlog
+	gens  []Generator
 	trace *TraceWriter
 }
 
@@ -82,7 +73,7 @@ func NewSource(gens ...Generator) (*Source, error) {
 			return nil, fmt.Errorf("traffic: nil generator at index %d", i)
 		}
 	}
-	return &Source{gens: gens, genTime: make(map[int]int)}, nil
+	return &Source{gens: gens}, nil
 }
 
 // Generators returns the composed generators, in generation order.
@@ -98,48 +89,12 @@ func (s *Source) SetTrace(w *TraceWriter) { s.trace = w }
 // injection room in node order.
 func (s *Source) Inject(t int, host sim.InjectorHost, rng *rand.Rand) []*sim.Packet {
 	m := host.Mesh()
-	if s.backlog == nil {
-		s.backlog = make([][]pending, m.Size())
-	}
-
-	s.scratch = s.scratch[:0]
+	s.size(m)
+	s.arrivals = s.arrivals[:0]
 	for _, g := range s.gens {
-		s.scratch = g.Generate(t, m, rng, s.scratch)
+		s.arrivals = g.Generate(t, m, rng, s.arrivals)
 	}
-	for _, gp := range s.scratch {
-		s.backlog[gp.Src] = append(s.backlog[gp.Src], pending{dst: gp.Dst, generatedAt: t, class: gp.Class})
-		s.generated++
-		s.curBacklog++
-	}
-
-	var out []*sim.Packet
-	for node := mesh.NodeID(0); int(node) < m.Size(); node++ {
-		q := s.backlog[node]
-		if len(q) == 0 {
-			continue
-		}
-		room := host.InjectionCapacity(node)
-		take := len(q)
-		if room < take {
-			take = room
-		}
-		for i := 0; i < take; i++ {
-			p := sim.NewPacket(host.NextPacketID(), node, q[i].dst)
-			p.Class = q[i].class
-			s.genTime[p.ID] = q[i].generatedAt
-			out = append(out, p)
-			s.injected++
-			s.curBacklog--
-			if s.trace != nil {
-				s.trace.Record(t, node, q[i].dst, q[i].class)
-			}
-		}
-		s.backlog[node] = q[take:]
-	}
-	if s.curBacklog > s.maxBacklog {
-		s.maxBacklog = s.curBacklog
-	}
-	return out
+	return s.drain(t, host, s.trace)
 }
 
 // Exhausted implements sim.Injector: done once every generator is done and
@@ -156,117 +111,16 @@ func (s *Source) Exhausted(t int) bool {
 	return true
 }
 
-// Generated returns the number of packets produced by all generators.
-func (s *Source) Generated() int { return s.generated }
-
-// Injected returns the number of packets actually injected so far.
-func (s *Source) Injected() int { return s.injected }
-
-// Backlog returns the current number of generated-but-not-injected packets.
-func (s *Source) Backlog() int { return s.curBacklog }
-
-// MaxBacklog returns the largest backlog observed.
-func (s *Source) MaxBacklog() int { return s.maxBacklog }
-
-// Latency returns the end-to-end latency (generation to arrival) of a
-// delivered packet, or -1 if it has not arrived or is unknown.
-func (s *Source) Latency(p *sim.Packet) int {
-	gen, ok := s.genTime[p.ID]
-	if !ok || !p.Arrived() {
-		return -1
-	}
-	return p.ArrivedAt - gen
-}
-
-// Serialized source state. Maps are flattened into slices sorted by key so
-// the bytes are deterministic (checkpoint parity is bit-level).
-
-type pendingState struct {
-	Dst   mesh.NodeID `json:"dst"`
-	Gen   int         `json:"gen"`
-	Class int         `json:"class,omitempty"`
-}
-
-type backlogState struct {
-	Node mesh.NodeID    `json:"node"`
-	Pend []pendingState `json:"pend"`
-}
-
-type idStep struct {
-	ID   int `json:"id"`
-	Step int `json:"step"`
-}
-
+// sourceState is the serialized Source: the backlog, then one entry per
+// generator (null for stateless ones).
 type sourceState struct {
-	Nodes      int               `json:"nodes"` // len(backlog); 0 = not yet sized
-	Backlog    []backlogState    `json:"backlog,omitempty"`
-	Generated  int               `json:"generated"`
-	Injected   int               `json:"injected"`
-	CurBacklog int               `json:"cur_backlog"`
-	MaxBacklog int               `json:"max_backlog"`
-	GenTime    []idStep          `json:"gen_time,omitempty"`
-	Gens       []json.RawMessage `json:"gens,omitempty"`
-}
-
-func captureBacklog(backlog [][]pending) []backlogState {
-	var out []backlogState
-	for node, q := range backlog {
-		if len(q) == 0 {
-			continue
-		}
-		bs := backlogState{Node: mesh.NodeID(node), Pend: make([]pendingState, len(q))}
-		for i, p := range q {
-			bs.Pend[i] = pendingState{Dst: p.dst, Gen: p.generatedAt, Class: p.class}
-		}
-		out = append(out, bs)
-	}
-	return out
-}
-
-func restoreBacklog(states []backlogState, nodes int) ([][]pending, int, error) {
-	if nodes == 0 {
-		if len(states) > 0 {
-			return nil, 0, fmt.Errorf("traffic: backlog entries without a node count")
-		}
-		return nil, 0, nil
-	}
-	backlog := make([][]pending, nodes)
-	count := 0
-	for _, bs := range states {
-		if bs.Node < 0 || int(bs.Node) >= nodes {
-			return nil, 0, fmt.Errorf("traffic: backlog node %d outside [0, %d)", bs.Node, nodes)
-		}
-		q := make([]pending, len(bs.Pend))
-		for i, ps := range bs.Pend {
-			q[i] = pending{dst: ps.Dst, generatedAt: ps.Gen, class: ps.Class}
-		}
-		backlog[bs.Node] = q
-		count += len(q)
-	}
-	return backlog, count, nil
-}
-
-func captureGenTime(genTime map[int]int) []idStep {
-	out := make([]idStep, 0, len(genTime))
-	for id, step := range genTime {
-		out = append(out, idStep{ID: id, Step: step})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	backlogState
+	Gens []json.RawMessage `json:"gens,omitempty"`
 }
 
 // SnapshotState implements sim.CheckpointableInjector.
 func (s *Source) SnapshotState() ([]byte, error) {
-	st := sourceState{
-		Nodes:      len(s.backlog),
-		Backlog:    captureBacklog(s.backlog),
-		Generated:  s.generated,
-		Injected:   s.injected,
-		CurBacklog: s.curBacklog,
-		MaxBacklog: s.maxBacklog,
-		GenTime:    captureGenTime(s.genTime),
-	}
-	st.Gens = make([]json.RawMessage, len(s.gens))
+	st := sourceState{backlogState: s.snapshot(), Gens: make([]json.RawMessage, len(s.gens))}
 	for i, g := range s.gens {
 		if sg, ok := g.(StatefulGenerator); ok {
 			raw, err := sg.SnapshotGenerator()
@@ -290,21 +144,8 @@ func (s *Source) RestoreState(data []byte) error {
 	if len(st.Gens) != len(s.gens) {
 		return fmt.Errorf("traffic: snapshot has %d generators, source has %d", len(st.Gens), len(s.gens))
 	}
-	backlog, count, err := restoreBacklog(st.Backlog, st.Nodes)
-	if err != nil {
+	if err := s.restore(st.backlogState); err != nil {
 		return err
-	}
-	if count != st.CurBacklog {
-		return fmt.Errorf("traffic: backlog carries %d packets, state says %d", count, st.CurBacklog)
-	}
-	s.backlog = backlog
-	s.generated = st.Generated
-	s.injected = st.Injected
-	s.curBacklog = st.CurBacklog
-	s.maxBacklog = st.MaxBacklog
-	s.genTime = make(map[int]int, len(st.GenTime))
-	for _, e := range st.GenTime {
-		s.genTime[e.ID] = e.Step
 	}
 	for i, g := range s.gens {
 		sg, ok := g.(StatefulGenerator)
@@ -316,6 +157,18 @@ func (s *Source) RestoreState(data []byte) error {
 		}
 		if err := sg.RestoreGenerator(st.Gens[i]); err != nil {
 			return fmt.Errorf("traffic: restore generator %d: %w", i, err)
+		}
+		// Per-node generator state must cover exactly the source's mesh, or
+		// the next Generate indexes past it; empty means not yet sized.
+		var slots int
+		switch g := g.(type) {
+		case *Renewal:
+			slots = len(g.next)
+		case *OnOff:
+			slots = len(g.on)
+		}
+		if slots != 0 && slots != st.Nodes {
+			return fmt.Errorf("traffic: generator %d (%T) state covers %d nodes, source has %d", i, g, slots, st.Nodes)
 		}
 	}
 	return nil

@@ -12,7 +12,9 @@
 // (OnOff, Diurnal), a (ρ,σ)-admissible adversary (Adversary), and trace
 // replay (Replay) — behind one sim.CheckpointableInjector, so multi-client
 // workloads snapshot/restore exactly and run bit-identically on the single
-// and sharded engines.
+// and sharded engines. Both layers queue and drain through the one backlog
+// type, whose per-step cost follows the arrivals and the backlogged nodes,
+// not the mesh.
 //
 // Sources record the generation time of every packet, so end-to-end
 // latency (source queueing + network time) and backlog growth can be
@@ -28,13 +30,6 @@ import (
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/sim"
 )
-
-// pending is one generated-but-not-yet-injected packet.
-type pending struct {
-	dst         mesh.NodeID
-	generatedAt int
-	class       int
-}
 
 // Bernoulli is a continuous source: at every step, every node generates a
 // packet with probability Rate, destined to a node drawn by Dest. It
@@ -53,12 +48,7 @@ type Bernoulli struct {
 	// policies. Zero disables.
 	HighFrac float64
 
-	backlog    [][]pending // indexed by node, allocated on first Inject
-	generated  int
-	injected   int
-	maxBacklog int
-	curBacklog int
-	genTime    map[int]int // packet ID -> generation step
+	backlog
 }
 
 var _ sim.CheckpointableInjector = (*Bernoulli)(nil)
@@ -68,21 +58,15 @@ func NewBernoulli(rate float64, until int) (*Bernoulli, error) {
 	if rate < 0 || rate > 1 {
 		return nil, fmt.Errorf("traffic: rate %v outside [0, 1]", rate)
 	}
-	return &Bernoulli{
-		Rate:    rate,
-		Until:   until,
-		genTime: make(map[int]int),
-	}, nil
+	return &Bernoulli{Rate: rate, Until: until}, nil
 }
 
-// Inject implements sim.Injector.
+// Inject implements sim.Injector: one generation draw per node, in node
+// order, then drain the source queues into the nodes' free slots.
 func (b *Bernoulli) Inject(t int, e sim.InjectorHost, rng *rand.Rand) []*sim.Packet {
 	m := e.Mesh()
-	if b.backlog == nil {
-		b.backlog = make([][]pending, m.Size())
-	}
-
-	// Generation phase.
+	b.size(m)
+	b.arrivals = b.arrivals[:0]
 	if b.Until == 0 || t < b.Until {
 		for node := mesh.NodeID(0); int(node) < m.Size(); node++ {
 			if rng.Float64() >= b.Rate {
@@ -93,39 +77,10 @@ func (b *Bernoulli) Inject(t int, e sim.InjectorHost, rng *rand.Rand) []*sim.Pac
 			if b.HighFrac > 0 && rng.Float64() < b.HighFrac {
 				class = 1
 			}
-			b.backlog[node] = append(b.backlog[node], pending{dst: dst, generatedAt: t, class: class})
-			b.generated++
-			b.curBacklog++
+			b.arrivals = append(b.arrivals, Gen{Src: node, Dst: dst, Class: class})
 		}
 	}
-
-	// Injection phase: drain each source queue into the node's free slots,
-	// in node order (deterministic).
-	var out []*sim.Packet
-	for node := mesh.NodeID(0); int(node) < m.Size(); node++ {
-		q := b.backlog[node]
-		if len(q) == 0 {
-			continue
-		}
-		room := e.InjectionCapacity(node)
-		take := len(q)
-		if room < take {
-			take = room
-		}
-		for i := 0; i < take; i++ {
-			p := sim.NewPacket(e.NextPacketID(), node, q[i].dst)
-			p.Class = q[i].class
-			b.genTime[p.ID] = q[i].generatedAt
-			out = append(out, p)
-			b.injected++
-			b.curBacklog--
-		}
-		b.backlog[node] = q[take:]
-	}
-	if b.curBacklog > b.maxBacklog {
-		b.maxBacklog = b.curBacklog
-	}
-	return out
+	return b.drain(t, e, nil)
 }
 
 func (b *Bernoulli) drawDest(src mesh.NodeID, m *mesh.Mesh, rng *rand.Rand) mesh.NodeID {
@@ -146,77 +101,20 @@ func (b *Bernoulli) Exhausted(t int) bool {
 	return b.Until > 0 && t >= b.Until && b.curBacklog == 0
 }
 
-// Generated returns the number of packets produced by the source.
-func (b *Bernoulli) Generated() int { return b.generated }
-
-// Injected returns the number of packets actually injected so far.
-func (b *Bernoulli) Injected() int { return b.injected }
-
-// Backlog returns the current number of generated-but-not-injected packets.
-func (b *Bernoulli) Backlog() int { return b.curBacklog }
-
-// MaxBacklog returns the largest backlog observed.
-func (b *Bernoulli) MaxBacklog() int { return b.maxBacklog }
-
-// Latency returns the end-to-end latency (generation to arrival) of a
-// delivered packet, or -1 if it has not arrived or is unknown.
-func (b *Bernoulli) Latency(p *sim.Packet) int {
-	gen, ok := b.genTime[p.ID]
-	if !ok || !p.Arrived() {
-		return -1
-	}
-	return p.ArrivedAt - gen
-}
-
-// bernoulliState is the serialized Bernoulli checkpoint payload; it shares
-// the Source layout (minus generators) so both round-trip identically.
-type bernoulliState struct {
-	Nodes      int            `json:"nodes"`
-	Backlog    []backlogState `json:"backlog,omitempty"`
-	Generated  int            `json:"generated"`
-	Injected   int            `json:"injected"`
-	CurBacklog int            `json:"cur_backlog"`
-	MaxBacklog int            `json:"max_backlog"`
-	GenTime    []idStep       `json:"gen_time,omitempty"`
-}
-
 // SnapshotState implements sim.CheckpointableInjector.
 func (b *Bernoulli) SnapshotState() ([]byte, error) {
-	return json.Marshal(&bernoulliState{
-		Nodes:      len(b.backlog),
-		Backlog:    captureBacklog(b.backlog),
-		Generated:  b.generated,
-		Injected:   b.injected,
-		CurBacklog: b.curBacklog,
-		MaxBacklog: b.maxBacklog,
-		GenTime:    captureGenTime(b.genTime),
-	})
+	st := b.snapshot()
+	return json.Marshal(&st)
 }
 
 // RestoreState implements sim.CheckpointableInjector. The receiver must be
 // configured (Rate, Dest, Until, HighFrac) like the snapshotted source.
 func (b *Bernoulli) RestoreState(data []byte) error {
-	var st bernoulliState
+	var st backlogState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("traffic: restore bernoulli state: %w", err)
 	}
-	backlog, count, err := restoreBacklog(st.Backlog, st.Nodes)
-	if err != nil {
-		return err
-	}
-	if count != st.CurBacklog {
-		return fmt.Errorf("traffic: backlog carries %d packets, state says %d", count, st.CurBacklog)
-	}
-	b.backlog = backlog
-	b.generated = st.Generated
-	b.injected = st.Injected
-	b.curBacklog = st.CurBacklog
-	b.maxBacklog = st.MaxBacklog
-	b.genTime = make(map[int]int, len(st.GenTime))
-	for _, e := range st.GenTime {
-		b.genTime[e.ID] = e.Step
-	}
-	return nil
+	return b.restore(st)
 }
 
 // HotSpotDest returns a Dest function that targets `hot` with probability
