@@ -38,11 +38,13 @@ vet:
 # WAL decoder is fuzzed because it parses whatever a crash left on disk:
 # torn writes, truncation, bit rot. The halo frame reader and wire decoders
 # are fuzzed because they parse whatever a peer (or a corrupting link) sends
-# over TCP.
+# over TCP, and the binary checkpoint decoder because it parses whatever a
+# CRC-valid file claims to be a snapshot, shard part or manifest.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseBench -fuzztime 15s ./internal/benchfmt/
 	$(GO) test -fuzz FuzzWAL -fuzztime 15s ./internal/server/store/
 	$(GO) test -fuzz FuzzHaloFrame -fuzztime 15s ./internal/dshard/
+	$(GO) test -fuzz FuzzReadBinary -fuzztime 15s ./internal/checkpoint/
 	$(GO) test -fuzz FuzzParseWorkloadSpec -fuzztime 15s ./internal/spec/
 	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime 15s ./internal/spec/
 	$(GO) test -fuzz FuzzParsePolicySpec -fuzztime 15s ./internal/spec/

@@ -9,10 +9,13 @@
 // The container format is a fixed header — magic "HPCK", one format byte,
 // a little-endian uint32 container version, a little-endian uint32 IEEE
 // CRC of the payload — followed by the encoded snapshot. Two payload
-// encodings exist: JSON (debuggable, diffable, the default for files
-// humans may inspect) and binary (gob; smaller and faster for high-
-// frequency checkpointing). Read sniffs the format from the header, so
-// callers never need to know which encoding produced a file.
+// encodings exist: JSON (debuggable, diffable, the format for files humans
+// may inspect) and binary (format byte 'V': the value's own AppendBinary —
+// internal/codec varints in field order, no reflection — for high-frequency
+// checkpointing). Read sniffs the format from the header, so callers never
+// need to know which encoding produced a file. Builds before the varint
+// codec wrote gob under format byte 'B'; such a file is refused as
+// ErrBadFile, never mis-decoded.
 //
 // The container version covers the envelope; the snapshot's own schema
 // version rides inside the payload and is enforced by sim.Engine.Restore.
@@ -22,8 +25,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"hotpotato/internal/sim"
 )
@@ -45,12 +49,29 @@ const (
 	// JSON encodes the snapshot as JSON: human-readable and stable across
 	// Go versions, the right choice for checkpoints kept around or debugged.
 	JSON Format = 'J'
-	// Binary encodes the snapshot with encoding/gob: compact and fast, the
-	// right choice for high-frequency periodic checkpointing.
-	Binary Format = 'B'
+	// Binary encodes the value with its own AppendBinary (varint fields, see
+	// internal/codec): compact and fast, the right choice for high-frequency
+	// periodic checkpointing.
+	Binary Format = 'V'
 )
 
+// legacyGob is the format byte older builds wrote encoding/gob payloads
+// under. Nothing reads it any more.
+const legacyGob Format = 'B'
+
+const headerLen = 13
+
 var magic = [4]byte{'H', 'P', 'C', 'K'}
+
+// binaryAppender is encoding.BinaryAppender (go 1.24), spelled out because
+// go.mod's language version predates it.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// bufPool recycles the buffers a checkpoint is assembled in (WriteValue) or
+// read into (ReadValue), so a periodic save allocates nothing per call.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ErrBadFile is returned by Read/Load for files that are not checkpoints,
 // are truncated or corrupt, or come from a future container version.
@@ -62,32 +83,39 @@ var ErrBadFile = errors.New("checkpoint: not a valid checkpoint file")
 // itself rides inside the payload and is the caller's contract — exactly
 // how Read enforces sim.SnapshotVersion for engine snapshots.
 func WriteValue(w io.Writer, v any, format Format) error {
-	var payload bytes.Buffer
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	var hdr [headerLen]byte
+	buf.Write(hdr[:]) // filled in below, once the payload's CRC is known
 	switch format {
 	case JSON:
-		enc := json.NewEncoder(&payload)
+		enc := json.NewEncoder(buf)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(v); err != nil {
 			return fmt.Errorf("checkpoint: encode: %w", err)
 		}
 	case Binary:
-		if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		a, ok := v.(binaryAppender)
+		if !ok {
+			return fmt.Errorf("checkpoint: encode: %T has no AppendBinary", v)
+		}
+		payload, err := a.AppendBinary(buf.AvailableBuffer())
+		if err != nil {
 			return fmt.Errorf("checkpoint: encode: %w", err)
 		}
+		buf.Write(payload)
 	default:
 		return fmt.Errorf("checkpoint: unknown format %q", byte(format))
 	}
 
-	var hdr [13]byte
-	copy(hdr[:4], magic[:])
-	hdr[4] = byte(format)
-	binary.LittleEndian.PutUint32(hdr[5:9], Version)
-	binary.LittleEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("checkpoint: write header: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("checkpoint: write payload: %w", err)
+	b := buf.Bytes()
+	copy(b[:4], magic[:])
+	b[4] = byte(format)
+	binary.LittleEndian.PutUint32(b[5:9], Version)
+	binary.LittleEndian.PutUint32(b[9:headerLen], crc32.ChecksumIEEE(b[headerLen:]))
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("checkpoint: write: %w", err)
 	}
 	return nil
 }
@@ -96,7 +124,7 @@ func WriteValue(w io.Writer, v any, format Format) error {
 // pointer), sniffing the payload format from the header and verifying the
 // container version and checksum.
 func ReadValue(r io.Reader, v any) error {
-	var hdr [13]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("%w: short header: %v", ErrBadFile, err)
 	}
@@ -107,11 +135,16 @@ func ReadValue(r io.Reader, v any) error {
 	if ver := binary.LittleEndian.Uint32(hdr[5:9]); ver != Version {
 		return fmt.Errorf("%w: container version %d, this build reads %d", ErrBadFile, ver, Version)
 	}
-	payload, err := io.ReadAll(r)
-	if err != nil {
+	// Both decoders copy what they keep, so the payload can live in a
+	// recycled buffer.
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(r); err != nil {
 		return fmt.Errorf("%w: read payload: %v", ErrBadFile, err)
 	}
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(hdr[9:13]) {
+	payload := buf.Bytes()
+	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(hdr[9:headerLen]) {
 		return fmt.Errorf("%w: payload checksum mismatch (corrupt or truncated)", ErrBadFile)
 	}
 
@@ -121,9 +154,15 @@ func ReadValue(r io.Reader, v any) error {
 			return fmt.Errorf("%w: decode: %v", ErrBadFile, err)
 		}
 	case Binary:
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		u, ok := v.(encoding.BinaryUnmarshaler)
+		if !ok {
+			return fmt.Errorf("checkpoint: decode: %T has no UnmarshalBinary", v)
+		}
+		if err := u.UnmarshalBinary(payload); err != nil {
 			return fmt.Errorf("%w: decode: %v", ErrBadFile, err)
 		}
+	case legacyGob:
+		return fmt.Errorf("%w: format 'B' is the gob payload of an older build; this build reads 'V' and 'J'", ErrBadFile)
 	default:
 		return fmt.Errorf("%w: unknown format byte %q", ErrBadFile, byte(format))
 	}

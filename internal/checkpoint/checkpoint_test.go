@@ -3,10 +3,12 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hotpotato/internal/mesh"
@@ -126,6 +128,8 @@ func TestReadRejectsCorruption(t *testing.T) {
 		"future version": corrupt(func(b []byte) { b[5] = 99 }),
 		"bad format":     corrupt(func(b []byte) { b[4] = 'Z' }),
 		"flipped bit":    corrupt(func(b []byte) { b[len(b)-1] ^= 0x40 }),
+		"flipped crc":    corrupt(func(b []byte) { b[9] ^= 0x01 }),
+		"trailing byte":  Envelope(Binary, append(append([]byte(nil), good[headerLen:]...), 0)),
 		"truncated":      good[:len(good)-7],
 		"not a file":     []byte("hello world, definitely not a checkpoint"),
 	}
@@ -135,6 +139,45 @@ func TestReadRejectsCorruption(t *testing.T) {
 				t.Errorf("Read(%s) err = %v, want ErrBadFile", name, err)
 			}
 		})
+	}
+}
+
+// TestLegacyGobRefused: a structurally valid file with the old 'B' format
+// byte is ErrBadFile naming the older build — never handed to a decoder.
+func TestLegacyGobRefused(t *testing.T) {
+	snap, _, _, _ := midRunSnapshot(t)
+	payload, err := snap.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Read(bytes.NewReader(Envelope('B', payload)))
+	if !errors.Is(err, ErrBadFile) || !strings.Contains(err.Error(), "older build") {
+		t.Fatalf("legacy file: err = %v, want ErrBadFile naming the older build", err)
+	}
+}
+
+// TestBinaryWriteAllocs: with the pooled buffer a steady-state binary save
+// encodes header and payload without allocating per call.
+func TestBinaryWriteAllocs(t *testing.T) {
+	snap, _, _, _ := midRunSnapshot(t)
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := Write(io.Discard, snap, Binary); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 3 {
+		t.Fatalf("binary Write allocates %.1f objects per call, want <= 3", avg)
+	}
+}
+
+// TestBinaryNeedsCodecMethods: a value without AppendBinary/UnmarshalBinary
+// is an error in the Binary format, not a silent fallback.
+func TestBinaryNeedsCodecMethods(t *testing.T) {
+	v := struct{ A int }{7}
+	if err := WriteValue(io.Discard, &v, Binary); err == nil {
+		t.Fatal("WriteValue accepted a value with no AppendBinary")
+	}
+	if err := ReadValue(bytes.NewReader(Envelope(Binary, nil)), &v); err == nil {
+		t.Fatal("ReadValue accepted a value with no UnmarshalBinary")
 	}
 }
 

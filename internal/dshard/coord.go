@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hotpotato/internal/checkpoint"
+	"hotpotato/internal/codec"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/run"
 	"hotpotato/internal/shard"
@@ -683,10 +684,10 @@ func (c *Coordinator) awaitFrame(ws *workerSlot, wantTyp byte, wantT int, deadli
 			return nil, fmt.Errorf("%w: slot %d: %s", errNeedsLoad, ws.slot, m.Msg)
 		case wantTyp:
 			// Every response payload leads with (epoch, t); peek them.
-			d := dec{b: payload}
-			epoch, t := d.u64(), d.num()
-			if d.err != nil {
-				return nil, d.err
+			d := codec.Dec{B: payload}
+			epoch, t := d.U64(), d.Num()
+			if err := d.Err(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 			}
 			if epoch == c.epoch && t == wantT {
 				return payload, nil

@@ -1,10 +1,10 @@
 package dshard
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"hotpotato/internal/codec"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
@@ -37,202 +37,32 @@ const protoVersion = 1
 // and the coordinator treats it as a worker failure.
 var ErrBadMessage = errors.New("dshard: malformed message")
 
-// ----- primitive codec ---------------------------------------------------
+// ----- shared sub-records ------------------------------------------------
 //
-// Payloads are hand-rolled varint streams: append-only writers, and a
-// bounds-checked reader that accumulates the first error and returns zero
-// values afterwards, so decode paths need no per-field error handling and
-// fuzzed inputs cannot panic.
+// Payloads are varint streams built on internal/codec (append-only writer,
+// bounds-checked first-error-sticks reader); packets use sim.PacketState's
+// own field codec and checkpoint parts shard.ShardPart's — the same bytes an
+// HPCK checkpoint holds.
 
-type enc struct{ b []byte }
-
-func (e *enc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) i64(v int64)  { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) num(v int)    { e.i64(int64(v)) }
-func (e *enc) boolean(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
-	}
-}
-func (e *enc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrBadMessage, what)
-	}
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) num() int { return int(d.i64()) }
-
-func (d *dec) boolean() bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b) == 0 {
-		d.fail("truncated bool")
-		return false
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v != 0
-}
-
-func (d *dec) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("string length exceeds payload")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-// count reads a collection length and guards it against the bytes left in
-// the payload (each element costs at least one byte), so a corrupted count
-// cannot drive a huge allocation.
-func (d *dec) count(what string) int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.b)) {
-		d.fail(what + " count exceeds payload")
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(d.b))
+// done closes a message decode, typing any failure as ErrBadMessage.
+func done(d *codec.Dec) error {
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	return nil
 }
 
-// ----- shared sub-records ------------------------------------------------
-
-func (e *enc) packet(ps *sim.PacketState) {
-	e.num(ps.ID)
-	e.i64(int64(ps.Src))
-	e.i64(int64(ps.Dst))
-	e.i64(int64(ps.Node))
-	e.i64(int64(ps.EnteredVia))
-	e.num(ps.InjectedAt)
-	e.num(ps.Class)
-	e.num(ps.ArrivedAt)
-	e.num(ps.DroppedAt)
-	e.i64(int64(ps.Cause))
-	e.num(ps.Hops)
-	e.num(ps.Deflections)
-	var flags byte
-	if ps.AdvancedPrev {
-		flags |= 1
-	}
-	if ps.RestrictedPrev {
-		flags |= 2
-	}
-	e.b = append(e.b, flags)
-	e.num(ps.GoodPrev)
-}
-
-func (d *dec) packet(ps *sim.PacketState) {
-	ps.ID = d.num()
-	ps.Src = mesh.NodeID(d.i64())
-	ps.Dst = mesh.NodeID(d.i64())
-	ps.Node = mesh.NodeID(d.i64())
-	ps.EnteredVia = mesh.Dir(d.i64())
-	ps.InjectedAt = d.num()
-	ps.Class = d.num()
-	ps.ArrivedAt = d.num()
-	ps.DroppedAt = d.num()
-	ps.Cause = sim.DropCause(d.i64())
-	ps.Hops = d.num()
-	ps.Deflections = d.num()
-	if d.err == nil {
-		if len(d.b) == 0 {
-			d.fail("truncated packet flags")
-		} else {
-			ps.AdvancedPrev = d.b[0]&1 != 0
-			ps.RestrictedPrev = d.b[0]&2 != 0
-			d.b = d.b[1:]
-		}
-	}
-	ps.GoodPrev = d.num()
-}
-
-func (e *enc) packets(pkts []sim.PacketState) {
-	e.u64(uint64(len(pkts)))
-	for i := range pkts {
-		e.packet(&pkts[i])
-	}
-}
-
-func (d *dec) packets(what string) []sim.PacketState {
-	n := d.count(what)
-	if n == 0 {
-		return nil
-	}
-	pkts := make([]sim.PacketState, n)
-	for i := range pkts {
-		d.packet(&pkts[i])
-	}
-	return pkts
-}
-
-// move serializes one halo move: the packet's pre-move state plus the
+// encodeMove serializes one halo move: the packet's pre-move state plus the
 // transfer record. The receiver materializes a fresh packet from it — the
 // sender's object never travels, so applying the move on the receiver
 // reproduces exactly the in-process mutation.
-func (e *enc) move(mv *sim.Move) {
+func encodeMove(e *codec.Enc, mv *sim.Move) {
 	ps := sim.CapturePacket(mv.Packet)
-	e.packet(&ps)
-	e.i64(int64(mv.From))
-	e.i64(int64(mv.To))
-	e.i64(int64(mv.Dir))
-	e.num(mv.GoodCount)
+	ps.Encode(e)
+	e.I64(int64(mv.From))
+	e.I64(int64(mv.To))
+	e.I64(int64(mv.Dir))
+	e.Num(mv.GoodCount)
 	var flags byte
 	if mv.Advanced {
 		flags |= 1
@@ -246,23 +76,18 @@ func (e *enc) move(mv *sim.Move) {
 	if mv.ArrivedNow {
 		flags |= 8
 	}
-	e.b = append(e.b, flags)
+	e.Byte(flags)
 }
 
-func (d *dec) move(mv *sim.Move) {
+func decodeMove(d *codec.Dec, mv *sim.Move) {
 	var ps sim.PacketState
-	d.packet(&ps)
-	mv.From = mesh.NodeID(d.i64())
-	mv.To = mesh.NodeID(d.i64())
-	mv.Dir = mesh.Dir(d.i64())
-	mv.GoodCount = d.num()
-	if d.err == nil {
-		if len(d.b) == 0 {
-			d.fail("truncated move flags")
-			return
-		}
-		flags := d.b[0]
-		d.b = d.b[1:]
+	ps.Decode(d)
+	mv.From = mesh.NodeID(d.I32())
+	mv.To = mesh.NodeID(d.I32())
+	mv.Dir = mesh.Dir(d.I8())
+	mv.GoodCount = d.Num()
+	flags := d.Byte()
+	if d.Err() == nil {
 		mv.Advanced = flags&1 != 0
 		mv.WasRestricted = flags&2 != 0
 		mv.WasTypeA = flags&4 != 0
@@ -271,34 +96,34 @@ func (d *dec) move(mv *sim.Move) {
 	}
 }
 
-func (e *enc) buckets(bs []shard.Bucket) {
-	e.u64(uint64(len(bs)))
+func encodeBuckets(e *codec.Enc, bs []shard.Bucket) {
+	e.U64(uint64(len(bs)))
 	for i := range bs {
-		e.num(bs[i].From)
-		e.num(bs[i].To)
-		e.u64(uint64(len(bs[i].Moves)))
+		e.Num(bs[i].From)
+		e.Num(bs[i].To)
+		e.U64(uint64(len(bs[i].Moves)))
 		for j := range bs[i].Moves {
-			e.move(&bs[i].Moves[j])
+			encodeMove(e, &bs[i].Moves[j])
 		}
 	}
 }
 
-func (d *dec) buckets() []shard.Bucket {
-	n := d.count("bucket")
+func decodeBuckets(d *codec.Dec) []shard.Bucket {
+	n := d.Count("bucket")
 	if n == 0 {
 		return nil
 	}
 	bs := make([]shard.Bucket, n)
 	for i := range bs {
-		bs[i].From = d.num()
-		bs[i].To = d.num()
-		k := d.count("move")
+		bs[i].From = d.Num()
+		bs[i].To = d.Num()
+		k := d.Count("move")
 		if k == 0 {
 			continue
 		}
 		bs[i].Moves = make([]sim.Move, k)
 		for j := range bs[i].Moves {
-			d.move(&bs[i].Moves[j])
+			decodeMove(d, &bs[i].Moves[j])
 		}
 	}
 	return bs
@@ -315,17 +140,17 @@ type msgHello struct {
 }
 
 func (m *msgHello) encode() []byte {
-	var e enc
-	e.u64(m.Proto)
-	e.str(m.Token)
-	e.num(m.Slot)
-	return e.b
+	var e codec.Enc
+	e.U64(m.Proto)
+	e.Str(m.Token)
+	e.Num(m.Slot)
+	return e.B
 }
 
 func decodeHello(p []byte) (msgHello, error) {
-	d := dec{b: p}
-	m := msgHello{Proto: d.u64(), Token: d.str(), Slot: d.num()}
-	return m, d.done()
+	d := codec.Dec{B: p}
+	m := msgHello{Proto: d.U64(), Token: d.Str(), Slot: d.Num()}
+	return m, done(&d)
 }
 
 // msgAssign binds a worker to its share of the problem. Epoch is the
@@ -347,37 +172,37 @@ type msgAssign struct {
 }
 
 func (m *msgAssign) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.num(m.Side)
-	e.boolean(m.Wrap)
-	e.num(m.GridP)
-	e.num(m.GridQ)
-	e.str(m.Policy)
-	e.i64(m.Seed)
-	e.num(m.Validation)
-	e.boolean(m.HashWords)
-	e.u64(uint64(len(m.Owned)))
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.Num(m.Side)
+	e.Bool(m.Wrap)
+	e.Num(m.GridP)
+	e.Num(m.GridQ)
+	e.Str(m.Policy)
+	e.I64(m.Seed)
+	e.Num(m.Validation)
+	e.Bool(m.HashWords)
+	e.U64(uint64(len(m.Owned)))
 	for _, idx := range m.Owned {
-		e.num(idx)
+		e.Num(idx)
 	}
-	e.i64(m.HeartbeatMillis)
-	return e.b
+	e.I64(m.HeartbeatMillis)
+	return e.B
 }
 
 func decodeAssign(p []byte) (msgAssign, error) {
-	d := dec{b: p}
+	d := codec.Dec{B: p}
 	m := msgAssign{
-		Epoch: d.u64(), Side: d.num(), Wrap: d.boolean(),
-		GridP: d.num(), GridQ: d.num(), Policy: d.str(),
-		Seed: d.i64(), Validation: d.num(), HashWords: d.boolean(),
+		Epoch: d.U64(), Side: d.Num(), Wrap: d.Bool(),
+		GridP: d.Num(), GridQ: d.Num(), Policy: d.Str(),
+		Seed: d.I64(), Validation: d.Num(), HashWords: d.Bool(),
 	}
-	n := d.count("owned shard")
+	n := d.Count("owned shard")
 	for i := 0; i < n; i++ {
-		m.Owned = append(m.Owned, d.num())
+		m.Owned = append(m.Owned, d.Num())
 	}
-	m.HeartbeatMillis = d.i64()
-	return m, d.done()
+	m.HeartbeatMillis = d.I64()
+	return m, done(&d)
 }
 
 // shardLoad is one shard's worth of state in a LOAD: live packets in the
@@ -396,25 +221,25 @@ type msgLoad struct {
 }
 
 func (m *msgLoad) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.num(m.T)
-	e.u64(uint64(len(m.Shards)))
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.Num(m.T)
+	e.U64(uint64(len(m.Shards)))
 	for i := range m.Shards {
-		e.num(m.Shards[i].Index)
-		e.packets(m.Shards[i].Packets)
+		e.Num(m.Shards[i].Index)
+		sim.EncodePackets(&e, m.Shards[i].Packets)
 	}
-	return e.b
+	return e.B
 }
 
 func decodeLoad(p []byte) (msgLoad, error) {
-	d := dec{b: p}
-	m := msgLoad{Epoch: d.u64(), T: d.num()}
-	n := d.count("shard load")
+	d := codec.Dec{B: p}
+	m := msgLoad{Epoch: d.U64(), T: d.Num()}
+	n := d.Count("shard load")
 	for i := 0; i < n; i++ {
-		m.Shards = append(m.Shards, shardLoad{Index: d.num(), Packets: d.packets("packet")})
+		m.Shards = append(m.Shards, shardLoad{Index: d.Num(), Packets: sim.DecodePackets(&d, "packet")})
 	}
-	return m, d.done()
+	return m, done(&d)
 }
 
 // msgStep is the shared shape of the bare (epoch, t) messages: LOADED,
@@ -425,16 +250,16 @@ type msgStep struct {
 }
 
 func (m *msgStep) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.num(m.T)
-	return e.b
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.Num(m.T)
+	return e.B
 }
 
 func decodeStep(p []byte) (msgStep, error) {
-	d := dec{b: p}
-	m := msgStep{Epoch: d.u64(), T: d.num()}
-	return m, d.done()
+	d := codec.Dec{B: p}
+	m := msgStep{Epoch: d.U64(), T: d.Num()}
+	return m, done(&d)
 }
 
 // msgEgress is a worker's route-phase result: every cross-shard bucket its
@@ -447,17 +272,17 @@ type msgEgress struct {
 }
 
 func (m *msgEgress) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.num(m.T)
-	e.buckets(m.Buckets)
-	return e.b
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.Num(m.T)
+	encodeBuckets(&e, m.Buckets)
+	return e.B
 }
 
 func decodeEgress(p []byte) (msgEgress, error) {
-	d := dec{b: p}
-	m := msgEgress{Epoch: d.u64(), T: d.num(), Buckets: d.buckets()}
-	return m, d.done()
+	d := codec.Dec{B: p}
+	m := msgEgress{Epoch: d.U64(), T: d.Num(), Buckets: decodeBuckets(&d)}
+	return m, done(&d)
 }
 
 // hashBlock carries one shard's configuration-hash word pairs for the
@@ -484,49 +309,49 @@ type msgApplied struct {
 }
 
 func (m *msgApplied) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.num(m.T)
-	e.i64(m.Hops)
-	e.i64(m.Deflections)
-	e.num(m.Arrivals)
-	e.num(m.LastArrival)
-	e.i64(m.Reroutes)
-	e.num(m.MaxNodeLoad)
-	e.packets(m.Finalized)
-	e.u64(uint64(len(m.Blocks)))
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.Num(m.T)
+	e.I64(m.Hops)
+	e.I64(m.Deflections)
+	e.Num(m.Arrivals)
+	e.Num(m.LastArrival)
+	e.I64(m.Reroutes)
+	e.Num(m.MaxNodeLoad)
+	sim.EncodePackets(&e, m.Finalized)
+	e.U64(uint64(len(m.Blocks)))
 	for i := range m.Blocks {
-		e.num(m.Blocks[i].Shard)
-		e.u64(uint64(len(m.Blocks[i].Words)))
+		e.Num(m.Blocks[i].Shard)
+		e.U64(uint64(len(m.Blocks[i].Words)))
 		for _, w := range m.Blocks[i].Words {
-			e.u64(w)
+			e.U64(w)
 		}
 	}
-	return e.b
+	return e.B
 }
 
 func decodeApplied(p []byte) (msgApplied, error) {
-	d := dec{b: p}
+	d := codec.Dec{B: p}
 	m := msgApplied{
-		Epoch: d.u64(), T: d.num(),
-		Hops: d.i64(), Deflections: d.i64(),
-		Arrivals: d.num(), LastArrival: d.num(),
-		Reroutes: d.i64(), MaxNodeLoad: d.num(),
-		Finalized: d.packets("finalized packet"),
+		Epoch: d.U64(), T: d.Num(),
+		Hops: d.I64(), Deflections: d.I64(),
+		Arrivals: d.Num(), LastArrival: d.Num(),
+		Reroutes: d.I64(), MaxNodeLoad: d.Num(),
+		Finalized: sim.DecodePackets(&d, "finalized packet"),
 	}
-	n := d.count("hash block")
+	n := d.Count("hash block")
 	for i := 0; i < n; i++ {
-		b := hashBlock{Shard: d.num()}
-		k := d.count("hash word")
+		b := hashBlock{Shard: d.Num()}
+		k := d.Count("hash word")
 		if k%2 != 0 {
-			d.fail("odd hash word count")
+			d.Fail("odd hash word count")
 		}
-		for j := 0; j < k && d.err == nil; j++ {
-			b.Words = append(b.Words, d.u64())
+		for j := 0; j < k && d.Err() == nil; j++ {
+			b.Words = append(b.Words, d.U64())
 		}
 		m.Blocks = append(m.Blocks, b)
 	}
-	return m, d.done()
+	return m, done(&d)
 }
 
 // msgParts is a worker's checkpoint contribution: one ShardPart per owned
@@ -538,30 +363,26 @@ type msgParts struct {
 }
 
 func (m *msgParts) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.num(m.T)
-	e.u64(uint64(len(m.Parts)))
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.Num(m.T)
+	e.U64(uint64(len(m.Parts)))
 	for i := range m.Parts {
-		e.num(m.Parts[i].Version)
-		e.num(m.Parts[i].Index)
-		e.num(m.Parts[i].Time)
-		e.packets(m.Parts[i].Packets)
+		m.Parts[i].Encode(&e)
 	}
-	return e.b
+	return e.B
 }
 
 func decodeParts(p []byte) (msgParts, error) {
-	d := dec{b: p}
-	m := msgParts{Epoch: d.u64(), T: d.num()}
-	n := d.count("part")
+	d := codec.Dec{B: p}
+	m := msgParts{Epoch: d.U64(), T: d.Num()}
+	n := d.Count("part")
 	for i := 0; i < n; i++ {
-		m.Parts = append(m.Parts, shard.ShardPart{
-			Version: d.num(), Index: d.num(), Time: d.num(),
-			Packets: d.packets("part packet"),
-		})
+		var part shard.ShardPart
+		part.Decode(&d)
+		m.Parts = append(m.Parts, part)
 	}
-	return m, d.done()
+	return m, done(&d)
 }
 
 // msgError reports a failed request. Fatal errors (unknown policy,
@@ -576,15 +397,15 @@ type msgError struct {
 }
 
 func (m *msgError) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.boolean(m.Fatal)
-	e.str(m.Msg)
-	return e.b
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.Bool(m.Fatal)
+	e.Str(m.Msg)
+	return e.B
 }
 
 func decodeError(p []byte) (msgError, error) {
-	d := dec{b: p}
-	m := msgError{Epoch: d.u64(), Fatal: d.boolean(), Msg: d.str()}
-	return m, d.done()
+	d := codec.Dec{B: p}
+	m := msgError{Epoch: d.U64(), Fatal: d.Bool(), Msg: d.Str()}
+	return m, done(&d)
 }

@@ -2,10 +2,12 @@ package dshard
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
 
+	"hotpotato/internal/codec"
 	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 )
@@ -92,12 +94,12 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireMoveFidelity(t *testing.T) {
 	ps := testPackets()[0]
 	in := sim.Move{Packet: ps.Packet(), From: 12, To: 13, Dir: 3, GoodCount: 2, Advanced: true, WasRestricted: true, WasTypeA: true, ArrivedNow: true}
-	var e enc
-	e.move(&in)
-	d := dec{b: e.b}
+	var e codec.Enc
+	encodeMove(&e, &in)
+	d := codec.Dec{B: e.B}
 	var out sim.Move
-	d.move(&out)
-	if err := d.done(); err != nil {
+	decodeMove(&d, &out)
+	if err := done(&d); err != nil {
 		t.Fatal(err)
 	}
 	if out.From != in.From || out.To != in.To || out.Dir != in.Dir || out.GoodCount != in.GoodCount ||
@@ -120,5 +122,42 @@ func TestWireTruncationsAreLoud(t *testing.T) {
 	}
 	if _, err := decodeApplied(append(append([]byte(nil), full...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// TestWireGoldenBytes pins the HPWF frames of one EGRESS, one LOAD and one
+// PARTS message to the bytes the pre-codec-move build emitted (protoVersion
+// 1): sharing the packet codec with HPCK checkpoints must not change the
+// wire.
+func TestWireGoldenBytes(t *testing.T) {
+	if protoVersion != 1 {
+		t.Fatalf("protoVersion = %d; the golden frames below are version 1", protoVersion)
+	}
+	mv := func(id int) sim.Move {
+		ps := testPackets()[0]
+		ps.ID = id
+		return sim.Move{Packet: ps.Packet(), From: 12, To: 13, Dir: 1, GoodCount: 2, Advanced: true, WasTypeA: id == 4, ArrivedNow: id%2 == 0}
+	}
+	cases := []struct {
+		name    string
+		typ     byte
+		payload []byte
+		want    string
+	}{
+		{"egress", mtEgress, (&msgEgress{Epoch: 1, T: 5, Buckets: []shard.Bucket{
+			{From: 0, To: 1, Moves: []sim.Move{mv(1), mv(2)}},
+			{From: 3, To: 0, Moves: []sim.Move{mv(4)}},
+		}}).encode(), "48505746010642000000097b0212010a020002020206781804000001010008020104181a0204010406781804000001010008020104181a0204090600010806781804000001010008020104181a02040d"},
+		{"load", mtLoad, (&msgLoad{Epoch: 2, T: 40, Shards: []shardLoad{{Index: 0, Packets: testPackets()}, {Index: 2}}}).encode(),
+			"485057460103230000005e621eba0250020002020678180400000101000802010412000e0e010000160100000002000400"},
+		{"parts", mtParts, (&msgParts{Epoch: 2, T: 8, Parts: []shard.ShardPart{
+			{Version: 1, Index: 0, Time: 8, Packets: testPackets()},
+			{Version: 1, Index: 1, Time: 8},
+		}}).encode(), "48505746010a27000000f1919f3a02100202001002020678180400000101000802010412000e0e0100001601000000020002021000"},
+	}
+	for _, tc := range cases {
+		if got := hex.EncodeToString(AppendFrame(nil, tc.typ, tc.payload)); got != tc.want {
+			t.Errorf("%s frame changed:\n  got  %s\n  want %s", tc.name, got, tc.want)
+		}
 	}
 }

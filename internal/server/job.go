@@ -476,6 +476,11 @@ type Job struct {
 	// (the poison-job evidence the quarantine policy counts).
 	recovered   bool
 	priorStarts int
+	// recoveryResume is the periodic checkpoint WAL recovery put into
+	// Spec.ResumeFrom ("" when it found none, or once it proved unusable);
+	// clientResume is the resume_from the job was submitted with.
+	recoveryResume string
+	clientResume   string
 
 	mu         sync.Mutex
 	state      JobState
@@ -583,6 +588,23 @@ func (j *Job) setProgress(p sim.Progress) {
 func (j *Job) setCheckpoint(path string) {
 	j.mu.Lock()
 	j.checkpoint = path
+	j.mu.Unlock()
+}
+
+// resumeFromRecovery points the job at its own periodic checkpoint. Called
+// by WAL recovery before any worker runs.
+func (j *Job) resumeFromRecovery(path string) {
+	j.clientResume = j.Spec.ResumeFrom
+	j.recoveryResume = path
+	j.Spec.ResumeFrom = path
+}
+
+// dropRecoveryResume undoes resumeFromRecovery from the job's worker; status
+// readers copy Spec under mu.
+func (j *Job) dropRecoveryResume() {
+	j.mu.Lock()
+	j.Spec.ResumeFrom = j.clientResume
+	j.recoveryResume = ""
 	j.mu.Unlock()
 }
 

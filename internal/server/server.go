@@ -309,12 +309,12 @@ func (s *Server) adoptRecovery(rec *store.Recovery) {
 				if j.Spec.Shards != "" {
 					dir := filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")
 					if shard.HasCheckpoint(dir) {
-						j.Spec.ResumeFrom = dir
+						j.resumeFromRecovery(dir)
 					}
 				} else {
 					path := filepath.Join(s.cfg.CheckpointDir, j.ID+".hpck")
 					if _, err := os.Stat(path); err == nil {
-						j.Spec.ResumeFrom = path
+						j.resumeFromRecovery(path)
 					}
 				}
 			}
@@ -732,32 +732,56 @@ func (s *Server) execute(j *Job) {
 		s.publishSummary(j)
 	default:
 		s.completed.Inc()
-		j.setFinalHash(out.FinalHash)
-		j.finish(JobDone, out.Result, "")
-		s.walAppend(store.Record{Job: j.ID, Op: store.OpDone, Result: resultJSON, FinalHash: out.FinalHash}) //nolint:errcheck
-		s.publishSummary(j)
 		if s.cfg.CheckpointDir != "" {
 			// A finished job's periodic checkpoint is stale — it must not
-			// shadow a future job or confuse recovery's resume probe.
+			// shadow a future job or confuse recovery's resume probe. It goes
+			// before the job reads as done, so "done" implies "no checkpoint"
+			// (a crash in between reruns the job from step 0 — same result).
 			os.Remove(filepath.Join(s.cfg.CheckpointDir, j.ID+".hpck")) //nolint:errcheck
 			if j.Spec.Shards != "" {
 				os.RemoveAll(filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")) //nolint:errcheck
 			}
 		}
+		j.setFinalHash(out.FinalHash)
+		j.finish(JobDone, out.Result, "")
+		s.walAppend(store.Record{Job: j.ID, Op: store.OpDone, Result: resultJSON, FinalHash: out.FinalHash}) //nolint:errcheck
+		s.publishSummary(j)
 		s.logf("job %s done: %d/%d delivered in %d steps",
 			j.ID, out.Result.Delivered, out.Result.Total, out.Result.Steps)
 	}
 }
 
-// runJob is one supervised attempt: build the engine, wire observers,
-// run until completion, drain-cancel, or deadline.
+// runJob is one supervised attempt on the engine the spec selects. A
+// periodic checkpoint is an optimisation of a deterministic run, so when the
+// one WAL recovery picked turns out unreadable — truncated, corrupt, or
+// written by an older build — it is logged and removed and the attempt runs
+// the job as submitted instead (same final_state_hash). A resume_from the
+// client supplied keeps failing loudly with the typed error.
 func (s *Server) runJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
+	out, err := s.runJobOnce(actx, j, attempt)
+	if bad := j.recoveryResume; bad != "" && err != nil &&
+		(errors.Is(err, checkpoint.ErrBadFile) || errors.Is(err, shard.ErrBadCheckpoint)) {
+		s.logf("job %s: recovered checkpoint unusable, running as submitted: %v", j.ID, err)
+		os.RemoveAll(bad) //nolint:errcheck // stale either way; the next save replaces it
+		j.dropRecoveryResume()
+		return s.runJobOnce(actx, j, attempt)
+	}
+	return out, err
+}
+
+func (s *Server) runJobOnce(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
 	if j.Spec.Shards != "" {
 		if j.Spec.DistWorkers > 0 {
 			return s.runDistributedJob(actx, j, attempt)
 		}
 		return s.runShardedJob(actx, j, attempt)
 	}
+	return s.runSingleJob(actx, j, attempt)
+}
+
+// runSingleJob runs a job on sim.Engine: build the engine, wire observers,
+// run until completion, drain-cancel, or deadline.
+func (s *Server) runSingleJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
 	e, err := j.Spec.buildEngine(s.cfg.JobTimeout)
 	if err != nil {
 		return nil, err
@@ -848,7 +872,7 @@ func (s *Server) runJob(actx context.Context, j *Job, attempt int) (json.RawMess
 	return json.Marshal(out)
 }
 
-// runShardedJob is runJob's counterpart for specs with Shards set: the same
+// runShardedJob is runSingleJob's counterpart for specs with Shards set: the same
 // supervision contract (progress epochs, drain-cancel, periodic
 // checkpoints, final-state fingerprint) driven through the sharded engine,
 // which reports through StepHook instead of observers. A sharded checkpoint

@@ -124,6 +124,13 @@ type NodeRouter struct {
 	// runner drains them into its global counters at step barriers.
 	MaxNodeLoad int
 	Reroutes    int64
+
+	// Tail pad to 256 B (four cache lines, and its own allocator size class).
+	// At 224 B two routers allocated back to back — adjacent shards' — sit at
+	// offsets 0 and 224 of one span, so one shard's per-node writes (src
+	// reseed, MaxNodeLoad, Reroutes) keep invalidating the line that holds
+	// its neighbour's topo/gd, read on every RouteNode.
+	_ [32]byte
 }
 
 // NewNodeRouter returns a router over the given topology view. Tie-break
