@@ -4,7 +4,6 @@ package hotpotato_test
 // per reproduced table, mirroring bench_test.go's coverage of E1-E10.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -255,36 +254,5 @@ func BenchmarkE21Fairness(b *testing.B) {
 		if _, err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkParallelWorkers compares serial and parallel routing on a dense
-// instance (informative mostly on multi-core hosts).
-func BenchmarkParallelWorkers(b *testing.B) {
-	m := mesh.MustNew(2, 32)
-	for _, workers := range []int{0, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(int64(i)))
-				packets, err := workload.FullLoad(m, 2, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e, err := sim.New(m, core.NewRestrictedPriority(), packets, sim.Options{
-					Seed: int64(i), Validation: sim.ValidateOff, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Delivered != res.Total {
-					b.Fatal("undelivered")
-				}
-			}
-		})
 	}
 }

@@ -234,7 +234,6 @@ func runCtx(ctx context.Context, args []string) error {
 		verify         = fs.String("verify-trace", "", "verify a recorded trace file and exit (other flags ignored)")
 		heatmap        = fs.Bool("heatmap", false, "print a per-node deflection heat map after the run (2-D only)")
 		animate        = fs.Int("animate", 0, "print the first N steps as text frames (2-D only)")
-		workers        = fs.Int("workers", 0, "route nodes concurrently on this many goroutines (0 = serial)")
 		arrivals       = fs.String("arrivals", "", "continuous arrival traffic: proc[:key=val,...][;proc2:...], e.g. poisson:rate=0.02 (see -list-workloads)")
 		arrivalsRecord = fs.String("arrivals-record", "", "with -arrivals, record every injection to this file (replay with -arrivals replay:file=...)")
 		listWl         = fs.Bool("list-workloads", false, "print every registered policy, workload and arrival process with its parameter schema, then exit")
@@ -374,9 +373,6 @@ func runCtx(ctx context.Context, args []string) error {
 		if *conflictTrace != "" {
 			return fmt.Errorf("-shards cannot be combined with -conflict-trace (the conflict tap sees one engine's move stream)")
 		}
-		if *workers > 0 {
-			return fmt.Errorf("-shards and -workers are alternative parallelization schemes; pick one")
-		}
 		if *faultRate > 0 || *crashRate > 0 || *faultScript != "" {
 			return fmt.Errorf("-shards does not support fault injection yet")
 		}
@@ -488,7 +484,6 @@ func runCtx(ctx context.Context, args []string) error {
 		Validation:     lvl,
 		MaxSteps:       *maxSteps,
 		DetectLivelock: *livelock,
-		Workers:        *workers,
 		MaxWallTime:    *maxWall,
 	})
 	if err != nil {

@@ -197,18 +197,6 @@ func TestRunHeatmap(t *testing.T) {
 	}
 }
 
-func TestRunWorkers(t *testing.T) {
-	out, err := capture(t, func() error {
-		return run([]string{"-n", "8", "-k", "30", "-workers", "3"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "delivered:   30/30") {
-		t.Errorf("parallel run wrong:\n%s", out)
-	}
-}
-
 // TestCheckpointResume proves the CLI kill-and-resume round trip: a run
 // checkpointed periodically, then a second invocation restored from the
 // last checkpoint, must finish with the identical outcome.

@@ -131,7 +131,6 @@ func runCtx(ctx context.Context, args []string) error {
 		torus         = fs.Bool("torus", false, "use a torus instead of a mesh")
 		track         = fs.Bool("track", false, "attach the potential tracker and report violations")
 		workers       = fs.Int("parallel", 1, "worker goroutines per cell")
-		engineWorkers = fs.Int("workers", 0, "in-engine routing goroutines per run (0 = serial)")
 		shardsFlag    = fs.String("shards", "", "run each trial on the sharded engine with this PxQ grid (2-D only, bit-identical results)")
 		csvOut        = fs.Bool("csv", false, "emit CSV")
 		validate      = fs.Bool("strict", false, "validate Definition 18 (restricted preference) too")
@@ -201,8 +200,8 @@ func runCtx(ctx context.Context, args []string) error {
 	}
 	if *shardsFlag != "" {
 		// Fail the whole sweep up front rather than erroring every cell: the
-		// sharded engine is 2-D only and does not compose with the tracker,
-		// in-engine workers, or fault injection (see analysis.TrialSpec).
+		// sharded engine is 2-D only and does not compose with the tracker
+		// or fault injection (see analysis.TrialSpec).
 		if _, err := shard.ParseGrid(*shardsFlag); err != nil {
 			return err
 		}
@@ -211,8 +210,6 @@ func runCtx(ctx context.Context, args []string) error {
 			return errors.New("-shards needs -d 2 (the sharded engine decomposes 2-D meshes)")
 		case *track:
 			return errors.New("-shards and -track are mutually exclusive")
-		case *engineWorkers != 0:
-			return errors.New("-shards and -workers are alternative parallelization schemes; pick one")
 		}
 		for _, frate := range faultRates {
 			if frate != 0 {
@@ -265,7 +262,6 @@ func runCtx(ctx context.Context, args []string) error {
 							Track:       *track,
 							Validation:  lvl,
 							MaxSteps:    *maxSteps,
-							Workers:     *engineWorkers,
 							Shards:      *shardsFlag,
 						}
 						if arrSpec != nil {
@@ -332,9 +328,9 @@ func runCtx(ctx context.Context, args []string) error {
 	// The label ties a journal to one exact grid: every flag that shapes
 	// cell keys or results is part of it, so -resume against the journal of
 	// a different sweep fails loudly instead of mixing data.
-	label := fmt.Sprintf("sweep d=%d n=%s k=%s policy=%s workload=%s arrivals=%s max-steps=%d fault-rate=%s fault-repair=%g fault-max-down=%d trials=%d seed=%d torus=%t track=%t strict=%t workers=%d shards=%s",
+	label := fmt.Sprintf("sweep d=%d n=%s k=%s policy=%s workload=%s arrivals=%s max-steps=%d fault-rate=%s fault-repair=%g fault-max-down=%d trials=%d seed=%d torus=%t track=%t strict=%t shards=%s",
 		*dim, *nsFlag, *ksFlag, *polFlag, *wlFlag, *arrFlag, *maxSteps, *frFlag, *faultRepair, *faultMaxDown,
-		*trials, *seed, *torus, *track, *validate, *engineWorkers, *shardsFlag)
+		*trials, *seed, *torus, *track, *validate, *shardsFlag)
 
 	opts := runner.Options{
 		Workers:     *cellsParallel,

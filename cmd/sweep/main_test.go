@@ -110,18 +110,6 @@ func TestSweepErrors(t *testing.T) {
 	}
 }
 
-func TestSweepEngineWorkers(t *testing.T) {
-	out, err := capture(t, func() error {
-		return run([]string{"-n", "8", "-k", "40", "-trials", "2", "-workers", "3"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "mesh(d=2, n=8)") {
-		t.Errorf("workers sweep output wrong:\n%s", out)
-	}
-}
-
 // TestSweepSIGTERMJournalResume is the end-to-end crash-safety check: a
 // journaled sweep receives SIGTERM mid-grid, must exit with the journal
 // flushed (every finished cell on disk, in-flight cells completed), and a

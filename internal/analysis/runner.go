@@ -29,13 +29,10 @@ type TrialSpec struct {
 	MaxSteps int
 	// DetectLivelock enables the engine's livelock detector.
 	DetectLivelock bool
-	// Workers routes nodes concurrently inside the engine (see
-	// sim.Options.Workers); the policy must be clonable.
-	Workers int
 	// Shards, when non-empty, runs the trial on the sharded engine with
 	// this PxQ spatial decomposition (2-D meshes only; bit-identical to the
-	// single engine, see internal/shard). Mutually exclusive with Workers,
-	// Track and NewFaults.
+	// single engine, see internal/shard). Mutually exclusive with Track and
+	// NewFaults.
 	Shards string
 	// NewFaults constructs a fresh fault model for the trial (models are
 	// stateful, so each engine needs its own). Nil runs on the intact mesh.
@@ -93,7 +90,6 @@ func RunTrial(spec TrialSpec) (*TrialResult, error) {
 		Validation:     validation,
 		MaxSteps:       spec.MaxSteps,
 		DetectLivelock: spec.DetectLivelock,
-		Workers:        spec.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -147,8 +143,6 @@ func runShardedTrial(spec TrialSpec, packets []*sim.Packet, validation sim.Valid
 		return nil, fmt.Errorf("analysis: sharded trials cannot attach the potential tracker (observers see one engine's move stream)")
 	case spec.NewFaults != nil:
 		return nil, fmt.Errorf("analysis: sharded trials do not support fault injection")
-	case spec.Workers != 0:
-		return nil, fmt.Errorf("analysis: Shards and Workers are alternative parallelization schemes; pick one")
 	}
 	grid, err := shard.ParseGrid(spec.Shards)
 	if err != nil {

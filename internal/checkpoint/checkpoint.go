@@ -216,14 +216,16 @@ func Write(w io.Writer, s *sim.Snapshot, format Format) error {
 }
 
 // Read decodes an engine snapshot produced by Write, additionally enforcing
-// the snapshot's own schema version.
+// the snapshot's own schema version in either format: a snapshot of another
+// schema is refused, never reinterpreted (v1 runs drew tie-breaks from a
+// stream this build no longer has).
 func Read(r io.Reader) (*sim.Snapshot, error) {
 	s := &sim.Snapshot{}
 	if err := ReadValue(r, s); err != nil {
 		return nil, err
 	}
-	if s.Version > sim.SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot schema v%d, this build reads up to v%d", ErrBadFile, s.Version, sim.SnapshotVersion)
+	if s.Version != sim.SnapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot schema v%d, this build reads v%d", ErrBadFile, s.Version, sim.SnapshotVersion)
 	}
 	return s, nil
 }

@@ -156,6 +156,36 @@ func TestLegacyGobRefused(t *testing.T) {
 	}
 }
 
+// TestV1SnapshotRefused: snapshot schema v1 (the builds that had
+// Options.Workers and a serial tie-break stream) is refused by both codecs
+// with the schema-version message, never replayed on a different stream.
+func TestV1SnapshotRefused(t *testing.T) {
+	snap, _, _, _ := midRunSnapshot(t)
+	v1 := *snap
+	v1.Version = 1
+	for _, format := range []Format{JSON, Binary} {
+		t.Run(string(rune(format)), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Write(&buf, &v1, format); err != nil {
+				t.Fatal(err)
+			}
+			file := buf.Bytes()
+			if format == JSON {
+				// A real v1 file also carries the field v2 dropped.
+				payload := bytes.Replace(file[headerLen:], []byte(`"version": 1,`), []byte(`"version": 1, "workers": 2,`), 1)
+				if !bytes.Contains(payload, []byte(`"workers"`)) {
+					t.Fatal("fixture: version field not found in the JSON payload")
+				}
+				file = Envelope(JSON, payload)
+			}
+			_, err := Read(bytes.NewReader(file))
+			if !errors.Is(err, ErrBadFile) || !strings.Contains(err.Error(), "snapshot schema v1") {
+				t.Fatalf("v1 %c file: err = %v, want ErrBadFile naming snapshot schema v1", format, err)
+			}
+		})
+	}
+}
+
 // TestBinaryWriteAllocs: with the pooled buffer a steady-state binary save
 // encodes header and payload without allocating per call.
 func TestBinaryWriteAllocs(t *testing.T) {

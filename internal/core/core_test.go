@@ -346,69 +346,3 @@ func TestTrackerSeries(t *testing.T) {
 		}
 	}
 }
-
-// TestRestrictedPriorityParallelWorkers: the shipped policies are
-// clonable, so the engine's parallel path accepts them; the run stays
-// class-legal (full validation) and deterministic for a fixed seed.
-func TestRestrictedPriorityParallelWorkers(t *testing.T) {
-	m := mesh.MustNew(2, 12)
-	runW := func(workers int) (int, int64) {
-		rng := rand.New(rand.NewSource(77))
-		packets, err := workload.UniformRandom(m, 150, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := sim.New(m, NewRestrictedPriority(), packets, sim.Options{
-			Seed:       77,
-			Validation: sim.ValidateRestricted,
-			Workers:    workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := NewTracker(m, packets, TrackerOptions{SelfCheckEvery: 16})
-		e.AddObserver(tr)
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Delivered != res.Total {
-			t.Fatalf("workers=%d: %d/%d delivered", workers, res.Delivered, res.Total)
-		}
-		if v := tr.Violations(); v.Any() {
-			t.Fatalf("workers=%d: %s", workers, v.String())
-		}
-		return res.Steps, res.TotalDeflections
-	}
-	s3, d3 := runW(3)
-	s5, d5 := runW(5)
-	if s3 != s5 || d3 != d5 {
-		t.Errorf("worker-count dependence: (%d,%d) vs (%d,%d)", s3, d3, s5, d5)
-	}
-	// Deterministic class member: parallel equals serial exactly.
-	det := func(workers int) (int, int64) {
-		rng := rand.New(rand.NewSource(78))
-		packets, err := workload.UniformRandom(m, 150, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := sim.New(m, NewRestrictedPriorityDeterministic(), packets, sim.Options{
-			Seed:       78,
-			Validation: sim.ValidateRestricted,
-			Workers:    workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Steps, res.TotalDeflections
-	}
-	s0, d0 := det(0)
-	s4, d4 := det(4)
-	if s0 != s4 || d0 != d4 {
-		t.Errorf("deterministic parallel != serial: (%d,%d) vs (%d,%d)", s4, d4, s0, d0)
-	}
-}

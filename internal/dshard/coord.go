@@ -8,7 +8,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hotpotato/internal/checkpoint"
@@ -376,49 +375,27 @@ func (c *Coordinator) StateHash() uint64 { return c.finalHash }
 // checkpoint — recovery's permanent floor: a worker killed on the very
 // first step still rejoins from somewhere.
 func (c *Coordinator) admit(packets []*sim.Packet) error {
-	ids := make(map[int]struct{}, len(packets))
 	perNode := make(map[mesh.NodeID]int)
-	type staged struct {
-		seq int
-		ps  sim.PacketState
-	}
-	byShard := make([][]staged, c.grid.Count())
-	for seq, p := range packets {
-		if p == nil {
-			return fmt.Errorf("%w: nil packet", sim.ErrBadInjection)
+	byShard := make([][]sim.PacketState, c.grid.Count())
+	nextID, err := sim.AdmitInitial(c.m, packets, func(p *sim.Packet) (int, bool) {
+		held := perNode[p.Src]
+		if held >= c.m.Degree(p.Src) {
+			return held, false
 		}
-		if err := c.m.CheckID(p.Src); err != nil {
-			return fmt.Errorf("%w: packet %d source: %v", sim.ErrBadInjection, p.ID, err)
-		}
-		if err := c.m.CheckID(p.Dst); err != nil {
-			return fmt.Errorf("%w: packet %d destination: %v", sim.ErrBadInjection, p.ID, err)
-		}
-		if p.Node != p.Src {
-			return fmt.Errorf("%w: packet %d not at its source", sim.ErrBadInjection, p.ID)
-		}
-		if _, dup := ids[p.ID]; dup {
-			return fmt.Errorf("%w: duplicate packet id %d", sim.ErrBadInjection, p.ID)
-		}
-		ids[p.ID] = struct{}{}
-		if p.ID >= c.nextID {
-			c.nextID = p.ID + 1
-		}
-		ps := sim.CapturePacket(p)
-		ps.Cause = sim.DropNone
-		ps.DroppedAt = -1
-		if p.Src == p.Dst {
-			ps.ArrivedAt = 0
-			c.finalized = append(c.finalized, ps)
-			continue
-		}
-		ps.ArrivedAt = -1
-		if perNode[p.Src]++; perNode[p.Src] > c.m.Degree(p.Src) {
-			return fmt.Errorf("%w: node %d originates %d packets, out-degree %d",
-				sim.ErrBadInjection, p.Src, perNode[p.Src], c.m.Degree(p.Src))
-		}
+		perNode[p.Src] = held + 1
 		owner := c.part.Owner(p.Src)
-		byShard[owner] = append(byShard[owner], staged{seq: seq, ps: ps})
+		byShard[owner] = append(byShard[owner], sim.CapturePacket(p))
 		c.live++
+		return held + 1, true
+	})
+	if err != nil {
+		return err
+	}
+	c.nextID = nextID
+	for _, p := range packets {
+		if p.Arrived() { // source == destination: absorbed at time 0
+			c.finalized = append(c.finalized, sim.CapturePacket(p))
+		}
 	}
 	c.total = len(packets)
 
@@ -427,12 +404,8 @@ func (c *Coordinator) admit(packets []*sim.Packet) error {
 		// Checkpoint parts hold packets in queue order over ascending
 		// nodes; a stable sort by node keeps injection order within one
 		// node, which is the queue order shard.New produces.
-		sort.SliceStable(byShard[i], func(a, b int) bool { return byShard[i][a].ps.Node < byShard[i][b].ps.Node })
-		part := shard.ShardPart{Version: shard.CheckpointVersion, Index: i, Time: 0}
-		for _, st := range byShard[i] {
-			part.Packets = append(part.Packets, st.ps)
-		}
-		ck.Parts[i] = part
+		sort.SliceStable(byShard[i], func(a, b int) bool { return byShard[i][a].Node < byShard[i][b].Node })
+		ck.Parts[i] = shard.ShardPart{Version: shard.CheckpointVersion, Index: i, Time: 0, Packets: byShard[i]}
 	}
 	ck.Manifest = c.manifest()
 	c.lastCK = ck
@@ -1093,22 +1066,8 @@ func (c *Coordinator) recoverFrom(fails []workerFailure) error {
 func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 	defer c.Close()
 
-	var stop atomic.Bool
-	if c.opts.MaxWallTime > 0 {
-		timer := time.AfterFunc(c.opts.MaxWallTime, func() { stop.Store(true) })
-		defer timer.Stop()
-	}
-	if done := ctx.Done(); done != nil {
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-quit:
-			}
-		}()
-	}
+	stop := sim.NewStopFlag(ctx, c.opts.MaxWallTime)
+	defer stop.Release()
 
 	// Bring up the fleet and distribute the starting state.
 	slots := make([]int, len(c.workers))
@@ -1141,7 +1100,7 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 	sinceCK, sinceDisk := 0, 0
 	var runErr error
 	for {
-		for c.runnable() && !stop.Load() {
+		for c.runnable() && !stop.Stopped() {
 			if fails := c.step(); len(fails) > 0 {
 				if err := c.recoverFrom(fails); err != nil {
 					return nil, err
@@ -1169,9 +1128,7 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 		}
 		runErr = nil
 		if c.runnable() { // stopped early: resolve the cause
-			if err := ctx.Err(); errors.Is(err, context.Canceled) {
-				runErr = err
-			} else {
+			if runErr = sim.StopCause(ctx); runErr == nil {
 				c.deadlineExceeded = true
 			}
 		}

@@ -62,9 +62,9 @@ type trace struct {
 	final  uint64
 }
 
-// runRef executes the reference sim.Engine (Workers: 2, so randomized
-// policies draw the same per-node streams the shards do) and records its
-// whole trajectory.
+// runRef executes the reference: a plain sim.Engine (randomized policies
+// draw the same per-node streams the shards do), recording its whole
+// trajectory.
 func runRef(t *testing.T, side int, wrap bool, policy string, pkts []*sim.Packet, seed int64, maxSteps int) *trace {
 	t.Helper()
 	var m *mesh.Mesh
@@ -78,7 +78,7 @@ func runRef(t *testing.T, side int, wrap bool, policy string, pkts []*sim.Packet
 		t.Fatal(err)
 	}
 	ref, err := sim.New(m, pol, clonePackets(pkts), sim.Options{
-		Seed: seed, MaxSteps: maxSteps, DetectLivelock: true, Workers: 2,
+		Seed: seed, MaxSteps: maxSteps, DetectLivelock: true,
 	})
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)

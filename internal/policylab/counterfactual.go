@@ -158,7 +158,6 @@ func runArm(m *mesh.Mesh, snap *sim.Snapshot, pol sim.Policy, steps int, arrival
 		Seed:           s.Seed,
 		Validation:     s.Validation,
 		DetectLivelock: s.DetectLive,
-		Workers:        s.Workers,
 	}
 	e, err := sim.New(m, pol, nil, opts)
 	if err != nil {

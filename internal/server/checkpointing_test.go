@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -71,6 +72,23 @@ func legacyGobFile(t *testing.T) []byte {
 	return b
 }
 
+// v1SnapshotFile re-labels a current binary checkpoint as snapshot schema v1
+// — what a daemon from before the Workers removal left behind. The codec
+// refuses on the version alone, before it reads another field.
+func v1SnapshotFile(t *testing.T, current []byte) []byte {
+	t.Helper()
+	snap, err := checkpoint.Read(bytes.NewReader(current))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Version = 1
+	var buf bytes.Buffer
+	if err := checkpoint.Write(&buf, snap, checkpoint.Binary); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 type logBuf struct {
 	mu    sync.Mutex
 	lines []string
@@ -111,6 +129,7 @@ func TestRecoveryFallsBackFromUnreadableCheckpoint(t *testing.T) {
 		"truncated":   good[:len(good)/2],
 		"flipped crc": flipped,
 		"legacy gob":  legacyGobFile(t),
+		"v1 snapshot": v1SnapshotFile(t, good),
 	}
 	for name, data := range files {
 		t.Run(name, func(t *testing.T) {
@@ -126,9 +145,16 @@ func TestRecoveryFallsBackFromUnreadableCheckpoint(t *testing.T) {
 			if _, err := checkpoint.Load(path); !errors.Is(err, checkpoint.ErrBadFile) {
 				t.Fatalf("fixture loads with %v, want ErrBadFile", err)
 			}
+			// The daemon that wrote a v1 checkpoint also accepted "workers":
+			// WAL replay stays lenient about the dropped field and re-runs the
+			// job on the one tie-break stream there is.
+			walSpec := specJSON
+			if name == "v1 snapshot" {
+				walSpec = []byte(`{"side":8,"k":48,"seed":21,"workers":2}`)
+			}
 			wal := filepath.Join(dir, "jobs.wal")
 			writeWAL(t, wal,
-				store.Record{Job: "j000001", Op: store.OpAccepted, Tenant: "default", Spec: specJSON},
+				store.Record{Job: "j000001", Op: store.OpAccepted, Tenant: "default", Spec: walSpec},
 				store.Record{Job: "j000001", Op: store.OpRunning, Attempt: 1},
 			)
 			var logs logBuf

@@ -11,7 +11,7 @@ import (
 
 // TestDistributedJobLifecycle runs the same routing problem as a distributed
 // job (coordinator plus loopback worker processes), as an in-process sharded
-// job, and as a workers-2 job, and demands identical final-state
+// job, and as a plain single-engine job, and demands identical final-state
 // fingerprints — the bit-identity contract of internal/dshard observed end
 // to end through the HTTP API.
 func TestDistributedJobLifecycle(t *testing.T) {
@@ -23,7 +23,7 @@ func TestDistributedJobLifecycle(t *testing.T) {
 		t.Fatalf("POST distributed = %d, want 202", resp.StatusCode)
 	}
 	_, sharded := postJob(t, ts, `{`+problem+`, "shards": "2x2"}`)
-	_, plain := postJob(t, ts, `{`+problem+`, "workers": 2}`)
+	_, plain := postJob(t, ts, `{`+problem+`}`)
 
 	distDone := waitTerminal(t, ts, dist.ID)
 	shardedDone := waitTerminal(t, ts, sharded.ID)
@@ -39,10 +39,10 @@ func TestDistributedJobLifecycle(t *testing.T) {
 			distDone.FinalHash, shardedDone.FinalHash)
 	}
 	if distDone.FinalHash != plainDone.FinalHash {
-		t.Fatalf("final hash: distributed %q, workers-2 %q", distDone.FinalHash, plainDone.FinalHash)
+		t.Fatalf("final hash: distributed %q, single %q", distDone.FinalHash, plainDone.FinalHash)
 	}
 	if distDone.Result.Steps != plainDone.Result.Steps {
-		t.Fatalf("steps: distributed %d, workers-2 %d", distDone.Result.Steps, plainDone.Result.Steps)
+		t.Fatalf("steps: distributed %d, single %d", distDone.Result.Steps, plainDone.Result.Steps)
 	}
 
 	// The stream must carry progress epochs and close with a summary.

@@ -78,12 +78,10 @@ type JobSpec struct {
 	MaxSteps int `json:"max_steps,omitempty"`
 	// Validation is the per-step checking level (default "greedy").
 	Validation string `json:"validation,omitempty"`
-	// Workers > 1 routes nodes concurrently inside the engine.
-	Workers int `json:"workers,omitempty"`
 	// Shards, when non-empty ("PxQ"), runs the job on the sharded engine
 	// with that spatial decomposition (2-D meshes only; results are
 	// bit-identical to the single engine's, see internal/shard). Mutually
-	// exclusive with Workers and Fault. A sharded job's checkpoint is a
+	// exclusive with Fault. A sharded job's checkpoint is a
 	// directory, and resume_from must name such a directory.
 	Shards string `json:"shards,omitempty"`
 	// DistWorkers, with Shards set, runs the job on the distributed
@@ -165,9 +163,6 @@ func (js JobSpec) validate(maxNodes, maxK int) error {
 	if js.MaxSteps < 0 {
 		return fmt.Errorf("max_steps must be >= 0, got %d", js.MaxSteps)
 	}
-	if js.Workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", js.Workers)
-	}
 	if js.DistWorkers < 0 {
 		return fmt.Errorf("dist_workers must be >= 0, got %d", js.DistWorkers)
 	}
@@ -182,8 +177,6 @@ func (js JobSpec) validate(maxNodes, maxK int) error {
 		switch {
 		case js.Dim != 2:
 			return fmt.Errorf("shards needs dim 2 (the sharded engine decomposes 2-D meshes), got dim %d", js.Dim)
-		case js.Workers != 0:
-			return fmt.Errorf("shards and workers are alternative parallelization schemes; pick one")
 		case js.Fault != nil && js.Fault.Enabled():
 			return fmt.Errorf("sharded jobs do not support fault injection")
 		case js.DistWorkers > grid.Count():
@@ -260,7 +253,6 @@ func (js JobSpec) buildEngine(jobTimeout time.Duration) (*sim.Engine, error) {
 		MaxSteps:       js.MaxSteps,
 		Validation:     lvl,
 		DetectLivelock: !js.NoLivelockDetect,
-		Workers:        js.Workers,
 		MaxWallTime:    jobTimeout,
 	})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // TestShardedJobLifecycle runs the same routing problem as a sharded job
-// and as a workers-2 job and demands identical final-state fingerprints —
+// and as a plain single-engine job and demands identical final-state fingerprints —
 // the parity contract of internal/shard, observed end to end through the
 // HTTP API.
 func TestShardedJobLifecycle(t *testing.T) {
@@ -24,7 +24,7 @@ func TestShardedJobLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST sharded = %d, want 202", resp.StatusCode)
 	}
-	_, plain := postJob(t, ts, `{`+problem+`, "workers": 2}`)
+	_, plain := postJob(t, ts, `{`+problem+`}`)
 
 	shardedDone := waitTerminal(t, ts, sharded.ID)
 	plainDone := waitTerminal(t, ts, plain.ID)
@@ -35,11 +35,11 @@ func TestShardedJobLifecycle(t *testing.T) {
 		t.Fatalf("sharded result %+v, want all delivered", shardedDone.Result)
 	}
 	if shardedDone.FinalHash == "" || shardedDone.FinalHash != plainDone.FinalHash {
-		t.Fatalf("final hash: sharded %q, workers-2 %q — sharded runs must be bit-identical",
+		t.Fatalf("final hash: sharded %q, single %q — sharded runs must be bit-identical",
 			shardedDone.FinalHash, plainDone.FinalHash)
 	}
 	if shardedDone.Result.Steps != plainDone.Result.Steps {
-		t.Fatalf("steps: sharded %d, workers-2 %d", shardedDone.Result.Steps, plainDone.Result.Steps)
+		t.Fatalf("steps: sharded %d, single %d", shardedDone.Result.Steps, plainDone.Result.Steps)
 	}
 
 	// The stream must carry progress epochs and close with a summary.
@@ -64,7 +64,7 @@ func TestShardedJobRejects(t *testing.T) {
 	for name, spec := range map[string]string{
 		"malformed grid":  `{"side": 8, "shards": "2x"}`,
 		"grid too wide":   `{"side": 8, "shards": "9x1"}`,
-		"with workers":    `{"side": 8, "shards": "2x2", "workers": 2}`,
+		"removed workers": `{"side": 8, "workers": 2}`,
 		"3-dim mesh":      `{"dim": 3, "side": 4, "shards": "2x2"}`,
 		"fault injection": `{"side": 8, "shards": "2x2", "fault": {"rate": 0.01}}`,
 	} {

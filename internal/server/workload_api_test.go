@@ -111,16 +111,15 @@ func TestJobFlagSyntaxWorkload(t *testing.T) {
 }
 
 // TestJobShardedArrivals: arrivals ride the sharded engine too, and the
-// run matches the parallel single-engine run of the same spec bit for bit
-// (the parity contract is defined against workers > 1, where tie-breaks
-// use per-(seed, step, node) streams and injection has the serial stream
-// to itself).
+// run matches the single-engine run of the same spec bit for bit (on both,
+// tie-breaks use per-(seed, step, node) streams and injection has the
+// engine's own stream to itself).
 func TestJobShardedArrivals(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	const problem = `"side": 8, "seed": 6,
 		"workload": {"name": "none", "arrivals": {"process": "adversary", "params": {"rho": "1.5", "sigma": "4", "until": "30"}}}`
 
-	_, single := postJob(t, ts, `{`+problem+`, "workers": 2}`)
+	_, single := postJob(t, ts, `{`+problem+`}`)
 	singleFinal := waitTerminal(t, ts, single.ID)
 	if singleFinal.State != JobDone {
 		t.Fatalf("single job ended %q (%s)", singleFinal.State, singleFinal.Error)

@@ -211,11 +211,7 @@ func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 	}
 
 	for _, s := range e.shards {
-		s.clearQueues()
-		s.lastArrival = 0
-		s.hops, s.deflections, s.arrivals = 0, 0, 0
-		s.router.Reroutes = 0
-		s.router.MaxNodeLoad = 0
+		s.reset()
 	}
 
 	packets := make([]*sim.Packet, 0, len(m.Finalized))
@@ -343,25 +339,41 @@ func HasCheckpoint(dir string) bool {
 	return err == nil
 }
 
-// LoadDir reads the committed checkpoint from a SaveDir directory.
+// LoadDir reads the committed checkpoint from a SaveDir directory. The
+// manifest's CRC only proves the bytes are the ones written, not that a
+// SaveDir wrote them, so the two fields that steer the loader are checked
+// against what SaveDir produces: the shard count must be that of the
+// recorded grid, and the step directory must be the one named after the
+// manifest's time (never a path that leaves dir).
 func LoadDir(dir string) (*Checkpoint, error) {
 	var m Manifest
 	if err := checkpoint.LoadValue(filepath.Join(dir, manifestName), &m); err != nil {
 		return nil, err
 	}
-	stepDir := m.StepDir
-	if stepDir == "" {
-		stepDir = fmt.Sprintf("step-%010d", m.Time)
+	grid, err := ParseGrid(m.Grid)
+	if err != nil {
+		return nil, fmt.Errorf("%w: manifest grid: %v", ErrBadCheckpoint, err)
 	}
-	ck := &Checkpoint{Manifest: m, Parts: make([]ShardPart, m.Shards)}
+	if m.Shards < 1 || m.Shards != grid.Count() {
+		return nil, fmt.Errorf("%w: manifest lists %d shards for grid %s", ErrBadCheckpoint, m.Shards, grid)
+	}
+	stepDir := fmt.Sprintf("step-%010d", m.Time)
+	if m.StepDir != "" && m.StepDir != stepDir {
+		return nil, fmt.Errorf("%w: manifest step directory %q, want %q", ErrBadCheckpoint, m.StepDir, stepDir)
+	}
+	// Parts are appended as their files load, so a manifest claiming more
+	// shards than exist on disk costs one failed open, not an allocation.
+	ck := &Checkpoint{Manifest: m}
 	for i := 0; i < m.Shards; i++ {
 		path := filepath.Join(dir, stepDir, partName(i))
-		if err := checkpoint.LoadValue(path, &ck.Parts[i]); err != nil {
+		var part ShardPart
+		if err := checkpoint.LoadValue(path, &part); err != nil {
 			return nil, err
 		}
-		if ck.Parts[i].Index != i {
-			return nil, fmt.Errorf("%w: %s holds part %d", ErrBadCheckpoint, path, ck.Parts[i].Index)
+		if part.Index != i {
+			return nil, fmt.Errorf("%w: %s holds part %d", ErrBadCheckpoint, path, part.Index)
 		}
+		ck.Parts = append(ck.Parts, part)
 	}
 	return ck, nil
 }

@@ -174,6 +174,66 @@ func TestSaveDirLoadDir(t *testing.T) {
 	}
 }
 
+// TestLoadDirRejectsHostileManifest: a manifest that passes the codec's CRC
+// still cannot steer LoadDir out of the directory or into a huge or negative
+// allocation. Each bad manifest is written through the real codec, over a
+// directory whose parts are intact.
+func TestLoadDirRejectsHostileManifest(t *testing.T) {
+	m, pkts := testProblem(t, 4)
+	e := mustShard(t, m, pkts, shard.Options{Grid: shard.Grid{P: 2, Q: 2}, Seed: 4, MaxSteps: 3000})
+	if err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []checkpoint.Format{checkpoint.JSON, checkpoint.Binary} {
+		for _, tc := range []struct {
+			name   string
+			mutate func(mf *shard.Manifest)
+		}{
+			{"negative shards", func(mf *shard.Manifest) { mf.Shards = -1 }},
+			{"zero shards", func(mf *shard.Manifest) { mf.Shards = 0 }},
+			{"huge shards", func(mf *shard.Manifest) { mf.Shards = 1 << 40 }},
+			{"shards beyond the grid", func(mf *shard.Manifest) { mf.Shards = 5 }},
+			{"huge grid to match", func(mf *shard.Manifest) { mf.Shards, mf.Grid = 1<<40, "1048576x1048576" }},
+			{"unparseable grid", func(mf *shard.Manifest) { mf.Grid = "2by2" }},
+			{"traversal", func(mf *shard.Manifest) { mf.StepDir = "../.." }},
+			{"absolute step dir", func(mf *shard.Manifest) { mf.StepDir = "/tmp" }},
+			{"another step's dir", func(mf *shard.Manifest) { mf.StepDir = "step-0000000099" }},
+		} {
+			t.Run(string(format)+"/"+tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				if err := shard.SaveDir(dir, good, format); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := shard.LoadDir(dir); err != nil {
+					t.Fatalf("intact directory: %v", err)
+				}
+				mf := good.Manifest
+				mf.StepDir = "step-0000000001"
+				tc.mutate(&mf)
+				if err := checkpoint.SaveValue(filepath.Join(dir, "MANIFEST.hpck"), &mf, format); err != nil {
+					t.Fatal(err)
+				}
+				_, err := shard.LoadDir(dir)
+				if tc.name == "huge grid to match" {
+					// Consistent with itself, so it gets as far as the first
+					// part that is not on disk — without allocating for 2^40.
+					if err == nil {
+						t.Fatal("loaded 2^40 shards from a 4-part directory")
+					}
+					return
+				}
+				if !errors.Is(err, shard.ErrBadCheckpoint) {
+					t.Fatalf("LoadDir = %v, want ErrBadCheckpoint", err)
+				}
+			})
+		}
+	}
+}
+
 // TestRunCheckpointedKillResume emulates a SIGKILL mid-run: the run dies
 // abruptly after its third periodic save (the save hook returns an error,
 // so — like a killed process — nothing after the last committed checkpoint

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hotpotato/internal/mesh"
@@ -38,7 +36,7 @@ type Options struct {
 	MaxSteps int
 	// Seed seeds tie-break randomness. Derivation is per (seed, step,
 	// global node) — sim.NodeSeed — so results are identical across shard
-	// geometries and match a sim engine with Workers > 1.
+	// geometries and match the single engine's.
 	Seed int64
 	// Validation selects per-step checking of policy output.
 	Validation sim.ValidationLevel
@@ -97,11 +95,8 @@ type shardState struct {
 	ingress []*[]sim.Move
 
 	// Per-step partials, drained by the coordinator at the apply barrier.
-	hops        int64
-	deflections int64
-	arrivals    int
-	lastArrival int
-	err         error
+	tally sim.MoveTally
+	err   error
 
 	// finalized, when non-nil, collects packets that arrive during merge —
 	// set by the distributed Node, which has no Engine packet list to
@@ -139,11 +134,9 @@ type Engine struct {
 	seen         map[uint64]int
 
 	// Continuous traffic. injSrc is seeded rng.Mix(opts.Seed) — exactly the
-	// single engine's serial stream. On a Workers>1 sim engine that stream is
-	// consumed only by injection (tie-breaks come from per-(seed, step, node)
-	// streams, as they do here), so a deterministic injector draws identical
-	// values on both engines and the parity contract extends to dynamic
-	// traffic.
+	// single engine's injection stream (tie-breaks come from per-(seed, step,
+	// node) streams on both), so an injector draws identical values on both
+	// engines and the parity contract extends to dynamic traffic.
 	injector sim.Injector
 	injSrc   rng.SplitMix64
 	injRng   *rand.Rand
@@ -231,45 +224,10 @@ func New(m *mesh.Mesh, policy sim.Policy, packets []*sim.Packet, opts Options) (
 		}
 	}
 
-	// Admit the initial configuration.
-	ids := make(map[int]struct{}, len(packets))
-	for _, p := range packets {
-		if p == nil {
-			return nil, fmt.Errorf("%w: nil packet", sim.ErrBadInjection)
-		}
-		if err := m.CheckID(p.Src); err != nil {
-			return nil, fmt.Errorf("%w: packet %d source: %v", sim.ErrBadInjection, p.ID, err)
-		}
-		if err := m.CheckID(p.Dst); err != nil {
-			return nil, fmt.Errorf("%w: packet %d destination: %v", sim.ErrBadInjection, p.ID, err)
-		}
-		if p.Node != p.Src {
-			return nil, fmt.Errorf("%w: packet %d not at its source", sim.ErrBadInjection, p.ID)
-		}
-		if _, dup := ids[p.ID]; dup {
-			return nil, fmt.Errorf("%w: duplicate packet id %d", sim.ErrBadInjection, p.ID)
-		}
-		ids[p.ID] = struct{}{}
-		if p.ID >= e.nextID {
-			e.nextID = p.ID + 1
-		}
-		p.Cause = sim.DropNone
-		p.DroppedAt = -1
-		if p.Src == p.Dst {
-			p.ArrivedAt = 0
-			continue
-		}
-		p.ArrivedAt = -1
-		e.shards[pt.owner(p.Src)].enqueue(p)
-		e.live++
+	if e.nextID, err = sim.AdmitInitial(m, packets, e.place); err != nil {
+		return nil, err
 	}
 	for _, s := range e.shards {
-		for _, l := range s.active {
-			if deg := s.sub.DegreeLocal(int(l)); len(s.byLocal[l]) > deg {
-				return nil, fmt.Errorf("%w: node %d originates %d packets, out-degree %d",
-					sim.ErrBadInjection, s.sub.GlobalID(int(l)), len(s.byLocal[l]), deg)
-			}
-		}
 		s.sortActive()
 	}
 
@@ -407,9 +365,8 @@ func (e *Engine) Recoveries() int { return e.recoveries }
 // as sim.Engine.SetInjector: injection happens at the beginning of every
 // step before routing, and livelock detection is disabled (the
 // configuration is no longer closed). Because the injection RNG is seeded
-// exactly like the single engine's serial stream, a run with the same seed,
-// injector and deterministic policy is bit-identical to a Workers>1 single
-// engine's.
+// exactly like the single engine's, a run with the same seed, injector and
+// policy is bit-identical to the single engine's.
 func (e *Engine) SetInjector(inj sim.Injector) {
 	e.injector = inj
 	e.livelockable = false
@@ -437,59 +394,40 @@ func (e *Engine) NextPacketID() int {
 
 var _ sim.InjectorHost = (*Engine)(nil)
 
-// inject runs the installed injector and validates its output with the
-// single engine's rules (sharded runs carry no fault model, so the graceful
-// DropInject path does not apply — any capacity violation is an injector
-// bug and a hard error). Runs coordinator-side between step barriers, so it
-// may touch shard queues freely.
+// place is the engine's sim.PlaceFunc: it enqueues an admitted packet in
+// the shard owning its source unless the node's out-degree is already full.
+// Runs coordinator-side between step barriers, so it may touch shard queues
+// freely.
+func (e *Engine) place(p *sim.Packet) (held int, ok bool) {
+	s := e.shards[e.pt.owner(p.Src)]
+	l := s.sub.LocalID(p.Src)
+	held = len(s.byLocal[l])
+	if held >= s.sub.DegreeLocal(l) {
+		return held, false
+	}
+	s.enqueue(p)
+	e.live++
+	return held + 1, true
+}
+
+// inject runs the installed injector and admits its output with the single
+// engine's rules (sharded runs carry no fault model, so nothing is ever
+// refused gracefully — any capacity violation is an injector bug and a hard
+// error).
 func (e *Engine) inject() error {
 	floor := e.nextID
-	newPackets := e.injector.Inject(e.time, e, e.injRng)
-	touched := false
-	for _, p := range newPackets {
-		if p == nil {
-			return fmt.Errorf("%w: injector returned nil packet at step %d", sim.ErrBadInjection, e.time)
-		}
-		if err := e.mesh.CheckID(p.Src); err != nil {
-			return fmt.Errorf("%w: injected packet %d source: %v", sim.ErrBadInjection, p.ID, err)
-		}
-		if err := e.mesh.CheckID(p.Dst); err != nil {
-			return fmt.Errorf("%w: injected packet %d destination: %v", sim.ErrBadInjection, p.ID, err)
-		}
-		if p.Node != p.Src {
-			return fmt.Errorf("%w: injected packet %d not at its source", sim.ErrBadInjection, p.ID)
-		}
-		if p.ID < floor {
-			return fmt.Errorf("%w: injected packet reuses id %d (or breaks the increasing-id contract, watermark %d) at step %d",
-				sim.ErrBadInjection, p.ID, floor, e.time)
-		}
-		floor = p.ID + 1
-		if p.ID >= e.nextID {
-			e.nextID = p.ID + 1
-		}
-		e.packets = append(e.packets, p)
-		p.InjectedAt = e.time
-		p.Cause = sim.DropNone
-		p.DroppedAt = -1
-		if p.Src == p.Dst {
-			p.ArrivedAt = e.time
-			continue
-		}
-		p.ArrivedAt = -1
-		s := e.shards[e.pt.owner(p.Src)]
-		l := s.sub.LocalID(p.Src)
-		if len(s.byLocal[l]) >= s.sub.DegreeLocal(l) {
-			return fmt.Errorf("%w: step %d node %d injection exceeds out-degree %d",
-				sim.ErrBadInjection, e.time, p.Src, s.sub.DegreeLocal(l))
-		}
-		s.enqueue(p)
-		e.live++
-		touched = true
+	batch := e.injector.Inject(e.time, e, e.injRng)
+	if len(batch) == 0 {
+		return nil
 	}
-	if touched {
-		for _, s := range e.shards {
-			s.sortActive()
-		}
+	nextID, _, err := sim.AdmitInjected(e.mesh, e.time, batch, floor, e.nextID, e.place)
+	if err != nil {
+		return err
+	}
+	e.nextID = nextID
+	e.packets = append(e.packets, batch...)
+	for _, s := range e.shards {
+		s.sortActive()
 	}
 	return nil
 }
@@ -617,13 +555,37 @@ func (s *shardState) apply(t int) {
 const maxMergeLists = 5
 
 // clearQueues empties every queue and the active set — the first half of
-// apply, also used when (re)loading shard state from a checkpoint part.
+// apply.
 func (s *shardState) clearQueues() {
 	for _, l := range s.active {
 		s.byLocal[l] = s.byLocal[l][:0]
 		s.activeMark[l] = false
 	}
 	s.active = s.active[:0]
+}
+
+// reset empties the shard for (re)loading from a checkpoint part: queues,
+// active set and the per-step partials. The coordinator owns the global
+// counters.
+func (s *shardState) reset() {
+	s.clearQueues()
+	s.tally = sim.MoveTally{}
+	s.router.DrainCounters()
+}
+
+// drain folds the shard's partials of the step that ended at time now into
+// rep and clears them.
+func (s *shardState) drain(rep *ApplyReport, now int) {
+	rep.Hops += s.tally.Hops
+	rep.Deflections += s.tally.Deflections
+	if s.tally.Arrivals > 0 {
+		rep.Arrivals += s.tally.Arrivals
+		rep.LastArrival = now
+	}
+	s.tally = sim.MoveTally{}
+	maxLoad, reroutes := s.router.DrainCounters()
+	rep.MaxNodeLoad = max(rep.MaxNodeLoad, maxLoad)
+	rep.Reroutes += reroutes
 }
 
 // merge applies the staging lists by k-way min-merge on Move.From. Each list
@@ -642,27 +604,10 @@ func (s *shardState) merge(t int, lists [][]sim.Move) {
 			}
 		}
 		mv := &lists[best][0]
-		p := mv.Packet
-		p.GoodPrev = mv.GoodCount
-		p.RestrictedPrev = mv.WasRestricted
-		p.AdvancedPrev = mv.Advanced
-		p.Node = mv.To
-		p.EnteredVia = mv.Dir
-		p.Hops++
-		s.hops++
-		if !mv.Advanced {
-			p.Deflections++
-			s.deflections++
-		}
-		if mv.ArrivedNow {
-			p.ArrivedAt = t + 1
-			s.arrivals++
-			s.lastArrival = t + 1
-			if s.finalized != nil {
-				*s.finalized = append(*s.finalized, p)
-			}
-		} else {
-			s.enqueue(p)
+		if s.tally.Apply(mv, t+1) {
+			s.enqueue(mv.Packet)
+		} else if s.finalized != nil {
+			*s.finalized = append(*s.finalized, mv.Packet)
 		}
 		if lists[best] = lists[best][1:]; len(lists[best]) == 0 {
 			lists[best] = lists[n-1]
@@ -681,25 +626,8 @@ func (s *shardState) enqueue(p *sim.Packet) {
 }
 
 // sortActive restores local-id order (which is global-id order within the
-// shard) after apply perturbed it: dense sets rebuild from the mark bitmap,
-// sparse sets fall back to slices.Sort — sim.Engine's scheme.
-func (s *shardState) sortActive() {
-	a := s.active
-	if len(a) <= 1 {
-		return
-	}
-	if len(a)*4 >= len(s.activeMark) {
-		a = a[:0]
-		for l, mark := range s.activeMark {
-			if mark {
-				a = append(a, int32(l))
-			}
-		}
-		s.active = a
-		return
-	}
-	slices.Sort(a)
-}
+// shard) after apply perturbed it.
+func (s *shardState) sortActive() { s.active = sim.SortActive(s.active, s.activeMark) }
 
 // Step advances the simulation by one synchronous step: a route barrier, an
 // apply barrier (the halo exchange happens between the two — receivers read
@@ -718,23 +646,16 @@ func (e *Engine) Step() error {
 		return err
 	}
 	e.time = t + 1
+	var rep ApplyReport
 	for _, s := range e.shards {
-		e.totalHops += s.hops
-		s.hops = 0
-		e.totalDeflections += s.deflections
-		s.deflections = 0
-		e.live -= s.arrivals
-		s.arrivals = 0
-		if s.lastArrival > e.lastArrival {
-			e.lastArrival = s.lastArrival
-		}
-		e.reroutes += s.router.Reroutes
-		s.router.Reroutes = 0
-		if s.router.MaxNodeLoad > e.maxNodeLoad {
-			e.maxNodeLoad = s.router.MaxNodeLoad
-		}
-		s.router.MaxNodeLoad = 0
+		s.drain(&rep, e.time)
 	}
+	e.totalHops += rep.Hops
+	e.totalDeflections += rep.Deflections
+	e.live -= rep.Arrivals
+	e.lastArrival = max(e.lastArrival, rep.LastArrival)
+	e.maxNodeLoad = max(e.maxNodeLoad, rep.MaxNodeLoad)
+	e.reroutes += rep.Reroutes
 	if e.StepHook != nil {
 		e.StepHook(e.time, e.live)
 	}
@@ -813,22 +734,8 @@ func (e *Engine) RunContext(ctx context.Context) (*sim.Result, error) {
 // cadence was given) to roll every shard back and retry when a shard
 // panics mid-run.
 func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Checkpoint) error) (*sim.Result, error) {
-	var stop atomic.Bool
-	if e.opts.MaxWallTime > 0 {
-		timer := time.AfterFunc(e.opts.MaxWallTime, func() { stop.Store(true) })
-		defer timer.Stop()
-	}
-	if done := ctx.Done(); done != nil {
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-quit:
-			}
-		}()
-	}
+	stop := sim.NewStopFlag(ctx, e.opts.MaxWallTime)
+	defer stop.Release()
 
 	recoverable := e.opts.MaxRecoveries > 0
 	cadence := every
@@ -847,7 +754,7 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Chec
 	// not yet committed by save, so the early-stop flush below never writes
 	// a checkpoint identical to the last periodic one and never skips one.
 	sinceCapture, sinceDisk := 0, 0
-	for e.runnable() && !stop.Load() {
+	for e.runnable() && !stop.Stopped() {
 		if err := e.Step(); err != nil {
 			if recoverable && e.recoveries < e.opts.MaxRecoveries && recoverableErr(err) && lastCK != nil {
 				e.recoveries++
@@ -884,9 +791,7 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Chec
 
 	var runErr error
 	if e.runnable() { // stopped early: resolve the cause
-		if err := ctx.Err(); errors.Is(err, context.Canceled) {
-			runErr = err
-		} else {
+		if runErr = sim.StopCause(ctx); runErr == nil {
 			e.deadlineExceeded = true
 		}
 		if save != nil && sinceDisk > 0 {

@@ -173,10 +173,7 @@ func (n *Node) LoadShard(idx int, pkts []sim.PacketState) error {
 	if err != nil {
 		return err
 	}
-	s.clearQueues()
-	s.hops, s.deflections, s.arrivals, s.lastArrival = 0, 0, 0, 0
-	s.router.Reroutes = 0
-	s.router.MaxNodeLoad = 0
+	s.reset()
 	for i := range pkts {
 		p := pkts[i].Packet()
 		if err := n.m.CheckID(p.Node); err != nil {
@@ -253,19 +250,7 @@ func (n *Node) Apply(t int, ingress []Bucket) (ApplyReport, error) {
 		s.merge(t, lists[:cnt])
 		s.sortActive()
 
-		rep.Hops += s.hops
-		rep.Deflections += s.deflections
-		rep.Arrivals += s.arrivals
-		if s.lastArrival > rep.LastArrival {
-			rep.LastArrival = s.lastArrival
-		}
-		s.hops, s.deflections, s.arrivals, s.lastArrival = 0, 0, 0, 0
-		rep.Reroutes += s.router.Reroutes
-		s.router.Reroutes = 0
-		if s.router.MaxNodeLoad > rep.MaxNodeLoad {
-			rep.MaxNodeLoad = s.router.MaxNodeLoad
-		}
-		s.router.MaxNodeLoad = 0
+		s.drain(&rep, t+1)
 	}
 	for _, p := range n.finalized {
 		rep.Finalized = append(rep.Finalized, sim.CapturePacket(p))

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -23,16 +24,16 @@ func clonePackets(pkts []*sim.Packet) []*sim.Packet {
 	return out
 }
 
-// lockstep drives a sim.Engine (the reference, with Workers > 1 so
-// randomized policies draw from the same per-node streams the shards use)
-// and a sharded engine over the same problem one step at a time, requiring
+// lockstep drives a plain sim.Engine (the reference: randomized policies
+// draw from the same per-node streams the shards use) and a sharded engine
+// over the same problem one step at a time, requiring
 // a bit-identical configuration hash after every step — the package's
 // headline parity contract, checked far more stringently than comparing
 // final results would.
 func lockstep(t *testing.T, m *mesh.Mesh, mk func() sim.Policy, pkts []*sim.Packet, seed int64, g shard.Grid, maxSteps int) {
 	t.Helper()
 	ref, err := sim.New(m, mk(), clonePackets(pkts), sim.Options{
-		Seed: seed, MaxSteps: maxSteps, DetectLivelock: true, Workers: 2,
+		Seed: seed, MaxSteps: maxSteps, DetectLivelock: true,
 	})
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
@@ -235,5 +236,22 @@ func TestShardNewRejects(t *testing.T) {
 	dup := []*sim.Packet{sim.NewPacket(0, 0, 5), sim.NewPacket(0, 1, 6)}
 	if _, err := shard.New(m2, routing.NewRandomGreedy(), dup, shard.Options{}); err == nil {
 		t.Error("duplicate packet ids: want error")
+	}
+	// Corner node 0 has out-degree 2: a third packet there breaks the model.
+	crowd := []*sim.Packet{sim.NewPacket(0, 0, 5), sim.NewPacket(1, 0, 6), sim.NewPacket(2, 0, 7)}
+	if _, err := shard.New(m2, routing.NewRandomGreedy(), crowd, shard.Options{Grid: shard.Grid{P: 2, Q: 1}}); !errors.Is(err, sim.ErrBadInjection) {
+		t.Errorf("three packets at a degree-2 node: err = %v, want ErrBadInjection", err)
+	}
+	// Every shard routes with its own policy instance, so more than one
+	// shard needs a ClonablePolicy; a single shard does not.
+	bare := struct{ sim.Policy }{routing.NewRandomGreedy()}
+	if _, err := shard.New(m2, bare, nil, shard.Options{Grid: shard.Grid{P: 2, Q: 1}}); !errors.Is(err, sim.ErrBadInjection) {
+		t.Errorf("non-clonable policy on 2x1: err = %v, want ErrBadInjection", err)
+	}
+	one, err := shard.New(m2, bare, nil, shard.Options{})
+	if err != nil {
+		t.Errorf("non-clonable policy on 1x1: %v", err)
+	} else {
+		one.Close()
 	}
 }

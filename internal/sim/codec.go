@@ -118,7 +118,6 @@ func (s *Snapshot) AppendBinary(b []byte) ([]byte, error) {
 	e.I64(s.Seed)
 	e.Num(s.MaxSteps)
 	e.Num(int(s.Validation))
-	e.Num(s.Workers)
 	e.Bool(s.DetectLive)
 
 	e.Num(s.Time)
@@ -179,7 +178,6 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	s.Seed = d.I64()
 	s.MaxSteps = d.Num()
 	s.Validation = ValidationLevel(d.Num())
-	s.Workers = d.Num()
 	s.DetectLive = d.Bool()
 
 	s.Time = d.Num()

@@ -15,9 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"slices"
-	"sync/atomic"
 	"time"
 
 	"hotpotato/internal/mesh"
@@ -60,7 +57,7 @@ var (
 	// configurations.
 	ErrBadInjection = errors.New("sim: invalid initial configuration")
 	// ErrPolicyPanic is returned by Step/Run when a policy's Route panics.
-	// The panic is recovered (also inside worker goroutines) and surfaced
+	// The panic is recovered (also inside shard goroutines) and surfaced
 	// as an error so a buggy policy cannot crash a sweep.
 	ErrPolicyPanic = errors.New("sim: policy panicked")
 )
@@ -71,9 +68,8 @@ const DefaultMaxSteps = 1 << 20
 // InjectorHost is the engine surface an Injector sees: the geometry, the
 // per-node injection room and the fresh-ID source. Both the single engine
 // (*Engine) and the sharded engine (shard.Engine) implement it, so one
-// injector drives either — and because the sharded engine seeds its
-// injection RNG exactly like the single engine's serial stream, a
-// deterministic injector produces bit-identical traffic on both.
+// injector drives either — and because both seed their injection RNG the
+// same way, an injector produces bit-identical traffic on both.
 type InjectorHost interface {
 	// Mesh returns the intact base mesh (geometric ground truth).
 	Mesh() *mesh.Mesh
@@ -97,7 +93,8 @@ type InjectorHost interface {
 // reused.
 type Injector interface {
 	// Inject returns the packets entering the network at step t. The rng
-	// is the engine's deterministic source.
+	// is the engine's deterministic injection stream (routing tie-breaks
+	// never draw from it).
 	Inject(t int, host InjectorHost, rng *rand.Rand) []*Packet
 	// Exhausted reports that the source will never inject again (e.g. its
 	// generation window closed and its backlog drained); Run then stops as
@@ -110,8 +107,10 @@ type Injector interface {
 type Options struct {
 	// MaxSteps bounds the simulation length; 0 means DefaultMaxSteps.
 	MaxSteps int
-	// Seed seeds the engine's deterministic RNG (used by randomized
-	// policies for tie-breaking).
+	// Seed seeds the run's randomness. Tie-breaks of randomized policies
+	// draw from a stream derived per (seed, step, node) — NodeSeed — on
+	// every engine; the injector and the fault model each get their own
+	// stream derived from the same seed.
 	Seed int64
 	// Validation selects per-step checking of policy output.
 	Validation ValidationLevel
@@ -119,15 +118,6 @@ type Options struct {
 	// states. It only takes effect for deterministic policies (a repeated
 	// state under a randomized policy does not imply a loop).
 	DetectLivelock bool
-	// Workers > 1 routes the nodes of each step concurrently on that many
-	// goroutines. The policy must implement ClonablePolicy (each worker
-	// gets its own scratch). Tie-break randomness is then derived per
-	// (seed, step, node), so results are deterministic for a given seed
-	// and independent of the worker count — but they differ from the
-	// serial path's shared-stream sampling (both are equally valid members
-	// of the same policy; deterministic policies produce identical results
-	// on every path).
-	Workers int
 	// MaxWallTime bounds the wall-clock duration of Run; 0 means no limit.
 	// It is unified with any RunContext deadline into a single stop flag
 	// checked between steps: the step in flight finishes and the cutoff is
@@ -138,7 +128,8 @@ type Options struct {
 }
 
 // ClonablePolicy is implemented by policies whose per-engine scratch state
-// can be duplicated for concurrent use by Options.Workers.
+// can be duplicated, so every shard of a sharded run (internal/shard) routes
+// with its own instance.
 type ClonablePolicy interface {
 	Policy
 	// Clone returns a policy with identical behavior and fresh scratch.
@@ -201,16 +192,20 @@ type Result struct {
 
 // Engine runs one routing problem under one policy.
 type Engine struct {
-	mesh    *mesh.Mesh
-	topo    mesh.Topology // routing view: flat mesh tables, or overlay under faults
-	fast    *mesh.Tables  // non-nil iff topo is the intact mesh's table view
-	policy  Policy
+	mesh   *mesh.Mesh
+	topo   mesh.Topology // routing view: flat mesh tables, or overlay under faults
+	router *NodeRouter   // routes every node against topo; rebuilt by SetFaults
+	policy Policy
+	// packets is every packet of the problem; the live ones are also in
+	// byNode. Finalized IDs need no record of their own: every ID ever
+	// accepted is below the nextID watermark.
 	packets []*Packet
 	opts    Options
-	// rng is the serial tie-break and injection stream, backed by an inline
-	// SplitMix64 source: seeding is one store instead of the ~5 KB state
-	// expansion of the default Go source, which dominated engine
-	// construction in sweeps that build thousands of engines.
+	// rng is the injection stream (routing tie-breaks come from the
+	// router's per-node streams), backed by an inline SplitMix64 source:
+	// seeding is one store instead of the ~5 KB state expansion of the
+	// default Go source, which dominated engine construction in sweeps that
+	// build thousands of engines.
 	rng *rand.Rand
 	src rng.SplitMix64
 
@@ -233,12 +228,7 @@ type Engine struct {
 	livelockable bool
 	seen         map[uint64]int
 	injector     Injector
-	// ids holds the IDs of the outstanding (live) packets only; finalized
-	// IDs are covered by the nextID watermark (every ID ever accepted is
-	// below it), so memory stays proportional to the packets in flight, not
-	// to the total injected over a long run.
-	ids    map[int]struct{}
-	nextID int
+	nextID       int
 
 	// Fault state (nil/zero without SetFaults).
 	faults       FaultModel
@@ -261,15 +251,9 @@ type Engine struct {
 
 	deadlineExceeded bool
 
-	// Reusable routing scratch: one for the serial path, one per pool
-	// worker when Options.Workers > 1.
-	scratch *routeScratch
-	workers []*routeScratch
-	pool    *workerPool
 	// moves is the per-step move buffer, written in place in active-node
-	// order (the parallel path writes each node's segment at moveOff).
-	moves   []Move
-	moveOff []int
+	// order and reused across steps.
+	moves []Move
 }
 
 // New validates the initial configuration and returns an engine positioned
@@ -292,7 +276,7 @@ func New(m *mesh.Mesh, policy Policy, packets []*Packet, opts Options) (*Engine,
 	e := &Engine{
 		mesh:         m,
 		topo:         tab,
-		fast:         tab,
+		router:       NewNodeRouter(tab, policy, opts.Seed, opts.Validation),
 		policy:       policy,
 		packets:      packets,
 		opts:         opts,
@@ -315,78 +299,33 @@ func New(m *mesh.Mesh, policy Policy, packets []*Packet, opts Options) (*Engine,
 	if e.livelockable {
 		e.seen = make(map[uint64]int)
 	}
-	e.scratch = e.newScratch(policy)
-	if opts.Workers > 1 {
-		cp, ok := policy.(ClonablePolicy)
-		if !ok {
-			return nil, fmt.Errorf("%w: policy %s does not implement ClonablePolicy (required by Workers=%d)",
-				ErrBadInjection, policy.Name(), opts.Workers)
-		}
-		for w := 0; w < opts.Workers; w++ {
-			e.workers = append(e.workers, e.newScratch(cp.Clone()))
-		}
-	}
-
-	e.ids = make(map[int]struct{}, len(packets))
-	for _, p := range packets {
-		if p == nil {
-			return nil, fmt.Errorf("%w: nil packet", ErrBadInjection)
-		}
-		if err := m.CheckID(p.Src); err != nil {
-			return nil, fmt.Errorf("%w: packet %d source: %v", ErrBadInjection, p.ID, err)
-		}
-		if err := m.CheckID(p.Dst); err != nil {
-			return nil, fmt.Errorf("%w: packet %d destination: %v", ErrBadInjection, p.ID, err)
-		}
-		if p.Node != p.Src {
-			return nil, fmt.Errorf("%w: packet %d not at its source", ErrBadInjection, p.ID)
-		}
-		if _, dup := e.ids[p.ID]; dup {
-			return nil, fmt.Errorf("%w: duplicate packet id %d", ErrBadInjection, p.ID)
-		}
-		e.ids[p.ID] = struct{}{}
-		if p.ID >= e.nextID {
-			e.nextID = p.ID + 1
-		}
-		p.Cause = DropNone
-		p.DroppedAt = -1
-		if p.Src == p.Dst {
-			p.ArrivedAt = 0
-			delete(e.ids, p.ID) // finalized immediately; the watermark covers it
-			continue
-		}
-		p.ArrivedAt = -1
-		e.enqueue(p)
-		e.live++
-	}
-	for _, node := range e.active {
-		if deg := m.Degree(node); len(e.byNode[node]) > deg {
-			return nil, fmt.Errorf("%w: node %d originates %d packets, out-degree %d",
-				ErrBadInjection, node, len(e.byNode[node]), deg)
-		}
+	var err error
+	if e.nextID, err = AdmitInitial(m, packets, e.place); err != nil {
+		return nil, err
 	}
 	e.moves = make([]Move, 0, e.live)
 	e.sortActive()
-	if opts.Workers > 1 {
-		e.pool = newWorkerPool(e.workers)
-		// Stop the pool goroutines when the engine is garbage collected, so
-		// sweeps that build thousands of engines and never call Close do not
-		// leak them. Workers hold no reference back to the engine between
-		// steps, so collection is not prevented.
-		runtime.SetFinalizer(e, (*Engine).Close)
-	}
 	return e, nil
 }
 
-// Close releases the engine's worker pool goroutines (a no-op for serial
-// engines, and safe to call more than once). It is called automatically by
-// a finalizer when the engine is collected, so calling it is optional; it
-// just makes the release deterministic. The engine must not be stepped
-// after Close.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.close()
+// Close is a no-op, kept so callers can treat every engine alike: the single
+// engine owns no goroutines (shard.Engine's Close stops its shard workers).
+func (e *Engine) Close() {}
+
+// place is the engine's PlaceFunc: it enqueues an admitted packet at its
+// source unless the current failure set leaves no room there — an endpoint
+// is down, or the surviving out-degree is already full.
+func (e *Engine) place(p *Packet) (held int, ok bool) {
+	if e.overlay != nil && (e.overlay.NodeDown(p.Src) || e.overlay.NodeDown(p.Dst)) {
+		return 0, false
 	}
+	held = len(e.byNode[p.Src])
+	if held >= e.topo.Degree(p.Src) {
+		return held, false
+	}
+	e.enqueue(p)
+	e.live++
+	return held + 1, true
 }
 
 func (e *Engine) enqueue(p *Packet) {
@@ -398,27 +337,8 @@ func (e *Engine) enqueue(p *Packet) {
 }
 
 // sortActive restores the sorted order of the active list after a step's
-// move application (or after injection) perturbed it. For dense active sets
-// the list is rebuilt by a single ordered scan of the activeMark bitmap —
-// an int-keyed counting pass with no comparisons at all; sparse sets fall
-// back to slices.Sort. Both paths are allocation-free.
-func (e *Engine) sortActive() {
-	a := e.active
-	if len(a) <= 1 {
-		return
-	}
-	if len(a)*4 >= len(e.activeMark) {
-		a = a[:0]
-		for id, mark := range e.activeMark {
-			if mark {
-				a = append(a, mesh.NodeID(id))
-			}
-		}
-		e.active = a
-		return
-	}
-	slices.Sort(a)
-}
+// move application (or after injection) perturbed it.
+func (e *Engine) sortActive() { e.active = SortActive(e.active, e.activeMark) }
 
 // AddObserver registers an observer to run after every step.
 func (e *Engine) AddObserver(o Observer) { e.observers = append(e.observers, o) }
@@ -454,74 +374,27 @@ func (e *Engine) NextPacketID() int {
 	return id
 }
 
-// inject runs the installed injector and validates its output. Injector
-// bugs — nil packets, off-mesh endpoints, reused IDs, exceeding the intact
-// mesh's capacity — are hard errors; packets the current failure set leaves
-// no room for (source or destination down, surviving degree already full)
-// are refused gracefully with cause DropInject.
+// inject runs the installed injector and admits its output (AdmitInjected):
+// injector bugs are hard errors; packets the current failure set leaves no
+// room for are refused gracefully with cause DropInject.
 func (e *Engine) inject() error {
 	// Freshness floor: the watermark before the injector ran. IDs the
 	// injector drew from NextPacketID during this call sit between floor and
 	// the advanced e.nextID and are fresh by construction.
 	floor := e.nextID
-	newPackets := e.injector.Inject(e.time, e, e.rng)
-	for _, p := range newPackets {
-		if p == nil {
-			return fmt.Errorf("%w: injector returned nil packet at step %d", ErrBadInjection, e.time)
-		}
-		if err := e.mesh.CheckID(p.Src); err != nil {
-			return fmt.Errorf("%w: injected packet %d source: %v", ErrBadInjection, p.ID, err)
-		}
-		if err := e.mesh.CheckID(p.Dst); err != nil {
-			return fmt.Errorf("%w: injected packet %d destination: %v", ErrBadInjection, p.ID, err)
-		}
-		if p.Node != p.Src {
-			return fmt.Errorf("%w: injected packet %d not at its source", ErrBadInjection, p.ID)
-		}
-		// Freshness is enforced with the ID watermark: every ID accepted
-		// before this batch is below floor, and the floor then climbs past
-		// each accepted packet, so reused IDs and duplicates within the
-		// batch are rejected while anything monotone (NextPacketID in
-		// particular) passes. This keeps the used-ID record O(1) instead of
-		// growing with every injection.
-		if p.ID < floor {
-			return fmt.Errorf("%w: injected packet reuses id %d (or breaks the increasing-id contract, watermark %d) at step %d",
-				ErrBadInjection, p.ID, floor, e.time)
-		}
-		floor = p.ID + 1
-		if p.ID >= e.nextID {
-			e.nextID = p.ID + 1
-		}
-		e.packets = append(e.packets, p)
-		p.InjectedAt = e.time
-		p.Cause = DropNone
-		p.DroppedAt = -1
-		if p.Src == p.Dst {
-			p.ArrivedAt = e.time
-			continue
-		}
-		p.ArrivedAt = -1
-		if e.overlay != nil && (e.overlay.NodeDown(p.Src) || e.overlay.NodeDown(p.Dst)) {
-			e.markDropped(p, DropInject)
-			continue
-		}
-		if len(e.byNode[p.Src]) >= e.topo.Degree(p.Src) {
-			if len(e.byNode[p.Src]) >= e.mesh.Degree(p.Src) {
-				return fmt.Errorf("%w: step %d node %d injection exceeds out-degree %d",
-					ErrBadInjection, e.time, p.Src, e.mesh.Degree(p.Src))
-			}
-			// There would be room on the intact mesh: the injector is fine,
-			// the failure set ate the capacity.
-			e.markDropped(p, DropInject)
-			continue
-		}
-		e.ids[p.ID] = struct{}{}
-		e.enqueue(p)
-		e.live++
+	batch := e.injector.Inject(e.time, e, e.rng)
+	if len(batch) == 0 {
+		return nil
 	}
-	if len(newPackets) > 0 {
-		e.sortActive()
+	nextID, refused, err := AdmitInjected(e.mesh, e.time, batch, floor, e.nextID, e.place)
+	if err != nil {
+		return err
 	}
+	e.nextID = nextID
+	e.packets = append(e.packets, batch...)
+	e.dropped += refused
+	e.dropInject += refused
+	e.sortActive()
 	return nil
 }
 
@@ -553,261 +426,13 @@ func (e *Engine) Done() bool { return e.live == 0 }
 // Livelocked reports whether a repeated configuration was detected.
 func (e *Engine) Livelocked() bool { return e.livelock }
 
-// routeScratch is the per-worker routing state: one exists for the serial
-// path, and one per pool goroutine in the parallel path.
-type routeScratch struct {
-	ns          NodeState
-	out         []mesh.Dir
-	dirOwner    []int
-	policy      Policy
-	src         rng.SplitMix64
-	rnd         *rand.Rand
-	maxNodeLoad int
-	reroutes    int64 // per-step count, drained by Step/routeParallel
-}
-
-func (e *Engine) newScratch(policy Policy) *routeScratch {
-	sc := &routeScratch{
-		out:      make([]mesh.Dir, 0, e.mesh.DirCount()),
-		dirOwner: make([]int, e.mesh.DirCount()),
-		policy:   policy,
-	}
-	sc.ns.Mesh = e.topo
-	sc.ns.infos = make([]PacketInfo, 0, e.mesh.DirCount())
-	sc.rnd = rand.New(&sc.src)
-	return sc
-}
-
-// fillInfo computes PacketInfo for every packet of the scratch node state.
-// Good directions come from the routing topology, so under faults they are
-// the surviving good arcs; a live packet with GoodCount == 0 (possible only
-// when faults cut every geometrically good arc) is a forced reroute.
-// The infos are filled in place (never copied through a stack temporary):
-// passing a fresh PacketInfo's buffer to an interface call makes it escape,
-// which used to be the engine's dominant allocation.
-func (sc *routeScratch) fillInfo(topo mesh.Topology, fast *mesh.Tables) {
-	ns := &sc.ns
-	if cap(ns.infos) < len(ns.Packets) {
-		ns.infos = make([]PacketInfo, len(ns.Packets))
-	} else {
-		ns.infos = ns.infos[:len(ns.Packets)]
-	}
-	for i, p := range ns.Packets {
-		pi := &ns.infos[i]
-		if fast != nil {
-			pi.GoodCount = fast.GoodDirsInto(p.Node, p.Dst, &pi.goodBuf)
-		} else {
-			pi.GoodCount = len(topo.GoodDirs(p.Node, p.Dst, pi.goodBuf[:0]))
-		}
-		if pi.GoodCount == 0 {
-			sc.reroutes++
-		}
-		pi.Restricted = pi.GoodCount == 1
-		pi.TypeA = pi.Restricted && p.RestrictedPrev && p.AdvancedPrev
-	}
-}
-
-// routePolicy invokes the policy with panic isolation: a panicking Route
-// surfaces as an ErrPolicyPanic instead of tearing down the process (or, in
-// the parallel path, deadlocking a worker pool).
-func (sc *routeScratch) routePolicy(rnd *rand.Rand) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: policy %s: %v", ErrPolicyPanic, sc.policy.Name(), r)
-		}
-	}()
-	sc.policy.Route(&sc.ns, sc.out, rnd)
-	return nil
-}
-
-// goodContains reports whether dir belongs to the packet's (surviving) good
-// set. fillInfo already computed the set, so a scan of its at-most-2·dim
-// entries replaces a coordinate-arithmetic IsGoodDir call on the hot path —
-// and under faults it automatically means "surviving good arc".
-func goodContains(pi *PacketInfo, dir mesh.Dir) bool {
-	for _, g := range pi.Good() {
-		if g == dir {
-			return true
-		}
-	}
-	return false
-}
-
-// validate checks the assignment for the scratch node state according to
-// the configured validation level. dirOwner is rebuilt as a side effect.
-func (e *Engine) validate(sc *routeScratch) error {
-	ns := &sc.ns
-	out := sc.out
-	fast := e.fast
-	dirCount := e.mesh.DirCount()
-	for i := range sc.dirOwner {
-		sc.dirOwner[i] = -1
-	}
-	for i, dir := range out {
-		p := ns.Packets[i]
-		if dir < 0 || int(dir) >= dirCount {
-			return fmt.Errorf("%w: step %d node %d packet %d (dir %d)",
-				ErrUnassigned, ns.Time, ns.Node, p.ID, dir)
-		}
-		var hasArc bool
-		if fast != nil {
-			hasArc = fast.HasArc(ns.Node, dir)
-		} else {
-			hasArc = e.topo.HasArc(ns.Node, dir)
-		}
-		if !hasArc {
-			return fmt.Errorf("%w: step %d node %d packet %d via %v",
-				ErrOffMesh, ns.Time, ns.Node, p.ID, dir)
-		}
-		if prev := sc.dirOwner[dir]; prev >= 0 {
-			return fmt.Errorf("%w: step %d node %d packets %d and %d both via %v",
-				ErrLinkConflict, ns.Time, ns.Node, ns.Packets[prev].ID, p.ID, dir)
-		}
-		sc.dirOwner[dir] = i
-	}
-	return validateGreedy(ns, out, sc.dirOwner, e.opts.Validation)
-}
-
-// validateGreedy checks the greediness condition of Definition 6 and (at
-// ValidateRestricted) the restricted-preference condition of Definition 18
-// for one node's assignment. dirOwner must map each direction to the index
-// of the packet using it (-1 when free). Shared by the engine's validate and
-// the sharded path's NodeRouter so the two enforce identical semantics.
-func validateGreedy(ns *NodeState, out []mesh.Dir, dirOwner []int, level ValidationLevel) error {
-	if level < ValidateGreedy {
-		return nil
-	}
-	for i, dir := range out {
-		pi := ns.Info(i)
-		if goodContains(pi, dir) {
-			continue // advancing
-		}
-		// Packet i is deflected: every (surviving) good arc must carry an
-		// advancing packet (Definition 6), and if packet i is restricted,
-		// that advancing packet must itself be restricted (Definition 18).
-		for _, g := range pi.Good() {
-			j := dirOwner[g]
-			if j < 0 || !goodContains(ns.Info(j), g) {
-				return fmt.Errorf("%w: step %d node %d packet %d deflected with free good arc %v",
-					ErrNotGreedy, ns.Time, ns.Node, ns.Packets[i].ID, g)
-			}
-			if level >= ValidateRestricted && pi.Restricted && !ns.Info(j).Restricted {
-				return fmt.Errorf("%w: step %d node %d packet %d deflected by non-restricted packet %d",
-					ErrNotRestrictedPreferring, ns.Time, ns.Node, ns.Packets[i].ID, ns.Packets[j].ID)
-			}
-		}
-	}
-	return nil
-}
-
-// routeNode routes one node's packets, writing exactly len(dst) ==
-// len(byNode[node]) moves into dst (the node's segment of the engine's move
-// buffer) using the given RNG.
-func (e *Engine) routeNode(sc *routeScratch, node mesh.NodeID, t int, rnd *rand.Rand, dst []Move) error {
-	pkts := e.byNode[node]
-	if len(pkts) > sc.maxNodeLoad {
-		sc.maxNodeLoad = len(pkts)
-	}
-	sc.ns.Node = node
-	sc.ns.Time = t
-	sc.ns.Packets = pkts
-	sc.fillInfo(e.topo, e.fast)
-
-	sc.out = sc.out[:len(pkts)]
-	for i := range sc.out {
-		sc.out[i] = mesh.NoDir
-	}
-	if err := sc.routePolicy(rnd); err != nil {
-		return fmt.Errorf("step %d node %d: %w", t, node, err)
-	}
-
-	if e.opts.Validation > ValidateOff {
-		if err := e.validate(sc); err != nil {
-			return err
-		}
-	}
-	fast := e.fast
-	dirCount := e.mesh.DirCount()
-	for i, p := range pkts {
-		dir := sc.out[i]
-		var to mesh.NodeID
-		ok := dir >= 0 && int(dir) < dirCount
-		if ok {
-			if fast != nil {
-				to, ok = fast.Neighbor(node, dir)
-			} else {
-				to, ok = e.topo.Neighbor(node, dir)
-			}
-		}
-		if !ok {
-			// Unvalidated policies can still not corrupt the engine (nor
-			// route through an arc the failure set removed).
-			return fmt.Errorf("%w: step %d node %d packet %d via %v", ErrOffMesh, t, node, p.ID, dir)
-		}
-		pi := sc.ns.Info(i)
-		adv := goodContains(pi, dir)
-		dst[i] = Move{
-			Packet:        p,
-			From:          node,
-			To:            to,
-			Dir:           dir,
-			Advanced:      adv,
-			GoodCount:     pi.GoodCount,
-			WasRestricted: pi.Restricted,
-			WasTypeA:      pi.TypeA,
-			ArrivedNow:    to == p.Dst,
-		}
-	}
-	return nil
-}
-
-// routeParallel routes the active nodes on the persistent worker pool.
-// Workers claim chunks of the (sorted) active list from a shared atomic
-// cursor, so a heavy node no longer serializes a static partition; each
-// node's moves land in its precomputed segment of e.moves, which keeps the
-// per-node grouping and global node order the observers and the move
-// application rely on. Each node's tie-break RNG is derived from
-// (seed, step, node), making the outcome independent of the partition and
-// of the worker count.
-func (e *Engine) routeParallel(t int) error {
-	n := len(e.active)
-	if cap(e.moveOff) < n+1 {
-		e.moveOff = make([]int, n+1)
-	}
-	e.moveOff = e.moveOff[:n+1]
-	total := 0
-	for i, node := range e.active {
-		e.moveOff[i] = total
-		total += len(e.byNode[node])
-	}
-	e.moveOff[n] = total
-	if cap(e.moves) < total {
-		e.moves = make([]Move, total)
-	}
-	e.moves = e.moves[:total]
-	for _, sc := range e.workers {
-		sc.reroutes = 0
-	}
-	if err := e.pool.route(e, t); err != nil {
-		return err
-	}
-	for _, sc := range e.workers {
-		if sc.maxNodeLoad > e.maxNodeLoad {
-			e.maxNodeLoad = sc.maxNodeLoad
-		}
-		e.reroutes += sc.reroutes
-	}
-	return nil
-}
-
 // Step advances the simulation by one synchronous step. It returns an error
 // only on validation failure; termination conditions (done, livelock, step
 // budget) are reported by Run.
 func (e *Engine) Step() error {
 	t := e.time
-	// Fault transitions happen first (single-threaded, own RNG stream), so
-	// injection and routing always see a settled failure set and the fault
-	// sequence is identical on the serial and parallel paths.
+	// Fault transitions happen first (own RNG stream), so injection and
+	// routing always see a settled failure set.
 	if e.faults != nil {
 		e.applyFaults()
 	}
@@ -816,45 +441,26 @@ func (e *Engine) Step() error {
 			return err
 		}
 	}
-	// Route every active node. Active nodes are kept sorted so that runs
-	// are reproducible for a given seed.
-	if len(e.workers) > 0 && len(e.active) > 1 {
-		if err := e.routeParallel(t); err != nil {
+	// Route every active node. Active nodes are kept sorted so that the
+	// move buffer is grouped by source node in ascending order. Every live
+	// packet sits in exactly one active node's queue, so the step produces
+	// exactly e.live moves; the buffer is reused across steps and only
+	// reallocated when injection outgrows it.
+	if cap(e.moves) < e.live {
+		e.moves = make([]Move, e.live)
+	}
+	e.moves = e.moves[:e.live]
+	base := 0
+	for _, node := range e.active {
+		pkts := e.byNode[node]
+		if err := e.router.RouteNode(node, t, pkts, e.moves[base:base+len(pkts)]); err != nil {
 			return err
 		}
-	} else {
-		// Every live packet sits in exactly one active node's queue, so the
-		// step produces exactly e.live moves; the buffer is reused across
-		// steps and only reallocated when injection outgrows it.
-		total := e.live
-		if cap(e.moves) < total {
-			e.moves = make([]Move, total)
-		}
-		e.moves = e.moves[:total]
-		sc := e.scratch
-		sc.reroutes = 0
-		base := 0
-		for _, node := range e.active {
-			n := len(e.byNode[node])
-			// A parallel engine that falls through here (one active node)
-			// must still draw from the per-(seed, step, node) stream, so
-			// that Workers > 1 means per-node streams always — the property
-			// the sharded engine's parity contract is built on.
-			rnd := e.rng
-			if len(e.workers) > 0 {
-				sc.src.Seed(NodeSeed(e.opts.Seed, t, node))
-				rnd = sc.rnd
-			}
-			if err := e.routeNode(sc, node, t, rnd, e.moves[base:base+n]); err != nil {
-				return err
-			}
-			base += n
-		}
-		if sc.maxNodeLoad > e.maxNodeLoad {
-			e.maxNodeLoad = sc.maxNodeLoad
-		}
-		e.reroutes += sc.reroutes
+		base += len(pkts)
 	}
+	maxLoad, reroutes := e.router.DrainCounters()
+	e.maxNodeLoad = max(e.maxNodeLoad, maxLoad)
+	e.reroutes += reroutes
 
 	// Apply all moves simultaneously.
 	for _, node := range e.active {
@@ -863,28 +469,17 @@ func (e *Engine) Step() error {
 	}
 	e.active = e.active[:0]
 	e.time = t + 1
+	var tally MoveTally
 	for i := range e.moves {
-		mv := &e.moves[i]
-		p := mv.Packet
-		p.GoodPrev = mv.GoodCount
-		p.RestrictedPrev = mv.WasRestricted
-		p.AdvancedPrev = mv.Advanced
-		p.Node = mv.To
-		p.EnteredVia = mv.Dir
-		p.Hops++
-		e.totalHops++
-		if !mv.Advanced {
-			p.Deflections++
-			e.totalDeflections++
+		if mv := &e.moves[i]; tally.Apply(mv, e.time) {
+			e.enqueue(mv.Packet)
 		}
-		if mv.ArrivedNow {
-			p.ArrivedAt = e.time
-			e.lastArrival = e.time
-			e.live--
-			delete(e.ids, p.ID) // finalized; the nextID watermark covers it
-		} else {
-			e.enqueue(p)
-		}
+	}
+	e.totalHops += tally.Hops
+	e.totalDeflections += tally.Deflections
+	if tally.Arrivals > 0 {
+		e.live -= tally.Arrivals
+		e.lastArrival = e.time
 	}
 	e.sortActive()
 
@@ -954,10 +549,8 @@ func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background
 
 // RunContext is Run with cancellation and deadline control. The ctx
 // deadline and Options.MaxWallTime are unified into one stop signal
-// (whichever fires first), checked with a single atomic load per step
-// instead of a time.Now() call, so the two mechanisms can never disagree:
-// either way the step in flight finishes and the summary reports
-// DeadlineExceeded with a nil error, exactly like MaxWallTime always has.
+// (StopFlag, whichever fires first): either way the step in flight finishes
+// and the summary reports DeadlineExceeded with a nil error.
 //
 // Cancellation (ctx.Done with context.Canceled) also finishes the step in
 // flight, but returns the partial summary alongside ctx.Err() so callers
@@ -973,29 +566,11 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 // stopped early by cancellation or deadline with unsaved progress, so a
 // resumed run loses nothing. A save error aborts the run.
 func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Snapshot) error) (*Result, error) {
-	// One atomic flag carries every stop source. MaxWallTime arms a timer
-	// (no goroutine while waiting); a cancellable ctx gets a watcher
-	// goroutine released on return. The hot loop pays one atomic load per
-	// step for both.
-	var stop atomic.Bool
-	if e.opts.MaxWallTime > 0 {
-		timer := time.AfterFunc(e.opts.MaxWallTime, func() { stop.Store(true) })
-		defer timer.Stop()
-	}
-	if done := ctx.Done(); done != nil {
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-quit:
-			}
-		}()
-	}
+	stop := NewStopFlag(ctx, e.opts.MaxWallTime)
+	defer stop.Release()
 
 	sinceSave := 0
-	for e.runnable() && !stop.Load() {
+	for e.runnable() && !stop.Stopped() {
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
@@ -1010,10 +585,7 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Snap
 
 	var runErr error
 	if e.runnable() { // stopped early: resolve the cause
-		if err := ctx.Err(); errors.Is(err, context.Canceled) {
-			runErr = err
-		} else {
-			// Our MaxWallTime timer or the ctx deadline — unified.
+		if runErr = StopCause(ctx); runErr == nil {
 			e.deadlineExceeded = true
 		}
 		if save != nil && sinceSave > 0 {

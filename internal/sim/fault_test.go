@@ -242,58 +242,18 @@ func TestFaultCrashAccountingInvariant(t *testing.T) {
 	}
 }
 
-// TestFaultSerialParallelAgree: with a deterministic policy the serial and
-// parallel paths must produce bit-identical results under faults — the
-// fault stream is advanced single-threaded from its own RNG.
-func TestFaultSerialParallelAgree(t *testing.T) {
-	m := mesh.MustNew(2, 8)
-	run := func(workers int) *Result {
-		flaps, err := fault.NewLinkFlaps(0.002, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crashes, err := fault.NewNodeCrashes(0.0005, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := New(m, cloneableFirstGood{firstGoodPolicy()}, faultInstance(m, 30, 7), Options{
-			Seed:       11,
-			Validation: ValidateBasic,
-			MaxSteps:   2000,
-			Workers:    workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetFaults(fault.Compose(flaps, crashes), FateAbsorb)
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(0)
-	for _, w := range []int{2, 5} {
-		if got := run(w); !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d: %+v != serial %+v", w, got, serial)
-		}
-	}
-}
-
 // TestFaultSequenceIndependentOfRouting: the fault sequence depends only on
-// (seed, model) — identical across worker counts even when the randomized
-// routing itself differs between the serial and parallel paths.
+// (seed, model) — identical under two policies whose routing differs.
 func TestFaultSequenceIndependentOfRouting(t *testing.T) {
 	m := mesh.MustNew(2, 6)
-	countFailures := func(workers int) (int, int) {
+	countFailures := func(policy Policy) (int, int) {
 		flaps, err := fault.NewLinkFlaps(0.01, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(m, shuffledPolicy().(ClonablePolicy), faultInstance(m, 15, 2), Options{
+		e, err := New(m, policy, faultInstance(m, 15, 2), Options{
 			Seed:     13,
 			MaxSteps: 1 << 20,
-			Workers:  workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -306,10 +266,10 @@ func TestFaultSequenceIndependentOfRouting(t *testing.T) {
 		}
 		return e.Overlay().LinkFailures(), e.Overlay().NodeFailures()
 	}
-	l0, n0 := countFailures(0)
-	l4, n4 := countFailures(4)
+	l0, n0 := countFailures(shuffledPolicy())
+	l4, n4 := countFailures(firstGoodPolicy())
 	if l0 != l4 || n0 != n4 {
-		t.Errorf("fault sequence depends on worker count: serial (%d,%d) vs parallel (%d,%d)", l0, n0, l4, n4)
+		t.Errorf("fault sequence depends on routing: randomized (%d,%d) vs deterministic (%d,%d)", l0, n0, l4, n4)
 	}
 	if l0 == 0 {
 		t.Error("no link ever flapped in 100 steps at rate 0.01 (suspicious fixture)")

@@ -95,10 +95,10 @@ const faultStreamSalt int64 = 0x0fa171
 //
 // The model draws from a dedicated RNG stream derived from Options.Seed, so
 // a (seed, model) pair reproduces the same fault sequence regardless of the
-// policy, the worker count, and the traffic. Routing itself sees the
-// overlay through the Topology interface: HasArc, Degree and GoodDirs
-// reflect the surviving arcs, while distances stay geometric (a bufferless
-// router has no global failure map to recompute routes with).
+// policy and the traffic. Routing itself sees the overlay through the
+// Topology interface: HasArc, Degree and GoodDirs reflect the surviving
+// arcs, while distances stay geometric (a bufferless router has no global
+// failure map to recompute routes with).
 //
 // Installing faults disables livelock detection: the configuration is no
 // longer closed, so a repeated packet state does not imply a loop. Call
@@ -109,14 +109,12 @@ func (e *Engine) SetFaults(model FaultModel, fate PacketFate) {
 	e.fate = fate
 	e.overlay = mesh.NewOverlay(e.mesh)
 	e.topo = e.overlay
-	e.fast = nil // faults installed: every lookup must see the overlay
+	// Faults installed: every lookup must see the overlay, so the router is
+	// rebuilt over it (dropping the intact mesh's devirtualized tables).
+	e.router = NewNodeRouter(e.topo, e.policy, e.opts.Seed, e.opts.Validation)
 	e.faultVersion = e.overlay.Version()
 	e.faultRng = rand.New(rand.NewSource(rng.Mix(e.opts.Seed, faultStreamSalt)))
 	e.livelockable = false
-	e.scratch.ns.Mesh = e.topo
-	for _, sc := range e.workers {
-		sc.ns.Mesh = e.topo
-	}
 }
 
 // Topology returns the view the engine routes against: the base mesh, or
@@ -137,13 +135,11 @@ func (e *Engine) applyFaults() {
 	}
 }
 
-// markDropped records the removal of an undelivered packet and updates the
-// per-cause counters. Callers adjust e.live themselves (injection drops
-// were never live).
+// markDropped records the removal of a live packet by fault degradation and
+// updates the per-cause counters. Callers adjust e.live themselves.
 func (e *Engine) markDropped(p *Packet, cause DropCause) {
 	p.DroppedAt = e.time
 	p.Cause = cause
-	delete(e.ids, p.ID) // finalized; the nextID watermark covers it
 	if cause == DropCrash && e.fate == FateAbsorb {
 		e.absorbed++
 		return
@@ -156,8 +152,6 @@ func (e *Engine) markDropped(p *Packet, cause DropCause) {
 		e.dropUnreachable++
 	case DropStranded:
 		e.dropStranded++
-	case DropInject:
-		e.dropInject++
 	}
 }
 

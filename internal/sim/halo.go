@@ -8,21 +8,19 @@ import (
 	"hotpotato/internal/rng"
 )
 
-// This file is the engine's sharding surface: the pieces of the stepping
-// machinery a spatially-decomposed runner (internal/shard) must share with
-// the single-engine path so that a sharded run is bit-identical to a
-// single-shard one. Everything here is a re-export or refactoring of logic
-// the engine already executes — NodeSeed is the parallel path's tie-break
-// derivation, NodeRouter is routeNode against an arbitrary topology view,
-// and the ConfigHash fold is the livelock detector's hash — so the two
-// paths cannot drift apart.
+// This file is the routing kernel every engine steps through — the single
+// engine here, the sharded engine (internal/shard) and the distributed
+// workers (internal/dshard): NodeSeed is the one tie-break derivation,
+// NodeRouter the one implementation of "route one node", and the ConfigHash
+// fold the one livelock-detector hash. Because there is no second copy, a
+// sharded or distributed run is bit-identical to a single-engine one by
+// construction, under randomized policies too.
 
 // NodeSeed derives the tie-break RNG seed for routing one node in one step.
-// It is the exact derivation the engine's parallel path uses (per (seed,
-// step, node), independent of worker count and of how nodes are partitioned
-// across goroutines), which is what makes randomized-policy outcomes
-// identical across shard geometries: the stream a node's packets draw from
-// depends only on the global seed, the step and the node's global id.
+// The stream a node's packets draw from depends only on the global seed, the
+// step and the node's global id — not on the engine, the shard geometry or
+// the order nodes are routed in — which is what makes randomized-policy
+// outcomes identical across engines and decompositions.
 func NodeSeed(seed int64, t int, node mesh.NodeID) int64 {
 	return rng.Mix(seed, int64(t), int64(node))
 }
@@ -89,30 +87,38 @@ func (ps *PacketState) Packet() *Packet {
 	}
 }
 
-// goodDirser is the devirtualized good-direction fast path shared by
-// *mesh.Tables and *mesh.Subgrid: fill a fixed buffer instead of appending
-// through the Topology interface.
+// goodDirser is the devirtualized good-direction path of *mesh.Subgrid: fill
+// a fixed buffer instead of appending through the Topology interface.
 type goodDirser interface {
 	GoodDirsInto(from, dst mesh.NodeID, buf *[2 * mesh.MaxDim]mesh.Dir) int
 }
 
-// NodeRouter routes single nodes against an arbitrary topology view — for
-// the sharded engine, a *mesh.Subgrid whose connectivity reaches into halo
-// territory owned by neighboring shards. It reproduces the engine's
-// routeNode exactly: the same PacketInfo precomputation, the same policy
-// invocation with panic isolation, the same validation levels, and the same
-// Move records — so moves produced by P shard routers are indistinguishable
-// from the single engine's, including the boundary-crossing ones the shard
-// runner diverts into its halo exchange.
+// NodeRouter routes single nodes against a topology view: the intact mesh's
+// flat tables (the single engine without faults), a failure overlay (with
+// faults), or a *mesh.Subgrid whose connectivity reaches into halo territory
+// owned by neighboring shards. It is the only caller of Policy.Route: the
+// PacketInfo precomputation, the policy invocation with panic isolation, the
+// validation levels and the Move records all live here, so moves produced by
+// P shard routers are indistinguishable from the single engine's, including
+// the boundary-crossing ones the shard runner diverts into its halo exchange.
 //
-// A NodeRouter is single-goroutine state (one exists per shard); the policy
-// handed to it must be that shard's own instance or clone.
+// A NodeRouter is single-goroutine state (one exists per engine or shard);
+// the policy handed to it must be that shard's own instance or clone.
 type NodeRouter struct {
-	topo       mesh.Topology
-	gd         goodDirser // non-nil when topo provides the fast path
+	topo mesh.Topology
+	// fast and gd are the devirtualized views of topo, chosen once from its
+	// concrete type: fast for the intact mesh's tables (direct calls the
+	// compiler can inline), gd for a subgrid. Both nil means every lookup
+	// goes through the Topology interface — the overlay under faults.
+	fast       *mesh.Tables
+	gd         goodDirser
 	policy     Policy
 	seed       int64
 	validation ValidationLevel
+	dirCount   int
+	// reseed is false for deterministic policies, which never consult the
+	// tie-break stream: they skip the per-node seed derivation.
+	reseed bool
 
 	ns       NodeState
 	out      []mesh.Dir
@@ -120,17 +126,18 @@ type NodeRouter struct {
 	src      rng.SplitMix64
 	rnd      *rand.Rand
 
-	// MaxNodeLoad and Reroutes accumulate across RouteNode calls; the shard
-	// runner drains them into its global counters at step barriers.
-	MaxNodeLoad int
-	Reroutes    int64
+	// maxNodeLoad and reroutes accumulate across RouteNode calls; the
+	// engines drain them into their global counters after each step
+	// (DrainCounters).
+	maxNodeLoad int
+	reroutes    int64
 
 	// Tail pad to 256 B (four cache lines, and its own allocator size class).
-	// At 224 B two routers allocated back to back — adjacent shards' — sit at
-	// offsets 0 and 224 of one span, so one shard's per-node writes (src
-	// reseed, MaxNodeLoad, Reroutes) keep invalidating the line that holds
-	// its neighbour's topo/gd, read on every RouteNode.
-	_ [32]byte
+	// Unpadded, two routers allocated back to back — adjacent shards' — share
+	// a line, so one shard's per-node writes (src reseed, maxNodeLoad,
+	// reroutes) keep invalidating the line that holds its neighbour's
+	// topo/fast/gd, read on every RouteNode.
+	_ [8]byte
 }
 
 // NewNodeRouter returns a router over the given topology view. Tie-break
@@ -141,11 +148,16 @@ func NewNodeRouter(topo mesh.Topology, policy Policy, seed int64, validation Val
 		policy:     policy,
 		seed:       seed,
 		validation: validation,
+		dirCount:   topo.DirCount(),
+		reseed:     !policy.Deterministic(),
 		out:        make([]mesh.Dir, 0, topo.DirCount()),
 		dirOwner:   make([]int, topo.DirCount()),
 	}
-	if gd, ok := topo.(goodDirser); ok {
-		r.gd = gd
+	switch v := topo.(type) {
+	case *mesh.Tables:
+		r.fast = v
+	case goodDirser:
+		r.gd = v
 	}
 	r.ns.Mesh = topo
 	r.ns.infos = make([]PacketInfo, 0, topo.DirCount())
@@ -153,31 +165,47 @@ func NewNodeRouter(topo mesh.Topology, policy Policy, seed int64, validation Val
 	return r
 }
 
+// DrainCounters returns the largest node load and the reroute count seen
+// since the last drain and resets both.
+func (r *NodeRouter) DrainCounters() (maxNodeLoad int, reroutes int64) {
+	maxNodeLoad, reroutes = r.maxNodeLoad, r.reroutes
+	r.maxNodeLoad, r.reroutes = 0, 0
+	return maxNodeLoad, reroutes
+}
+
 // RouteNode routes one node's packets at step t, writing exactly len(pkts)
 // moves into dst (which must have length len(pkts)). Node ids — including
 // Move.To for boundary-crossing moves — are global.
 func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Move) error {
-	if len(pkts) > r.MaxNodeLoad {
-		r.MaxNodeLoad = len(pkts)
-	}
+	r.maxNodeLoad = max(r.maxNodeLoad, len(pkts))
 	ns := &r.ns
 	ns.Node = node
 	ns.Time = t
 	ns.Packets = pkts
+	// Good directions come from the routing topology, so under faults they
+	// are the surviving good arcs; a live packet with GoodCount == 0
+	// (possible only when faults cut every geometrically good arc) is a
+	// forced reroute. The infos are filled in place (never copied through a
+	// stack temporary): passing a fresh PacketInfo's buffer to an interface
+	// call makes it escape, which used to be the dominant allocation.
 	if cap(ns.infos) < len(pkts) {
 		ns.infos = make([]PacketInfo, len(pkts))
 	} else {
 		ns.infos = ns.infos[:len(pkts)]
 	}
+	fast := r.fast
 	for i, p := range pkts {
 		pi := &ns.infos[i]
-		if r.gd != nil {
+		switch {
+		case fast != nil:
+			pi.GoodCount = fast.GoodDirsInto(p.Node, p.Dst, &pi.goodBuf)
+		case r.gd != nil:
 			pi.GoodCount = r.gd.GoodDirsInto(p.Node, p.Dst, &pi.goodBuf)
-		} else {
+		default:
 			pi.GoodCount = len(r.topo.GoodDirs(p.Node, p.Dst, pi.goodBuf[:0]))
 		}
 		if pi.GoodCount == 0 {
-			r.Reroutes++
+			r.reroutes++
 		}
 		pi.Restricted = pi.GoodCount == 1
 		pi.TypeA = pi.Restricted && p.RestrictedPrev && p.AdvancedPrev
@@ -187,54 +215,42 @@ func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Mo
 	for i := range r.out {
 		r.out[i] = mesh.NoDir
 	}
-	r.src.Seed(NodeSeed(r.seed, t, node))
+	if r.reseed {
+		r.src.Seed(NodeSeed(r.seed, t, node))
+	}
 	if err := r.routePolicy(); err != nil {
 		return fmt.Errorf("step %d node %d: %w", t, node, err)
 	}
 
-	dirCount := r.topo.DirCount()
 	if r.validation > ValidateOff {
-		for i := range r.dirOwner {
-			r.dirOwner[i] = -1
-		}
-		for i, dir := range r.out {
-			p := pkts[i]
-			if dir < 0 || int(dir) >= dirCount {
-				return fmt.Errorf("%w: step %d node %d packet %d (dir %d)",
-					ErrUnassigned, t, node, p.ID, dir)
-			}
-			if !r.topo.HasArc(node, dir) {
-				return fmt.Errorf("%w: step %d node %d packet %d via %v",
-					ErrOffMesh, t, node, p.ID, dir)
-			}
-			if prev := r.dirOwner[dir]; prev >= 0 {
-				return fmt.Errorf("%w: step %d node %d packets %d and %d both via %v",
-					ErrLinkConflict, t, node, pkts[prev].ID, p.ID, dir)
-			}
-			r.dirOwner[dir] = i
-		}
-		if err := validateGreedy(ns, r.out, r.dirOwner, r.validation); err != nil {
+		if err := r.validate(); err != nil {
 			return err
 		}
 	}
+	dirCount := r.dirCount
 	for i, p := range pkts {
 		dir := r.out[i]
 		var to mesh.NodeID
 		ok := dir >= 0 && int(dir) < dirCount
 		if ok {
-			to, ok = r.topo.Neighbor(node, dir)
+			if fast != nil {
+				to, ok = fast.Neighbor(node, dir)
+			} else {
+				to, ok = r.topo.Neighbor(node, dir)
+			}
 		}
 		if !ok {
+			// Unvalidated policies can still not corrupt the engine (nor
+			// route through an arc the failure set removed).
 			return fmt.Errorf("%w: step %d node %d packet %d via %v", ErrOffMesh, t, node, p.ID, dir)
 		}
 		pi := ns.Info(i)
-		adv := goodContains(pi, dir)
 		dst[i] = Move{
 			Packet:        p,
 			From:          node,
 			To:            to,
 			Dir:           dir,
-			Advanced:      adv,
+			Advanced:      goodContains(pi, dir),
 			GoodCount:     pi.GoodCount,
 			WasRestricted: pi.Restricted,
 			WasTypeA:      pi.TypeA,
@@ -244,8 +260,9 @@ func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Mo
 	return nil
 }
 
-// routePolicy invokes the policy with panic isolation, mirroring
-// routeScratch.routePolicy.
+// routePolicy invokes the policy with panic isolation: a panicking Route
+// surfaces as an ErrPolicyPanic instead of tearing down the process (or a
+// shard goroutine).
 func (r *NodeRouter) routePolicy() (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -254,4 +271,74 @@ func (r *NodeRouter) routePolicy() (err error) {
 	}()
 	r.policy.Route(&r.ns, r.out, r.rnd)
 	return nil
+}
+
+// validate checks the assignment in r.out for the node state in r.ns
+// according to the configured validation level: model legality (every
+// packet on a distinct existing arc), then greediness and restricted
+// preference.
+func (r *NodeRouter) validate() error {
+	ns := &r.ns
+	for i := range r.dirOwner {
+		r.dirOwner[i] = -1
+	}
+	for i, dir := range r.out {
+		p := ns.Packets[i]
+		if dir < 0 || int(dir) >= r.dirCount {
+			return fmt.Errorf("%w: step %d node %d packet %d (dir %d)",
+				ErrUnassigned, ns.Time, ns.Node, p.ID, dir)
+		}
+		var hasArc bool
+		if r.fast != nil {
+			hasArc = r.fast.HasArc(ns.Node, dir)
+		} else {
+			hasArc = r.topo.HasArc(ns.Node, dir)
+		}
+		if !hasArc {
+			return fmt.Errorf("%w: step %d node %d packet %d via %v",
+				ErrOffMesh, ns.Time, ns.Node, p.ID, dir)
+		}
+		if prev := r.dirOwner[dir]; prev >= 0 {
+			return fmt.Errorf("%w: step %d node %d packets %d and %d both via %v",
+				ErrLinkConflict, ns.Time, ns.Node, ns.Packets[prev].ID, p.ID, dir)
+		}
+		r.dirOwner[dir] = i
+	}
+	if r.validation < ValidateGreedy {
+		return nil
+	}
+	for i, dir := range r.out {
+		pi := ns.Info(i)
+		if goodContains(pi, dir) {
+			continue // advancing
+		}
+		// Packet i is deflected: every (surviving) good arc must carry an
+		// advancing packet (Definition 6), and if packet i is restricted,
+		// that advancing packet must itself be restricted (Definition 18).
+		for _, g := range pi.Good() {
+			j := r.dirOwner[g]
+			if j < 0 || !goodContains(ns.Info(j), g) {
+				return fmt.Errorf("%w: step %d node %d packet %d deflected with free good arc %v",
+					ErrNotGreedy, ns.Time, ns.Node, ns.Packets[i].ID, g)
+			}
+			if r.validation >= ValidateRestricted && pi.Restricted && !ns.Info(j).Restricted {
+				return fmt.Errorf("%w: step %d node %d packet %d deflected by non-restricted packet %d",
+					ErrNotRestrictedPreferring, ns.Time, ns.Node, ns.Packets[i].ID, ns.Packets[j].ID)
+			}
+		}
+	}
+	return nil
+}
+
+// goodContains reports whether dir belongs to the packet's (surviving) good
+// set. RouteNode already computed the set, so a scan of its at-most-2·dim
+// entries replaces a coordinate-arithmetic IsGoodDir call on the hot path —
+// and under faults it automatically means "surviving good arc".
+func goodContains(pi *PacketInfo, dir mesh.Dir) bool {
+	for _, g := range pi.Good() {
+		if g == dir {
+			return true
+		}
+	}
+	return false
 }

@@ -41,21 +41,6 @@ func TestPolicyPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
-// TestPolicyPanicSurfacesAsErrorParallel: same through the worker pool —
-// the panic must neither kill the process nor deadlock WaitGroup peers.
-func TestPolicyPanicSurfacesAsErrorParallel(t *testing.T) {
-	m := mesh.MustNew(2, 8)
-	packets := parallelInstance(t, m, 17)
-	e, err := New(m, panicPolicy{trigger: packets[0].Src}, packets, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = e.Step()
-	if !errors.Is(err, ErrPolicyPanic) {
-		t.Fatalf("parallel Step err = %v, want ErrPolicyPanic", err)
-	}
-}
-
 // TestMaxWallTime: a run that would spin to a huge step budget stops at the
 // wall-clock deadline and reports it.
 func TestMaxWallTime(t *testing.T) {

@@ -38,7 +38,7 @@ func recordRun(t *testing.T, m *mesh.Mesh, policy Policy, packets []*Packet, opt
 	defer e.Close()
 	if interfacePath {
 		e.SetFaults(noFaultModel{}, FateDrop)
-		if e.fast != nil {
+		if e.router.fast != nil {
 			t.Fatal("fault overlay did not disable the fast path")
 		}
 	}
@@ -88,12 +88,33 @@ func clonePackets(packets []*Packet) []*Packet {
 	return out
 }
 
+// shuffledTest is a randomized test policy: random assignment of packets to
+// free arcs.
+type shuffledTest struct{}
+
+func (shuffledTest) Name() string        { return "test-shuffled" }
+func (shuffledTest) Deterministic() bool { return false }
+func (shuffledTest) Route(ns *NodeState, out []mesh.Dir, rng *rand.Rand) {
+	var free []mesh.Dir
+	for dir := mesh.Dir(0); int(dir) < ns.Mesh.DirCount(); dir++ {
+		if ns.HasArc(dir) {
+			free = append(free, dir)
+		}
+	}
+	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	for i := range out {
+		out[i] = free[i]
+	}
+}
+
+func shuffledPolicy() Policy { return shuffledTest{} }
+
 // TestFastPathParity runs identical (mesh, policy, seed, workload) problems
-// through the devirtualized fast path, the interface path (forced by a
-// never-failing fault overlay), and — for the deterministic policy — the
-// serial and Workers>1 paths, asserting bit-identical Results and per-step
-// move sequences. Torus shapes are included: their wrap-split good sets are
-// where the table layer is easiest to get wrong.
+// through the router's devirtualized tables branch and its interface branch
+// (forced by a never-failing fault overlay), asserting bit-identical Results
+// and per-step move sequences for a deterministic and a randomized policy.
+// Torus shapes are included: their wrap-split good sets are where the table
+// layer is easiest to get wrong.
 func TestFastPathParity(t *testing.T) {
 	meshes := []*mesh.Mesh{
 		mesh.MustNew(1, 9),
@@ -108,39 +129,19 @@ func TestFastPathParity(t *testing.T) {
 			packets := parityPackets(m, m.Size()/2+1, seed)
 			opts := Options{Seed: seed, Validation: ValidateBasic, MaxSteps: 2000}
 
-			// Deterministic policy: every path must agree exactly.
-			pol := func() Policy { return cloneableFirstGood{firstGoodPolicy()} }
-			resFast, logFast := recordRun(t, m, pol(), clonePackets(packets), opts, false)
-			resIface, logIface := recordRun(t, m, pol(), clonePackets(packets), opts, true)
+			resFast, logFast := recordRun(t, m, firstGoodPolicy(), clonePackets(packets), opts, false)
+			resIface, logIface := recordRun(t, m, firstGoodPolicy(), clonePackets(packets), opts, true)
 			if resFast != resIface || !slices.Equal(logFast, logIface) {
 				t.Errorf("%v seed %d: interface path diverged from fast path (fast %+v, iface %+v)",
 					m, seed, resFast, resIface)
 			}
-			for _, workers := range []int{2, 4} {
-				po := opts
-				po.Workers = workers
-				resPar, logPar := recordRun(t, m, pol(), clonePackets(packets), po, false)
-				if resFast != resPar || !slices.Equal(logFast, logPar) {
-					t.Errorf("%v seed %d: workers=%d diverged from serial (serial %+v, parallel %+v)",
-						m, seed, workers, resFast, resPar)
-				}
-			}
 
-			// Randomized policy: the fast and interface paths share the
-			// serial rng stream, so they too must agree bit-for-bit; the
-			// parallel path derives per-(seed, step, node) streams, so it
-			// must be independent of the worker count.
+			// Randomized policy: both branches draw tie-breaks from the
+			// per-(seed, step, node) streams, so they too agree bit-for-bit.
 			resFastR, logFastR := recordRun(t, m, shuffledPolicy(), clonePackets(packets), opts, false)
 			resIfaceR, logIfaceR := recordRun(t, m, shuffledPolicy(), clonePackets(packets), opts, true)
 			if resFastR != resIfaceR || !slices.Equal(logFastR, logIfaceR) {
 				t.Errorf("%v seed %d: randomized interface path diverged from fast path", m, seed)
-			}
-			po2, po4 := opts, opts
-			po2.Workers, po4.Workers = 2, 4
-			res2, log2 := recordRun(t, m, shuffledPolicy(), clonePackets(packets), po2, false)
-			res4, log4 := recordRun(t, m, shuffledPolicy(), clonePackets(packets), po4, false)
-			if res2 != res4 || !slices.Equal(log2, log4) {
-				t.Errorf("%v seed %d: randomized parallel run depends on worker count", m, seed)
 			}
 		}
 	}
@@ -152,9 +153,9 @@ func TestFastPathParity(t *testing.T) {
 func TestFastPathParityRepeatable(t *testing.T) {
 	m := mesh.MustNewTorus(2, 8)
 	packets := parityPackets(m, m.Size(), 7)
-	opts := Options{Seed: 7, Validation: ValidateBasic, MaxSteps: 2000, Workers: 3}
-	res1, log1 := recordRun(t, m, cloneableFirstGood{firstGoodPolicy()}, clonePackets(packets), opts, false)
-	res2, log2 := recordRun(t, m, cloneableFirstGood{firstGoodPolicy()}, clonePackets(packets), opts, false)
+	opts := Options{Seed: 7, Validation: ValidateBasic, MaxSteps: 2000}
+	res1, log1 := recordRun(t, m, firstGoodPolicy(), clonePackets(packets), opts, false)
+	res2, log2 := recordRun(t, m, firstGoodPolicy(), clonePackets(packets), opts, false)
 	if res1 != res2 || !slices.Equal(log1, log2) {
 		t.Errorf("repeat run diverged: %+v vs %+v", res1, res2)
 	}
@@ -182,10 +183,9 @@ func (si *soakInjector) Inject(t int, e InjectorHost, rng *rand.Rand) []*Packet 
 func (si *soakInjector) Exhausted(t int) bool { return t >= si.stop }
 
 // TestIDsMemorySteadyState soaks the engine with continuous saturating
-// injection and asserts the used-ID record stays proportional to the
-// packets in flight — not to the total ever injected, which grows without
-// bound on long runs. This is the regression test for the old map[int]bool
-// that only ever grew.
+// injection. The engine keeps no per-ID record at all — freshness is the
+// nextID watermark — so what must stay bounded is the packets in flight: never
+// more than the mesh has arcs, however many were injected over the run.
 func TestIDsMemorySteadyState(t *testing.T) {
 	const steps = 3000
 	m := mesh.MustNew(2, 4)
@@ -194,25 +194,16 @@ func TestIDsMemorySteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetInjector(&soakInjector{stop: steps})
-	maxIDs := 0
 	for !e.Done() || e.Time() < steps {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if len(e.ids) != e.Live() {
-			t.Fatalf("step %d: ids holds %d entries, %d packets live", e.Time(), len(e.ids), e.Live())
-		}
-		if len(e.ids) > maxIDs {
-			maxIDs = len(e.ids)
+		if e.Live() > m.ArcCount() {
+			t.Fatalf("step %d: %d packets live, above the %d-arc capacity", e.Time(), e.Live(), m.ArcCount())
 		}
 		if e.Time() > steps+400 {
 			t.Fatalf("soak did not drain: %d live at step %d", e.Live(), e.Time())
 		}
-	}
-	// The network can never hold more packets than arcs, regardless of how
-	// many were injected over the whole run.
-	if maxIDs > m.ArcCount() {
-		t.Errorf("ids peaked at %d entries, above the %d-arc capacity", maxIDs, m.ArcCount())
 	}
 	if e.nextID < 10*m.ArcCount() {
 		t.Fatalf("soak too weak to be meaningful: only %d ids ever issued", e.nextID)

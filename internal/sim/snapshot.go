@@ -8,9 +8,11 @@ import (
 )
 
 // SnapshotVersion is the schema version of the Snapshot structure. Codecs
-// (internal/checkpoint) persist it and refuse snapshots from a future
-// schema; bump it whenever a field is added, removed or reinterpreted.
-const SnapshotVersion = 1
+// (internal/checkpoint) persist it and refuse snapshots of any other schema;
+// bump it whenever a field is added, removed or reinterpreted. v2 dropped
+// Workers: v1 engines could draw tie-breaks from a serial stream that no
+// longer exists, so their snapshots cannot be continued faithfully.
+const SnapshotVersion = 2
 
 // ErrBadSnapshot is returned by Restore when a snapshot cannot be applied
 // to the target engine: schema mismatch, configuration mismatch (different
@@ -71,7 +73,6 @@ type Snapshot struct {
 	Seed       int64           `json:"seed"`
 	MaxSteps   int             `json:"max_steps"`
 	Validation ValidationLevel `json:"validation"`
-	Workers    int             `json:"workers"`
 	DetectLive bool            `json:"detect_livelock"`
 
 	// Clock and identity watermarks.
@@ -150,7 +151,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		Seed:       e.opts.Seed,
 		MaxSteps:   e.opts.MaxSteps,
 		Validation: e.opts.Validation,
-		Workers:    e.opts.Workers,
 		DetectLive: e.opts.DetectLivelock,
 
 		Time:        e.time,
@@ -223,11 +223,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // fault model: Restore replays its Advance stream to rebuild the overlay
 // and verifies the result against the snapshot digest). After Restore the
 // run continues bit-identically to the engine the snapshot was taken from.
-//
-// The only tolerated configuration difference is the worker count when the
-// policy is deterministic (every routing path then produces identical
-// moves). For randomized policies the serial and parallel paths sample
-// tie-breaks differently, so Restore requires the same serial/parallel mode.
 func (e *Engine) Restore(s *Snapshot) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("%w: snapshot schema v%d, engine supports v%d", ErrBadSnapshot, s.Version, SnapshotVersion)
@@ -249,10 +244,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 		return fmt.Errorf("%w: options differ (max_steps %d vs %d, validation %d vs %d, detect_livelock %v vs %v)",
 			ErrBadSnapshot, e.opts.MaxSteps, s.MaxSteps, e.opts.Validation, s.Validation,
 			e.opts.DetectLivelock, s.DetectLive)
-	}
-	if !e.policy.Deterministic() && (e.opts.Workers > 1) != (s.Workers > 1) {
-		return fmt.Errorf("%w: randomized policy cannot move between serial and parallel modes (workers %d vs snapshot %d)",
-			ErrBadSnapshot, e.opts.Workers, s.Workers)
 	}
 	if (e.faults != nil) != s.HasFaults {
 		return fmt.Errorf("%w: fault model installed=%v, snapshot has_faults=%v", ErrBadSnapshot, e.faults != nil, s.HasFaults)
@@ -307,11 +298,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.live = live
 	e.sortActive()
 
-	e.ids = make(map[int]struct{}, live)
 	for _, p := range packets {
-		if !p.Arrived() && !p.Dropped() {
-			e.ids[p.ID] = struct{}{}
-		}
 		if p.ID >= s.NextID {
 			return fmt.Errorf("%w: packet id %d at or above watermark %d", ErrBadSnapshot, p.ID, s.NextID)
 		}

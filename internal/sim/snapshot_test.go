@@ -50,21 +50,18 @@ type snapshotCase struct {
 func snapshotCases() []snapshotCase {
 	return []snapshotCase{
 		{name: "fast-path-serial-deterministic",
-			policy: func() Policy { return cloneableFirstGood{firstGoodPolicy()} },
+			policy: firstGoodPolicy,
 			opts:   Options{Seed: 5, Validation: ValidateBasic, MaxSteps: 2000, DetectLivelock: true}, breakAt: 7},
 		{name: "fast-path-serial-randomized",
 			policy: shuffledPolicy,
 			opts:   Options{Seed: 5, Validation: ValidateBasic, MaxSteps: 2000}, breakAt: 9},
-		{name: "fast-path-workers",
-			policy: func() Policy { return cloneableFirstGood{firstGoodPolicy()} },
-			opts:   Options{Seed: 5, Validation: ValidateBasic, MaxSteps: 2000, Workers: 3}, breakAt: 8},
 		{name: "fault-overlay-serial",
-			policy: func() Policy { return cloneableFirstGood{firstGoodPolicy()} },
+			policy: firstGoodPolicy,
 			opts:   Options{Seed: 11, Validation: ValidateBasic, MaxSteps: 2000},
 			faults: func() FaultModel { return flapModel{rate: 0.01, repair: 0.3} }, breakAt: 11},
-		{name: "fault-overlay-workers",
-			policy: func() Policy { return cloneableFirstGood{firstGoodPolicy()} },
-			opts:   Options{Seed: 11, Validation: ValidateBasic, MaxSteps: 2000, Workers: 4},
+		{name: "fault-overlay-randomized",
+			policy: shuffledPolicy,
+			opts:   Options{Seed: 11, Validation: ValidateBasic, MaxSteps: 2000},
 			faults: func() FaultModel { return flapModel{rate: 0.01, repair: 0.3} }, breakAt: 13},
 	}
 }
@@ -89,7 +86,8 @@ func runToEnd(t *testing.T, e *Engine) (Result, []moveRec) {
 // TestSnapshotResumeParity is the core checkpoint guarantee: run K steps,
 // snapshot, restore into a fresh engine, and the remaining run is
 // bit-identical — same per-step moves, same final Result, same state hash —
-// on the table fast path, the fault-overlay path, and with Workers > 1.
+// on the table fast path and the fault-overlay path, for deterministic and
+// randomized policies.
 func TestSnapshotResumeParity(t *testing.T) {
 	m := mesh.MustNew(2, 8)
 	for _, tc := range snapshotCases() {
@@ -218,6 +216,7 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 		}(), nil},
 		{"missing fault model", mk(firstGoodPolicy(), opts), func(s Snapshot) Snapshot { s.HasFaults = true; return s }},
 		{"future schema", mk(firstGoodPolicy(), opts), func(s Snapshot) Snapshot { s.Version = SnapshotVersion + 1; return s }},
+		{"v1 schema (had Workers, serial tie-break stream)", mk(firstGoodPolicy(), opts), func(s Snapshot) Snapshot { s.Version = 1; return s }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -281,7 +280,7 @@ func TestSnapshotInjectorState(t *testing.T) {
 	dst := m.ID([]int{2, 2})
 
 	runRef := func() (Result, []moveRec) {
-		e, err := New(m, cloneableFirstGood{firstGoodPolicy()}, nil, opts)
+		e, err := New(m, firstGoodPolicy(), nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +289,7 @@ func TestSnapshotInjectorState(t *testing.T) {
 	}
 	refRes, refLog := runRef()
 
-	a, err := New(m, cloneableFirstGood{firstGoodPolicy()}, nil, opts)
+	a, err := New(m, firstGoodPolicy(), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestSnapshotInjectorState(t *testing.T) {
 		t.Fatalf("injector state not captured: %+v", snap)
 	}
 
-	b, err := New(m, cloneableFirstGood{firstGoodPolicy()}, nil, opts)
+	b, err := New(m, firstGoodPolicy(), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,11 +150,10 @@ func TestInjectorShardParity(t *testing.T) {
 	}
 	for name, mkSrc := range injectorCases(t, m) {
 		t.Run(name, func(t *testing.T) {
-			// Workers > 1, so tie-breaks come from per-(seed, step, node)
-			// streams and the serial stream feeds injection alone — the
-			// regime the sharded engine's parity contract is defined on.
+			// Tie-breaks come from per-(seed, step, node) streams and the
+			// engine's own stream feeds injection alone, on both engines.
 			single, err := sim.New(m, core.NewRestrictedPriority(), nil, sim.Options{
-				Seed: 7, Validation: sim.ValidateGreedy, MaxSteps: 5000, Workers: 2,
+				Seed: 7, Validation: sim.ValidateGreedy, MaxSteps: 5000,
 			})
 			if err != nil {
 				t.Fatal(err)
