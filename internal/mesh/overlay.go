@@ -2,20 +2,25 @@ package mesh
 
 // Overlay is a mutable failure view over an immutable Mesh: the same
 // geometry with a current set of failed links and failed nodes subtracted
-// from the connectivity. It implements Topology, so engines and policies
-// route against it exactly as they route against the intact mesh.
+// from the connectivity. It keeps the failure set and lowers it into the
+// embedded *Tables — a private copy of the base mesh's table in which every
+// arc the failure set removes reads -1 — so engines and policies route
+// against Overlay.Tables exactly as they route against the intact mesh, and
+// the Overlay is a Topology through it. An arc is alive iff the base arc
+// exists, the link is not cut and neither endpoint is down; each mutation
+// patches the O(dirs) affected rows.
 //
 // Links are undirected: failing the link between u and v removes both
 // directed arcs, which preserves the in-degree == out-degree identity every
 // hot-potato capacity argument rests on. A failed node loses all incident
 // arcs (its neighbors see their degree drop accordingly).
 //
-// Mutation is not synchronized. The engine mutates the overlay only between
-// routing phases (at the beginning of a step), while the concurrent routing
-// workers only read — the same discipline as the rest of the engine state.
+// Mutation is not synchronized. The engine mutates the overlay only at the
+// beginning of a step, before anything routes against its table.
 type Overlay struct {
-	base     *Mesh
-	arcDown  []bool // directed arc (from, dir) explicitly cut, indexed from*DirCount+dir
+	*Tables          // the masked copy; Reset and the refresh methods write it
+	intact   *Tables // the base mesh's shared table the mask is derived from
+	arcDown  []bool  // directed arc (from, dir) explicitly cut, indexed from*DirCount+dir
 	nodeDown []bool
 
 	downLinks int // currently failed undirected links
@@ -28,14 +33,44 @@ type Overlay struct {
 // NewOverlay returns a fault-free overlay of the base mesh.
 func NewOverlay(base *Mesh) *Overlay {
 	return &Overlay{
-		base:     base,
+		Tables:   base.Tables().private(),
+		intact:   base.Tables(),
 		arcDown:  make([]bool, base.Size()*base.DirCount()),
 		nodeDown: make([]bool, base.Size()),
 	}
 }
 
-// Base returns the underlying intact mesh.
-func (o *Overlay) Base() *Mesh { return o.base }
+// refreshLink re-derives the two directed arcs of the base link out of
+// `from` along dir from the failure set. They live and die together: the cut
+// flag is kept on both and the endpoints are the same two nodes.
+func (o *Overlay) refreshLink(from NodeID, dir Dir) {
+	i := int(from)*o.dirCount + int(dir)
+	to := o.intact.neighbor[i]
+	j := int(to)*o.dirCount + int(dir.Opposite())
+	alive := !o.arcDown[i] && !o.nodeDown[from] && !o.nodeDown[to]
+	switch {
+	case alive == (o.neighbor[i] >= 0):
+	case alive:
+		o.neighbor[i], o.neighbor[j] = to, from
+		o.degree[from]++
+		o.degree[to]++
+		o.dead -= 2
+	default:
+		o.neighbor[i], o.neighbor[j] = -1, -1
+		o.degree[from]--
+		o.degree[to]--
+		o.dead += 2
+	}
+}
+
+// refreshNode re-derives every link incident to id.
+func (o *Overlay) refreshNode(id NodeID) {
+	for d := 0; d < o.dirCount; d++ {
+		if o.intact.HasArc(id, Dir(d)) {
+			o.refreshLink(id, Dir(d))
+		}
+	}
+}
 
 // Version counts mutations; it changes iff the failure set changed, so
 // callers can cache degraded-state work between fault transitions.
@@ -59,7 +94,16 @@ func (o *Overlay) NodeDown(id NodeID) bool { return o.nodeDown[id] }
 // LinkDown reports whether the link out of `from` in direction dir is
 // explicitly cut (independent of the state of its endpoints).
 func (o *Overlay) LinkDown(from NodeID, dir Dir) bool {
-	return o.arcDown[int(from)*o.base.DirCount()+int(dir)]
+	return o.arcDown[int(from)*o.dirCount+int(dir)]
+}
+
+// setLink records the cut state of the link out of `from` along dir on both
+// of its directed arcs and patches the table.
+func (o *Overlay) setLink(from NodeID, dir Dir, down bool) {
+	i := int(from)*o.dirCount + int(dir)
+	o.arcDown[i] = down
+	o.arcDown[int(o.intact.neighbor[i])*o.dirCount+int(dir.Opposite())] = down
+	o.refreshLink(from, dir)
 }
 
 // FailLink cuts the (bidirectional) link out of `from` in direction dir.
@@ -72,9 +116,7 @@ func (o *Overlay) FailLink(from NodeID, dir Dir) bool {
 	if o.LinkDown(from, dir) {
 		return false
 	}
-	to := o.base.step(from, dir, 1)
-	o.arcDown[int(from)*o.base.DirCount()+int(dir)] = true
-	o.arcDown[int(to)*o.base.DirCount()+int(dir.Opposite())] = true
+	o.setLink(from, dir, true)
 	o.downLinks++
 	o.linkFails++
 	o.version++
@@ -89,9 +131,7 @@ func (o *Overlay) RestoreLink(from NodeID, dir Dir) bool {
 	if !o.LinkDown(from, dir) {
 		return false
 	}
-	to := o.base.step(from, dir, 1)
-	o.arcDown[int(from)*o.base.DirCount()+int(dir)] = false
-	o.arcDown[int(to)*o.base.DirCount()+int(dir.Opposite())] = false
+	o.setLink(from, dir, false)
 	o.downLinks--
 	o.version++
 	return true
@@ -104,6 +144,7 @@ func (o *Overlay) FailNode(id NodeID) bool {
 		return false
 	}
 	o.nodeDown[id] = true
+	o.refreshNode(id)
 	o.downNodes++
 	o.nodeFails++
 	o.version++
@@ -117,6 +158,7 @@ func (o *Overlay) RestoreNode(id NodeID) bool {
 		return false
 	}
 	o.nodeDown[id] = false
+	o.refreshNode(id)
 	o.downNodes--
 	o.version++
 	return true
@@ -129,122 +171,10 @@ func (o *Overlay) Reset() {
 	}
 	clear(o.arcDown)
 	clear(o.nodeDown)
+	copy(o.neighbor, o.intact.neighbor)
+	copy(o.degree, o.intact.degree)
+	o.dead = 0
 	o.downLinks = 0
 	o.downNodes = 0
 	o.version++
-}
-
-// Geometry: delegated to the base mesh (see the Topology comment for why
-// Dist and friends deliberately ignore the failure set).
-
-func (o *Overlay) Dim() int                          { return o.base.Dim() }
-func (o *Overlay) Side() int                         { return o.base.Side() }
-func (o *Overlay) Size() int                         { return o.base.Size() }
-func (o *Overlay) Wrap() bool                        { return o.base.Wrap() }
-func (o *Overlay) DirCount() int                     { return o.base.DirCount() }
-func (o *Overlay) Diameter() int                     { return o.base.Diameter() }
-func (o *Overlay) Contains(id NodeID) bool           { return o.base.Contains(id) }
-func (o *Overlay) CheckID(id NodeID) error           { return o.base.CheckID(id) }
-func (o *Overlay) Coord(id NodeID, buf []int) []int  { return o.base.Coord(id, buf) }
-func (o *Overlay) CoordAxis(id NodeID, axis int) int { return o.base.CoordAxis(id, axis) }
-func (o *Overlay) ID(coord []int) NodeID             { return o.base.ID(coord) }
-func (o *Overlay) Dist(a, b NodeID) int              { return o.base.Dist(a, b) }
-func (o *Overlay) ParityClass(id NodeID) int         { return o.base.ParityClass(id) }
-func (o *Overlay) SnakeRank(id NodeID) int           { return o.base.SnakeRank(id) }
-
-// Connectivity: the base mesh minus the failure set.
-
-// HasArc reports whether the arc exists and survives the failure set: the
-// base arc exists, neither endpoint is down, and the link is not cut.
-func (o *Overlay) HasArc(from NodeID, dir Dir) bool {
-	if o.nodeDown[from] || !o.base.HasArc(from, dir) {
-		return false
-	}
-	if o.arcDown[int(from)*o.base.DirCount()+int(dir)] {
-		return false
-	}
-	return !o.nodeDown[o.base.step(from, dir, 1)]
-}
-
-// Neighbor returns the node reached along dir, false if the arc is missing
-// or failed.
-func (o *Overlay) Neighbor(from NodeID, dir Dir) (NodeID, bool) {
-	if !o.HasArc(from, dir) {
-		return from, false
-	}
-	return o.base.step(from, dir, 1), true
-}
-
-// TwoNeighbor returns the 2-neighbor reached by two surviving arcs in
-// direction dir.
-func (o *Overlay) TwoNeighbor(from NodeID, dir Dir) (NodeID, bool) {
-	mid, ok := o.Neighbor(from, dir)
-	if !ok {
-		return from, false
-	}
-	to, ok := o.Neighbor(mid, dir)
-	if !ok {
-		return from, false
-	}
-	return to, true
-}
-
-// Degree returns the number of surviving outgoing arcs: 0 for a failed
-// node, the base degree minus failed incident links otherwise.
-func (o *Overlay) Degree(id NodeID) int {
-	if o.nodeDown[id] {
-		return 0
-	}
-	if o.downLinks == 0 && o.downNodes == 0 {
-		return o.base.Degree(id)
-	}
-	deg := 0
-	for d := 0; d < o.base.DirCount(); d++ {
-		if o.HasArc(id, Dir(d)) {
-			deg++
-		}
-	}
-	return deg
-}
-
-// GoodDirs returns the base mesh's good directions whose arcs survive the
-// failure set. A packet all of whose geometrically good arcs are down has
-// no good direction: every surviving arc deflects it, which is exactly how
-// a bufferless router degrades.
-func (o *Overlay) GoodDirs(from, dst NodeID, buf []Dir) []Dir {
-	start := len(buf)
-	buf = o.base.GoodDirs(from, dst, buf)
-	if o.downLinks == 0 && o.downNodes == 0 {
-		return buf
-	}
-	w := start
-	for _, d := range buf[start:] {
-		if o.HasArc(from, d) {
-			buf[w] = d
-			w++
-		}
-	}
-	return buf[:w]
-}
-
-// GoodDirCount returns the number of surviving good directions.
-func (o *Overlay) GoodDirCount(from, dst NodeID) int {
-	if o.downLinks == 0 && o.downNodes == 0 {
-		return o.base.GoodDirCount(from, dst)
-	}
-	var buf [2 * MaxDim]Dir
-	return len(o.GoodDirs(from, dst, buf[:0]))
-}
-
-// IsGoodDir reports whether dir is a good direction whose arc survives.
-func (o *Overlay) IsGoodDir(from, dst NodeID, dir Dir) bool {
-	return o.base.IsGoodDir(from, dst, dir) && o.HasArc(from, dir)
-}
-
-// String renders e.g. "mesh(d=2, n=8) [3 links, 1 node down]".
-func (o *Overlay) String() string {
-	if o.downLinks == 0 && o.downNodes == 0 {
-		return o.base.String()
-	}
-	return o.base.String() + " [faults]"
 }

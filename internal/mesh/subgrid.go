@@ -2,50 +2,27 @@ package mesh
 
 import "fmt"
 
-// Subgrid is the flat-table view of one rectangular slice of a 2-dimensional
-// mesh or torus: the spatial-decomposition unit of the sharded engine. It
-// owns the nodes with x in [X0, X0+W) and y in [Y0, Y0+H) and precomputes,
-// per owned node, the same hot tables mesh.Tables keeps globally — neighbor
-// ids, degrees, cached coordinates — sized to the rectangle instead of the
-// whole mesh, so P shards together cost what one global table does.
-//
-// The neighbor table is a ghost-boundary view: entries hold *global* node
-// ids, so a boundary node's neighbor lands outside the rectangle (in a halo
-// cell another shard owns) rather than being clipped to it. On a torus the
-// halo wraps — the neighbor of an edge node is the node on the far side of
-// the mesh — while on a mesh the boundary arcs that leave the network are
-// absent (-1), exactly as on the base topology.
-//
-// Subgrid implements Topology with global semantics throughout: node ids,
-// coordinates, distances, good directions and snake ranks are those of the
-// base mesh, never rectangle-relative. A policy routing against a Subgrid
-// therefore sees precisely what it would see on the whole mesh, which is
-// what makes sharded runs bit-identical to single-shard ones. Owned nodes
-// are served from the local tables; other nodes (a packet's destination,
-// typically) fall back to the base mesh's arithmetic.
+// Subgrid is one rectangular slice of a 2-dimensional mesh or torus: the
+// spatial-decomposition unit of the sharded engine. It owns the nodes with x
+// in [X0, X0+W) and y in [Y0, Y0+H) and is nothing but that rectangle — the
+// ownership test and the conversion between global node ids and row-major
+// rectangle-local indices. It holds no connectivity of its own: every shard
+// routes against the base mesh's shared Tables, whose neighbor entries are
+// global ids, so a boundary node's neighbor simply fails Owns (it lies in a
+// halo cell another shard owns, wrapped to the far side of the mesh on a
+// torus) and an arc that leaves the network is absent exactly as on the base
+// topology.
 //
 // Subgrids are immutable once built and safe for concurrent use.
 type Subgrid struct {
 	base *Mesh
 	// Owned rectangle, in global coordinates.
 	x0, y0, w, h int
-
-	side     int32
-	wrap     bool
-	dirCount int
-
-	// neighbor[local*dirCount+dir] is the global id of the node reached
-	// along dir, or -1 when the arc leaves the mesh (never on a torus).
-	neighbor []NodeID
-	// degree[local] is the out-degree of the owned node.
-	degree []int8
-	// coord[local*2+axis] is the cached global coordinate of the owned node.
-	coord []int32
 }
 
-// Subgrid returns the flat-table view of the rectangle with origin (x0, y0)
-// and extent w x h on a 2-dimensional mesh or torus. The rectangle must lie
-// entirely inside the mesh; degenerate 1 x k and k x 1 strips are valid.
+// Subgrid returns the rectangle with origin (x0, y0) and extent w x h on a
+// 2-dimensional mesh or torus. The rectangle must lie entirely inside the
+// mesh; degenerate 1 x k and k x 1 strips are valid.
 func (m *Mesh) Subgrid(x0, y0, w, h int) (*Subgrid, error) {
 	if m.dim != 2 {
 		return nil, fmt.Errorf("mesh: subgrid needs a 2-dimensional mesh, have dim %d", m.dim)
@@ -57,39 +34,8 @@ func (m *Mesh) Subgrid(x0, y0, w, h int) (*Subgrid, error) {
 		return nil, fmt.Errorf("mesh: subgrid [%d,%d)x[%d,%d) leaves the %dx%d mesh",
 			x0, x0+w, y0, y0+h, m.side, m.side)
 	}
-	g := &Subgrid{
-		base:     m,
-		x0:       x0,
-		y0:       y0,
-		w:        w,
-		h:        h,
-		side:     int32(m.side),
-		wrap:     m.wrap,
-		dirCount: m.DirCount(),
-		neighbor: make([]NodeID, w*h*m.DirCount()),
-		degree:   make([]int8, w*h),
-		coord:    make([]int32, w*h*2),
-	}
-	for local := 0; local < w*h; local++ {
-		x := x0 + local%w
-		y := y0 + local/w
-		node := NodeID(y*m.side + x)
-		g.coord[local*2] = int32(x)
-		g.coord[local*2+1] = int32(y)
-		g.degree[local] = int8(m.Degree(node))
-		for d := 0; d < g.dirCount; d++ {
-			if to, ok := m.Neighbor(node, Dir(d)); ok {
-				g.neighbor[local*g.dirCount+d] = to
-			} else {
-				g.neighbor[local*g.dirCount+d] = -1
-			}
-		}
-	}
-	return g, nil
+	return &Subgrid{base: m, x0: x0, y0: y0, w: w, h: h}, nil
 }
-
-// Base returns the mesh the subgrid was sliced from.
-func (g *Subgrid) Base() *Mesh { return g.base }
 
 // Bounds returns the owned rectangle: origin (x0, y0) and extent w x h in
 // global coordinates.
@@ -119,178 +65,13 @@ func (g *Subgrid) GlobalID(local int) NodeID {
 	return NodeID((g.y0+local/g.w)*g.base.side + g.x0 + local%g.w)
 }
 
-// Geometry: global semantics, delegated to the base mesh where no local
-// table applies.
+// DegreeLocal returns the out-degree of an owned local index, read from the
+// base mesh's shared table.
+func (g *Subgrid) DegreeLocal(local int) int {
+	return g.base.Tables().Degree(g.GlobalID(local))
+}
 
-func (g *Subgrid) Dim() int                  { return 2 }
-func (g *Subgrid) Side() int                 { return g.base.side }
-func (g *Subgrid) Size() int                 { return g.base.size }
-func (g *Subgrid) Wrap() bool                { return g.wrap }
-func (g *Subgrid) DirCount() int             { return g.dirCount }
-func (g *Subgrid) Diameter() int             { return g.base.Diameter() }
-func (g *Subgrid) Contains(id NodeID) bool   { return g.base.Contains(id) }
-func (g *Subgrid) CheckID(id NodeID) error   { return g.base.CheckID(id) }
-func (g *Subgrid) ID(coord []int) NodeID     { return g.base.ID(coord) }
-func (g *Subgrid) ParityClass(id NodeID) int { return g.base.ParityClass(id) }
-func (g *Subgrid) SnakeRank(id NodeID) int   { return g.base.SnakeRank(id) }
-
-// String renders the view as e.g. "mesh(d=2, n=64)[8,16)x[0,8)".
+// String renders the rectangle as e.g. "mesh(d=2, n=64)[8,16)x[0,8)".
 func (g *Subgrid) String() string {
 	return fmt.Sprintf("%s[%d,%d)x[%d,%d)", g.base, g.x0, g.x0+g.w, g.y0, g.y0+g.h)
 }
-
-// Coord writes the global coordinates of id into buf and returns buf[:2].
-func (g *Subgrid) Coord(id NodeID, buf []int) []int {
-	if buf == nil {
-		buf = make([]int, 2)
-	}
-	if g.Owns(id) {
-		l := g.LocalID(id)
-		buf[0] = int(g.coord[l*2])
-		buf[1] = int(g.coord[l*2+1])
-		return buf[:2]
-	}
-	return g.base.Coord(id, buf)
-}
-
-// CoordAxis returns the global coordinate of id along the given axis.
-func (g *Subgrid) CoordAxis(id NodeID, axis int) int { return g.base.CoordAxis(id, axis) }
-
-// Dist returns the global distance between two nodes (L1 on the mesh,
-// per-axis wraparound minimum on the torus).
-func (g *Subgrid) Dist(a, b NodeID) int { return g.base.Dist(a, b) }
-
-// HasArc reports whether the arc leaving `from` along dir exists on the base
-// mesh — including arcs that cross the rectangle boundary into territory
-// another shard owns.
-func (g *Subgrid) HasArc(from NodeID, dir Dir) bool {
-	if g.Owns(from) {
-		return g.neighbor[g.LocalID(from)*g.dirCount+int(dir)] >= 0
-	}
-	return g.base.HasArc(from, dir)
-}
-
-// Neighbor returns the global node reached from `from` along dir; false if
-// the arc leaves the mesh. Boundary arcs report the halo node on the other
-// side (wrapping on a torus), never a clipped id.
-func (g *Subgrid) Neighbor(from NodeID, dir Dir) (NodeID, bool) {
-	if g.Owns(from) {
-		to := g.neighbor[g.LocalID(from)*g.dirCount+int(dir)]
-		if to < 0 {
-			return from, false
-		}
-		return to, true
-	}
-	return g.base.Neighbor(from, dir)
-}
-
-// NeighborLocal returns, for an owned local index, the global neighbor id
-// along dir (or -1 off the mesh) and whether that neighbor is itself owned.
-// This is the sharded engine's boundary-egress primitive: !owned flags a
-// halo crossing.
-func (g *Subgrid) NeighborLocal(local int, dir Dir) (to NodeID, owned, ok bool) {
-	to = g.neighbor[local*g.dirCount+int(dir)]
-	if to < 0 {
-		return -1, false, false
-	}
-	return to, g.Owns(to), true
-}
-
-// TwoNeighbor returns the 2-neighbor of `from` in direction dir.
-func (g *Subgrid) TwoNeighbor(from NodeID, dir Dir) (NodeID, bool) {
-	return g.base.TwoNeighbor(from, dir)
-}
-
-// Degree returns the out-degree of the node on the base mesh.
-func (g *Subgrid) Degree(id NodeID) int {
-	if g.Owns(id) {
-		return int(g.degree[g.LocalID(id)])
-	}
-	return g.base.Degree(id)
-}
-
-// DegreeLocal returns the out-degree of an owned local index.
-func (g *Subgrid) DegreeLocal(local int) int { return int(g.degree[local]) }
-
-// GoodDirs appends the good directions (Definition 5) for a packet at
-// `from` destined to dst, in the same order Mesh.GoodDirs produces them.
-func (g *Subgrid) GoodDirs(from, dst NodeID, buf []Dir) []Dir {
-	var tmp [2 * MaxDim]Dir
-	n := g.GoodDirsInto(from, dst, &tmp)
-	return append(buf, tmp[:n]...)
-}
-
-// GoodDirsInto writes the good directions for a packet at `from` destined to
-// dst into buf and returns the count, in the same order and with the same
-// torus tie handling as Tables.GoodDirsInto. `from` is served from the local
-// coordinate cache when owned; dst is decomposed arithmetically (it is
-// usually far outside the rectangle).
-func (g *Subgrid) GoodDirsInto(from, dst NodeID, buf *[2 * MaxDim]Dir) int {
-	var fx, fy int32
-	if g.Owns(from) {
-		l := g.LocalID(from)
-		fx, fy = g.coord[l*2], g.coord[l*2+1]
-	} else {
-		fx = int32(int(from) % g.base.side)
-		fy = int32(int(from) / g.base.side)
-	}
-	dx := int32(int(dst) % g.base.side)
-	dy := int32(int(dst) / g.base.side)
-	n := 0
-	if !g.wrap {
-		if fx != dx {
-			if fx < dx {
-				buf[n] = Dir(0)
-			} else {
-				buf[n] = Dir(1)
-			}
-			n++
-		}
-		if fy != dy {
-			if fy < dy {
-				buf[n] = Dir(2)
-			} else {
-				buf[n] = Dir(3)
-			}
-			n++
-		}
-		return n
-	}
-	for a, pair := range [2][2]int32{{fx, dx}, {fy, dy}} {
-		fwd := pair[1] - pair[0]
-		if fwd == 0 {
-			continue
-		}
-		if fwd < 0 {
-			fwd += g.side
-		}
-		switch {
-		case 2*fwd < g.side:
-			buf[n] = Dir(2 * a)
-			n++
-		case 2*fwd > g.side:
-			buf[n] = Dir(2*a + 1)
-			n++
-		default: // exactly opposite on the ring: both ways are shortest
-			buf[n] = Dir(2 * a)
-			buf[n+1] = Dir(2*a + 1)
-			n += 2
-		}
-	}
-	return n
-}
-
-// GoodDirCount returns the number of good directions for a packet at `from`
-// destined to dst.
-func (g *Subgrid) GoodDirCount(from, dst NodeID) int {
-	var buf [2 * MaxDim]Dir
-	return g.GoodDirsInto(from, dst, &buf)
-}
-
-// IsGoodDir reports whether dir is a good direction for a packet at `from`
-// destined to dst.
-func (g *Subgrid) IsGoodDir(from, dst NodeID, dir Dir) bool {
-	return g.base.IsGoodDir(from, dst, dir)
-}
-
-var _ Topology = (*Subgrid)(nil)

@@ -1,17 +1,19 @@
 package mesh
 
+import "slices"
+
 // Tables is the precomputed flat-array view of a Mesh: the same topology
 // with every hot primitive — Neighbor, HasArc, Degree, GoodDirs, IsGoodDir,
 // Dist, coordinate access — turned into array lookups and subtractions
-// instead of div/mod coordinate arithmetic. It implements Topology, so it
-// drops into every place a *Mesh does; the simulation engine additionally
-// devirtualizes to it (concrete method calls on the intact mesh's hot path)
-// whenever no fault overlay is installed.
+// instead of div/mod coordinate arithmetic. It implements Topology and is
+// the one connectivity implementation every engine routes against: the
+// single engine, every shard and every distributed worker read the mesh's
+// shared table, and an Overlay lowers its failure set into a private copy.
 //
-// Tables are immutable once built and safe for concurrent use. Build them
-// with (*Mesh).Tables(), which constructs them once per mesh and caches
-// them; the cost is O(size * dirs) time and memory (a few words per node),
-// paid only by callers that opt in.
+// The shared table (*Mesh).Tables() returns is never mutated and is safe for
+// concurrent use; it is built once per mesh and cached, at O(size * dirs)
+// time and memory (a few words per node). Only an Overlay writes to a table,
+// and only to the private copy it owns.
 type Tables struct {
 	base     *Mesh
 	dim      int
@@ -20,12 +22,18 @@ type Tables struct {
 	dirCount int
 
 	// neighbor[int(from)*dirCount+int(dir)] is the node reached along dir,
-	// or -1 when the arc leads off the mesh.
+	// or -1 when the arc leads off the mesh or (on an Overlay's copy) is
+	// masked by the failure set.
 	neighbor []NodeID
-	// degree[id] is the out-degree of the node.
+	// degree[id] is the number of non-negative entries in the node's
+	// neighbor row.
 	degree []int8
 	// coord[int(id)*dim+axis] is the cached coordinate of the node.
 	coord []int32
+	// dead counts the base arcs currently masked out of neighbor. It is 0 on
+	// the shared table for good; the good-direction queries consult the
+	// neighbor row only when it is non-zero.
+	dead int
 }
 
 // Tables returns the flat-array view of the mesh, building it on first use.
@@ -62,6 +70,15 @@ func buildTables(m *Mesh) *Tables {
 		}
 	}
 	return t
+}
+
+// private returns a copy whose neighbor and degree rows the caller may
+// patch; the coordinate cache is never written and stays shared.
+func (t *Tables) private() *Tables {
+	c := *t
+	c.neighbor = slices.Clone(t.neighbor)
+	c.degree = slices.Clone(t.degree)
+	return &c
 }
 
 // Base returns the mesh the tables were built from.
@@ -126,13 +143,14 @@ func (t *Tables) Dist(a, b NodeID) int {
 	return int(sum)
 }
 
-// HasArc reports whether the arc leaving `from` along dir exists.
+// HasArc reports whether the arc leaving `from` along dir exists (and is not
+// masked).
 func (t *Tables) HasArc(from NodeID, dir Dir) bool {
 	return t.neighbor[int(from)*t.dirCount+int(dir)] >= 0
 }
 
 // Neighbor returns the node reached from `from` along dir; false if the arc
-// leads off the mesh.
+// leads off the mesh or is masked.
 func (t *Tables) Neighbor(from NodeID, dir Dir) (NodeID, bool) {
 	to := t.neighbor[int(from)*t.dirCount+int(dir)]
 	if to < 0 {
@@ -155,53 +173,27 @@ func (t *Tables) TwoNeighbor(from NodeID, dir Dir) (NodeID, bool) {
 	return to, true
 }
 
-// Degree returns the out-degree of the node.
+// Degree returns the out-degree of the node: its arcs that exist and are not
+// masked (0 for a failed node).
 func (t *Tables) Degree(id NodeID) int { return int(t.degree[id]) }
 
 // GoodDirs appends the good directions (Definition 5) for a packet at
 // `from` destined to dst, in the same order Mesh.GoodDirs produces them:
 // by axis, "+" before "-" on a torus tie.
 func (t *Tables) GoodDirs(from, dst NodeID, buf []Dir) []Dir {
-	cf := t.coord[int(from)*t.dim:]
-	cd := t.coord[int(dst)*t.dim:]
-	if !t.wrap {
-		for a := 0; a < t.dim; a++ {
-			f, d := cf[a], cd[a]
-			if f == d {
-				continue
-			}
-			if f < d {
-				buf = append(buf, Dir(2*a))
-			} else {
-				buf = append(buf, Dir(2*a+1))
-			}
-		}
-		return buf
-	}
-	for a := 0; a < t.dim; a++ {
-		fwd := cd[a] - cf[a]
-		if fwd == 0 {
-			continue
-		}
-		if fwd < 0 {
-			fwd += t.side
-		}
-		switch {
-		case 2*fwd < t.side:
-			buf = append(buf, Dir(2*a))
-		case 2*fwd > t.side:
-			buf = append(buf, Dir(2*a+1))
-		default: // exactly opposite on the ring: both ways are shortest
-			buf = append(buf, Dir(2*a), Dir(2*a+1))
-		}
-	}
-	return buf
+	var tmp [2 * MaxDim]Dir
+	n := t.GoodDirsInto(from, dst, &tmp)
+	return append(buf, tmp[:n]...)
 }
 
 // GoodDirsInto writes the good directions for a packet at `from` destined
 // to dst into buf (which always has room: at most 2 per axis) and returns
 // the count, in the same order as GoodDirs. The fixed-array form avoids the
-// slice-append bookkeeping on the per-packet hot path.
+// slice-append bookkeeping on the per-packet hot path. On a table with
+// masked arcs only the good directions whose arc survives are reported: a
+// packet all of whose geometrically good arcs are down has no good
+// direction, so every surviving arc deflects it — exactly how a bufferless
+// router degrades.
 func (t *Tables) GoodDirsInto(from, dst NodeID, buf *[2 * MaxDim]Dir) int {
 	cf := t.coord[int(from)*t.dim:]
 	cd := t.coord[int(dst)*t.dim:]
@@ -219,66 +211,56 @@ func (t *Tables) GoodDirsInto(from, dst NodeID, buf *[2 * MaxDim]Dir) int {
 			}
 			n++
 		}
+	} else {
+		for a := 0; a < t.dim; a++ {
+			fwd := cd[a] - cf[a]
+			if fwd == 0 {
+				continue
+			}
+			if fwd < 0 {
+				fwd += t.side
+			}
+			switch {
+			case 2*fwd < t.side:
+				buf[n] = Dir(2 * a)
+				n++
+			case 2*fwd > t.side:
+				buf[n] = Dir(2*a + 1)
+				n++
+			default: // exactly opposite on the ring: both ways are shortest
+				buf[n] = Dir(2 * a)
+				buf[n+1] = Dir(2*a + 1)
+				n += 2
+			}
+		}
+	}
+	if t.dead == 0 {
 		return n
 	}
-	for a := 0; a < t.dim; a++ {
-		fwd := cd[a] - cf[a]
-		if fwd == 0 {
-			continue
-		}
-		if fwd < 0 {
-			fwd += t.side
-		}
-		switch {
-		case 2*fwd < t.side:
-			buf[n] = Dir(2 * a)
-			n++
-		case 2*fwd > t.side:
-			buf[n] = Dir(2*a + 1)
-			n++
-		default: // exactly opposite on the ring: both ways are shortest
-			buf[n] = Dir(2 * a)
-			buf[n+1] = Dir(2*a + 1)
-			n += 2
+	row := t.neighbor[int(from)*t.dirCount:]
+	w := 0
+	for _, d := range buf[:n] {
+		if row[d] >= 0 {
+			buf[w] = d
+			w++
 		}
 	}
-	return n
+	return w
 }
 
 // GoodDirCount returns the number of good directions for a packet at `from`
 // destined to dst.
 func (t *Tables) GoodDirCount(from, dst NodeID) int {
-	cf := t.coord[int(from)*t.dim:]
-	cd := t.coord[int(dst)*t.dim:]
-	cnt := 0
-	if !t.wrap {
-		for a := 0; a < t.dim; a++ {
-			if cf[a] != cd[a] {
-				cnt++
-			}
-		}
-		return cnt
-	}
-	for a := 0; a < t.dim; a++ {
-		fwd := cd[a] - cf[a]
-		if fwd == 0 {
-			continue
-		}
-		if fwd < 0 {
-			fwd += t.side
-		}
-		if 2*fwd == t.side {
-			cnt += 2
-		} else {
-			cnt++
-		}
-	}
-	return cnt
+	var buf [2 * MaxDim]Dir
+	return t.GoodDirsInto(from, dst, &buf)
 }
 
 // IsGoodDir reports whether dir is a good direction for a packet at `from`
-// destined to dst.
+// destined to dst (and, on a table with masked arcs, its arc survives).
 func (t *Tables) IsGoodDir(from, dst NodeID, dir Dir) bool {
+	if t.dead != 0 && t.neighbor[int(from)*t.dirCount+int(dir)] < 0 {
+		return false
+	}
 	a := int(dir) >> 1
 	f := t.coord[int(from)*t.dim+a]
 	d := t.coord[int(dst)*t.dim+a]
@@ -300,5 +282,3 @@ func (t *Tables) IsGoodDir(from, dst NodeID, dir Dir) bool {
 	}
 	return 2*fwd >= t.side
 }
-
-var _ Topology = (*Tables)(nil)

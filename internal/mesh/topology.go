@@ -1,11 +1,13 @@
 package mesh
 
-// Topology is the read-only network view the simulator and its policies
-// route against. *Mesh is the intact network; *Overlay is a mesh with a
-// (possibly time-varying) set of failed links and nodes. Everything above
-// this package — the engine, the policies, the analysis harness — routes
-// against a Topology, so the static-topology assumption lives behind a
-// single interface instead of being baked into every layer.
+// Topology is the read-only network view policies and the analysis harness
+// are written against. There are two implementations: *Mesh answers every
+// query by coordinate arithmetic and is the reference; *Tables answers them
+// from flat arrays and is what every engine routes against — the mesh's
+// shared table when the network is intact, an *Overlay's private masked copy
+// (which makes the Overlay a Topology too, through the table it embeds) when
+// links and nodes can fail. The static-topology assumption therefore lives
+// behind this one interface instead of being baked into every layer.
 //
 // The split between geometry and connectivity is deliberate: Dist,
 // GoodDirs, IsGoodDir and friends describe which moves make *progress*,
@@ -46,5 +48,6 @@ type Topology interface {
 
 var (
 	_ Topology = (*Mesh)(nil)
+	_ Topology = (*Tables)(nil)
 	_ Topology = (*Overlay)(nil)
 )

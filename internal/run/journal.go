@@ -79,11 +79,17 @@ func OpenJournal(path, label string) (*Journal, error) {
 
 // ResumeJournal opens an existing journal for appending, after loading the
 // fates it already records. The header must match label (pass "" to skip
-// the check). A torn final line — the signature of a hard kill mid-write —
-// is tolerated and ignored; torn lines elsewhere are corruption and fail.
+// the check). A torn final line — the signature of a hard kill mid-write:
+// unparseable, or complete but for its newline — is tolerated and ignored;
+// torn lines elsewhere are corruption and fail.
 func ResumeJournal(path, label string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
+		return nil, fmt.Errorf("run: journal: %w", err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("run: journal: %w", err)
 	}
 	j := &Journal{f: f, done: make(map[string]Entry)}
@@ -98,6 +104,10 @@ func ResumeJournal(path, label string) (*Journal, error) {
 		line := sc.Bytes()
 		lineStart := offset
 		offset += int64(len(line)) + 1 // every line we write ends in '\n'
+		// A line the file ends inside of was cut before its newline. Even
+		// when it parses, appending after it would fuse two objects onto
+		// one line, so it is torn like any other partial write.
+		unterminated := offset > st.Size()
 		if len(line) == 0 {
 			continue
 		}
@@ -107,7 +117,7 @@ func ResumeJournal(path, label string) (*Journal, error) {
 		}
 		if lineNo == 1 {
 			var h header
-			if err := json.Unmarshal(line, &h); err != nil || h.Journal != "hotpotato-run" {
+			if err := json.Unmarshal(line, &h); err != nil || h.Journal != "hotpotato-run" || unterminated {
 				f.Close()
 				return nil, fmt.Errorf("%w: %s is not a run journal", ErrBadJournal, path)
 			}
@@ -122,7 +132,7 @@ func ResumeJournal(path, label string) (*Journal, error) {
 			continue
 		}
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
+		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" || unterminated {
 			torn, tornStart = lineNo, lineStart // tolerated iff nothing follows
 			continue
 		}

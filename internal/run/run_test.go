@@ -323,6 +323,66 @@ func TestResumeToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestResumeUnterminatedTail: a journal killed between an entry's payload
+// and its newline holds a final line that parses but is not terminated. It
+// is torn like any other partial write — resuming must not append after it,
+// or the next record fuses onto the same line and the journal is unusable
+// from then on.
+func TestResumeUnterminatedTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "unterminated.jsonl")
+	j, err := OpenJournal(path, "grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Record(Entry{Key: "a", Status: StatusOK, Attempts: 1, Result: payload("a")})
+	j.Record(Entry{Key: "b", Status: StatusOK, Attempts: 1, Result: payload("b")})
+	j.Close()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-1); err != nil { // chop b's newline
+		t.Fatal(err)
+	}
+
+	j2, err := ResumeJournal(path, "grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := j2.Completed("a"); !ok {
+		t.Fatal("entry a lost")
+	}
+	if _, ok := j2.Completed("b"); ok {
+		t.Fatal("unterminated entry b treated as completed")
+	}
+	for _, key := range []string{"b", "c"} {
+		if err := j2.Record(Entry{Key: key, Status: StatusOK, Attempts: 1, Result: payload(key)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j2.Close()
+
+	j3, err := ResumeJournal(path, "grid")
+	if err != nil {
+		t.Fatalf("resume after recording past an unterminated tail: %v", err)
+	}
+	defer j3.Close()
+	for _, key := range []string{"a", "b", "c"} {
+		if _, ok := j3.Completed(key); !ok {
+			t.Fatalf("entry %s did not survive", key)
+		}
+	}
+
+	// A header cut before its newline is no journal at all.
+	hdrOnly := filepath.Join(t.TempDir(), "header.jsonl")
+	if err := os.WriteFile(hdrOnly, []byte(`{"journal":"hotpotato-run","version":1,"label":"grid"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeJournal(hdrOnly, "grid"); !errors.Is(err, ErrBadJournal) {
+		t.Fatalf("unterminated header err = %v, want ErrBadJournal", err)
+	}
+}
+
 // TestGracefulInterrupt: cancelling mid-grid stops dispatching, finishes
 // in-flight cells, journals them, and reports Interrupted; a second Execute
 // against the journal completes only the remainder.

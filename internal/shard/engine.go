@@ -62,11 +62,12 @@ type phaseCmd struct {
 	t     int
 }
 
-// shardState is one shard: a Subgrid view, a NodeRouter against it, the
-// per-node queues of the owned rectangle, and the halo mailboxes. It is
-// owned by one worker goroutine during phases and by the coordinator
-// between barriers; it deliberately holds no reference to the Engine so an
-// abandoned engine can be collected and its finalizer can stop the workers.
+// shardState is one shard: the owned rectangle (a Subgrid), a NodeRouter
+// over the mesh's shared table, the per-node queues of the owned rectangle,
+// and the halo mailboxes. It is owned by one worker goroutine during phases
+// and by the coordinator between barriers; it deliberately holds no
+// reference to the Engine so an abandoned engine can be collected and its
+// finalizer can stop the workers.
 type shardState struct {
 	idx    int
 	sub    *mesh.Subgrid
@@ -241,11 +242,11 @@ func New(m *mesh.Mesh, policy sim.Policy, packets []*sim.Packet, opts Options) (
 	return e, nil
 }
 
-// newShardState builds one shard: the Subgrid view, its NodeRouter, the
-// allocation-free queue backing, and the egress buckets. Shared by the
-// in-process Engine (which adds the phase channel and a worker goroutine)
-// and the distributed Node (which steps its shards sequentially and leaves
-// cmds/wg nil).
+// newShardState builds one shard: the owned rectangle, its NodeRouter over
+// the table every shard of the mesh shares, the allocation-free queue
+// backing, and the egress buckets. Shared by the in-process Engine (which
+// adds the phase channel and a worker goroutine) and the distributed Node
+// (which steps its shards sequentially and leaves cmds/wg nil).
 func newShardState(m *mesh.Mesh, pt *partition, col, row int, policy sim.Policy, seed int64, validation sim.ValidationLevel) (*shardState, error) {
 	x0, y0, w, h := pt.bounds(col, row)
 	sub, err := m.Subgrid(x0, y0, w, h)
@@ -255,7 +256,7 @@ func newShardState(m *mesh.Mesh, pt *partition, col, row int, policy sim.Policy,
 	s := &shardState{
 		idx:        row*pt.grid.P + col,
 		sub:        sub,
-		router:     sim.NewNodeRouter(sub, policy, seed, validation),
+		router:     sim.NewNodeRouter(m.Tables(), policy, seed, validation),
 		pt:         pt,
 		byLocal:    make([][]*sim.Packet, sub.Len()),
 		activeMark: make([]bool, sub.Len()),

@@ -1,7 +1,7 @@
 // Package shard runs one routing problem across a spatially-decomposed
-// mesh: the n x n network is cut into a P x Q grid of rectangular subgrids
-// (mesh.Subgrid views), each stepped by its own goroutine against its own
-// flat tables, with a halo-exchange phase moving boundary-crossing packets
+// mesh: the n x n network is cut into a P x Q grid of rectangles
+// (mesh.Subgrid), each stepped by its own goroutine against the mesh's one
+// shared table, with a halo-exchange phase moving boundary-crossing packets
 // between neighboring shards at every step barrier.
 //
 // Determinism is the package's headline contract: for the same seed, a
@@ -10,9 +10,9 @@
 // single-shard run, for every shard geometry. Three mechanisms deliver
 // this, spelled out in DESIGN.md §10:
 //
-//   - Policies route against mesh.Subgrid views whose node ids, good
-//     directions and distances are global, so a node's routing inputs are
-//     independent of which shard owns it.
+//   - Every shard routes against the same mesh.Tables, whose node ids,
+//     good directions and distances are global, so a node's routing inputs
+//     are independent of which shard owns it.
 //   - Tie-break randomness is derived per (seed, step, global node) with
 //     sim.NodeSeed — the engine's own parallel-path derivation — so the
 //     stream a node draws from is partition-independent.

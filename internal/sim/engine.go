@@ -193,8 +193,8 @@ type Result struct {
 // Engine runs one routing problem under one policy.
 type Engine struct {
 	mesh   *mesh.Mesh
-	topo   mesh.Topology // routing view: flat mesh tables, or overlay under faults
-	router *NodeRouter   // routes every node against topo; rebuilt by SetFaults
+	topo   *mesh.Tables // routing table: the mesh's, or the overlay's masked copy under faults
+	router *NodeRouter  // routes every node against topo; rebuilt by SetFaults
 	policy Policy
 	// packets is every packet of the problem; the live ones are also in
 	// byNode. Finalized IDs need no record of their own: every ID ever

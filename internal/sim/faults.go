@@ -95,10 +95,10 @@ const faultStreamSalt int64 = 0x0fa171
 //
 // The model draws from a dedicated RNG stream derived from Options.Seed, so
 // a (seed, model) pair reproduces the same fault sequence regardless of the
-// policy and the traffic. Routing itself sees the overlay through the
-// Topology interface: HasArc, Degree and GoodDirs reflect the surviving
-// arcs, while distances stay geometric (a bufferless router has no global
-// failure map to recompute routes with).
+// policy and the traffic. Routing itself sees the overlay through its
+// masked table: HasArc, Degree and GoodDirs reflect the surviving arcs,
+// while distances stay geometric (a bufferless router has no global failure
+// map to recompute routes with).
 //
 // Installing faults disables livelock detection: the configuration is no
 // longer closed, so a repeated packet state does not imply a loop. Call
@@ -108,18 +108,18 @@ func (e *Engine) SetFaults(model FaultModel, fate PacketFate) {
 	e.faults = model
 	e.fate = fate
 	e.overlay = mesh.NewOverlay(e.mesh)
-	e.topo = e.overlay
-	// Faults installed: every lookup must see the overlay, so the router is
-	// rebuilt over it (dropping the intact mesh's devirtualized tables).
+	// Every lookup must see the failure set from now on, so the router is
+	// rebuilt over the overlay's table in place of the mesh's shared one.
+	e.topo = e.overlay.Tables
 	e.router = NewNodeRouter(e.topo, e.policy, e.opts.Seed, e.opts.Validation)
 	e.faultVersion = e.overlay.Version()
 	e.faultRng = rand.New(rand.NewSource(rng.Mix(e.opts.Seed, faultStreamSalt)))
 	e.livelockable = false
 }
 
-// Topology returns the view the engine routes against: the base mesh, or
-// the failure overlay once SetFaults is installed.
-func (e *Engine) Topology() mesh.Topology { return e.topo }
+// Topology returns the table the engine routes against: the mesh's shared
+// one, or the failure overlay's masked copy once SetFaults is installed.
+func (e *Engine) Topology() *mesh.Tables { return e.topo }
 
 // Overlay returns the failure overlay, or nil when no fault model is
 // installed. Callers must not mutate it while the engine runs.

@@ -87,31 +87,20 @@ func (ps *PacketState) Packet() *Packet {
 	}
 }
 
-// goodDirser is the devirtualized good-direction path of *mesh.Subgrid: fill
-// a fixed buffer instead of appending through the Topology interface.
-type goodDirser interface {
-	GoodDirsInto(from, dst mesh.NodeID, buf *[2 * mesh.MaxDim]mesh.Dir) int
-}
-
-// NodeRouter routes single nodes against a topology view: the intact mesh's
-// flat tables (the single engine without faults), a failure overlay (with
-// faults), or a *mesh.Subgrid whose connectivity reaches into halo territory
-// owned by neighboring shards. It is the only caller of Policy.Route: the
-// PacketInfo precomputation, the policy invocation with panic isolation, the
-// validation levels and the Move records all live here, so moves produced by
-// P shard routers are indistinguishable from the single engine's, including
-// the boundary-crossing ones the shard runner diverts into its halo exchange.
+// NodeRouter routes single nodes against a *mesh.Tables: the mesh's shared
+// table (the single engine without faults, every shard and every distributed
+// worker — neighbor entries are global ids, so a boundary move simply names a
+// node another shard owns) or a failure overlay's masked copy (with faults).
+// It is the only caller of Policy.Route: the PacketInfo precomputation, the
+// policy invocation with panic isolation, the validation levels and the Move
+// records all live here, so moves produced by P shard routers are
+// indistinguishable from the single engine's, including the
+// boundary-crossing ones the shard runner diverts into its halo exchange.
 //
 // A NodeRouter is single-goroutine state (one exists per engine or shard);
 // the policy handed to it must be that shard's own instance or clone.
 type NodeRouter struct {
-	topo mesh.Topology
-	// fast and gd are the devirtualized views of topo, chosen once from its
-	// concrete type: fast for the intact mesh's tables (direct calls the
-	// compiler can inline), gd for a subgrid. Both nil means every lookup
-	// goes through the Topology interface — the overlay under faults.
-	fast       *mesh.Tables
-	gd         goodDirser
+	tab        *mesh.Tables
 	policy     Policy
 	seed       int64
 	validation ValidationLevel
@@ -135,32 +124,26 @@ type NodeRouter struct {
 	// Tail pad to 256 B (four cache lines, and its own allocator size class).
 	// Unpadded, two routers allocated back to back — adjacent shards' — share
 	// a line, so one shard's per-node writes (src reseed, maxNodeLoad,
-	// reroutes) keep invalidating the line that holds its neighbour's
-	// topo/fast/gd, read on every RouteNode.
-	_ [8]byte
+	// reroutes) keep invalidating the line that holds its neighbour's tab,
+	// read on every RouteNode.
+	_ [40]byte
 }
 
-// NewNodeRouter returns a router over the given topology view. Tie-break
-// randomness is derived per node via NodeSeed(seed, t, node).
-func NewNodeRouter(topo mesh.Topology, policy Policy, seed int64, validation ValidationLevel) *NodeRouter {
+// NewNodeRouter returns a router over the given table. Tie-break randomness
+// is derived per node via NodeSeed(seed, t, node).
+func NewNodeRouter(tab *mesh.Tables, policy Policy, seed int64, validation ValidationLevel) *NodeRouter {
 	r := &NodeRouter{
-		topo:       topo,
+		tab:        tab,
 		policy:     policy,
 		seed:       seed,
 		validation: validation,
-		dirCount:   topo.DirCount(),
+		dirCount:   tab.DirCount(),
 		reseed:     !policy.Deterministic(),
-		out:        make([]mesh.Dir, 0, topo.DirCount()),
-		dirOwner:   make([]int, topo.DirCount()),
+		out:        make([]mesh.Dir, 0, tab.DirCount()),
+		dirOwner:   make([]int, tab.DirCount()),
 	}
-	switch v := topo.(type) {
-	case *mesh.Tables:
-		r.fast = v
-	case goodDirser:
-		r.gd = v
-	}
-	r.ns.Mesh = topo
-	r.ns.infos = make([]PacketInfo, 0, topo.DirCount())
+	r.ns.Mesh = tab
+	r.ns.infos = make([]PacketInfo, 0, tab.DirCount())
 	r.rnd = rand.New(&r.src)
 	return r
 }
@@ -182,28 +165,20 @@ func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Mo
 	ns.Node = node
 	ns.Time = t
 	ns.Packets = pkts
-	// Good directions come from the routing topology, so under faults they
-	// are the surviving good arcs; a live packet with GoodCount == 0
-	// (possible only when faults cut every geometrically good arc) is a
-	// forced reroute. The infos are filled in place (never copied through a
-	// stack temporary): passing a fresh PacketInfo's buffer to an interface
-	// call makes it escape, which used to be the dominant allocation.
+	// Good directions come from the routing table, so under faults they are
+	// the surviving good arcs; a live packet with GoodCount == 0 (possible
+	// only when faults cut every geometrically good arc) is a forced
+	// reroute. The infos are filled in place, never copied through a stack
+	// temporary.
 	if cap(ns.infos) < len(pkts) {
 		ns.infos = make([]PacketInfo, len(pkts))
 	} else {
 		ns.infos = ns.infos[:len(pkts)]
 	}
-	fast := r.fast
+	tab := r.tab
 	for i, p := range pkts {
 		pi := &ns.infos[i]
-		switch {
-		case fast != nil:
-			pi.GoodCount = fast.GoodDirsInto(p.Node, p.Dst, &pi.goodBuf)
-		case r.gd != nil:
-			pi.GoodCount = r.gd.GoodDirsInto(p.Node, p.Dst, &pi.goodBuf)
-		default:
-			pi.GoodCount = len(r.topo.GoodDirs(p.Node, p.Dst, pi.goodBuf[:0]))
-		}
+		pi.GoodCount = tab.GoodDirsInto(p.Node, p.Dst, &pi.goodBuf)
 		if pi.GoodCount == 0 {
 			r.reroutes++
 		}
@@ -233,11 +208,7 @@ func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Mo
 		var to mesh.NodeID
 		ok := dir >= 0 && int(dir) < dirCount
 		if ok {
-			if fast != nil {
-				to, ok = fast.Neighbor(node, dir)
-			} else {
-				to, ok = r.topo.Neighbor(node, dir)
-			}
+			to, ok = tab.Neighbor(node, dir)
 		}
 		if !ok {
 			// Unvalidated policies can still not corrupt the engine (nor
@@ -288,13 +259,7 @@ func (r *NodeRouter) validate() error {
 			return fmt.Errorf("%w: step %d node %d packet %d (dir %d)",
 				ErrUnassigned, ns.Time, ns.Node, p.ID, dir)
 		}
-		var hasArc bool
-		if r.fast != nil {
-			hasArc = r.fast.HasArc(ns.Node, dir)
-		} else {
-			hasArc = r.topo.HasArc(ns.Node, dir)
-		}
-		if !hasArc {
+		if !r.tab.HasArc(ns.Node, dir) {
 			return fmt.Errorf("%w: step %d node %d packet %d via %v",
 				ErrOffMesh, ns.Time, ns.Node, p.ID, dir)
 		}

@@ -8,11 +8,11 @@ import (
 	"hotpotato/internal/mesh"
 )
 
-// noFaultModel installs a failure overlay that never fails anything. It
-// exists to force the engine off the devirtualized table fast path and onto
-// the mesh.Topology interface path while keeping the routed topology
-// semantically identical — the two paths must then produce bit-identical
-// runs.
+// noFaultModel installs a failure overlay that never fails anything: the
+// engine routes against the overlay's private table (and runs the per-step
+// fault hook) while the routed topology stays semantically identical to the
+// mesh's shared table — the run must then be bit-identical to one with no
+// overlay at all.
 type noFaultModel struct{}
 
 func (noFaultModel) Advance(t int, o *mesh.Overlay, rng *rand.Rand) {}
@@ -29,18 +29,15 @@ type moveRec struct {
 
 // recordRun executes a full run and returns the result plus the flattened
 // move log.
-func recordRun(t *testing.T, m *mesh.Mesh, policy Policy, packets []*Packet, opts Options, interfacePath bool) (Result, []moveRec) {
+func recordRun(t *testing.T, m *mesh.Mesh, policy Policy, packets []*Packet, opts Options, overlay bool) (Result, []moveRec) {
 	t.Helper()
 	e, err := New(m, policy, packets, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if interfacePath {
+	if overlay {
 		e.SetFaults(noFaultModel{}, FateDrop)
-		if e.router.fast != nil {
-			t.Fatal("fault overlay did not disable the fast path")
-		}
 	}
 	var log []moveRec
 	e.AddObserver(ObserverFunc(func(rec *StepRecord) {
@@ -109,10 +106,10 @@ func (shuffledTest) Route(ns *NodeState, out []mesh.Dir, rng *rand.Rand) {
 
 func shuffledPolicy() Policy { return shuffledTest{} }
 
-// TestFastPathParity runs identical (mesh, policy, seed, workload) problems
-// through the router's devirtualized tables branch and its interface branch
-// (forced by a never-failing fault overlay), asserting bit-identical Results
-// and per-step move sequences for a deterministic and a randomized policy.
+// TestFastPathParity states "an overlay that never fails anything ≡ no
+// overlay": identical (mesh, policy, seed, workload) problems run with and
+// without a never-failing fault overlay must produce bit-identical Results
+// and per-step move sequences, for a deterministic and a randomized policy.
 // Torus shapes are included: their wrap-split good sets are where the table
 // layer is easiest to get wrong.
 func TestFastPathParity(t *testing.T) {
@@ -129,26 +126,26 @@ func TestFastPathParity(t *testing.T) {
 			packets := parityPackets(m, m.Size()/2+1, seed)
 			opts := Options{Seed: seed, Validation: ValidateBasic, MaxSteps: 2000}
 
-			resFast, logFast := recordRun(t, m, firstGoodPolicy(), clonePackets(packets), opts, false)
-			resIface, logIface := recordRun(t, m, firstGoodPolicy(), clonePackets(packets), opts, true)
-			if resFast != resIface || !slices.Equal(logFast, logIface) {
-				t.Errorf("%v seed %d: interface path diverged from fast path (fast %+v, iface %+v)",
-					m, seed, resFast, resIface)
+			resPlain, logPlain := recordRun(t, m, firstGoodPolicy(), clonePackets(packets), opts, false)
+			resOver, logOver := recordRun(t, m, firstGoodPolicy(), clonePackets(packets), opts, true)
+			if resPlain != resOver || !slices.Equal(logPlain, logOver) {
+				t.Errorf("%v seed %d: never-failing overlay diverged from no overlay (plain %+v, overlay %+v)",
+					m, seed, resPlain, resOver)
 			}
 
-			// Randomized policy: both branches draw tie-breaks from the
+			// Randomized policy: both runs draw tie-breaks from the
 			// per-(seed, step, node) streams, so they too agree bit-for-bit.
-			resFastR, logFastR := recordRun(t, m, shuffledPolicy(), clonePackets(packets), opts, false)
-			resIfaceR, logIfaceR := recordRun(t, m, shuffledPolicy(), clonePackets(packets), opts, true)
-			if resFastR != resIfaceR || !slices.Equal(logFastR, logIfaceR) {
-				t.Errorf("%v seed %d: randomized interface path diverged from fast path", m, seed)
+			resPlainR, logPlainR := recordRun(t, m, shuffledPolicy(), clonePackets(packets), opts, false)
+			resOverR, logOverR := recordRun(t, m, shuffledPolicy(), clonePackets(packets), opts, true)
+			if resPlainR != resOverR || !slices.Equal(logPlainR, logOverR) {
+				t.Errorf("%v seed %d: randomized run under a never-failing overlay diverged from no overlay", m, seed)
 			}
 		}
 	}
 }
 
-// TestFastPathParityRepeatable re-runs one configuration twice per path to
-// catch scratch-reuse bugs that only corrupt a second run through the same
+// TestFastPathParityRepeatable re-runs one configuration twice to catch
+// scratch-reuse bugs that only corrupt a second run through the same
 // engine-shaped allocations.
 func TestFastPathParityRepeatable(t *testing.T) {
 	m := mesh.MustNewTorus(2, 8)

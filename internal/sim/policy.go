@@ -33,12 +33,13 @@ func (pi *PacketInfo) Good() []mesh.Dir { return pi.goodBuf[:pi.GoodCount] }
 // are currently in it, with their destinations, entry arcs and locally
 // trackable history flags).
 type NodeState struct {
-	// Mesh is the network topology the node routes against. Without faults
-	// this is the *mesh.Mesh itself; with a fault model installed it is the
-	// failure overlay, whose connectivity methods (HasArc, Degree, GoodDirs)
-	// reflect the surviving arcs while geometry (Dist, coordinates) stays
-	// that of the intact mesh — a bufferless router knows its live ports but
-	// has no global failure map.
+	// Mesh is the network topology the node routes against: the engine's
+	// *mesh.Tables. Without faults that is the mesh's shared table; with a
+	// fault model installed it is the failure overlay's masked copy, whose
+	// connectivity methods (HasArc, Degree, GoodDirs) reflect the surviving
+	// arcs while geometry (Dist, coordinates) stays that of the intact mesh
+	// — a bufferless router knows its live ports but has no global failure
+	// map.
 	Mesh mesh.Topology
 	// Node is the node being routed.
 	Node mesh.NodeID
