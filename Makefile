@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt fuzz-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke dist-demo policylab-demo clean
+.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke dist-demo policylab-demo clean
 
 # Output file for the committed benchmark record (see bench-json).
 BENCH_JSON ?= BENCH_PR10.json

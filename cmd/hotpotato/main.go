@@ -14,20 +14,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"syscall"
 
 	"hotpotato/internal/analysis"
 	"hotpotato/internal/bound"
-	"hotpotato/internal/checkpoint"
 	"hotpotato/internal/core"
-	"hotpotato/internal/dshard"
-	"hotpotato/internal/mesh"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/policylab"
 	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
@@ -151,32 +147,19 @@ func listWorkloads() {
 	fmt.Printf("fault fates:       %s\n", joinComma(c.Fates))
 }
 
-// buildFaults assembles the fault model from the command-line knobs via the
-// shared spec registry, reading the scripted schedule (if any) from disk.
-func buildFaults(m *mesh.Mesh, rate, repair float64, maxDown int, crash float64, script string) (sim.FaultModel, error) {
-	cfg := spec.FaultConfig{Rate: rate, Repair: repair, MaxDown: maxDown, CrashRate: crash}
-	if script != "" {
-		text, err := os.ReadFile(script)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Script = string(text)
+// report prints the run summary: one layout whichever engine ran, with the
+// sharding and fault sections present when the spec asked for them.
+func report(h *engine.Run, es engine.Spec, wl string, res *sim.Result, runErr error) {
+	m, packets := h.Mesh(), h.Packets()
+	switch {
+	case es.DistWorkers > 0:
+		fmt.Printf("shards:      %s across %d loopback worker processes\n", es.Grid, es.DistWorkers)
+	case h.Sim() == nil:
+		fmt.Printf("shards:      %s (%d shard goroutines)\n", es.Grid, es.Grid.Count())
 	}
-	model, err := spec.NewFaults(m, cfg)
-	if err != nil && script != "" {
-		return nil, fmt.Errorf("fault script %s: %w", script, err)
-	}
-	return model, err
-}
-
-// report prints the summary shared by the single-engine and sharded paths.
-// extra, when non-nil, prints additional sections (the fault report) in the
-// middle of the layout.
-func report(m *mesh.Mesh, pol sim.Policy, res *sim.Result, runErr error,
-	resumed bool, wl string, packets []*sim.Packet, ckptPath string, dim, side int, extra func()) {
 	fmt.Printf("mesh:        %v (diameter %d)\n", m, m.Diameter())
-	fmt.Printf("policy:      %s\n", pol.Name())
-	if resumed {
+	fmt.Printf("policy:      %s\n", h.Policy().Name())
+	if es.ResumeFrom != "" {
 		// The initial configuration is gone; distance-derived statistics
 		// would be relative to the restore point, not the original run.
 		fmt.Printf("workload:    %s (resumed), k=%d\n", wl, res.Total)
@@ -188,8 +171,13 @@ func report(m *mesh.Mesh, pol sim.Policy, res *sim.Result, runErr error,
 	fmt.Printf("delivered:   %d/%d\n", res.Delivered, res.Total)
 	fmt.Printf("deflections: %d (of %d hops)\n", res.TotalDeflections, res.TotalHops)
 	fmt.Printf("max load:    %d packets in one node\n", res.MaxNodeLoad)
-	if extra != nil {
-		extra()
+	if es.Fault != nil {
+		fmt.Printf("faults:      %d link failures, %d node failures over the run\n",
+			res.LinkFailures, res.NodeFailures)
+		fmt.Printf("degraded:    %d dropped (%d crash, %d unreachable, %d stranded, %d at injection), %d absorbed\n",
+			res.Dropped, res.DroppedCrash, res.DroppedUnreachable, res.DroppedStranded, res.DroppedInject,
+			res.Absorbed)
+		fmt.Printf("reroutes:    %d packet-steps with no surviving good arc\n", res.Reroutes)
 	}
 	if res.Livelocked {
 		fmt.Println("LIVELOCK detected: the configuration repeated")
@@ -201,17 +189,17 @@ func report(m *mesh.Mesh, pol sim.Policy, res *sim.Result, runErr error,
 		fmt.Println("wall-clock budget exhausted before completion")
 	}
 	if runErr != nil { // context cancelled: a signal stopped the run
-		if ckptPath != "" {
-			fmt.Printf("interrupted at step %d; state saved to %s — rerun with -resume to continue\n", res.Steps, ckptPath)
+		if es.CheckpointPath != "" {
+			fmt.Printf("interrupted at step %d; state saved to %s — rerun with -resume to continue\n", res.Steps, es.CheckpointPath)
 		} else {
 			fmt.Printf("interrupted at step %d (no -checkpoint set, progress not saved)\n", res.Steps)
 		}
 	}
-	if dim == 2 {
-		b := analysis.Theorem20Bound(side, res.Total)
+	if es.Dim == 2 {
+		b := analysis.Theorem20Bound(es.Side, res.Total)
 		fmt.Printf("theorem 20:  bound %.0f, measured/bound = %.4f\n", b, float64(res.Steps)/b)
 	} else {
-		b := analysis.Section5Bound(dim, side, res.Total)
+		b := analysis.Section5Bound(es.Dim, es.Side, res.Total)
 		fmt.Printf("section 5:   bound %.0f, measured/bound = %.6f\n", b, float64(res.Steps)/b)
 	}
 }
@@ -251,7 +239,7 @@ func runCtx(ctx context.Context, args []string) error {
 		maxWall      = fs.Duration("max-wall", 0, "wall-clock budget for the run (0 = unlimited)")
 
 		ckptPath   = fs.String("checkpoint", "", "checkpoint file: saved periodically (-checkpoint-every) and on SIGINT/SIGTERM")
-		ckptEvery  = fs.Int("checkpoint-every", 0, "with -checkpoint, save every N steps (0 = only on interrupt)")
+		ckptEvery  = fs.Int("checkpoint-every", 0, "with -checkpoint, save every N steps (0 = only on interrupt; a -dist run also saves on its coordinator's 256-step rollback cadence)")
 		ckptFormat = fs.String("checkpoint-format", "binary", "checkpoint encoding: binary or json")
 		resume     = fs.Bool("resume", false, "restore state from -checkpoint before running (pass the same flags as the original run)")
 		showVer    = fs.Bool("version", false, "print the build version and exit")
@@ -275,15 +263,6 @@ func runCtx(ctx context.Context, args []string) error {
 	if *verify != "" {
 		return verifyTrace(*verify)
 	}
-	var format checkpoint.Format
-	switch *ckptFormat {
-	case "binary":
-		format = checkpoint.Binary
-	case "json":
-		format = checkpoint.JSON
-	default:
-		return fmt.Errorf("unknown checkpoint format %q (want binary or json)", *ckptFormat)
-	}
 	if (*ckptEvery != 0 || *resume) && *ckptPath == "" {
 		return fmt.Errorf("-checkpoint-every and -resume need -checkpoint")
 	}
@@ -293,23 +272,12 @@ func runCtx(ctx context.Context, args []string) error {
 		return fmt.Errorf("-resume cannot be combined with -track, -trace-out, -heatmap or -animate")
 	}
 
-	m, err := mesh.New(*dim, *side)
-	if err != nil {
-		return err
-	}
-	pol, err := spec.NewPolicy(*policy)
-	if err != nil {
-		return err
-	}
 	ws, err := spec.ParseWorkloadSpec(*wl)
 	if err != nil {
 		return err
 	}
 	ws.Arrivals, err = spec.ParseArrivalSpec(*arrivals)
 	if err != nil {
-		return err
-	}
-	if err := ws.Validate(); err != nil {
 		return err
 	}
 	kSet := false
@@ -327,20 +295,56 @@ func runCtx(ctx context.Context, args []string) error {
 	if *arrivalsRecord != "" && ws.Arrivals == nil {
 		return fmt.Errorf("-arrivals-record needs -arrivals")
 	}
-	var packets []*sim.Packet
-	if !*resume { // a resumed run takes its packets from the snapshot
-		rng := rand.New(rand.NewSource(*seed))
-		packets, err = spec.BuildWorkload(ws, m, *k, rng)
+	faults := &spec.FaultConfig{Rate: *faultRate, Repair: *faultRepair, MaxDown: *faultMaxDown, CrashRate: *crashRate, Fate: *faultFate}
+	if *faultScript != "" {
+		text, err := os.ReadFile(*faultScript)
 		if err != nil {
 			return err
 		}
+		faults.Script = string(text)
 	}
-	// The injector is built resume or not: Restore reinstates its state, so
-	// it must be installed first, mirroring the packets-from-snapshot rule.
-	src, err := spec.BuildArrivals(ws.Arrivals, m)
+	if !faults.Enabled() {
+		faults = nil // and -fault-fate / -fault-repair go unread
+	}
+
+	// Every flag that describes the run lands in one engine.Spec; which
+	// engine executes it and which features it refuses is the opener's call.
+	es := engine.Spec{
+		Dim:              *dim,
+		Side:             *side,
+		Policy:           *policy,
+		Validation:       *validate,
+		Workload:         ws,
+		K:                *k,
+		Seed:             *seed,
+		MaxSteps:         *maxSteps,
+		MaxWall:          *maxWall,
+		DetectLivelock:   *livelock,
+		Fault:            faults,
+		DistWorkers:      *dist,
+		CheckpointPath:   *ckptPath,
+		CheckpointEvery:  *ckptEvery,
+		CheckpointFormat: *ckptFormat,
+	}
+	if *shards != "" {
+		if es.Grid, err = shard.ParseGrid(*shards); err != nil {
+			return err
+		}
+	}
+	if *resume {
+		es.ResumeFrom = *ckptPath
+	}
+	h, err := engine.Open(es)
 	if err != nil {
 		return err
 	}
+	defer h.Close()
+	m, pol, packets, src := h.Mesh(), h.Policy(), h.Packets(), h.Source()
+	e := h.Sim()
+	if e == nil && (*track || *traceOut != "" || *heatmap || *animate > 0 || *conflictTrace != "") {
+		return fmt.Errorf("%w: -shards cannot be combined with -track, -trace-out, -heatmap, -animate or -conflict-trace (they observe one engine's move stream)", engine.ErrUnsupported)
+	}
+
 	var arrivalsFlush func() error
 	if *arrivalsRecord != "" {
 		f, err := os.Create(*arrivalsRecord)
@@ -360,148 +364,6 @@ func runCtx(ctx context.Context, args []string) error {
 			}
 			return f.Close()
 		}
-	}
-	lvl, err := spec.ParseValidation(*validate)
-	if err != nil {
-		return err
-	}
-
-	if *shards != "" {
-		if *track || *traceOut != "" || *heatmap || *animate > 0 {
-			return fmt.Errorf("-shards cannot be combined with -track, -trace-out, -heatmap or -animate (observers see one engine's move stream)")
-		}
-		if *conflictTrace != "" {
-			return fmt.Errorf("-shards cannot be combined with -conflict-trace (the conflict tap sees one engine's move stream)")
-		}
-		if *faultRate > 0 || *crashRate > 0 || *faultScript != "" {
-			return fmt.Errorf("-shards does not support fault injection yet")
-		}
-		grid, err := shard.ParseGrid(*shards)
-		if err != nil {
-			return err
-		}
-		if *dist > 0 {
-			if *dim != 2 {
-				return fmt.Errorf("-dist needs a 2-dimensional mesh, got -d %d", *dim)
-			}
-			if src != nil {
-				return fmt.Errorf("-dist does not support -arrivals (distributed workers route a closed batch)")
-			}
-			var resumeCK *shard.Checkpoint
-			if *resume {
-				resumeCK, err = shard.LoadDir(*ckptPath)
-				if err != nil {
-					return err
-				}
-			}
-			c, err := dshard.New(dshard.Spec{
-				Side:           *side,
-				Policy:         *policy,
-				Grid:           grid,
-				Seed:           *seed + 1,
-				MaxSteps:       *maxSteps,
-				Validation:     lvl,
-				DetectLivelock: *livelock,
-			}, packets, dshard.Options{
-				Workers:          *dist,
-				Policies:         spec.NewPolicy,
-				Spawn:            dshard.InProcessSpawner(dshard.WorkerOptions{Policies: spec.NewPolicy}),
-				CheckpointEvery:  *ckptEvery,
-				CheckpointDir:    *ckptPath,
-				CheckpointFormat: format,
-				Resume:           resumeCK,
-				MaxWallTime:      *maxWall,
-			})
-			if err != nil {
-				if *resume {
-					return fmt.Errorf("resume from %s: %w (pass the same flags as the original run)", *ckptPath, err)
-				}
-				return err
-			}
-			defer c.Close()
-			if resumeCK != nil {
-				fmt.Printf("resumed:     %s at step %d, %d packets in flight\n",
-					*ckptPath, resumeCK.Manifest.Time, resumeCK.Manifest.Live)
-			}
-			res, runErr := c.Run(ctx)
-			if runErr != nil && !errors.Is(runErr, context.Canceled) {
-				return runErr
-			}
-			fmt.Printf("shards:      %s across %d loopback worker processes\n", grid, *dist)
-			report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, nil)
-			return runErr
-		}
-		se, err := shard.New(m, pol, packets, shard.Options{
-			Grid:           grid,
-			Seed:           *seed + 1,
-			Validation:     lvl,
-			MaxSteps:       *maxSteps,
-			DetectLivelock: *livelock,
-			MaxWallTime:    *maxWall,
-		})
-		if err != nil {
-			return err
-		}
-		defer se.Close()
-		if src != nil {
-			se.SetInjector(src)
-		}
-		if *resume {
-			ck, err := shard.LoadDir(*ckptPath)
-			if err != nil {
-				return err
-			}
-			if err := se.Restore(ck); err != nil {
-				return fmt.Errorf("resume from %s: %w (pass the same flags as the original run)", *ckptPath, err)
-			}
-			fmt.Printf("resumed:     %s at step %d, %d packets in flight\n", *ckptPath, ck.Manifest.Time, ck.Manifest.Live)
-		}
-		var save func(*shard.Checkpoint) error
-		if *ckptPath != "" {
-			save = func(ck *shard.Checkpoint) error { return shard.SaveDir(*ckptPath, ck, format) }
-		}
-		res, runErr := se.RunCheckpointed(ctx, *ckptEvery, save)
-		if runErr != nil && !errors.Is(runErr, context.Canceled) {
-			return runErr
-		}
-		fmt.Printf("shards:      %s (%d shard goroutines)\n", grid, grid.Count())
-		report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, nil)
-		if src != nil {
-			fmt.Printf("arrivals:    %d generated, %d injected, backlog %d (max %d)\n",
-				src.Generated(), src.Injected(), src.Backlog(), src.MaxBacklog())
-			if arrivalsFlush != nil {
-				if err := arrivalsFlush(); err != nil {
-					return err
-				}
-				fmt.Printf("inj trace:   written to %s\n", *arrivalsRecord)
-			}
-		}
-		return runErr
-	}
-
-	e, err := sim.New(m, pol, packets, sim.Options{
-		Seed:           *seed + 1,
-		Validation:     lvl,
-		MaxSteps:       *maxSteps,
-		DetectLivelock: *livelock,
-		MaxWallTime:    *maxWall,
-	})
-	if err != nil {
-		return err
-	}
-	if src != nil {
-		e.SetInjector(src)
-	}
-	faults, err := buildFaults(m, *faultRate, *faultRepair, *faultMaxDown, *crashRate, *faultScript)
-	if err != nil {
-		return err
-	}
-	if faults != nil {
-		fate, err := spec.ParseFate(*faultFate)
-		if err != nil {
-			return err
-		}
-		e.SetFaults(faults, fate)
 	}
 	var conflictRec *policylab.Recorder
 	var conflictFlush func() error
@@ -555,21 +417,12 @@ func runCtx(ctx context.Context, args []string) error {
 		e.AddObserver(animator)
 	}
 	if *resume {
-		snap, err := checkpoint.Load(*ckptPath)
-		if err != nil {
-			return err
-		}
-		if err := e.Restore(snap); err != nil {
-			return fmt.Errorf("resume from %s: %w (pass the same flags as the original run)", *ckptPath, err)
-		}
-		fmt.Printf("resumed:     %s at step %d, %d packets in flight\n", *ckptPath, snap.Time, len(snap.Packets))
+		p := h.Progress()
+		fmt.Printf("resumed:     %s at step %d, %d packets in flight\n", *ckptPath, p.Time, p.Live)
 	}
-	var save func(*sim.Snapshot) error
-	if *ckptPath != "" {
-		save = func(s *sim.Snapshot) error { return checkpoint.Save(*ckptPath, s, format) }
-	}
-	res, runErr := e.RunCheckpointed(ctx, *ckptEvery, save)
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
+
+	res, runErr := h.Run(ctx, nil)
+	if res == nil {
 		return runErr
 	}
 	if runErr == nil && animator != nil && animator.Err() != nil {
@@ -601,18 +454,7 @@ func runCtx(ctx context.Context, args []string) error {
 			total, *conflictTrace, contenders, deflected, db-da)
 	}
 
-	if faults != nil {
-		report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, func() {
-			fmt.Printf("faults:      %d link failures, %d node failures over the run\n",
-				res.LinkFailures, res.NodeFailures)
-			fmt.Printf("degraded:    %d dropped (%d crash, %d unreachable, %d stranded, %d at injection), %d absorbed\n",
-				res.Dropped, res.DroppedCrash, res.DroppedUnreachable, res.DroppedStranded, res.DroppedInject,
-				res.Absorbed)
-			fmt.Printf("reroutes:    %d packet-steps with no surviving good arc\n", res.Reroutes)
-		})
-	} else {
-		report(m, pol, res, runErr, *resume, *wl, packets, *ckptPath, *dim, *side, nil)
-	}
+	report(h, es, *wl, res, runErr)
 	if src != nil {
 		fmt.Printf("arrivals:    %d generated, %d injected, backlog %d (max %d)\n",
 			src.Generated(), src.Injected(), src.Backlog(), src.MaxBacklog())

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hotpotato/internal/engine"
 )
 
 // capture runs f with os.Stdout redirected and returns what it printed.
@@ -376,6 +380,138 @@ func TestArrivalsFlagErrors(t *testing.T) {
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// engineModes are the three ways hotpotato can execute a run; the summary
+// lines below must not depend on which one did.
+var engineModes = map[string][]string{
+	"single": nil,
+	"shards": {"-shards", "2x2"},
+	"dist":   {"-shards", "2x2", "-dist", "2"},
+}
+
+var summaryLines = []string{"steps:", "delivered:", "deflections:", "max load:"}
+
+// TestEngineModesAgree: the same problem prints the same summary on the
+// single engine, on shard goroutines and on loopback workers — for a closed
+// batch and, where the engine accepts them, for arrivals.
+func TestEngineModesAgree(t *testing.T) {
+	for name, problem := range map[string][]string{
+		"batch":    {"-n", "8", "-workload", "full-load", "-policy", "random", "-seed", "4"},
+		"arrivals": {"-n", "8", "-workload", "none", "-arrivals", "poisson:rate=0.05,until=30", "-seed", "4"},
+	} {
+		want, err := capture(t, func() error { return run(problem) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mode, flags := range engineModes {
+			got, err := capture(t, func() error { return run(append(flags[:len(flags):len(flags)], problem...)) })
+			if name == "arrivals" && mode == "dist" {
+				if !errors.Is(err, engine.ErrUnsupported) {
+					t.Errorf("-dist with -arrivals: err = %v, want ErrUnsupported", err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, mode, err)
+			}
+			lines := summaryLines
+			if name == "arrivals" {
+				lines = append(lines[:len(lines):len(lines)], "arrivals:")
+			}
+			for _, line := range lines {
+				if lineWith(t, got, line) != lineWith(t, want, line) {
+					t.Errorf("%s/%s: %q\nwant (single engine) %q", name, mode, lineWith(t, got, line), lineWith(t, want, line))
+				}
+			}
+			if mode != "single" && !strings.Contains(got, "shards:      2x2") {
+				t.Errorf("%s/%s: no shards line:\n%s", name, mode, got)
+			}
+		}
+	}
+}
+
+// TestCheckpointResumeEveryEngine: the -checkpoint/-resume round trip on each
+// engine, plus the .shards directory crossing between shard goroutines and
+// loopback workers in both directions.
+func TestCheckpointResumeEveryEngine(t *testing.T) {
+	problem := []string{"-n", "8", "-workload", "full-load", "-policy", "random", "-seed", "6"}
+	for _, tc := range []struct{ writer, reader string }{
+		{"single", "single"}, {"shards", "shards"}, {"dist", "dist"}, {"shards", "dist"}, {"dist", "shards"},
+	} {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		with := func(mode string, extra ...string) []string {
+			return append(append(extra, engineModes[mode]...), problem...)
+		}
+		full, err := capture(t, func() error {
+			return run(with(tc.writer, "-checkpoint", ckpt, "-checkpoint-every", "4"))
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.writer, err)
+		}
+		resumed, err := capture(t, func() error {
+			return run(with(tc.reader, "-resume", "-checkpoint", ckpt))
+		})
+		if err != nil {
+			t.Fatalf("%s -> %s: %v", tc.writer, tc.reader, err)
+		}
+		if !strings.Contains(resumed, "resumed:") || strings.Contains(resumed, "at step 0,") {
+			t.Fatalf("%s -> %s did not restore a mid-run checkpoint:\n%s", tc.writer, tc.reader, resumed)
+		}
+		for _, line := range summaryLines[1:] {
+			if lineWith(t, resumed, line) != lineWith(t, full, line) {
+				t.Errorf("%s -> %s: %q after resume, %q uninterrupted", tc.writer, tc.reader, lineWith(t, resumed, line), lineWith(t, full, line))
+			}
+		}
+	}
+}
+
+// TestInterruptedBeforeFirstStep: a run whose context is already cancelled
+// executes no step on any engine and, with -checkpoint, leaves the initial
+// state behind — the "state saved to" line is true.
+func TestInterruptedBeforeFirstStep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for mode, flags := range engineModes {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		args := append([]string{"-n", "8", "-k", "40", "-checkpoint", ckpt}, flags...)
+		out, err := capture(t, func() error { return runCtx(ctx, args) })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", mode, err)
+		}
+		if !strings.Contains(out, "interrupted at step 0; state saved to "+ckpt) {
+			t.Errorf("%s: no step-0 interrupt line:\n%s", mode, out)
+		}
+		if !engine.HasCheckpoint(ckpt) {
+			t.Errorf("%s: -checkpoint %s was not written", mode, ckpt)
+		}
+		if _, err := capture(t, func() error { return run(append(args, "-resume")) }); err != nil {
+			t.Errorf("%s: resuming the step-0 checkpoint: %v", mode, err)
+		}
+	}
+}
+
+// TestUnsupportedCombinations: every cross-feature refusal is the opener's
+// typed error, whichever flag spelling reached it.
+func TestUnsupportedCombinations(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shards", "2x2", "-fault-rate", "0.01"},
+		{"-shards", "2x2", "-crash-rate", "0.01"},
+		{"-shards", "2x2", "-track"},
+		{"-shards", "2x2", "-trace-out", filepath.Join(t.TempDir(), "x.trace")},
+		{"-shards", "2x2", "-heatmap"},
+		{"-shards", "2x2", "-animate", "2"},
+		{"-shards", "2x2", "-conflict-trace", filepath.Join(t.TempDir(), "x.jsonl")},
+		{"-shards", "2x2", "-dist", "2", "-track"},
+		{"-shards", "2x2", "-d", "3", "-n", "4"},
+		{"-shards", "2x2", "-dist", "2", "-arrivals", "poisson:rate=0.05,until=30"},
+		{"-shards", "2x2", "-dist", "5"},
+		{"-dist", "2"},
+	} {
+		if _, err := capture(t, func() error { return run(append([]string{"-n", "8"}, args...)) }); !errors.Is(err, engine.ErrUnsupported) {
+			t.Errorf("args %v: err = %v, want engine.ErrUnsupported", args, err)
 		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -37,11 +36,9 @@ import (
 	"syscall"
 	"time"
 
-	"hotpotato/internal/checkpoint"
 	"hotpotato/internal/dshard"
-	"hotpotato/internal/mesh"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/shard"
-	"hotpotato/internal/sim"
 	"hotpotato/internal/spec"
 	"hotpotato/internal/version"
 )
@@ -131,103 +128,76 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		fmt.Println(version.String("shardcoord"))
 		return nil
 	}
-	var format checkpoint.Format
-	switch *ckptFormat {
-	case "binary":
-		format = checkpoint.Binary
-	case "json":
-		format = checkpoint.JSON
-	default:
-		return fmt.Errorf("unknown checkpoint format %q (want binary or json)", *ckptFormat)
-	}
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
 	}
-
+	if *workers < 1 {
+		return fmt.Errorf("-workers must be >= 1, got %d (a coordinator with no workers is hotpotato -shards)", *workers)
+	}
 	grid, err := shard.ParseGrid(*shards)
 	if err != nil {
 		return err
 	}
-	var m *mesh.Mesh
-	if *torus {
-		m, err = mesh.NewTorus(2, *side)
-	} else {
-		m, err = mesh.New(2, *side)
-	}
+	ws, err := spec.ParseWorkloadSpec(*wl)
 	if err != nil {
 		return err
 	}
-	lvl, err := spec.ParseValidation(*validate)
-	if err != nil {
-		return err
-	}
-	var packets []*sim.Packet
-	var resumeCK *shard.Checkpoint
-	if *resume { // a resumed run takes its packets from the snapshot
-		resumeCK, err = shard.LoadDir(*ckptPath)
-		if err != nil {
-			return err
-		}
-	} else {
-		rng := rand.New(rand.NewSource(*seed))
-		packets, err = spec.NewWorkload(*wl, m, *k, rng)
-		if err != nil {
-			return err
-		}
-	}
-
-	dspec := dshard.Spec{
-		Side:           *side,
-		Wrap:           *torus,
-		Policy:         *policy,
-		Grid:           grid,
-		Seed:           *seed + 1, // engine seed, offset exactly like cmd/hotpotato
-		MaxSteps:       *maxSteps,
-		Validation:     lvl,
-		DetectLivelock: *livelock,
-	}
-	opts := dshard.Options{
-		Workers:          *workers,
+	transport := &dshard.Options{
 		Listen:           *listen,
 		Token:            *token,
-		Policies:         spec.NewPolicy,
 		StepTimeout:      *stepTimeout,
 		MaxRetries:       *retries,
 		HeartbeatTimeout: *hbTimeout,
 		RejoinTimeout:    *rejoinTimeout,
 		MaxRecoveries:    *maxRecover,
-		CheckpointEvery:  *ckptEvery,
-		CheckpointDir:    *ckptPath,
-		CheckpointFormat: format,
-		Resume:           resumeCK,
-		MaxWallTime:      *maxWall,
 	}
 	if *workerBin != "" {
-		opts.Spawn = execSpawner(*workerBin, *token, *quiet, strings.Fields(*workerArgs))
+		transport.Spawn = execSpawner(*workerBin, *token, *quiet, strings.Fields(*workerArgs))
 	}
 	if !*quiet {
-		opts.Logf = func(f string, args ...any) {
+		transport.Logf = func(f string, args ...any) {
 			fmt.Fprintf(os.Stderr, "shardcoord: "+f+"\n", args...)
 		}
 	}
-
-	c, err := dshard.New(dspec, packets, opts)
+	es := engine.Spec{
+		Dim:              2,
+		Side:             *side,
+		Torus:            *torus,
+		Policy:           *policy,
+		Validation:       *validate,
+		Workload:         ws,
+		K:                *k,
+		Seed:             *seed,
+		MaxSteps:         *maxSteps,
+		MaxWall:          *maxWall,
+		DetectLivelock:   *livelock,
+		Grid:             grid,
+		DistWorkers:      *workers,
+		Dist:             transport,
+		CheckpointPath:   *ckptPath,
+		CheckpointEvery:  *ckptEvery,
+		CheckpointFormat: *ckptFormat,
+	}
+	if *resume {
+		es.ResumeFrom = *ckptPath
+	}
+	h, err := engine.Open(es)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-	fmt.Fprintf(out, "listening on %s\n", c.Addr())
-	if resumeCK != nil {
-		fmt.Fprintf(out, "resumed:     %s at step %d, %d packets in flight\n",
-			*ckptPath, resumeCK.Manifest.Time, resumeCK.Manifest.Live)
+	defer h.Close()
+	fmt.Fprintf(out, "listening on %s\n", h.Dist().Addr())
+	if *resume {
+		p := h.Progress()
+		fmt.Fprintf(out, "resumed:     %s at step %d, %d packets in flight\n", *ckptPath, p.Time, p.Live)
 	}
 
-	res, runErr := c.Run(ctx)
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
+	res, runErr := h.Run(ctx, nil)
+	if res == nil {
 		return runErr
 	}
 
-	fmt.Fprintf(out, "mesh:        %v (diameter %d)\n", m, m.Diameter())
+	fmt.Fprintf(out, "mesh:        %v (diameter %d)\n", h.Mesh(), h.Mesh().Diameter())
 	fmt.Fprintf(out, "policy:      %s\n", *policy)
 	fmt.Fprintf(out, "shards:      %s across %d worker processes\n", grid, *workers)
 	if *resume {
@@ -239,8 +209,8 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	fmt.Fprintf(out, "delivered:   %d/%d\n", res.Delivered, res.Total)
 	fmt.Fprintf(out, "deflections: %d (of %d hops)\n", res.TotalDeflections, res.TotalHops)
 	fmt.Fprintf(out, "max load:    %d packets in one node\n", res.MaxNodeLoad)
-	fmt.Fprintf(out, "recoveries:  %d\n", c.Recoveries())
-	fmt.Fprintf(out, "state hash:  %016x\n", c.StateHash())
+	fmt.Fprintf(out, "recoveries:  %d\n", h.Dist().Recoveries())
+	fmt.Fprintf(out, "state hash:  %016x\n", h.StateHash())
 	if res.Livelocked {
 		fmt.Fprintln(out, "LIVELOCK detected: the configuration repeated")
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hotpotato/internal/checkpoint"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/server/store"
 	"hotpotato/internal/shard"
 )
@@ -37,11 +38,16 @@ func baselineHash(t *testing.T, spec string) string {
 // and returns its bytes, as raw material for corruption.
 func midRunCheckpoint(t *testing.T, js JobSpec, path string) []byte {
 	t.Helper()
-	e, err := js.withDefaults().buildEngine(0)
+	es, err := js.withDefaults().engineSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	h, err := engine.Open(es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	e := h.Sim()
 	for i := 0; i < 3; i++ {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)

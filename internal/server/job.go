@@ -3,14 +3,11 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 	"time"
 
-	"hotpotato/internal/checkpoint"
-	"hotpotato/internal/dshard"
-	"hotpotato/internal/mesh"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/spec"
@@ -135,16 +132,43 @@ func (js JobSpec) withDefaults() JobSpec {
 	return js
 }
 
-// validate rejects a spec that can never build, so admission fails with a
-// 400 instead of accepting a job doomed to fail. It is deliberately cheap:
-// no mesh or workload is materialized (a fault script referencing an
-// off-mesh node, for example, still surfaces at execution).
-func (js JobSpec) validate(maxNodes, maxK int) error {
-	if js.Dim < 1 {
-		return fmt.Errorf("dim must be >= 1, got %d", js.Dim)
+// engineSpec converts the job into the one engine.Spec every frontend opens
+// a run from. The server adds what it decides itself — wall-clock budget and
+// checkpoint location — in Server.engineSpec.
+func (js JobSpec) engineSpec() (engine.Spec, error) {
+	es := engine.Spec{
+		Dim:            js.Dim,
+		Side:           js.Side,
+		Torus:          js.Torus,
+		Policy:         js.Policy,
+		Validation:     js.Validation,
+		Workload:       js.Workload,
+		K:              js.K,
+		Seed:           js.Seed,
+		MaxSteps:       js.MaxSteps,
+		DetectLivelock: !js.NoLivelockDetect,
+		Fault:          js.Fault,
+		DistWorkers:    js.DistWorkers,
+		ResumeFrom:     js.ResumeFrom,
 	}
-	if js.Side < 2 {
-		return fmt.Errorf("side must be >= 2, got %d", js.Side)
+	var err error
+	if js.Shards != "" {
+		es.Grid, err = shard.ParseGrid(js.Shards)
+	}
+	return es, err
+}
+
+// validate rejects a spec that can never build, so admission fails with a
+// 400 instead of accepting a job doomed to fail. What a run may be and which
+// features combine is engine.Spec.Validate's call; only the daemon's own
+// rules live here.
+func (js JobSpec) validate(maxNodes, maxK int) error {
+	es, err := js.engineSpec()
+	if err != nil {
+		return err
+	}
+	if err := es.Validate(); err != nil {
+		return err
 	}
 	nodes := 1
 	for i := 0; i < js.Dim; i++ {
@@ -160,29 +184,6 @@ func (js JobSpec) validate(maxNodes, maxK int) error {
 	} else if js.K < 1 || js.K > maxK {
 		return fmt.Errorf("k must be in [1, %d], got %d", maxK, js.K)
 	}
-	if js.MaxSteps < 0 {
-		return fmt.Errorf("max_steps must be >= 0, got %d", js.MaxSteps)
-	}
-	if js.DistWorkers < 0 {
-		return fmt.Errorf("dist_workers must be >= 0, got %d", js.DistWorkers)
-	}
-	if js.DistWorkers > 0 && js.Shards == "" {
-		return fmt.Errorf("dist_workers needs shards (a PxQ grid for the workers to divide)")
-	}
-	if js.Shards != "" {
-		grid, err := shard.ParseGrid(js.Shards)
-		if err != nil {
-			return err
-		}
-		switch {
-		case js.Dim != 2:
-			return fmt.Errorf("shards needs dim 2 (the sharded engine decomposes 2-D meshes), got dim %d", js.Dim)
-		case js.Fault != nil && js.Fault.Enabled():
-			return fmt.Errorf("sharded jobs do not support fault injection")
-		case js.DistWorkers > grid.Count():
-			return fmt.Errorf("dist_workers %d exceeds the %s grid's %d shards", js.DistWorkers, js.Shards, grid.Count())
-		}
-	}
 	if js.ProgressEvery < 1 {
 		return fmt.Errorf("progress_every must be >= 1, got %d", js.ProgressEvery)
 	}
@@ -192,239 +193,10 @@ func (js JobSpec) validate(maxNodes, maxK int) error {
 	if js.StepDelay < 0 {
 		return fmt.Errorf("step_delay must be >= 0")
 	}
-	if _, err := spec.PolicyFactory(js.Policy); err != nil {
-		return err
-	}
-	if err := js.Workload.Validate(); err != nil {
-		return err
-	}
-	if as := js.Workload.Arrivals; as != nil {
-		if js.DistWorkers > 0 {
-			return fmt.Errorf("distributed jobs do not support arrivals (injector state cannot ride a dshard checkpoint)")
-		}
-		if js.MaxSteps == 0 && !as.Bounded() {
-			return fmt.Errorf("arrival jobs must terminate: set max_steps or give every arrival client a positive until")
-		}
-	}
-	if _, err := spec.ParseValidation(js.Validation); err != nil {
-		return err
-	}
-	if js.Fault != nil {
-		if _, err := spec.ParseFate(js.Fault.Fate); err != nil {
-			return err
-		}
-		if js.Fault.Rate < 0 || js.Fault.CrashRate < 0 {
-			return fmt.Errorf("fault rates must be >= 0")
-		}
+	if as := js.Workload.Arrivals; as != nil && js.MaxSteps == 0 && !as.Bounded() {
+		return fmt.Errorf("arrival jobs must terminate: set max_steps or give every arrival client a positive until")
 	}
 	return nil
-}
-
-// buildEngine materializes the spec into a ready-to-run engine. Each call
-// builds a fresh engine (retried attempts must not share mutable state).
-func (js JobSpec) buildEngine(jobTimeout time.Duration) (*sim.Engine, error) {
-	var m *mesh.Mesh
-	var err error
-	if js.Torus {
-		m, err = mesh.NewTorus(js.Dim, js.Side)
-	} else {
-		m, err = mesh.New(js.Dim, js.Side)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pol, err := spec.NewPolicy(js.Policy)
-	if err != nil {
-		return nil, err
-	}
-	lvl, err := spec.ParseValidation(js.Validation)
-	if err != nil {
-		return nil, err
-	}
-	var packets []*sim.Packet
-	if js.ResumeFrom == "" { // a resumed job takes its packets from the snapshot
-		packets, err = spec.BuildWorkload(js.Workload, m, js.K, rand.New(rand.NewSource(js.Seed)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	e, err := sim.New(m, pol, packets, sim.Options{
-		Seed:           js.Seed + 1,
-		MaxSteps:       js.MaxSteps,
-		Validation:     lvl,
-		DetectLivelock: !js.NoLivelockDetect,
-		MaxWallTime:    jobTimeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if js.Fault != nil && js.Fault.Enabled() {
-		model, err := spec.NewFaults(m, *js.Fault)
-		if err != nil {
-			return nil, err
-		}
-		fate, err := spec.ParseFate(js.Fault.Fate)
-		if err != nil {
-			return nil, err
-		}
-		e.SetFaults(model, fate)
-	}
-	// The injection source is installed even on resume — the snapshot then
-	// restores its state, keeping the resumed run bit-identical.
-	if src, err := spec.BuildArrivals(js.Workload.Arrivals, m); err != nil {
-		return nil, err
-	} else if src != nil {
-		e.SetInjector(src)
-	}
-	if js.ResumeFrom != "" {
-		snap, err := checkpoint.Load(js.ResumeFrom)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.Restore(snap); err != nil {
-			return nil, fmt.Errorf("resume from %s: %w (the spec must match the checkpointed run)", js.ResumeFrom, err)
-		}
-	}
-	return e, nil
-}
-
-// buildShardEngine is buildEngine's counterpart for sharded jobs: it
-// materializes the spec into a ready-to-run shard.Engine. Validation has
-// already confirmed the spec is 2-D, fault-free and parses as a grid.
-func (js JobSpec) buildShardEngine(jobTimeout time.Duration) (*shard.Engine, error) {
-	var m *mesh.Mesh
-	var err error
-	if js.Torus {
-		m, err = mesh.NewTorus(js.Dim, js.Side)
-	} else {
-		m, err = mesh.New(js.Dim, js.Side)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pol, err := spec.NewPolicy(js.Policy)
-	if err != nil {
-		return nil, err
-	}
-	lvl, err := spec.ParseValidation(js.Validation)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := shard.ParseGrid(js.Shards)
-	if err != nil {
-		return nil, err
-	}
-	var packets []*sim.Packet
-	if js.ResumeFrom == "" { // a resumed job takes its packets from the snapshot
-		packets, err = spec.BuildWorkload(js.Workload, m, js.K, rand.New(rand.NewSource(js.Seed)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	e, err := shard.New(m, pol, packets, shard.Options{
-		Grid:           grid,
-		Seed:           js.Seed + 1,
-		MaxSteps:       js.MaxSteps,
-		Validation:     lvl,
-		DetectLivelock: !js.NoLivelockDetect,
-		MaxWallTime:    jobTimeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Injector before Restore, matching buildEngine: the manifest carries
-	// the source's state and the restore re-seeds it.
-	if src, err := spec.BuildArrivals(js.Workload.Arrivals, m); err != nil {
-		e.Close()
-		return nil, err
-	} else if src != nil {
-		e.SetInjector(src)
-	}
-	if js.ResumeFrom != "" {
-		ck, err := shard.LoadDir(js.ResumeFrom)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.Restore(ck); err != nil {
-			e.Close()
-			return nil, fmt.Errorf("resume from %s: %w (the spec must match the checkpointed run)", js.ResumeFrom, err)
-		}
-	}
-	return e, nil
-}
-
-// distToken is the shared secret between a job's coordinator and its
-// in-process workers. The loopback listener is per-job and ephemeral, so the
-// token guards against cross-talk (a stray worker from another run), not
-// against an adversary.
-const distToken = "hotpotatod-dist"
-
-// buildCoordinator materializes a distributed spec (Shards plus
-// DistWorkers) into a dshard coordinator driving DistWorkers in-process
-// workers over loopback TCP. ckptDir, when non-empty, is where coordinated
-// checkpoints are persisted (same .shards directory format as the
-// in-process sharded engine); ckptEvery is the rollback/save cadence (0 =
-// the coordinator's default).
-func (js JobSpec) buildCoordinator(jobTimeout time.Duration, ckptDir string, ckptEvery int) (*dshard.Coordinator, error) {
-	if js.Workload.Arrivals != nil {
-		// Validation rejects this at admission; guard the recovery path too.
-		return nil, fmt.Errorf("distributed jobs do not support arrivals")
-	}
-	var m *mesh.Mesh
-	var err error
-	if js.Torus {
-		m, err = mesh.NewTorus(js.Dim, js.Side)
-	} else {
-		m, err = mesh.New(js.Dim, js.Side)
-	}
-	if err != nil {
-		return nil, err
-	}
-	grid, err := shard.ParseGrid(js.Shards)
-	if err != nil {
-		return nil, err
-	}
-	lvl, err := spec.ParseValidation(js.Validation)
-	if err != nil {
-		return nil, err
-	}
-	var packets []*sim.Packet
-	var resume *shard.Checkpoint
-	if js.ResumeFrom == "" { // a resumed job takes its packets from the snapshot
-		packets, err = spec.BuildWorkload(js.Workload, m, js.K, rand.New(rand.NewSource(js.Seed)))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		resume, err = shard.LoadDir(js.ResumeFrom)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c, err := dshard.New(dshard.Spec{
-		Side:           js.Side,
-		Wrap:           js.Torus,
-		Policy:         js.Policy,
-		Grid:           grid,
-		Seed:           js.Seed + 1,
-		MaxSteps:       js.MaxSteps,
-		Validation:     lvl,
-		DetectLivelock: !js.NoLivelockDetect,
-	}, packets, dshard.Options{
-		Workers:          js.DistWorkers,
-		Token:            distToken,
-		Policies:         spec.NewPolicy,
-		Spawn:            dshard.InProcessSpawner(dshard.WorkerOptions{Token: distToken, Policies: spec.NewPolicy}),
-		CheckpointEvery:  ckptEvery,
-		CheckpointDir:    ckptDir,
-		CheckpointFormat: checkpoint.Binary,
-		Resume:           resume,
-		MaxWallTime:      jobTimeout,
-	})
-	if err != nil && js.ResumeFrom != "" {
-		return nil, fmt.Errorf("resume from %s: %w (the spec must match the checkpointed run)", js.ResumeFrom, err)
-	}
-	return c, err
 }
 
 // JobState is the lifecycle position of a job.

@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -46,12 +45,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hotpotato/internal/checkpoint"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/rng"
 	"hotpotato/internal/run"
 	"hotpotato/internal/server/metrics"
 	"hotpotato/internal/server/store"
-	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/spec"
 )
@@ -71,8 +69,9 @@ type Config struct {
 	// MaxAttempts caps attempts per job (retry on failure). Default 1.
 	MaxAttempts int
 	// CheckpointDir, when set, is where drained or timed-out jobs save
-	// their engine state ("<dir>/<jobID>.hpck"). Empty disables
-	// checkpointing: a drained job is then recorded as failed.
+	// their engine state ("<dir>/<jobID>.hpck", or a "<dir>/<jobID>.shards"
+	// directory for sharded jobs). Empty disables checkpointing: a drained
+	// job is then recorded as failed.
 	CheckpointDir string
 	// CheckpointEvery, when > 0 (and CheckpointDir is set), additionally
 	// checkpoints every running job each N engine steps, so a hard crash
@@ -305,18 +304,8 @@ func (s *Server) adoptRecovery(rec *store.Recovery) {
 			s.walAppend(store.Record{Job: j.ID, Op: store.OpQuarantined, Error: msg})
 			s.logf("job %s QUARANTINED at recovery (%d prior start(s))", j.ID, jr.Starts)
 		default:
-			if s.cfg.CheckpointDir != "" {
-				if j.Spec.Shards != "" {
-					dir := filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")
-					if shard.HasCheckpoint(dir) {
-						j.resumeFromRecovery(dir)
-					}
-				} else {
-					path := filepath.Join(s.cfg.CheckpointDir, j.ID+".hpck")
-					if _, err := os.Stat(path); err == nil {
-						j.resumeFromRecovery(path)
-					}
-				}
+			if es, err := s.engineSpec(j); err == nil && engine.HasCheckpoint(es.CheckpointPath) {
+				j.resumeFromRecovery(es.CheckpointPath)
 			}
 			s.recovered.Inc()
 			requeued++
@@ -597,10 +586,10 @@ type jobOutcome struct {
 // runs of the same spec report equal fingerprints iff they ended in
 // bit-identical engine states having done identical work — which is how
 // the chaos harness proves a crash-recovered run matches an uninterrupted
-// one. Both sim.Engine and shard.Engine satisfy the parameter (and hash
-// equal states equally, which is the sharded engine's parity contract).
-func resultFingerprint(e interface{ StateHash() uint64 }, p sim.Progress) uint64 {
-	return uint64(rng.Mix(int64(e.StateHash()), int64(p.Time), int64(p.Delivered),
+// one, whichever engine each ran on (equal states hash equally on all
+// three: their parity contract).
+func resultFingerprint(h *engine.Run, p sim.Progress) uint64 {
+	return uint64(rng.Mix(int64(h.StateHash()), int64(p.Time), int64(p.Delivered),
 		int64(p.Dropped), int64(p.Absorbed), p.TotalHops, p.TotalDeflections, int64(p.MaxNodeLoad)))
 }
 
@@ -732,16 +721,6 @@ func (s *Server) execute(j *Job) {
 		s.publishSummary(j)
 	default:
 		s.completed.Inc()
-		if s.cfg.CheckpointDir != "" {
-			// A finished job's periodic checkpoint is stale — it must not
-			// shadow a future job or confuse recovery's resume probe. It goes
-			// before the job reads as done, so "done" implies "no checkpoint"
-			// (a crash in between reruns the job from step 0 — same result).
-			os.Remove(filepath.Join(s.cfg.CheckpointDir, j.ID+".hpck")) //nolint:errcheck
-			if j.Spec.Shards != "" {
-				os.RemoveAll(filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")) //nolint:errcheck
-			}
-		}
 		j.setFinalHash(out.FinalHash)
 		j.finish(JobDone, out.Result, "")
 		s.walAppend(store.Record{Job: j.ID, Op: store.OpDone, Result: resultJSON, FinalHash: out.FinalHash}) //nolint:errcheck
@@ -749,6 +728,20 @@ func (s *Server) execute(j *Job) {
 		s.logf("job %s done: %d/%d delivered in %d steps",
 			j.ID, out.Result.Delivered, out.Result.Total, out.Result.Steps)
 	}
+}
+
+// engineSpec is the job as engine.Open takes it: the client's spec plus what
+// the server decides — the wall-clock budget and, with a CheckpointDir,
+// where ("<dir>/<id>.hpck", or "<dir>/<id>.shards" for sharded jobs) and how
+// often the run's state is saved.
+func (s *Server) engineSpec(j *Job) (engine.Spec, error) {
+	es, err := j.Spec.engineSpec()
+	es.MaxWall = s.cfg.JobTimeout
+	if s.cfg.CheckpointDir != "" {
+		es.CheckpointPath = filepath.Join(s.cfg.CheckpointDir, j.ID+es.CheckpointExt())
+		es.CheckpointEvery = s.cfg.CheckpointEvery
+	}
+	return es, err
 }
 
 // runJob is one supervised attempt on the engine the spec selects. A
@@ -759,34 +752,30 @@ func (s *Server) execute(j *Job) {
 // client supplied keeps failing loudly with the typed error.
 func (s *Server) runJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
 	out, err := s.runJobOnce(actx, j, attempt)
-	if bad := j.recoveryResume; bad != "" && err != nil &&
-		(errors.Is(err, checkpoint.ErrBadFile) || errors.Is(err, shard.ErrBadCheckpoint)) {
+	if bad := j.recoveryResume; bad != "" && errors.Is(err, engine.ErrBadCheckpoint) {
 		s.logf("job %s: recovered checkpoint unusable, running as submitted: %v", j.ID, err)
-		os.RemoveAll(bad) //nolint:errcheck // stale either way; the next save replaces it
+		engine.RemoveCheckpoint(bad) //nolint:errcheck // stale either way; the next save replaces it
 		j.dropRecoveryResume()
 		return s.runJobOnce(actx, j, attempt)
 	}
 	return out, err
 }
 
+// runJobOnce opens the job's run and supervises it until completion,
+// drain-cancel or deadline. Which engine steps, how it is hooked and how its
+// state reaches the checkpoint path are the opener's business; with a path
+// configured an early stop always leaves a checkpoint there, so "stopped
+// early" plus "something saved" is the whole checkpointed test.
 func (s *Server) runJobOnce(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
-	if j.Spec.Shards != "" {
-		if j.Spec.DistWorkers > 0 {
-			return s.runDistributedJob(actx, j, attempt)
-		}
-		return s.runShardedJob(actx, j, attempt)
-	}
-	return s.runSingleJob(actx, j, attempt)
-}
-
-// runSingleJob runs a job on sim.Engine: build the engine, wire observers,
-// run until completion, drain-cancel, or deadline.
-func (s *Server) runSingleJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
-	e, err := j.Spec.buildEngine(s.cfg.JobTimeout)
+	es, err := s.engineSpec(j)
 	if err != nil {
 		return nil, err
 	}
-	defer e.Close()
+	h, err := engine.Open(es)
+	if err != nil {
+		return nil, err
+	}
+	defer h.Close()
 
 	// The run stops on whichever fires first: the attempt's backstop
 	// deadline (actx), or drain deciding that running jobs must checkpoint.
@@ -795,245 +784,54 @@ func (s *Server) runSingleJob(actx context.Context, j *Job, attempt int) (json.R
 	stop := context.AfterFunc(s.jobCtx, cancel)
 	defer stop()
 
-	// Progress epochs: publish to stream followers, update status and the
-	// shared step counters. Step latency is sampled per step.
-	last := time.Now()
-	e.AddObserver(sim.ObserverFunc(func(*sim.StepRecord) {
-		now := time.Now()
-		s.stepLatency.Observe(now.Sub(last).Seconds())
-		last = now
-		s.stepsTotal.Inc()
-	}))
-	e.AddObserver(sim.NewProgressSampler(e, j.Spec.ProgressEvery, func(p sim.Progress) {
-		j.setProgress(p)
-		s.publishProgress(j, attempt, p)
-	}))
-	if d := time.Duration(j.Spec.StepDelay); d > 0 {
-		e.AddObserver(sim.ObserverFunc(func(*sim.StepRecord) { time.Sleep(d) }))
-	}
-
-	// Checkpoint sink: used when the run stops early, and — with
-	// CheckpointEvery > 0 — periodically mid-run, so a hard crash resumes
-	// from the last saved epoch instead of step zero. checkpoint.Save is
-	// atomic (temp+rename), so a crash mid-save leaves the previous
-	// checkpoint intact.
-	saved := ""
-	every := 0
-	var save func(*sim.Snapshot) error
-	if s.cfg.CheckpointDir != "" {
-		every = s.cfg.CheckpointEvery
-		path := filepath.Join(s.cfg.CheckpointDir, j.ID+".hpck")
-		save = func(snap *sim.Snapshot) error {
-			if err := checkpoint.Save(path, snap, checkpoint.Binary); err != nil {
-				return err
-			}
-			saved = path
-			return nil
-		}
-	}
-
+	// Per step: sample the latency and count the step; per progress epoch:
+	// update the status and publish to stream followers.
 	started := time.Now()
-	res, runErr := e.RunCheckpointed(ctx, every, save)
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		return nil, runErr // validation failure, policy panic, checkpoint I/O
-	}
-	elapsed := time.Since(started)
-
-	final := e.Progress()
-	j.setProgress(final)
-	s.publishProgress(j, attempt, final)
-	if elapsed > 0 && final.Time > 0 {
-		s.stepsPerSec.Observe(float64(final.Time) / elapsed.Seconds())
-	}
-
-	out := jobOutcome{Result: res, Steps: final.Time}
-	switch {
-	case runErr != nil: // context.Canceled: drain or backstop
-		out.Canceled = true
-		if save != nil && saved == "" {
-			// Cancelled before the first step: RunCheckpointed had no
-			// unsaved progress to flush, but the initial state is still
-			// worth keeping — it is the job itself.
-			snap, err := e.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			if err := save(snap); err != nil {
-				return nil, err
-			}
-		}
-	case res.DeadlineExceeded:
-		out.TimedOut = true
-	default:
-		out.FinalHash = resultFingerprint(e, final)
-	}
-	out.Checkpointed = saved != "" && (out.Canceled || out.TimedOut)
-	out.Checkpoint = saved
-	return json.Marshal(out)
-}
-
-// runShardedJob is runSingleJob's counterpart for specs with Shards set: the same
-// supervision contract (progress epochs, drain-cancel, periodic
-// checkpoints, final-state fingerprint) driven through the sharded engine,
-// which reports through StepHook instead of observers. A sharded checkpoint
-// is a directory — one part per shard plus a manifest — at
-// CheckpointDir/<id>.shards, and resume_from takes such a directory.
-func (s *Server) runShardedJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
-	e, err := j.Spec.buildShardEngine(s.cfg.JobTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-
-	ctx, cancel := context.WithCancel(actx)
-	defer cancel()
-	stop := context.AfterFunc(s.jobCtx, cancel)
-	defer stop()
-
-	last := time.Now()
+	last := started
 	sinceEpoch := 0
 	delay := time.Duration(j.Spec.StepDelay)
-	e.StepHook = func(int, int) {
+	res, runErr := h.Run(ctx, func() {
 		now := time.Now()
 		s.stepLatency.Observe(now.Sub(last).Seconds())
 		last = now
 		s.stepsTotal.Inc()
 		if sinceEpoch++; sinceEpoch >= j.Spec.ProgressEvery {
 			sinceEpoch = 0
-			p := e.Progress()
+			p := h.Progress()
 			j.setProgress(p)
 			s.publishProgress(j, attempt, p)
 		}
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-	}
-
-	saved := ""
-	every := 0
-	var save func(*shard.Checkpoint) error
-	if s.cfg.CheckpointDir != "" {
-		every = s.cfg.CheckpointEvery
-		dir := filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")
-		save = func(ck *shard.Checkpoint) error {
-			if err := shard.SaveDir(dir, ck, checkpoint.Binary); err != nil {
-				return err
-			}
-			saved = dir
-			return nil
-		}
-	}
-
-	started := time.Now()
-	res, runErr := e.RunCheckpointed(ctx, every, save)
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		return nil, runErr // validation failure, shard panic, checkpoint I/O
+	})
+	if res == nil {
+		return nil, runErr // validation failure, panic, lost run, checkpoint I/O
 	}
 	elapsed := time.Since(started)
 
-	final := e.Progress()
+	final := h.Progress()
 	j.setProgress(final)
 	s.publishProgress(j, attempt, final)
 	if elapsed > 0 && final.Time > 0 {
 		s.stepsPerSec.Observe(float64(final.Time) / elapsed.Seconds())
 	}
 
-	out := jobOutcome{Result: res, Steps: final.Time}
-	switch {
-	case runErr != nil: // context.Canceled: drain or backstop
-		out.Canceled = true
-		if save != nil && saved == "" {
-			// Cancelled before the first step: keep the initial state, it is
-			// the job itself (mirroring the single-engine path).
-			ck, err := e.Checkpoint()
-			if err != nil {
-				return nil, err
-			}
-			if err := save(ck); err != nil {
-				return nil, err
-			}
-		}
-	case res.DeadlineExceeded:
-		out.TimedOut = true
-	default:
-		out.FinalHash = resultFingerprint(e, final)
-	}
-	out.Checkpointed = saved != "" && (out.Canceled || out.TimedOut)
-	out.Checkpoint = saved
-	return json.Marshal(out)
-}
-
-// runDistributedJob is the execution path for specs with DistWorkers set:
-// the job runs on the dshard coordinator with DistWorkers in-process worker
-// processes over loopback TCP, under the same supervision contract as the
-// other paths. The coordinator persists its own coordinated checkpoints
-// (same .shards directory as the sharded path, so recovery and resume_from
-// interoperate across all three engines) and survives worker failures
-// internally by rolling back to the last one.
-func (s *Server) runDistributedJob(actx context.Context, j *Job, attempt int) (json.RawMessage, error) {
-	dir := ""
-	if s.cfg.CheckpointDir != "" {
-		dir = filepath.Join(s.cfg.CheckpointDir, j.ID+".shards")
-	}
-	c, err := j.Spec.buildCoordinator(s.cfg.JobTimeout, dir, s.cfg.CheckpointEvery)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithCancel(actx)
-	defer cancel()
-	stop := context.AfterFunc(s.jobCtx, cancel)
-	defer stop()
-
-	last := time.Now()
-	sinceEpoch := 0
-	delay := time.Duration(j.Spec.StepDelay)
-	c.StepHook = func(int, int) {
-		now := time.Now()
-		s.stepLatency.Observe(now.Sub(last).Seconds())
-		last = now
-		s.stepsTotal.Inc()
-		if sinceEpoch++; sinceEpoch >= j.Spec.ProgressEvery {
-			sinceEpoch = 0
-			p := c.Progress()
-			j.setProgress(p)
-			s.publishProgress(j, attempt, p)
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-	}
-
-	started := time.Now()
-	res, runErr := c.Run(ctx)
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		return nil, runErr // run lost past the recovery budget, fatal worker error, save I/O
-	}
-	elapsed := time.Since(started)
-
-	final := c.Progress()
-	j.setProgress(final)
-	s.publishProgress(j, attempt, final)
-	if elapsed > 0 && final.Time > 0 {
-		s.stepsPerSec.Observe(float64(final.Time) / elapsed.Seconds())
-	}
-
-	out := jobOutcome{Result: res, Steps: final.Time}
+	out := jobOutcome{Result: res, Steps: final.Time, Checkpoint: h.Saved()}
 	switch {
 	case runErr != nil: // context.Canceled: drain or backstop
 		out.Canceled = true
 	case res.DeadlineExceeded:
 		out.TimedOut = true
 	default:
-		out.FinalHash = resultFingerprint(c, final)
+		out.FinalHash = resultFingerprint(h, final)
+		// A finished job's periodic checkpoint is stale — it must not shadow
+		// a future job or confuse recovery's resume probe. It goes before the
+		// job reads as done, so "done" implies "no checkpoint" (a crash in
+		// between reruns the job from step 0 — same result).
+		engine.RemoveCheckpoint(es.CheckpointPath) //nolint:errcheck
 	}
-	// The coordinator saves on every early stop itself (including before the
-	// first step), so a committed checkpoint on disk is the whole test.
-	if dir != "" && (out.Canceled || out.TimedOut) && shard.HasCheckpoint(dir) {
-		out.Checkpointed = true
-		out.Checkpoint = dir
-	}
+	out.Checkpointed = out.Checkpoint != "" && (out.Canceled || out.TimedOut)
 	return json.Marshal(out)
 }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hotpotato/internal/engine"
 	"hotpotato/internal/shard"
 )
 
@@ -78,6 +81,38 @@ func TestShardedJobRejects(t *testing.T) {
 			continue
 		}
 		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST = %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestUnsupportedCombinations: the daemon's cross-feature refusals are the
+// opener's compatibility table (engine.TestValidateTable), reached through
+// the job-spec JSON: each one is engine.ErrUnsupported at Submit and a 400
+// over HTTP, and the one bench/run.go greps for keeps its wording.
+func TestUnsupportedCombinations(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	defer drainQuiet(t, s)
+	for name, body := range map[string]string{
+		"shards on dim 3":          `{"dim": 3, "side": 4, "shards": "2x2"}`,
+		"shards with faults":       `{"side": 8, "shards": "2x2", "fault": {"crash_rate": 0.01}}`,
+		"dist without shards":      `{"side": 8, "dist_workers": 2}`,
+		"dist wider than the grid": `{"side": 8, "shards": "2x2", "dist_workers": 5}`,
+		"dist with arrivals": `{"side": 8, "shards": "2x2", "dist_workers": 2, "max_steps": 50,
+			"workload": {"name": "none", "arrivals": {"process": "poisson", "params": {"rate": "0.05"}}}}`,
+	} {
+		var js JobSpec
+		if err := json.Unmarshal([]byte(body), &js); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err := s.Submit(js)
+		if !errors.Is(err, engine.ErrUnsupported) {
+			t.Errorf("%s: Submit err = %v, want engine.ErrUnsupported", name, err)
+		}
+		if name == "dist with arrivals" && !strings.Contains(err.Error(), "distributed jobs do not support arrivals") {
+			t.Errorf("%s: %q lost the wording bench/run.go checks", name, err)
+		}
+		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: POST = %d, want 400", name, resp.StatusCode)
 		}
 	}

@@ -47,6 +47,27 @@ func sameResult(t *testing.T, want, got *sim.Result, label string) {
 	}
 }
 
+// TestRunPreCancelled: a context cancelled before the run starts stops the
+// sharded engine before its first step, exactly like the single engine.
+func TestRunPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m, pkts := testProblem(t, 9)
+	for i := 0; i < 20; i++ {
+		e := mustShard(t, m, clonePackets(pkts), shard.Options{Grid: shard.Grid{P: 2, Q: 2}, Seed: 9})
+		res, err := e.RunCheckpointed(ctx, 1, func(*shard.Checkpoint) error {
+			t.Fatal("save called with no progress to save")
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("try %d: err = %v, want context.Canceled", i, err)
+		}
+		if e.Time() != 0 || res.TotalHops != 0 {
+			t.Fatalf("try %d: a pre-cancelled run executed %d step(s), %d hops", i, e.Time(), res.TotalHops)
+		}
+	}
+}
+
 // TestCheckpointResumeAcrossGrids runs a sharded engine halfway, captures a
 // coordinated checkpoint, and resumes it in engines with different
 // decompositions — including 1x1 — requiring the resumed runs to finish

@@ -196,6 +196,7 @@ type StopFlag struct {
 // The caller must Release it.
 func NewStopFlag(ctx context.Context, maxWall time.Duration) *StopFlag {
 	s := &StopFlag{}
+	s.flag.Store(ctx.Err() != nil) // already stopped: not one step may run before the watcher is scheduled
 	if maxWall > 0 {
 		s.timer = time.AfterFunc(maxWall, func() { s.flag.Store(true) })
 	}

@@ -380,6 +380,28 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
+// TestRunPreCancelled: a context that is cancelled before the run starts
+// stops it before its first step — the stop flag reads ctx.Err() when it is
+// armed, not only once the watcher goroutine gets scheduled — and save sees
+// nothing, because there is no unsaved progress.
+func TestRunPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 50; i++ {
+		e := swapForeverEngine(t, Options{MaxSteps: 1 << 30})
+		res, err := e.RunCheckpointed(ctx, 1, func(*Snapshot) error {
+			t.Fatal("save called with no progress to save")
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("try %d: err = %v, want context.Canceled", i, err)
+		}
+		if e.Time() != 0 || res.TotalHops != 0 {
+			t.Fatalf("try %d: a pre-cancelled run executed %d step(s), %d hops", i, e.Time(), res.TotalHops)
+		}
+	}
+}
+
 // TestRunContextDeadline: a ctx deadline behaves exactly like MaxWallTime —
 // DeadlineExceeded set, nil error — so the two mechanisms agree.
 func TestRunContextDeadline(t *testing.T) {
