@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke dist-demo policylab-demo clean
+.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard dist-demo policylab-demo clean
 
 # Output file for the committed benchmark record (see bench-json).
 BENCH_JSON ?= BENCH_PR10.json
@@ -174,11 +174,20 @@ chaos-smoke:
 # bit-identical (every Result field plus the final state hash) to the same
 # problem on the in-process sharded engine with no kills. Runs the whole
 # dshard suite (transport faults, corrupt frames, kill/rejoin, cross-grid
-# resume) plus the process-level harness, under the race detector. Blocking
-# in CI.
+# resume) plus the process-level harness, under the race detector, then the
+# parity, transport-fault and kill/rejoin tests twice more — one reply cache
+# serves a whole step, so the schedule gets a second roll. Blocking in CI.
 dist-chaos-smoke:
 	SHARDCOORD_CHAOS_KILLS=5 $(GO) test -race -count=1 -timeout 10m \
 		./internal/dshard/ ./cmd/shardcoord/ ./cmd/shardworker/
+	$(GO) test -race -count=2 -timeout 10m \
+		-run 'TestDistributedParity|TestDistributedTransportFaults|TestDistributedKillRejoin' ./internal/dshard/
+
+# The dshard rung of the cost ladder: one traced pass of the repo benchmark
+# on dense_torus.dshard, printing only the distributed rungs and the
+# in-process shard rungs they are read against.
+ladder-dshard:
+	$(GO) run ./bench --workload dense_torus.dshard --seconds 5 --trace 1 | awk '$$2 ~ /^(dshard|shard)\./'
 
 # Distributed demo: a coordinator spawns two worker processes, one is
 # SIGKILLed mid-run, and the run recovers from the last coordinated

@@ -1,10 +1,10 @@
 // Command shardcoord runs one hot-potato routing problem distributed across
 // worker processes. It listens for workers (cmd/shardworker), assigns each a
-// contiguous band of the PxQ shard grid, and drives the two-phase step
-// barrier — relaying receiver-keyed halo buckets between workers — until the
-// run completes. The result is bit-identical to the same problem on the
-// in-process engines: same per-step state hashes, same livelock step, same
-// summary.
+// contiguous band of the PxQ shard grid, and drives the step barrier — one
+// round trip a step, relaying receiver-keyed halo buckets between workers as
+// the bytes they were sent — until the run completes. The result is
+// bit-identical to the same problem on the in-process engines: same per-step
+// state hashes, same livelock step, same summary.
 //
 // Workers are expendable. With -worker-bin the coordinator spawns (and after
 // a kill, re-spawns) them itself; without it, workers are external and dial
@@ -107,8 +107,8 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		workerBin  = fs.String("worker-bin", "", "shardworker binary to spawn per slot (empty = wait for external workers)")
 		workerArgs = fs.String("worker-flags", "", "extra flags passed to each spawned worker, e.g. \"-step-delay 20ms\"")
 
-		stepTimeout   = fs.Duration("step-timeout", 10*time.Second, "deadline for one phase attempt per worker")
-		retries       = fs.Int("retries", 2, "retries per phase exchange before a worker is declared failed")
+		stepTimeout   = fs.Duration("step-timeout", 10*time.Second, "deadline for one attempt of a step barrier per worker")
+		retries       = fs.Int("retries", 2, "retries per step barrier before a worker is declared failed")
 		hbTimeout     = fs.Duration("heartbeat-timeout", 2*time.Second, "silence after which a worker is declared dead")
 		rejoinTimeout = fs.Duration("rejoin-timeout", 15*time.Second, "how long a recovery waits for a replacement worker")
 		maxRecover    = fs.Int("max-recoveries", 0, "checkpoint rollbacks tolerated across the run (0 = default, negative = fail on first)")

@@ -155,6 +155,10 @@ func (d *Dec) Bytes() []byte {
 	return append([]byte(nil), p...)
 }
 
+// View is Bytes without the copy: the returned slice aliases the input, so
+// it is valid only as long as the caller keeps B unchanged.
+func (d *Dec) View() []byte { return d.span("byte string") }
+
 func (d *Dec) span(what string) []byte {
 	n := d.Count(what)
 	p := d.B[d.off : d.off+n]

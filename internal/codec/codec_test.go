@@ -51,6 +51,27 @@ func TestBytesCopies(t *testing.T) {
 	}
 }
 
+// TestViewAliases: View hands out the input's own bytes, length-guarded like
+// Bytes.
+func TestViewAliases(t *testing.T) {
+	var e Enc
+	e.Bytes([]byte("abc"))
+	e.Bytes(nil)
+	d := Dec{B: e.B}
+	got := d.View()
+	e.B[2] = 'X'
+	if string(got) != "aXc" {
+		t.Fatalf("View copied its input: %q", got)
+	}
+	if empty := d.View(); len(empty) != 0 || d.Done() != nil {
+		t.Fatalf("empty view: %q, %v", empty, d.Done())
+	}
+	short := Dec{B: e.B[:3]}
+	if short.View(); short.Err() == nil {
+		t.Fatal("View past the end of the payload accepted")
+	}
+}
+
 // TestRejections: truncation at every offset, non-canonical encodings,
 // out-of-range narrow values and oversized counts all fail — and the first
 // failure sticks, zeroing every later read.

@@ -3,9 +3,11 @@ package dshard
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -62,10 +64,10 @@ type Options struct {
 	// coordinator waits for them to dial in (and re-dial after a failure).
 	Spawn func(slot int, addr string) (WorkerProc, error)
 
-	// StepTimeout bounds one attempt of one phase request per worker
+	// StepTimeout bounds one attempt of one barrier request per worker
 	// (default 10s); a worker that misses it MaxRetries+1 times is declared
 	// failed. MaxRetries defaults to 2; retries are safe because workers
-	// cache and resend their per-step responses.
+	// cache and resend their per-step response.
 	StepTimeout time.Duration
 	MaxRetries  int
 	// BackoffBase/BackoffMax space the retries (run.BackoffDelay; defaults
@@ -120,9 +122,9 @@ const (
 	defaultCheckpointEvery  = 256
 )
 
-// Failure classification sentinels for one phase exchange.
+// Failure classification sentinels for one barrier.
 var (
-	errAttemptTimeout = errors.New("dshard: phase attempt timed out")
+	errAttemptTimeout = errors.New("dshard: barrier attempt timed out")
 	errWorkerDead     = errors.New("dshard: worker connection dead")
 	errNeedsLoad      = errors.New("dshard: worker demands reload")
 	errFatalWorker    = errors.New("dshard: fatal worker error")
@@ -141,16 +143,31 @@ type workerFailure struct {
 	fatal   bool // deterministic error: recovery would replay it
 }
 
-// workerSlot is the coordinator's per-worker state. A slot's connection is
-// only touched by the slot's own phase goroutine during a phase and by the
-// coordinator loop between phases, so it needs no lock.
+// workerSlot is the coordinator's per-worker state, touched by the
+// coordinator loop alone.
 type workerSlot struct {
 	slot     int
 	owned    []int
 	conn     net.Conn
-	br       *bufio.Reader
+	in       frameReader
 	lastSeen time.Time
 	proc     WorkerProc
+
+	// step is the sealed STEP frame the slot is sent next (kept for
+	// resends), built from ingress, the buckets addressed to its shards;
+	// stepped is its decoded reply, which aliases the slot's read buffer
+	// until the connection is read again.
+	step    []byte
+	ingress []rawBucket
+	stepped msgStepped
+}
+
+// drop severs the slot's connection; the next barrier reports it dead.
+func (ws *workerSlot) drop() {
+	if ws.conn != nil {
+		ws.conn.Close()
+		ws.conn = nil
+	}
 }
 
 type admission struct {
@@ -197,7 +214,20 @@ type Coordinator struct {
 	maxNodeLoad      int
 	recoveries       int
 	deadlineExceeded bool
-	finalized        []sim.PacketState
+	// finalized is append-only (manifests share its backing array, clamped
+	// to their own length); finalizedRaw holds the arrivals since the last
+	// manifest as the workers encoded them, decoded only when the next
+	// manifest is due — total-live-len(finalized) of them.
+	finalized    []sim.PacketState
+	finalizedRaw []byte
+
+	// staged reports that every worker has routed step c.time and the
+	// slots' step frames carry its regrouped egress — true from one STEP
+	// barrier to the next, false after a LOAD. stepReq and blocks are
+	// per-step scratch.
+	staged  bool
+	stepReq msgStep
+	blocks  [][]byte
 
 	lastCK    *shard.Checkpoint
 	finalHash uint64
@@ -304,6 +334,7 @@ func New(spec Spec, packets []*sim.Packet, opts Options) (*Coordinator, error) {
 	}
 	if c.livelockable {
 		c.seen = make(map[uint64]int)
+		c.blocks = make([][]byte, grid.Count())
 	}
 	// Contiguous shard ranges per slot: slot i owns count/W shards, the
 	// first count%W slots one extra.
@@ -375,16 +406,13 @@ func (c *Coordinator) StateHash() uint64 { return c.finalHash }
 // checkpoint — recovery's permanent floor: a worker killed on the very
 // first step still rejoins from somewhere.
 func (c *Coordinator) admit(packets []*sim.Packet) error {
-	perNode := make(map[mesh.NodeID]int)
-	byShard := make([][]sim.PacketState, c.grid.Count())
+	perNode := make([]int32, c.m.Size())
 	nextID, err := sim.AdmitInitial(c.m, packets, func(p *sim.Packet) (int, bool) {
-		held := perNode[p.Src]
+		held := int(perNode[p.Src])
 		if held >= c.m.Degree(p.Src) {
 			return held, false
 		}
-		perNode[p.Src] = held + 1
-		owner := c.part.Owner(p.Src)
-		byShard[owner] = append(byShard[owner], sim.CapturePacket(p))
+		perNode[p.Src]++
 		c.live++
 		return held + 1, true
 	})
@@ -392,22 +420,37 @@ func (c *Coordinator) admit(packets []*sim.Packet) error {
 		return err
 	}
 	c.nextID = nextID
+	c.total = len(packets)
+
+	// Checkpoint parts hold packets in queue order over ascending nodes, and
+	// within one node in injection order — the queue order shard.New
+	// produces. The per-node counts give every node its slot range inside
+	// its shard's part, so one pass over the packets places each directly.
+	perShard := make([]int32, c.grid.Count())
+	for node, n := range perNode {
+		if n > 0 {
+			owner := c.part.Owner(mesh.NodeID(node))
+			perNode[node], perShard[owner] = perShard[owner], perShard[owner]+n
+		}
+	}
+	ck := &shard.Checkpoint{Parts: make([]shard.ShardPart, c.grid.Count())}
+	for i, n := range perShard {
+		ck.Parts[i] = shard.ShardPart{Version: shard.CheckpointVersion, Index: i, Time: 0}
+		if n > 0 {
+			ck.Parts[i].Packets = make([]sim.PacketState, n)
+		}
+	}
 	for _, p := range packets {
 		if p.Arrived() { // source == destination: absorbed at time 0
 			c.finalized = append(c.finalized, sim.CapturePacket(p))
+			continue
 		}
+		ck.Parts[c.part.Owner(p.Src)].Packets[perNode[p.Src]] = sim.CapturePacket(p)
+		perNode[p.Src]++
 	}
-	c.total = len(packets)
-
-	ck := &shard.Checkpoint{Parts: make([]shard.ShardPart, c.grid.Count())}
-	for i := range byShard {
-		// Checkpoint parts hold packets in queue order over ascending
-		// nodes; a stable sort by node keeps injection order within one
-		// node, which is the queue order shard.New produces.
-		sort.SliceStable(byShard[i], func(a, b int) bool { return byShard[i][a].Node < byShard[i][b].Node })
-		ck.Parts[i] = shard.ShardPart{Version: shard.CheckpointVersion, Index: i, Time: 0, Packets: byShard[i]}
+	if ck.Manifest, err = c.manifest(); err != nil {
+		return err
 	}
-	ck.Manifest = c.manifest()
 	c.lastCK = ck
 	return nil
 }
@@ -466,7 +509,9 @@ func (c *Coordinator) restoreState(m *shard.Manifest) {
 	c.maxNodeLoad = m.MaxNodeLoad
 	c.reroutes = m.Reroutes
 	c.deadlineExceeded = false
-	c.finalized = append(c.finalized[:0], m.Finalized...)
+	c.staged = false
+	c.finalized = m.Finalized[:len(m.Finalized):len(m.Finalized)]
+	c.finalizedRaw = c.finalizedRaw[:0]
 	if c.livelockable {
 		c.seen = make(map[uint64]int, len(m.Seen))
 		for _, sn := range m.Seen {
@@ -475,8 +520,21 @@ func (c *Coordinator) restoreState(m *shard.Manifest) {
 	}
 }
 
-// manifest snapshots the coordinator's global state.
-func (c *Coordinator) manifest() shard.Manifest {
+// manifest snapshots the coordinator's global state, decoding the arrivals
+// it has been holding as bytes since the last one.
+func (c *Coordinator) manifest() (shard.Manifest, error) {
+	d := codec.Dec{B: c.finalizedRaw}
+	pending := c.total - c.live - len(c.finalized)
+	c.finalized = slices.Grow(c.finalized, pending)
+	for ; pending > 0; pending-- {
+		var ps sim.PacketState
+		ps.Decode(&d)
+		c.finalized = append(c.finalized, ps)
+	}
+	if err := d.Done(); err != nil {
+		return shard.Manifest{}, fmt.Errorf("%w: finalized packets: %v", ErrBadMessage, err)
+	}
+	c.finalizedRaw = c.finalizedRaw[:0]
 	m := shard.Manifest{
 		Version:          shard.CheckpointVersion,
 		MeshDim:          2,
@@ -507,8 +565,8 @@ func (c *Coordinator) manifest() shard.Manifest {
 		}
 		sort.Slice(m.Seen, func(i, j int) bool { return m.Seen[i].Time < m.Seen[j].Time })
 	}
-	m.Finalized = append([]sim.PacketState(nil), c.finalized...)
-	return m
+	m.Finalized = c.finalized[:len(c.finalized):len(c.finalized)]
+	return m, nil
 }
 
 // ----- admission ---------------------------------------------------------
@@ -547,18 +605,20 @@ func (c *Coordinator) handshake(conn net.Conn) {
 
 // adopt binds admitted connections to the needed slots, honoring requested
 // slots, until all are filled or the timeout expires.
-func (c *Coordinator) adopt(slots []int) error {
+func (c *Coordinator) adopt(ctx context.Context, slots []int) error {
 	need := make(map[int]bool, len(slots))
 	for _, s := range slots {
 		need[s] = true
 	}
-	deadline := time.Now().Add(c.opts.RejoinTimeout)
+	timeout := time.NewTimer(c.opts.RejoinTimeout)
+	defer timeout.Stop()
+wait:
 	for len(need) > 0 {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			break
-		}
 		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-timeout.C:
+			break wait
 		case ad := <-c.admitCh:
 			slot := -1
 			switch {
@@ -577,11 +637,10 @@ func (c *Coordinator) adopt(slots []int) error {
 			}
 			ws := c.workers[slot]
 			ws.conn = ad.conn
-			ws.br = bufio.NewReaderSize(ad.conn, 64<<10)
+			ws.in = frameReader{r: bufio.NewReaderSize(ad.conn, 64<<10), max: c.opts.MaxFrame}
 			ws.lastSeen = time.Now()
 			delete(need, slot)
 			c.logf("coordinator: worker joined slot %d (shards %v)", slot, ws.owned)
-		case <-time.After(wait):
 		}
 	}
 	if len(need) > 0 {
@@ -597,42 +656,48 @@ func (c *Coordinator) adopt(slots []int) error {
 
 // ----- transport ---------------------------------------------------------
 
-func (ws *workerSlot) send(timeout time.Duration, typ byte, payload []byte) error {
+// write puts one sealed frame on the slot's connection with one Write call.
+func (ws *workerSlot) write(timeout time.Duration, frame []byte) error {
 	if ws.conn == nil {
 		return fmt.Errorf("%w: slot %d has no connection", errWorkerDead, ws.slot)
 	}
 	ws.conn.SetWriteDeadline(time.Now().Add(timeout))
-	return WriteFrame(ws.conn, typ, payload)
+	_, err := ws.conn.Write(frame)
+	return err
 }
 
-// awaitFrame reads until the wanted response of (epoch, wantT) arrives.
-// Heartbeats refresh liveness; stale frames (duplicates, responses from
-// before a recovery, late responses of earlier phases) are skipped; worker
-// ERROR frames and transport failures classify via the sentinel errors.
+// awaitFrame reads until the wanted response of (epoch, wantT) arrives; the
+// payload is valid until the slot's connection is read again. Heartbeats
+// refresh liveness; stale frames (duplicates, responses from before a
+// recovery, late responses of earlier barriers) are skipped; worker ERROR
+// frames and transport failures classify via the sentinel errors.
 func (c *Coordinator) awaitFrame(ws *workerSlot, wantTyp byte, wantT int, deadline time.Time) ([]byte, error) {
-	if ws.conn == nil {
-		return nil, fmt.Errorf("%w: slot %d has no connection", errWorkerDead, ws.slot)
-	}
 	skips := 0
 	for {
+		// Silence and lateness are only ever concluded from a read that
+		// came back empty: while the coordinator was reading other slots,
+		// this one's frames queued up unseen, and a read finds them at once.
 		now := time.Now()
-		if !now.Before(deadline) {
-			return nil, errAttemptTimeout
-		}
 		hbDeadline := ws.lastSeen.Add(c.opts.HeartbeatTimeout)
-		if !now.Before(hbDeadline) {
-			return nil, fmt.Errorf("%w: slot %d silent for %s", errWorkerDead, ws.slot, now.Sub(ws.lastSeen).Round(time.Millisecond))
-		}
 		rd := deadline
 		if hbDeadline.Before(rd) {
 			rd = hbDeadline
 		}
+		if !rd.After(now) {
+			rd = now.Add(time.Millisecond)
+		}
 		ws.conn.SetReadDeadline(rd)
-		typ, payload, err := ReadFrame(ws.br, c.opts.MaxFrame)
+		typ, payload, err := ws.in.next()
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				continue // loop re-evaluates attempt deadline vs heartbeat
+				switch now = time.Now(); {
+				case !now.Before(hbDeadline):
+					return nil, fmt.Errorf("%w: slot %d silent for %s", errWorkerDead, ws.slot, now.Sub(ws.lastSeen).Round(time.Millisecond))
+				case !now.Before(deadline):
+					return nil, errAttemptTimeout
+				}
+				continue
 			}
 			if errors.Is(err, ErrFrameCorrupt) {
 				return nil, err // loud and typed; recovery, never a guess
@@ -674,62 +739,73 @@ func (c *Coordinator) awaitFrame(ws *workerSlot, wantTyp byte, wantT int, deadli
 	}
 }
 
-// exchange performs one phase request against one worker with bounded,
-// jitter-backoff retries. Retries are safe by construction: workers cache
-// their last response per (epoch, step) and resend it, so a request lost to
-// the network or a response lost mid-flight is recovered without
-// re-executing the phase.
-func (c *Coordinator) exchange(ws *workerSlot, reqTyp byte, reqPayload []byte, wantTyp byte, wantT int) ([]byte, *workerFailure) {
-	var lastErr error
-	for attempt := 1; attempt <= c.opts.MaxRetries+1; attempt++ {
-		if attempt > 1 {
-			key := fmt.Sprintf("slot-%d", ws.slot)
-			time.Sleep(run.BackoffDelay(c.opts.BackoffBase, c.opts.BackoffMax, c.spec.Seed, key, attempt-1))
-			c.logf("coordinator: slot %d retry %d after %v", ws.slot, attempt-1, lastErr)
-		}
-		if err := ws.send(c.opts.StepTimeout, reqTyp, reqPayload); err != nil {
-			return nil, &workerFailure{slot: ws.slot, err: err, respawn: true}
-		}
-		payload, err := c.awaitFrame(ws, wantTyp, wantT, time.Now().Add(c.opts.StepTimeout))
-		switch {
-		case err == nil:
-			return payload, nil
-		case errors.Is(err, errAttemptTimeout):
-			lastErr = err
-			continue
-		case errors.Is(err, errFatalWorker):
-			return nil, &workerFailure{slot: ws.slot, err: err, fatal: true}
-		case errors.Is(err, errNeedsLoad):
-			return nil, &workerFailure{slot: ws.slot, err: err}
-		default: // dead, corrupt, malformed
-			return nil, &workerFailure{slot: ws.slot, err: err, respawn: true}
-		}
+// failureOf classifies one slot's barrier error: a deterministic worker
+// error (or the caller giving up) must not be replayed, a demanded reload
+// keeps the connection, and everything else — dead, corrupt, malformed,
+// unresponsive — costs the worker its slot.
+func failureOf(ws *workerSlot, err error) workerFailure {
+	f := workerFailure{slot: ws.slot, err: err}
+	switch {
+	case errors.Is(err, errFatalWorker), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		f.fatal = true
+	case !errors.Is(err, errNeedsLoad):
+		f.respawn = true
 	}
-	return nil, &workerFailure{
-		slot:    ws.slot,
-		err:     fmt.Errorf("slot %d unresponsive after %d attempts: %w", ws.slot, c.opts.MaxRetries+1, lastErr),
-		respawn: true,
-	}
+	return f
 }
 
-// fanout runs one phase function against every worker concurrently and
-// collects failures ordered by slot.
-func (c *Coordinator) fanout(fn func(ws *workerSlot) *workerFailure) []workerFailure {
-	var mu sync.Mutex
+// barrier is one round trip with every worker, driven from the calling
+// goroutine: every request is written before any reply is read, so the
+// workers compute side by side and the coordinator parks once per reply,
+// against one shared deadline. req yields a slot's sealed request frame;
+// handle consumes its reply payload, valid until the slot is read again.
+// The slots whose reply missed the deadline go round again, boundedly and
+// after a jittered backoff, with the same frame — safe by construction: a
+// worker answers a re-asked STEP from its cached reply, and LOAD and CKPT
+// re-execute to the same state, so a request or reply lost in flight is
+// recovered without re-executing the step. Failures come back ordered by
+// slot.
+func (c *Coordinator) barrier(ctx context.Context, wantTyp byte, wantT int, req func(*workerSlot) []byte, handle func(*workerSlot, []byte) error) []workerFailure {
 	var fails []workerFailure
-	var wg sync.WaitGroup
-	for _, ws := range c.workers {
-		wg.Add(1)
-		go func(ws *workerSlot) {
-			defer wg.Done()
-			if f := fn(ws); f != nil {
-				mu.Lock()
-				fails = append(fails, *f)
-				mu.Unlock()
+	pending := c.workers
+	for attempt := 0; len(pending) > 0; attempt++ {
+		if attempt > 0 {
+			delay := run.BackoffDelay(c.opts.BackoffBase, c.opts.BackoffMax, c.spec.Seed, fmt.Sprintf("slot-%d", pending[0].slot), attempt)
+			select {
+			case <-ctx.Done():
+				return append(fails, failureOf(pending[0], ctx.Err()))
+			case <-time.After(delay):
 			}
-		}(ws)
+			c.logf("coordinator: retry %d of barrier %d for %d late slots", attempt, wantT, len(pending))
+		}
+		for _, ws := range pending {
+			if err := ws.write(c.opts.StepTimeout, req(ws)); err != nil {
+				ws.drop()
+				fails = append(fails, failureOf(ws, err))
+			}
+		}
+		deadline := time.Now().Add(c.opts.StepTimeout)
+		var late []*workerSlot
+		for _, ws := range pending {
+			if ws.conn == nil {
+				continue
+			}
+			payload, err := c.awaitFrame(ws, wantTyp, wantT, deadline)
+			switch {
+			case errors.Is(err, errAttemptTimeout) && attempt < c.opts.MaxRetries:
+				late = append(late, ws)
+				continue
+			case errors.Is(err, errAttemptTimeout):
+				err = fmt.Errorf("slot %d unresponsive after %d attempts: %w", ws.slot, attempt+1, err)
+			case err == nil:
+				err = handle(ws, payload)
+			}
+			if err != nil {
+				fails = append(fails, failureOf(ws, err))
+			}
+		}
+		pending = late
 	}
-	wg.Wait()
 	sort.Slice(fails, func(i, j int) bool { return fails[i].slot < fails[j].slot })
 	return fails
 }
@@ -739,9 +815,23 @@ func (c *Coordinator) fanout(fn func(ws *workerSlot) *workerFailure) []workerFai
 // partitionParts splits a checkpoint's live packets by current shard
 // ownership, preserving part order then packet order — the exact enqueue
 // order shard.Engine's grid-flexible restore uses, which is what keeps a
-// rebalanced or differently-sharded resume bit-identical.
+// rebalanced or differently-sharded resume bit-identical. A checkpoint
+// whose parts already are this grid's shard populations (every rollback,
+// and a resume on the writer's grid) is handed on as it is.
 func (c *Coordinator) partitionParts(ck *shard.Checkpoint) [][]sim.PacketState {
 	parts := make([][]sim.PacketState, c.grid.Count())
+	aligned := len(ck.Parts) == len(parts)
+	for i := 0; aligned && i < len(ck.Parts); i++ {
+		aligned = ck.Parts[i].Index == i
+		for j := 0; aligned && j < len(ck.Parts[i].Packets); j++ {
+			aligned = c.part.Owner(ck.Parts[i].Packets[j].Node) == i
+		}
+		parts[i] = ck.Parts[i].Packets
+	}
+	if aligned {
+		return parts
+	}
+	clear(parts)
 	for i := range ck.Parts {
 		for j := range ck.Parts[i].Packets {
 			ps := ck.Parts[i].Packets[j]
@@ -752,13 +842,33 @@ func (c *Coordinator) partitionParts(ck *shard.Checkpoint) [][]sim.PacketState {
 	return parts
 }
 
+// standing rolls the coordinator back to the last coordinated checkpoint and
+// re-expresses it on the current grid, with the current manifest: what the
+// workers would capture if they were loaded from it and asked at once. A run
+// that cannot wait for its workers any longer ends on it.
+func (c *Coordinator) standing() (*shard.Checkpoint, error) {
+	c.restoreState(&c.lastCK.Manifest)
+	m, err := c.manifest()
+	if err != nil {
+		return nil, err
+	}
+	ck := &shard.Checkpoint{Manifest: m}
+	for i, pkts := range c.partitionParts(c.lastCK) {
+		// A part lists packets over ascending nodes; a re-partition strings
+		// together runs of them (a part that was handed on is sorted already).
+		slices.SortStableFunc(pkts, func(a, b sim.PacketState) int { return int(a.Node) - int(b.Node) })
+		ck.Parts = append(ck.Parts, shard.ShardPart{Version: shard.CheckpointVersion, Index: i, Time: m.Time, Packets: pkts})
+	}
+	return ck, nil
+}
+
 // phaseLoad pushes a checkpoint's state to every worker: ASSIGN for slots
 // whose connection is new (they need the problem definition), then LOAD
 // with each owned shard's packets.
-func (c *Coordinator) phaseLoad(ck *shard.Checkpoint, assign map[int]bool) []workerFailure {
+func (c *Coordinator) phaseLoad(ctx context.Context, ck *shard.Checkpoint, assign map[int]bool) []workerFailure {
 	parts := c.partitionParts(ck)
 	t := ck.Manifest.Time
-	return c.fanout(func(ws *workerSlot) *workerFailure {
+	for _, ws := range c.workers {
 		if assign[ws.slot] {
 			a := msgAssign{
 				Epoch: c.epoch, Side: c.spec.Side, Wrap: c.spec.Wrap,
@@ -767,97 +877,101 @@ func (c *Coordinator) phaseLoad(ck *shard.Checkpoint, assign map[int]bool) []wor
 				HashWords: c.livelockable, Owned: ws.owned,
 				HeartbeatMillis: c.opts.HeartbeatEvery.Milliseconds(),
 			}
-			if err := ws.send(c.opts.StepTimeout, mtAssign, a.encode()); err != nil {
-				return &workerFailure{slot: ws.slot, err: err, respawn: true}
+			if err := ws.write(c.opts.StepTimeout, frameOf(nil, mtAssign, &a)); err != nil {
+				ws.drop() // the barrier below reports it
 			}
 		}
-		l := msgLoad{Epoch: c.epoch, T: t}
-		for _, idx := range ws.owned {
-			l.Shards = append(l.Shards, shardLoad{Index: idx, Packets: parts[idx]})
-		}
-		_, f := c.exchange(ws, mtLoad, l.encode(), mtLoaded, t)
-		return f
-	})
-}
-
-// phaseRoute drives the route barrier for step t and returns each slot's
-// egress buckets.
-func (c *Coordinator) phaseRoute(t int) ([][]shard.Bucket, []workerFailure) {
-	results := make([][]shard.Bucket, len(c.workers))
-	req := (&msgStep{Epoch: c.epoch, T: t}).encode()
-	fails := c.fanout(func(ws *workerSlot) *workerFailure {
-		payload, f := c.exchange(ws, mtRoute, req, mtEgress, t)
-		if f != nil {
-			return f
-		}
-		m, err := decodeEgress(payload)
-		if err != nil {
-			return &workerFailure{slot: ws.slot, err: err, respawn: true}
-		}
-		results[ws.slot] = m.Buckets
-		return nil
-	})
-	return results, fails
-}
-
-// phaseApply delivers each slot's ingress buckets and collects the applied
-// reports.
-func (c *Coordinator) phaseApply(t int, ingress [][]shard.Bucket) ([]msgApplied, []workerFailure) {
-	results := make([]msgApplied, len(c.workers))
-	fails := c.fanout(func(ws *workerSlot) *workerFailure {
-		m := msgEgress{Epoch: c.epoch, T: t, Buckets: ingress[ws.slot]}
-		payload, f := c.exchange(ws, mtApply, m.encode(), mtApplied, t)
-		if f != nil {
-			return f
-		}
-		ap, err := decodeApplied(payload)
-		if err != nil {
-			return &workerFailure{slot: ws.slot, err: err, respawn: true}
-		}
-		results[ws.slot] = ap
-		return nil
-	})
-	return results, fails
-}
-
-// collectCheckpoint captures a coordinated checkpoint at the current
-// barrier: every worker contributes its shards' parts, the coordinator adds
-// the manifest.
-func (c *Coordinator) collectCheckpoint() (*shard.Checkpoint, []workerFailure) {
-	req := (&msgStep{Epoch: c.epoch, T: c.time}).encode()
-	parts := make([]shard.ShardPart, c.grid.Count())
-	got := make([]bool, c.grid.Count())
-	var mu sync.Mutex
-	fails := c.fanout(func(ws *workerSlot) *workerFailure {
-		payload, f := c.exchange(ws, mtCkpt, req, mtParts, c.time)
-		if f != nil {
-			return f
-		}
-		m, err := decodeParts(payload)
-		if err != nil {
-			return &workerFailure{slot: ws.slot, err: err, respawn: true}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for i := range m.Parts {
-			idx := m.Parts[i].Index
-			if idx < 0 || idx >= len(parts) || m.Parts[i].Time != c.time {
-				return &workerFailure{slot: ws.slot, err: fmt.Errorf("%w: bad part %d@%d", ErrBadMessage, idx, m.Parts[i].Time), respawn: true}
+	}
+	// Each LOAD frame is built just before it is written, so the first
+	// worker decodes while the next one's frame is being encoded.
+	frames := make([][]byte, len(c.workers))
+	return c.barrier(ctx, mtLoaded, t, func(ws *workerSlot) []byte {
+		if frames[ws.slot] == nil {
+			l := msgLoad{Epoch: c.epoch, T: t}
+			for _, idx := range ws.owned {
+				l.Shards = append(l.Shards, shardLoad{Index: idx, Packets: parts[idx]})
 			}
-			parts[idx] = m.Parts[i]
-			got[idx] = true
+			frames[ws.slot] = frameOf(nil, mtLoad, &l)
+		}
+		return frames[ws.slot]
+	}, func(*workerSlot, []byte) error { return nil })
+}
+
+// stageStep seals every slot's next STEP frame: barrier time t, applying
+// step t-1 from the slot's ingress when apply is set, routing step t unless
+// it is the step budget. The ingress bodies are copied here, out of the
+// read buffers they arrived in.
+func (c *Coordinator) stageStep(t int, apply bool) {
+	for _, ws := range c.workers {
+		c.stepReq = msgStep{Epoch: c.epoch, T: t, Apply: apply, Route: t < c.spec.MaxSteps, Ingress: ws.ingress}
+		ws.step = frameOf(ws.step, mtStep, &c.stepReq)
+	}
+}
+
+// stepBarrier sends the staged STEP frames and decodes every slot's reply
+// into ws.stepped, then re-keys the egress buckets by receiving worker —
+// from their headers alone; the bodies stay the bytes the senders encoded.
+func (c *Coordinator) stepBarrier(ctx context.Context, t int, apply bool) []workerFailure {
+	route := t < c.spec.MaxSteps
+	fails := c.barrier(ctx, mtStepped, t, func(ws *workerSlot) []byte { return ws.step }, func(ws *workerSlot, payload []byte) error {
+		m := &ws.stepped
+		if err := decodeStepped(payload, m); err != nil {
+			return err
+		}
+		if m.Applied != apply || m.Routed != route {
+			return fmt.Errorf("%w: slot %d answered barrier %d with applied=%v routed=%v", ErrBadMessage, ws.slot, t, m.Applied, m.Routed)
+		}
+		for i := range m.Egress {
+			if to := m.Egress[i].To; to < 0 || to >= len(c.workerOfShard) {
+				return fmt.Errorf("%w: slot %d: bucket for shard %d", ErrBadMessage, ws.slot, to)
+			}
 		}
 		return nil
 	})
 	if len(fails) > 0 {
+		return fails
+	}
+	for _, ws := range c.workers {
+		ws.ingress = ws.ingress[:0]
+	}
+	for _, ws := range c.workers {
+		for _, b := range ws.stepped.Egress {
+			dst := c.workers[c.workerOfShard[b.To]]
+			dst.ingress = append(dst.ingress, b)
+		}
+	}
+	return nil
+}
+
+// collectParts captures every shard's checkpoint part at the current
+// barrier.
+func (c *Coordinator) collectParts(ctx context.Context) ([]shard.ShardPart, []workerFailure) {
+	req := frameOf(nil, mtCkpt, &msgAt{Epoch: c.epoch, T: c.time})
+	got := make([][]shard.ShardPart, len(c.workers))
+	fails := c.barrier(ctx, mtParts, c.time, func(*workerSlot) []byte { return req }, func(ws *workerSlot, payload []byte) error {
+		m, err := decodeParts(payload)
+		got[ws.slot] = m.Parts
+		return err
+	})
+	if len(fails) > 0 {
 		return nil, fails
 	}
-	for idx, ok := range got {
+	parts := make([]shard.ShardPart, c.grid.Count())
+	seen := make([]bool, len(parts))
+	for slot, ps := range got {
+		for _, part := range ps {
+			if part.Index < 0 || part.Index >= len(parts) || part.Time != c.time {
+				return nil, []workerFailure{{slot: slot, err: fmt.Errorf("%w: bad part %d@%d", ErrBadMessage, part.Index, part.Time), respawn: true}}
+			}
+			parts[part.Index], seen[part.Index] = part, true
+		}
+	}
+	for idx, ok := range seen {
 		if !ok {
 			return nil, []workerFailure{{slot: c.workerOfShard[idx], err: fmt.Errorf("%w: shard %d part missing", ErrBadMessage, idx), respawn: true}}
 		}
 	}
-	return &shard.Checkpoint{Manifest: c.manifest(), Parts: parts}, nil
+	return parts, nil
 }
 
 // ----- hashing -----------------------------------------------------------
@@ -878,17 +992,20 @@ func (c *Coordinator) foldRows(emit func(shardIdx, y int)) {
 }
 
 // foldBlocks folds per-shard hash-word streams (each in ascending node
-// order) into the global configuration hash.
-func (c *Coordinator) foldBlocks(blocks [][]uint64) uint64 {
+// order, 8 bytes little-endian a word) into the global configuration hash.
+func (c *Coordinator) foldBlocks(blocks [][]byte) uint64 {
 	h := sim.ConfigHashSeed
 	cur := make([]int, len(blocks))
 	side := c.spec.Side
 	c.foldRows(func(si, y int) {
 		b := blocks[si]
 		i := cur[si]
-		for i+1 < len(b) && int(b[i+1]>>32)/side == y {
-			h = sim.ConfigHashFold(h, b[i], b[i+1])
-			i += 2
+		for ; i+16 <= len(b); i += 16 {
+			pos := binary.LittleEndian.Uint64(b[i+8:])
+			if int(pos>>32)/side != y {
+				break
+			}
+			h = sim.ConfigHashFold(h, binary.LittleEndian.Uint64(b[i:]), pos)
 		}
 		cur[si] = i
 	})
@@ -922,49 +1039,41 @@ func (c *Coordinator) runnable() bool {
 	return c.live > 0 && !c.livelock && c.time < c.spec.MaxSteps
 }
 
-// step drives one barrier: route everywhere, regroup the egress buckets by
-// receiving worker, apply everywhere, then fold the applied reports into
-// the global state. Any failure leaves the global state untouched — the
-// step either completes on every worker or is re-executed from a rollback.
-func (c *Coordinator) step() []workerFailure {
+// step completes step c.time with one round trip: every worker applies it
+// from the staged ingress and, in the same breath, routes the step after it
+// — whose egress comes back on the reply that reports this one, and is
+// staged at once. Only right after a LOAD, when nothing has been routed yet,
+// does a route-only barrier come first. Any failure leaves the global state
+// untouched — the step either completes on every worker or is re-executed
+// from a rollback.
+func (c *Coordinator) step(ctx context.Context) []workerFailure {
 	t := c.time
-	egress, fails := c.phaseRoute(t)
-	if len(fails) > 0 {
-		return fails
-	}
-	ingress := make([][]shard.Bucket, len(c.workers))
-	for slot := range egress {
-		for _, b := range egress[slot] {
-			dst := c.workerOfShard[b.To]
-			ingress[dst] = append(ingress[dst], b)
+	if !c.staged {
+		c.stageStep(t, false)
+		if fails := c.stepBarrier(ctx, t, false); len(fails) > 0 {
+			return fails
 		}
+		c.stageStep(t+1, true)
 	}
-	applied, fails := c.phaseApply(t, ingress)
-	if len(fails) > 0 {
+	c.staged = false
+	if fails := c.stepBarrier(ctx, t+1, true); len(fails) > 0 {
 		return fails
 	}
 
 	c.time = t + 1
-	var blocks [][]uint64
-	if c.livelockable {
-		blocks = make([][]uint64, c.grid.Count())
-	}
-	for slot := range applied {
-		ap := &applied[slot]
+	clear(c.blocks)
+	for _, ws := range c.workers {
+		ap := &ws.stepped
 		c.totalHops += ap.Hops
 		c.totalDeflections += ap.Deflections
 		c.live -= ap.Arrivals
-		if ap.LastArrival > c.lastArrival {
-			c.lastArrival = ap.LastArrival
-		}
+		c.lastArrival = max(c.lastArrival, ap.LastArrival)
 		c.reroutes += ap.Reroutes
-		if ap.MaxNodeLoad > c.maxNodeLoad {
-			c.maxNodeLoad = ap.MaxNodeLoad
-		}
-		c.finalized = append(c.finalized, ap.Finalized...)
+		c.maxNodeLoad = max(c.maxNodeLoad, ap.MaxNodeLoad)
+		c.finalizedRaw = append(c.finalizedRaw, ap.Finalized...)
 		for i := range ap.Blocks {
-			if b := &ap.Blocks[i]; b.Shard >= 0 && b.Shard < len(blocks) {
-				blocks[b.Shard] = b.Words
+			if b := &ap.Blocks[i]; b.Shard >= 0 && b.Shard < len(c.blocks) {
+				c.blocks[b.Shard] = b.Words
 			}
 		}
 	}
@@ -972,7 +1081,7 @@ func (c *Coordinator) step() []workerFailure {
 		c.StepHook(c.time, c.live)
 	}
 	if c.livelockable && c.live > 0 {
-		h := c.foldBlocks(blocks)
+		h := c.foldBlocks(c.blocks)
 		if c.HashHook != nil {
 			c.HashHook(c.time, h)
 		}
@@ -982,12 +1091,17 @@ func (c *Coordinator) step() []workerFailure {
 			c.seen[h] = c.time
 		}
 	}
+	// The egress of the step just routed is staged last, once nothing else
+	// aliases the read buffers it lies in.
+	if c.staged = c.time < c.spec.MaxSteps; c.staged {
+		c.stageStep(c.time+1, true)
+	}
 	return nil
 }
 
 // ensureWorkers spawns (when a spawner is configured) and adopts workers
 // for the given slots.
-func (c *Coordinator) ensureWorkers(slots []int) error {
+func (c *Coordinator) ensureWorkers(ctx context.Context, slots []int) error {
 	if c.opts.Spawn != nil {
 		for _, slot := range slots {
 			proc, err := c.opts.Spawn(slot, c.Addr())
@@ -997,7 +1111,7 @@ func (c *Coordinator) ensureWorkers(slots []int) error {
 			c.workers[slot].proc = proc
 		}
 	}
-	return c.adopt(slots)
+	return c.adopt(ctx, slots)
 }
 
 // recoverFrom is the rejoin state machine: tear down failed workers,
@@ -1006,7 +1120,7 @@ func (c *Coordinator) ensureWorkers(slots []int) error {
 // (failed and healthy alike) from the last coordinated checkpoint, and roll
 // the coordinator's own state back to its manifest. It loops until a load
 // completes cleanly or the recovery budget is exhausted.
-func (c *Coordinator) recoverFrom(fails []workerFailure) error {
+func (c *Coordinator) recoverFrom(ctx context.Context, fails []workerFailure) error {
 	for {
 		for _, f := range fails {
 			if f.fatal {
@@ -1031,11 +1145,7 @@ func (c *Coordinator) recoverFrom(fails []workerFailure) error {
 				continue
 			}
 			ws := c.workers[f.slot]
-			if ws.conn != nil {
-				ws.conn.Close()
-				ws.conn = nil
-				ws.br = nil
-			}
+			ws.drop()
 			if ws.proc != nil {
 				ws.proc.Stop()
 				ws.proc = nil
@@ -1045,12 +1155,12 @@ func (c *Coordinator) recoverFrom(fails []workerFailure) error {
 		}
 		c.epoch++
 		if len(respawn) > 0 {
-			if err := c.ensureWorkers(respawn); err != nil {
+			if err := c.ensureWorkers(ctx, respawn); err != nil {
 				return err
 			}
 		}
 		c.logf("coordinator: rolling back to checkpoint of step %d (epoch %d)", c.lastCK.Manifest.Time, c.epoch)
-		fails = c.phaseLoad(c.lastCK, newConn)
+		fails = c.phaseLoad(ctx, c.lastCK, newConn)
 		if len(fails) == 0 {
 			c.restoreState(&c.lastCK.Manifest)
 			return nil
@@ -1069,25 +1179,8 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 	stop := sim.NewStopFlag(ctx, c.opts.MaxWallTime)
 	defer stop.Release()
 
-	// Bring up the fleet and distribute the starting state.
-	slots := make([]int, len(c.workers))
-	assign := make(map[int]bool, len(c.workers))
-	for i := range slots {
-		slots[i] = i
-		assign[i] = true
-	}
-	c.epoch = 1
-	if err := c.ensureWorkers(slots); err != nil {
-		return nil, err
-	}
-	if fails := c.phaseLoad(c.lastCK, assign); len(fails) > 0 {
-		if err := c.recoverFrom(fails); err != nil {
-			return nil, err
-		}
-	}
-
 	wrote := false
-	save := func(ck *shard.Checkpoint) error {
+	persist := func(ck *shard.Checkpoint) error {
 		if c.opts.CheckpointDir == "" {
 			return nil
 		}
@@ -1097,34 +1190,82 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 		wrote = true
 		return nil
 	}
+	// save gives the parts of the current barrier their manifest and
+	// persists the checkpoint.
+	save := func(parts []shard.ShardPart) (*shard.Checkpoint, error) {
+		m, err := c.manifest()
+		if err != nil {
+			return nil, err
+		}
+		ck := &shard.Checkpoint{Manifest: m, Parts: parts}
+		return ck, persist(ck)
+	}
+	// lost ends a run that cannot go on. When the reason is the caller
+	// giving up while the coordinator waited on workers — bring-up, a
+	// retry's backoff, a recovery — the last coordinated checkpoint is where
+	// the run stands: roll back to it, make sure it is on disk, and report it
+	// the way a stop between steps is reported.
+	lost := func(err error) (*sim.Result, error) {
+		if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
+			return nil, err
+		}
+		ck, err := c.standing()
+		if err == nil && !wrote {
+			err = persist(ck)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dshard: final checkpoint save: %w", err)
+		}
+		c.finalHash = c.foldParts(ck.Parts)
+		runErr := sim.StopCause(ctx)
+		c.deadlineExceeded = runErr == nil
+		return c.result(), runErr
+	}
+
+	// Bring up the fleet and distribute the starting state.
+	slots := make([]int, len(c.workers))
+	assign := make(map[int]bool, len(c.workers))
+	for i := range slots {
+		slots[i] = i
+		assign[i] = true
+	}
+	c.epoch = 1
+	if err := c.ensureWorkers(ctx, slots); err != nil {
+		return lost(err)
+	}
+	if fails := c.phaseLoad(ctx, c.lastCK, assign); len(fails) > 0 {
+		if err := c.recoverFrom(ctx, fails); err != nil {
+			return lost(err)
+		}
+	}
+
 	sinceCK, sinceDisk := 0, 0
 	var runErr error
 	for {
 		for c.runnable() && !stop.Stopped() {
-			if fails := c.step(); len(fails) > 0 {
-				if err := c.recoverFrom(fails); err != nil {
-					return nil, err
+			fails := c.step(ctx)
+			var parts []shard.ShardPart
+			if len(fails) == 0 {
+				sinceCK++
+				sinceDisk++
+				if sinceCK < c.opts.CheckpointEvery {
+					continue
+				}
+				parts, fails = c.collectParts(ctx)
+			}
+			if len(fails) > 0 {
+				if err := c.recoverFrom(ctx, fails); err != nil {
+					return lost(err)
 				}
 				sinceCK = 0
 				continue
 			}
-			sinceCK++
-			sinceDisk++
-			if sinceCK >= c.opts.CheckpointEvery {
-				ck, fails := c.collectCheckpoint()
-				if len(fails) > 0 {
-					if err := c.recoverFrom(fails); err != nil {
-						return nil, err
-					}
-					sinceCK = 0
-					continue
-				}
-				if err := save(ck); err != nil {
-					return nil, fmt.Errorf("dshard: checkpoint save: %w", err)
-				}
-				c.lastCK = ck
-				sinceCK, sinceDisk = 0, 0
+			ck, err := save(parts)
+			if err != nil {
+				return nil, fmt.Errorf("dshard: checkpoint save: %w", err)
 			}
+			c.lastCK = ck
+			sinceCK, sinceDisk = 0, 0
 		}
 		runErr = nil
 		if c.runnable() { // stopped early: resolve the cause
@@ -1137,19 +1278,22 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 		// the resume checkpoint. A worker dying between the last step and
 		// this capture must not lose the run either: recover and loop back
 		// — the rollback reopens the step loop, which re-runs to the end.
-		ck, fails := c.collectCheckpoint()
+		parts, fails := c.collectParts(ctx)
 		if len(fails) == 0 {
-			c.finalHash = c.foldParts(ck.Parts)
+			c.finalHash = c.foldParts(parts)
 			// An early stop persists its progress; even one cancelled before
 			// the first step saves the initial state — that is the job itself.
-			if c.runnable() && (sinceDisk > 0 || !wrote) {
-				if err := save(ck); err != nil && runErr == nil {
+			if c.runnable() && (sinceDisk > 0 || !wrote) && c.opts.CheckpointDir != "" {
+				if _, err := save(parts); err != nil && runErr == nil {
 					runErr = fmt.Errorf("dshard: final checkpoint save: %w", err)
 				}
 			}
 			break
 		}
-		if err := c.recoverFrom(fails); err != nil {
+		if err := c.recoverFrom(ctx, fails); err != nil {
+			if ctx.Err() != nil {
+				return lost(err)
+			}
 			c.logf("coordinator: final state capture failed: %v", err)
 			break
 		}
@@ -1178,15 +1322,11 @@ func (c *Coordinator) result() *sim.Result {
 func (c *Coordinator) shutdownWorkers() {
 	for _, ws := range c.workers {
 		if ws.conn != nil {
-			m := msgStep{Epoch: c.epoch}
-			ws.send(time.Second, mtShutdown, m.encode())
+			ws.write(time.Second, frameOf(nil, mtShutdown, &msgAt{Epoch: c.epoch}))
 		}
 	}
 	for _, ws := range c.workers {
-		if ws.conn != nil {
-			ws.conn.Close()
-			ws.conn = nil
-		}
+		ws.drop()
 		if ws.proc != nil {
 			ws.proc.Stop()
 			ws.proc = nil

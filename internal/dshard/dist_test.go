@@ -352,10 +352,14 @@ func TestDistributedTransportFaults(t *testing.T) {
 	pkts := workload.Permutation(m, rand.New(rand.NewSource(seed)))
 	tr := runRef(t, side, true, "random", pkts, seed, maxSteps)
 
+	// One STEPPED per worker per step: the periods are short enough for every
+	// class to fire several times in a run of a dozen steps, and the attempt
+	// deadline short enough that waiting out a dropped reply stays cheap.
 	opts := distOptions(2)
+	opts.StepTimeout = 300 * time.Millisecond
 	opts.Spawn = dshard.InProcessSpawner(dshard.WorkerOptions{
 		Token: opts.Token, Policies: testPolicies,
-		Faults: &dshard.FaultPlan{Seed: 21, DropEvery: 13, DupEvery: 7, DelayEvery: 9, Delay: 10 * time.Millisecond},
+		Faults: &dshard.FaultPlan{Seed: 21, DropEvery: 7, DupEvery: 3, DelayEvery: 4, Delay: 10 * time.Millisecond},
 	})
 	c, err := dshard.New(dshard.Spec{
 		Side: side, Wrap: true, Policy: "random", Grid: shard.Grid{P: 2, Q: 2},
@@ -387,9 +391,9 @@ func TestDistributedCorruptFrameRecovery(t *testing.T) {
 	// the run heals rather than looping corrupt forever.
 	clean := dshard.WorkerOptions{Token: "test-token", Policies: testPolicies}
 	faulty := clean
-	// Frame 10 of slot 0's stream (an APPLIED around step 4) gets mangled —
-	// early enough that even a short run is guaranteed to reach it.
-	faulty.Faults = &dshard.FaultPlan{Seed: 2, CorruptEvery: 10, MaxFaults: 1}
+	// Frame 6 of slot 0's stream (the STEPPED of step 3) gets mangled — early
+	// enough that even a short run is guaranteed to reach it.
+	faulty.Faults = &dshard.FaultPlan{Seed: 2, CorruptEvery: 6, MaxFaults: 1}
 	cleanSpawn := dshard.InProcessSpawner(clean)
 	faultySpawn := dshard.InProcessSpawner(faulty)
 	var first atomic.Bool
@@ -548,9 +552,10 @@ func TestDistributedDegenerateGridRestore(t *testing.T) {
 			sp2 := sp
 			sp2.Grid = tc.grid
 			opts2 := distOptions(2)
+			opts2.StepTimeout = 300 * time.Millisecond
 			opts2.Spawn = dshard.InProcessSpawner(dshard.WorkerOptions{
 				Token: opts2.Token, Policies: testPolicies,
-				Faults: &dshard.FaultPlan{Seed: 5, DropEvery: 11, DupEvery: 5, DelayEvery: 8, Delay: 5 * time.Millisecond},
+				Faults: &dshard.FaultPlan{Seed: 5, DropEvery: 4, DupEvery: 5, DelayEvery: 3, Delay: 5 * time.Millisecond},
 			})
 			opts2.Resume = ck
 			c2, err := dshard.New(sp2, nil, opts2)

@@ -36,7 +36,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // must surface as ErrFrameCorrupt. This is the "corruption is loud, never
 // silent" acceptance criterion at its sharpest.
 func TestFrameEveryFlipDetected(t *testing.T) {
-	frame := AppendFrame(nil, mtEgress, []byte("the payload under test"))
+	frame := AppendFrame(nil, mtStepped, []byte("the payload under test"))
 	for i := range frame {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), frame...)
@@ -72,6 +72,64 @@ func TestFrameTruncated(t *testing.T) {
 	// Truncated header: a transport-level short read, passes through.
 	if _, _, err := ReadFrame(bytes.NewReader(frame[:5]), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated header: err %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// stutterReader hands out its stream a few bytes at a time and fails with
+// errStutter between the pieces — a read deadline expiring mid-frame.
+type stutterReader struct {
+	data  []byte
+	piece int
+	ready bool
+}
+
+var errStutter = errors.New("deadline")
+
+func (s *stutterReader) Read(p []byte) (int, error) {
+	if s.ready = !s.ready; !s.ready {
+		return 0, errStutter
+	}
+	n := copy(p, s.data[:min(s.piece, len(s.data))])
+	s.data = s.data[n:]
+	if n == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// TestFrameReaderResumes: a frameReader interrupted anywhere — inside the
+// header, inside the payload — picks the same frame up on the next call, and
+// reuses one buffer for the frames that fit it.
+func TestFrameReaderResumes(t *testing.T) {
+	payloads := [][]byte{bytes.Repeat([]byte{7}, 100), nil, []byte("short"), bytes.Repeat([]byte{9}, 100)}
+	var stream []byte
+	for i, p := range payloads {
+		stream = AppendFrame(stream, byte(i+1), p)
+	}
+	for _, piece := range []int{1, 5, 14, 33} {
+		fr := frameReader{r: &stutterReader{data: stream, piece: piece}}
+		var first *byte
+		for i, want := range payloads {
+			typ, got, err := fr.next()
+			for errors.Is(err, errStutter) {
+				typ, got, err = fr.next()
+			}
+			if err != nil || typ != byte(i+1) || !bytes.Equal(got, want) {
+				t.Fatalf("piece %d, frame %d: type %d, %d bytes, err %v", piece, i, typ, len(got), err)
+			}
+			if i == 0 {
+				first = &got[0]
+			} else if len(got) > 0 && &got[0] != first {
+				t.Fatalf("piece %d, frame %d: payload buffer was not reused", piece, i)
+			}
+		}
+		_, _, err := fr.next()
+		for errors.Is(err, errStutter) {
+			_, _, err = fr.next()
+		}
+		if err != io.EOF {
+			t.Fatalf("piece %d: after the last frame: %v, want io.EOF", piece, err)
+		}
 	}
 }
 

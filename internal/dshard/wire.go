@@ -3,6 +3,7 @@ package dshard
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hotpotato/internal/codec"
 	"hotpotato/internal/mesh"
@@ -17,10 +18,8 @@ const (
 	mtAssign    byte = 2  // coordinator → worker: problem + owned shards
 	mtLoad      byte = 3  // coordinator → worker: (re)load shard state
 	mtLoaded    byte = 4  // worker → coordinator: load acknowledged
-	mtRoute     byte = 5  // coordinator → worker: route step t
-	mtEgress    byte = 6  // worker → coordinator: cross-shard buckets of t
-	mtApply     byte = 7  // coordinator → worker: apply step t with ingress
-	mtApplied   byte = 8  // worker → coordinator: counters, finalized, hash words
+	mtStep      byte = 5  // coordinator → worker: apply step t-1 with ingress, route step t
+	mtStepped   byte = 6  // worker → coordinator: counters, finalized, hash words of t-1; cross-shard buckets of t
 	mtCkpt      byte = 9  // coordinator → worker: capture checkpoint parts
 	mtParts     byte = 10 // worker → coordinator: checkpoint parts
 	mtShutdown  byte = 11 // coordinator → worker: clean exit
@@ -29,8 +28,9 @@ const (
 )
 
 // protoVersion is the handshake protocol number carried inside HELLO
-// (distinct from the frame-layer version byte).
-const protoVersion = 1
+// (distinct from the frame-layer version byte). Version 2 fused the
+// ROUTE→EGRESS / APPLY→APPLIED pair of version 1 into STEP→STEPPED.
+const protoVersion = 2
 
 // ErrBadMessage reports a structurally valid frame whose payload does not
 // decode as its message type — like ErrFrameCorrupt, it is loud and typed,
@@ -43,6 +43,21 @@ var ErrBadMessage = errors.New("dshard: malformed message")
 // bounds-checked first-error-sticks reader); packets use sim.PacketState's
 // own field codec and checkpoint parts shard.ShardPart's — the same bytes an
 // HPCK checkpoint holds.
+
+// message is what every msg* type is to the framer: something that appends
+// its payload to an encoder.
+type message interface{ appendTo(e *codec.Enc) }
+
+// frameOf builds m's sealed frame in buf's storage (nil allocates): room for
+// the header first, so the payload is encoded in place behind it and the
+// frame is built where it is sent from, never copied.
+func frameOf(buf []byte, typ byte, m message) []byte {
+	e := codec.Enc{B: append(buf[:0], make([]byte, frameHeaderLen)...)}
+	if m != nil {
+		m.appendTo(&e)
+	}
+	return sealFrame(e.B, 0, typ)
+}
 
 // done closes a message decode, typing any failure as ErrBadMessage.
 func done(d *codec.Dec) error {
@@ -96,37 +111,53 @@ func decodeMove(d *codec.Dec, mv *sim.Move) {
 	}
 }
 
-func encodeBuckets(e *codec.Enc, bs []shard.Bucket) {
+// encodeMoves serializes one bucket's body: the counted moves of one
+// (sender, receiver) shard pair.
+func encodeMoves(e *codec.Enc, moves []sim.Move) {
+	e.U64(uint64(len(moves)))
+	for i := range moves {
+		encodeMove(e, &moves[i])
+	}
+}
+
+// decodeMoves materializes a bucket body into dst's storage.
+func decodeMoves(body []byte, dst []sim.Move) ([]sim.Move, error) {
+	d := codec.Dec{B: body}
+	n := d.Count("move")
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		decodeMove(&d, &dst[i])
+	}
+	return dst, done(&d)
+}
+
+// rawBucket is one halo transfer on the wire: the shard pair in the clear
+// and the moves as a length-prefixed body (encodeMoves). The coordinator
+// re-keys buckets by receiver from the pair alone and relays the body as the
+// bytes it received; only workers look inside.
+type rawBucket struct {
+	From, To int
+	Body     []byte
+}
+
+func encodeBuckets(e *codec.Enc, bs []rawBucket) {
 	e.U64(uint64(len(bs)))
 	for i := range bs {
 		e.Num(bs[i].From)
 		e.Num(bs[i].To)
-		e.U64(uint64(len(bs[i].Moves)))
-		for j := range bs[i].Moves {
-			encodeMove(e, &bs[i].Moves[j])
-		}
+		e.Bytes(bs[i].Body)
 	}
 }
 
-func decodeBuckets(d *codec.Dec) []shard.Bucket {
+// decodeBuckets reads buckets into dst's storage; the bodies alias the
+// payload.
+func decodeBuckets(d *codec.Dec, dst []rawBucket) []rawBucket {
 	n := d.Count("bucket")
-	if n == 0 {
-		return nil
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = rawBucket{From: d.Num(), To: d.Num(), Body: d.View()}
 	}
-	bs := make([]shard.Bucket, n)
-	for i := range bs {
-		bs[i].From = d.Num()
-		bs[i].To = d.Num()
-		k := d.Count("move")
-		if k == 0 {
-			continue
-		}
-		bs[i].Moves = make([]sim.Move, k)
-		for j := range bs[i].Moves {
-			decodeMove(d, &bs[i].Moves[j])
-		}
-	}
-	return bs
+	return dst
 }
 
 // ----- messages ----------------------------------------------------------
@@ -139,12 +170,10 @@ type msgHello struct {
 	Slot  int
 }
 
-func (m *msgHello) encode() []byte {
-	var e codec.Enc
+func (m *msgHello) appendTo(e *codec.Enc) {
 	e.U64(m.Proto)
 	e.Str(m.Token)
 	e.Num(m.Slot)
-	return e.B
 }
 
 func decodeHello(p []byte) (msgHello, error) {
@@ -166,13 +195,12 @@ type msgAssign struct {
 	Policy          string
 	Seed            int64
 	Validation      int
-	HashWords       bool // ship per-step hash words in APPLIED (DetectLivelock)
+	HashWords       bool // ship per-step hash words in STEPPED (DetectLivelock)
 	Owned           []int
 	HeartbeatMillis int64
 }
 
-func (m *msgAssign) encode() []byte {
-	var e codec.Enc
+func (m *msgAssign) appendTo(e *codec.Enc) {
 	e.U64(m.Epoch)
 	e.Num(m.Side)
 	e.Bool(m.Wrap)
@@ -187,7 +215,6 @@ func (m *msgAssign) encode() []byte {
 		e.Num(idx)
 	}
 	e.I64(m.HeartbeatMillis)
-	return e.B
 }
 
 func decodeAssign(p []byte) (msgAssign, error) {
@@ -220,16 +247,14 @@ type msgLoad struct {
 	Shards []shardLoad
 }
 
-func (m *msgLoad) encode() []byte {
-	var e codec.Enc
+func (m *msgLoad) appendTo(e *codec.Enc) {
 	e.U64(m.Epoch)
 	e.Num(m.T)
 	e.U64(uint64(len(m.Shards)))
 	for i := range m.Shards {
 		e.Num(m.Shards[i].Index)
-		sim.EncodePackets(&e, m.Shards[i].Packets)
+		sim.EncodePackets(e, m.Shards[i].Packets)
 	}
-	return e.B
 }
 
 func decodeLoad(p []byte) (msgLoad, error) {
@@ -242,116 +267,138 @@ func decodeLoad(p []byte) (msgLoad, error) {
 	return m, done(&d)
 }
 
-// msgStep is the shared shape of the bare (epoch, t) messages: LOADED,
-// ROUTE and CKPT.
-type msgStep struct {
+// msgAt is the shared shape of the bare (epoch, t) messages: LOADED, CKPT
+// and SHUTDOWN.
+type msgAt struct {
 	Epoch uint64
 	T     int
 }
 
-func (m *msgStep) encode() []byte {
-	var e codec.Enc
+func (m *msgAt) appendTo(e *codec.Enc) {
 	e.U64(m.Epoch)
 	e.Num(m.T)
-	return e.B
 }
 
-func decodeStep(p []byte) (msgStep, error) {
+func decodeAt(p []byte) (msgAt, error) {
 	d := codec.Dec{B: p}
-	m := msgStep{Epoch: d.U64(), T: d.Num()}
+	m := msgAt{Epoch: d.U64(), T: d.Num()}
 	return m, done(&d)
 }
 
-// msgEgress is a worker's route-phase result: every cross-shard bucket its
-// shards produced for step T. msgApply reuses the shape for the return
-// trip: the buckets addressed to the worker's shards.
-type msgEgress struct {
+// msgStep is the one request of a step barrier, named by the time T the
+// worker stands at once it is served: with Apply, step T-1 is applied from
+// the Ingress buckets addressed to the worker's shards (absent in the first
+// request after a LOAD, which has staged nothing to apply); with Route, step
+// T is then routed (absent when T is the step budget).
+type msgStep struct {
 	Epoch   uint64
 	T       int
-	Buckets []shard.Bucket
+	Apply   bool
+	Route   bool
+	Ingress []rawBucket
 }
 
-func (m *msgEgress) encode() []byte {
-	var e codec.Enc
+func (m *msgStep) appendTo(e *codec.Enc) {
 	e.U64(m.Epoch)
 	e.Num(m.T)
-	encodeBuckets(&e, m.Buckets)
-	return e.B
+	e.Bool(m.Apply)
+	e.Bool(m.Route)
+	if m.Apply {
+		encodeBuckets(e, m.Ingress)
+	}
 }
 
-func decodeEgress(p []byte) (msgEgress, error) {
+// decodeStep decodes into m, reusing its bucket storage; the bodies alias p.
+func decodeStep(p []byte, m *msgStep) error {
 	d := codec.Dec{B: p}
-	m := msgEgress{Epoch: d.U64(), T: d.Num(), Buckets: decodeBuckets(&d)}
-	return m, done(&d)
+	m.Epoch, m.T = d.U64(), d.Num()
+	m.Apply, m.Route = d.Bool(), d.Bool()
+	m.Ingress = m.Ingress[:0]
+	if m.Apply {
+		m.Ingress = decodeBuckets(&d, m.Ingress)
+	}
+	return done(&d)
 }
 
 // hashBlock carries one shard's configuration-hash word pairs for the
-// step's global fold (shard.Node.HashWords).
+// step's global fold (shard.Node.HashWords), 8 bytes little-endian each:
+// the coordinator folds them where they lie.
 type hashBlock struct {
 	Shard int
-	Words []uint64
+	Words []byte
 }
 
-// msgApplied is a worker's apply-phase result: counter deltas, packets that
-// arrived this step, and (when livelock detection is on) the hash words of
-// its live packets.
-type msgApplied struct {
-	Epoch       uint64
-	T           int
+// msgStepped answers a STEP. The applied half reports step T-1: counter
+// deltas, the packets that arrived (Arrivals of them, sim.PacketState
+// encodings back to back — the coordinator keeps the bytes and decodes them
+// when a manifest is due) and, when livelock detection is on, the hash words
+// of the live packets. The routed half is every cross-shard bucket the
+// worker's shards produced for step T.
+type msgStepped struct {
+	Epoch uint64
+	T     int
+
+	Applied     bool
 	Hops        int64
 	Deflections int64
 	Arrivals    int
 	LastArrival int
 	Reroutes    int64
 	MaxNodeLoad int
-	Finalized   []sim.PacketState
+	Finalized   []byte
 	Blocks      []hashBlock
+
+	Routed bool
+	Egress []rawBucket
 }
 
-func (m *msgApplied) encode() []byte {
-	var e codec.Enc
+func (m *msgStepped) appendTo(e *codec.Enc) {
 	e.U64(m.Epoch)
 	e.Num(m.T)
-	e.I64(m.Hops)
-	e.I64(m.Deflections)
-	e.Num(m.Arrivals)
-	e.Num(m.LastArrival)
-	e.I64(m.Reroutes)
-	e.Num(m.MaxNodeLoad)
-	sim.EncodePackets(&e, m.Finalized)
-	e.U64(uint64(len(m.Blocks)))
-	for i := range m.Blocks {
-		e.Num(m.Blocks[i].Shard)
-		e.U64(uint64(len(m.Blocks[i].Words)))
-		for _, w := range m.Blocks[i].Words {
-			e.U64(w)
+	e.Bool(m.Applied)
+	e.Bool(m.Routed)
+	if m.Applied {
+		e.I64(m.Hops)
+		e.I64(m.Deflections)
+		e.Num(m.Arrivals)
+		e.Num(m.LastArrival)
+		e.I64(m.Reroutes)
+		e.Num(m.MaxNodeLoad)
+		e.Bytes(m.Finalized)
+		e.U64(uint64(len(m.Blocks)))
+		for i := range m.Blocks {
+			e.Num(m.Blocks[i].Shard)
+			e.Bytes(m.Blocks[i].Words)
 		}
 	}
-	return e.B
+	if m.Routed {
+		encodeBuckets(e, m.Egress)
+	}
 }
 
-func decodeApplied(p []byte) (msgApplied, error) {
+// decodeStepped decodes into m, reusing its block and bucket storage; every
+// byte slice in m aliases p.
+func decodeStepped(p []byte, m *msgStepped) error {
 	d := codec.Dec{B: p}
-	m := msgApplied{
-		Epoch: d.U64(), T: d.Num(),
-		Hops: d.I64(), Deflections: d.I64(),
-		Arrivals: d.Num(), LastArrival: d.Num(),
-		Reroutes: d.I64(), MaxNodeLoad: d.Num(),
-		Finalized: sim.DecodePackets(&d, "finalized packet"),
-	}
-	n := d.Count("hash block")
-	for i := 0; i < n; i++ {
-		b := hashBlock{Shard: d.Num()}
-		k := d.Count("hash word")
-		if k%2 != 0 {
-			d.Fail("odd hash word count")
+	*m = msgStepped{Epoch: d.U64(), T: d.Num(), Applied: d.Bool(), Routed: d.Bool(), Blocks: m.Blocks[:0], Egress: m.Egress[:0]}
+	if m.Applied {
+		m.Hops, m.Deflections = d.I64(), d.I64()
+		m.Arrivals, m.LastArrival = d.Num(), d.Num()
+		m.Reroutes, m.MaxNodeLoad = d.I64(), d.Num()
+		m.Finalized = d.View()
+		n := d.Count("hash block")
+		for i := 0; i < n; i++ {
+			b := hashBlock{Shard: d.Num(), Words: d.View()}
+			if len(b.Words)%16 != 0 {
+				d.Fail("hash words are not whole pairs")
+			}
+			m.Blocks = append(m.Blocks, b)
 		}
-		for j := 0; j < k && d.Err() == nil; j++ {
-			b.Words = append(b.Words, d.U64())
-		}
-		m.Blocks = append(m.Blocks, b)
 	}
-	return m, done(&d)
+	if m.Routed {
+		m.Egress = decodeBuckets(&d, m.Egress)
+	}
+	return done(&d)
 }
 
 // msgParts is a worker's checkpoint contribution: one ShardPart per owned
@@ -362,15 +409,13 @@ type msgParts struct {
 	Parts []shard.ShardPart
 }
 
-func (m *msgParts) encode() []byte {
-	var e codec.Enc
+func (m *msgParts) appendTo(e *codec.Enc) {
 	e.U64(m.Epoch)
 	e.Num(m.T)
 	e.U64(uint64(len(m.Parts)))
 	for i := range m.Parts {
-		m.Parts[i].Encode(&e)
+		m.Parts[i].Encode(e)
 	}
-	return e.B
 }
 
 func decodeParts(p []byte) (msgParts, error) {
@@ -388,7 +433,7 @@ func decodeParts(p []byte) (msgParts, error) {
 // msgError reports a failed request. Fatal errors (unknown policy,
 // validation failure — deterministic, would repeat on replay) abort the
 // run; non-fatal ones (policy panic, desync) trigger checkpoint rollback.
-// After sending a non-fatal error the worker refuses ROUTE/APPLY until the
+// After sending a non-fatal error the worker refuses STEP and CKPT until the
 // next LOAD.
 type msgError struct {
 	Epoch uint64
@@ -396,12 +441,10 @@ type msgError struct {
 	Msg   string
 }
 
-func (m *msgError) encode() []byte {
-	var e codec.Enc
+func (m *msgError) appendTo(e *codec.Enc) {
 	e.U64(m.Epoch)
 	e.Bool(m.Fatal)
 	e.Str(m.Msg)
-	return e.B
 }
 
 func decodeError(p []byte) (msgError, error) {

@@ -19,72 +19,142 @@ func testPackets() []sim.PacketState {
 	}
 }
 
+// payloadOf is a message's payload bytes.
+func payloadOf(m message) []byte { return frameOf(nil, 0, m)[frameHeaderLen:] }
+
+// testMove is one halo move of the fixture packet under another id.
+func testMove(id int) sim.Move {
+	ps := testPackets()[0]
+	ps.ID = id
+	return sim.Move{Packet: ps.Packet(), From: 12, To: 13, Dir: 1, GoodCount: 2, Advanced: true, WasTypeA: id == 4, ArrivedNow: id%2 == 0}
+}
+
+// testBucket encodes moves the way a worker does.
+func testBucket(from, to int, moves ...sim.Move) rawBucket {
+	var e codec.Enc
+	encodeMoves(&e, moves)
+	return rawBucket{From: from, To: to, Body: e.B}
+}
+
+func testStep() *msgStep {
+	return &msgStep{Epoch: 1, T: 6, Apply: true, Route: true, Ingress: []rawBucket{
+		testBucket(0, 1, testMove(1), testMove(2)),
+		testBucket(3, 0, testMove(4)),
+	}}
+}
+
+func testStepped() *msgStepped {
+	var fin codec.Enc
+	for _, ps := range testPackets() {
+		ps.Encode(&fin)
+	}
+	words := make([]byte, 32)
+	for i := range words {
+		words[i] = byte(i)
+	}
+	return &msgStepped{Epoch: 4, T: 18, Applied: true, Hops: 100, Deflections: 3, Arrivals: 2, LastArrival: 17, Reroutes: 5, MaxNodeLoad: 4,
+		Finalized: fin.B, Blocks: []hashBlock{{Shard: 0, Words: words}, {Shard: 1}},
+		Routed: true, Egress: []rawBucket{testBucket(1, 0, testMove(7)), testBucket(1, 2)},
+	}
+}
+
 // TestWireRoundTrip pushes every message type through encode → decode →
 // re-encode and requires byte-identical output: the codec is canonical, so
 // equality of bytes is equality of meaning.
 func TestWireRoundTrip(t *testing.T) {
-	mv := func(id int) sim.Move {
-		ps := testPackets()[0]
-		ps.ID = id
-		return sim.Move{Packet: ps.Packet(), From: 12, To: 13, Dir: 1, GoodCount: 2, Advanced: true, ArrivedNow: id%2 == 0}
-	}
 	cases := []struct {
 		name string
-		enc  func() []byte
-		dec  func(p []byte) (any, []byte, error)
+		msg  message
+		dec  func(p []byte) (message, error)
 	}{
-		{"hello", (&msgHello{Proto: 1, Token: "secret", Slot: -1}).encode, func(p []byte) (any, []byte, error) {
+		{"hello", &msgHello{Proto: protoVersion, Token: "secret", Slot: -1}, func(p []byte) (message, error) {
 			m, err := decodeHello(p)
-			return m, m.encode(), err
+			return &m, err
 		}},
-		{"assign", (&msgAssign{Epoch: 3, Side: 8, Wrap: true, GridP: 2, GridQ: 2, Policy: "random", Seed: -7, Validation: 1, HashWords: true, Owned: []int{1, 3}, HeartbeatMillis: 200}).encode, func(p []byte) (any, []byte, error) {
+		{"assign", &msgAssign{Epoch: 3, Side: 8, Wrap: true, GridP: 2, GridQ: 2, Policy: "random", Seed: -7, Validation: 1, HashWords: true, Owned: []int{1, 3}, HeartbeatMillis: 200}, func(p []byte) (message, error) {
 			m, err := decodeAssign(p)
-			return m, m.encode(), err
+			return &m, err
 		}},
-		{"load", (&msgLoad{Epoch: 2, T: 40, Shards: []shardLoad{{Index: 0, Packets: testPackets()}, {Index: 2}}}).encode, func(p []byte) (any, []byte, error) {
+		{"load", &msgLoad{Epoch: 2, T: 40, Shards: []shardLoad{{Index: 0, Packets: testPackets()}, {Index: 2}}}, func(p []byte) (message, error) {
 			m, err := decodeLoad(p)
-			return m, m.encode(), err
+			return &m, err
 		}},
-		{"step", (&msgStep{Epoch: 9, T: 123}).encode, func(p []byte) (any, []byte, error) {
-			m, err := decodeStep(p)
-			return m, m.encode(), err
+		{"at", &msgAt{Epoch: 9, T: 123}, func(p []byte) (message, error) {
+			m, err := decodeAt(p)
+			return &m, err
 		}},
-		{"egress", (&msgEgress{Epoch: 1, T: 5, Buckets: []shard.Bucket{
-			{From: 0, To: 1, Moves: []sim.Move{mv(1), mv(2)}},
-			{From: 3, To: 0, Moves: []sim.Move{mv(4)}},
-		}}).encode, func(p []byte) (any, []byte, error) {
-			m, err := decodeEgress(p)
-			return m, m.encode(), err
+		{"step", testStep(), func(p []byte) (message, error) {
+			var m msgStep
+			return &m, decodeStep(p, &m)
 		}},
-		{"applied", (&msgApplied{Epoch: 4, T: 17, Hops: 100, Deflections: 3, Arrivals: 2, LastArrival: 17, Reroutes: 5, MaxNodeLoad: 4,
-			Finalized: testPackets(), Blocks: []hashBlock{{Shard: 0, Words: []uint64{1, 2, 3, 4}}, {Shard: 1}},
-		}).encode, func(p []byte) (any, []byte, error) {
-			m, err := decodeApplied(p)
-			return m, m.encode(), err
+		{"step-prime", &msgStep{Epoch: 1, T: 5, Route: true}, func(p []byte) (message, error) {
+			var m msgStep
+			return &m, decodeStep(p, &m)
 		}},
-		{"parts", (&msgParts{Epoch: 2, T: 8, Parts: []shard.ShardPart{
+		{"stepped", testStepped(), func(p []byte) (message, error) {
+			var m msgStepped
+			return &m, decodeStepped(p, &m)
+		}},
+		{"stepped-last", &msgStepped{Epoch: 4, T: 300, Applied: true, Hops: 1}, func(p []byte) (message, error) {
+			var m msgStepped
+			return &m, decodeStepped(p, &m)
+		}},
+		{"parts", &msgParts{Epoch: 2, T: 8, Parts: []shard.ShardPart{
 			{Version: 1, Index: 0, Time: 8, Packets: testPackets()},
 			{Version: 1, Index: 1, Time: 8},
-		}}).encode, func(p []byte) (any, []byte, error) {
+		}}, func(p []byte) (message, error) {
 			m, err := decodeParts(p)
-			return m, m.encode(), err
+			return &m, err
 		}},
-		{"error", (&msgError{Epoch: 6, Fatal: true, Msg: "policy panicked"}).encode, func(p []byte) (any, []byte, error) {
+		{"error", &msgError{Epoch: 6, Fatal: true, Msg: "policy panicked"}, func(p []byte) (message, error) {
 			m, err := decodeError(p)
-			return m, m.encode(), err
+			return &m, err
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wire := tc.enc()
-			_, rewire, err := tc.dec(wire)
+			wire := payloadOf(tc.msg)
+			m, err := tc.dec(wire)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if !bytes.Equal(wire, rewire) {
+			if rewire := payloadOf(m); !bytes.Equal(wire, rewire) {
 				t.Fatalf("re-encode differs:\n  first  %x\n  second %x", wire, rewire)
 			}
 		})
+	}
+}
+
+// TestWireBucketBodies checks the half of the bucket codec the coordinator
+// never runs: a relayed body decodes on the receiving worker into the moves
+// the sender encoded, and a body that lies about its count is refused.
+func TestWireBucketBodies(t *testing.T) {
+	b := testBucket(0, 1, testMove(1), testMove(2), testMove(4))
+	moves, err := decodeMoves(b.Body, nil)
+	if err != nil || len(moves) != 3 {
+		t.Fatalf("decodeMoves: %d moves, err %v", len(moves), err)
+	}
+	for i, id := range []int{1, 2, 4} {
+		want := testMove(id)
+		got := moves[i]
+		if got.Packet.ID != id || *got.Packet != *want.Packet {
+			t.Errorf("move %d: packet %+v, want %+v", i, got.Packet, want.Packet)
+		}
+		got.Packet, want.Packet = nil, nil
+		if got != want {
+			t.Errorf("move %d: %+v, want %+v", i, got, want)
+		}
+	}
+	if again, err := decodeMoves(b.Body, moves); err != nil || &again[0] != &moves[0] {
+		t.Errorf("decodeMoves did not reuse its destination (err %v)", err)
+	}
+	for n := 0; n < len(b.Body); n++ {
+		if _, err := decodeMoves(b.Body[:n], nil); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("body cut to %d bytes: err %v, want ErrBadMessage", n, err)
+		}
+	}
+	if _, err := decodeMoves(append(append([]byte(nil), b.Body...), 0), nil); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("trailing byte in a body: err %v, want ErrBadMessage", err)
 	}
 }
 
@@ -111,52 +181,81 @@ func TestWireMoveFidelity(t *testing.T) {
 	}
 }
 
-// TestWireTruncationsAreLoud truncates each message at every byte offset:
-// every prefix must decode with ErrBadMessage, never panic or succeed.
+// TestWireTruncationsAreLoud truncates the two step messages at every byte
+// offset: every prefix must decode with ErrBadMessage, never panic or
+// succeed — and neither may a frame whose bucket or block lengths lie.
 func TestWireTruncationsAreLoud(t *testing.T) {
-	full := (&msgApplied{Epoch: 4, T: 17, Hops: 1, Finalized: testPackets(), Blocks: []hashBlock{{Shard: 0, Words: []uint64{1, 2}}}}).encode()
-	for n := 0; n < len(full); n++ {
-		if _, err := decodeApplied(full[:n]); !errors.Is(err, ErrBadMessage) {
-			t.Fatalf("prefix of %d bytes: err %v, want ErrBadMessage", n, err)
+	decStep := func(p []byte) error { return decodeStep(p, new(msgStep)) }
+	decStepped := func(p []byte) error { return decodeStepped(p, new(msgStepped)) }
+	for _, tc := range []struct {
+		name string
+		full []byte
+		dec  func([]byte) error
+	}{
+		{"step", payloadOf(testStep()), decStep},
+		{"stepped", payloadOf(testStepped()), decStepped},
+	} {
+		for n := 0; n < len(tc.full); n++ {
+			if err := tc.dec(tc.full[:n]); !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("%s: prefix of %d bytes: err %v, want ErrBadMessage", tc.name, n, err)
+			}
+		}
+		if err := tc.dec(append(append([]byte(nil), tc.full...), 0)); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("%s: trailing byte: err %v, want ErrBadMessage", tc.name, err)
 		}
 	}
-	if _, err := decodeApplied(append(append([]byte(nil), full...), 0)); err == nil {
-		t.Fatal("trailing byte accepted")
+
+	// A bucket's byte length is the one thing the coordinator trusts to cut
+	// a body out of a frame: one that overruns the payload, or stops short
+	// and leaves bytes behind, must fail the whole message.
+	one := &msgStep{Epoch: 1, T: 2, Apply: true, Ingress: []rawBucket{testBucket(0, 1, testMove(1))}}
+	wire := payloadOf(one)
+	lenAt := len(wire) - len(one.Ingress[0].Body) - 1
+	if int(wire[lenAt]) != len(one.Ingress[0].Body) {
+		t.Fatalf("fixture: byte %d is not the body length", lenAt)
+	}
+	for _, delta := range []int{-1, +1} {
+		lie := append([]byte(nil), wire...)
+		lie[lenAt] = byte(int(lie[lenAt]) + delta)
+		if err := decStep(lie); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("body length off by %+d: err %v, want ErrBadMessage", delta, err)
+		}
+	}
+	// Hash words come in pairs.
+	odd := testStepped()
+	odd.Blocks[0].Words = odd.Blocks[0].Words[:24]
+	if err := decStepped(payloadOf(odd)); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("odd hash word count: err %v, want ErrBadMessage", err)
 	}
 }
 
-// TestWireGoldenBytes pins the HPWF frames of one EGRESS, one LOAD and one
-// PARTS message to the bytes the pre-codec-move build emitted (protoVersion
-// 1): sharing the packet codec with HPCK checkpoints must not change the
-// wire.
+// TestWireGoldenBytes pins the HPWF frames of protoVersion 2. LOAD and PARTS
+// are the bytes every build since the pre-codec-move one has emitted; STEP
+// and STEPPED were recorded once, when they replaced version 1's
+// ROUTE/EGRESS/APPLY/APPLIED.
 func TestWireGoldenBytes(t *testing.T) {
-	if protoVersion != 1 {
-		t.Fatalf("protoVersion = %d; the golden frames below are version 1", protoVersion)
-	}
-	mv := func(id int) sim.Move {
-		ps := testPackets()[0]
-		ps.ID = id
-		return sim.Move{Packet: ps.Packet(), From: 12, To: 13, Dir: 1, GoodCount: 2, Advanced: true, WasTypeA: id == 4, ArrivedNow: id%2 == 0}
+	if protoVersion != 2 {
+		t.Fatalf("protoVersion = %d; the golden frames below are version 2", protoVersion)
 	}
 	cases := []struct {
-		name    string
-		typ     byte
-		payload []byte
-		want    string
+		name string
+		typ  byte
+		msg  message
+		want string
 	}{
-		{"egress", mtEgress, (&msgEgress{Epoch: 1, T: 5, Buckets: []shard.Bucket{
-			{From: 0, To: 1, Moves: []sim.Move{mv(1), mv(2)}},
-			{From: 3, To: 0, Moves: []sim.Move{mv(4)}},
-		}}).encode(), "48505746010642000000097b0212010a020002020206781804000001010008020104181a0204010406781804000001010008020104181a0204090600010806781804000001010008020104181a02040d"},
-		{"load", mtLoad, (&msgLoad{Epoch: 2, T: 40, Shards: []shardLoad{{Index: 0, Packets: testPackets()}, {Index: 2}}}).encode(),
+		{"step", mtStep, testStep(),
+			"4850574601054600000035d925b2010c010102000227020206781804000001010008020104181a0204010406781804000001010008020104181a020409060014010806781804000001010008020104181a02040d"},
+		{"stepped", mtStepped, testStepped(),
+			"4850574601066900000086ac590204240101c8010604220a081c020678180400000101000802010412000e0e01000016010000000200020020000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f020002020014010e06781804000001010008020104181a02040102040100"},
+		{"load", mtLoad, &msgLoad{Epoch: 2, T: 40, Shards: []shardLoad{{Index: 0, Packets: testPackets()}, {Index: 2}}},
 			"485057460103230000005e621eba0250020002020678180400000101000802010412000e0e010000160100000002000400"},
-		{"parts", mtParts, (&msgParts{Epoch: 2, T: 8, Parts: []shard.ShardPart{
+		{"parts", mtParts, &msgParts{Epoch: 2, T: 8, Parts: []shard.ShardPart{
 			{Version: 1, Index: 0, Time: 8, Packets: testPackets()},
 			{Version: 1, Index: 1, Time: 8},
-		}}).encode(), "48505746010a27000000f1919f3a02100202001002020678180400000101000802010412000e0e0100001601000000020002021000"},
+		}}, "48505746010a27000000f1919f3a02100202001002020678180400000101000802010412000e0e0100001601000000020002021000"},
 	}
 	for _, tc := range cases {
-		if got := hex.EncodeToString(AppendFrame(nil, tc.typ, tc.payload)); got != tc.want {
+		if got := hex.EncodeToString(frameOf(nil, tc.typ, tc.msg)); got != tc.want {
 			t.Errorf("%s frame changed:\n  got  %s\n  want %s", tc.name, got, tc.want)
 		}
 	}

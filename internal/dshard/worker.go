@@ -3,6 +3,7 @@ package dshard
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"hotpotato/internal/codec"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/run"
 	"hotpotato/internal/shard"
@@ -34,7 +36,7 @@ type WorkerOptions struct {
 	Faults *FaultPlan
 	// Logf, when non-nil, receives one line per notable event.
 	Logf func(format string, args ...any)
-	// TestHookPreRoute, when non-nil, runs before each route phase — the
+	// TestHookPreRoute, when non-nil, runs once before each step is routed — the
 	// chaos tests hang or crash a worker here at a chosen step.
 	TestHookPreRoute func(t int)
 }
@@ -52,7 +54,7 @@ const defaultHeartbeat = 200 * time.Millisecond
 type worker struct {
 	opts WorkerOptions
 	conn net.Conn
-	br   *bufio.Reader
+	in   frameReader
 	out  io.Writer // conn, possibly behind a faultWriter
 	wmu  sync.Mutex
 
@@ -62,36 +64,30 @@ type worker struct {
 	curT    int
 	routedT int
 	// needLoad latches after any step failure: the worker's state may be
-	// torn mid-phase, so ROUTE/APPLY are refused until the coordinator
+	// torn mid-phase, so STEP and CKPT are refused until the coordinator
 	// reloads it from a checkpoint.
 	needLoad bool
 
-	egressCache  cachedFrame
-	appliedCache cachedFrame
+	// stepped is the worker's idempotency device: the sealed STEPPED frame
+	// of the last STEP served, valid while steppedOK. A re-asked STEP of the
+	// same (epoch, t) resends these exact bytes instead of re-executing —
+	// re-routing would double-count Reroutes/MaxNodeLoad and re-applying
+	// would corrupt state, so the cache is what makes the coordinator's
+	// retries safe. One request per step means one cache.
+	stepped   []byte
+	steppedOK bool
+	req       msgStep
+	resp      msgStepped
+
+	// Scratch reused across steps: decoded ingress (it only grows, so every
+	// bucket keeps its Moves storage), and the byte runs resp points into
+	// (arrived packets, hash words, bucket bodies), one after another in runs.
+	ingress []shard.Bucket
+	words   []uint64
+	runs    codec.Enc
 
 	hbOnce sync.Once
 	hbStop chan struct{}
-}
-
-// cachedFrame is the worker's idempotency device: the encoded response of
-// the last completed request of one kind, keyed by (epoch, step). A retried
-// request resends these exact bytes instead of re-executing — re-routing a
-// step would double-count Reroutes/MaxNodeLoad and re-applying would
-// corrupt state, so the cache is what makes the coordinator's retries safe.
-type cachedFrame struct {
-	ok      bool
-	epoch   uint64
-	t       int
-	typ     byte
-	payload []byte
-}
-
-func (c *cachedFrame) hit(epoch uint64, t int) bool {
-	return c.ok && c.epoch == epoch && c.t == t
-}
-
-func (c *cachedFrame) store(epoch uint64, t int, typ byte, payload []byte) {
-	*c = cachedFrame{ok: true, epoch: epoch, t: t, typ: typ, payload: payload}
 }
 
 // ServeWorker speaks the worker side of the protocol on conn until the
@@ -104,7 +100,7 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	w := &worker{
 		opts:    opts,
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 64<<10),
+		in:      frameReader{r: bufio.NewReaderSize(conn, 64<<10), max: opts.MaxFrame},
 		out:     newFaultWriter(conn, opts.Faults),
 		routedT: -1,
 		hbStop:  make(chan struct{}),
@@ -123,12 +119,11 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 		}
 	}()
 
-	hello := msgHello{Proto: protoVersion, Token: opts.Token, Slot: opts.Slot}
-	if err := w.send(mtHello, hello.encode()); err != nil {
+	if err := w.send(mtHello, &msgHello{Proto: protoVersion, Token: opts.Token, Slot: opts.Slot}); err != nil {
 		return fmt.Errorf("dshard: hello: %w", err)
 	}
 	for {
-		typ, payload, err := ReadFrame(w.br, opts.MaxFrame)
+		typ, payload, err := w.in.next()
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -142,10 +137,15 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	}
 }
 
-func (w *worker) send(typ byte, payload []byte) error {
+func (w *worker) send(typ byte, m message) error { return w.write(frameOf(nil, typ, m)) }
+
+// write puts one sealed frame on the wire with one Write call; the mutex
+// interleaves whole frames with the heartbeat goroutine's.
+func (w *worker) write(frame []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	return WriteFrame(w.out, typ, payload)
+	_, err := w.out.Write(frame)
+	return err
 }
 
 // sendError reports a failed request. Non-fatal errors additionally latch
@@ -156,8 +156,7 @@ func (w *worker) sendError(fatal bool, err error) error {
 		w.needLoad = true
 	}
 	w.opts.logf("worker slot %d: step error (fatal=%v): %v", w.opts.Slot, fatal, err)
-	m := msgError{Epoch: w.epoch, Fatal: fatal, Msg: err.Error()}
-	return w.send(mtError, m.encode())
+	return w.send(mtError, &msgError{Epoch: w.epoch, Fatal: fatal, Msg: err.Error()})
 }
 
 func (w *worker) dispatch(typ byte, payload []byte) (done bool, err error) {
@@ -166,10 +165,8 @@ func (w *worker) dispatch(typ byte, payload []byte) (done bool, err error) {
 		return false, w.onAssign(payload)
 	case mtLoad:
 		return false, w.onLoad(payload)
-	case mtRoute:
-		return false, w.onRoute(payload)
-	case mtApply:
-		return false, w.onApply(payload)
+	case mtStep:
+		return false, w.onStep(payload)
 	case mtCkpt:
 		return false, w.onCkpt(payload)
 	case mtShutdown:
@@ -210,8 +207,7 @@ func (w *worker) onAssign(payload []byte) error {
 	w.epoch = a.Epoch
 	w.needLoad = true
 	w.routedT = -1
-	w.egressCache.ok = false
-	w.appliedCache.ok = false
+	w.steppedOK = false
 
 	hb := time.Duration(a.HeartbeatMillis) * time.Millisecond
 	if hb <= 0 {
@@ -228,12 +224,13 @@ func (w *worker) onAssign(payload []byte) error {
 func (w *worker) heartbeat(every time.Duration) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
+	beat := frameOf(nil, mtHeartbeat, nil)
 	for {
 		select {
 		case <-w.hbStop:
 			return
 		case <-tick.C:
-			if w.send(mtHeartbeat, nil) != nil {
+			if w.write(beat) != nil {
 				return
 			}
 		}
@@ -271,13 +268,11 @@ func (w *worker) onLoad(payload []byte) error {
 	w.curT = l.T
 	w.routedT = -1
 	w.needLoad = false
-	w.egressCache.ok = false
-	w.appliedCache.ok = false
-	ack := msgStep{Epoch: w.epoch, T: l.T}
-	return w.send(mtLoaded, ack.encode())
+	w.steppedOK = false
+	return w.send(mtLoaded, &msgAt{Epoch: w.epoch, T: l.T})
 }
 
-// stepGate applies the shared request admission rules for ROUTE/APPLY/CKPT:
+// stepGate applies the shared request admission rules for STEP and CKPT:
 // stale epochs are dropped, future epochs mean a missed LOAD, and a latched
 // failure refuses everything until reload. It returns (proceed, err).
 func (w *worker) stepGate(epoch uint64, what string) (bool, error) {
@@ -293,77 +288,111 @@ func (w *worker) stepGate(epoch uint64, what string) (bool, error) {
 	return true, nil
 }
 
-func (w *worker) onRoute(payload []byte) error {
-	s, err := decodeStep(payload)
-	if err != nil {
+// onStep serves one barrier: apply step T-1 from the ingress buckets, then
+// route step T. The route is speculative — the coordinator learns from this
+// very reply whether the run goes on — and that is sound because routing
+// only fills the shards' staging lists and the router's MaxNodeLoad/Reroutes
+// partials: the queues a CKPT captures are untouched, the next route or LOAD
+// overwrites the staging, and the partials are reported by the apply that
+// consumes the route or dropped by the LOAD that discards it.
+func (w *worker) onStep(payload []byte) error {
+	s := &w.req
+	if err := decodeStep(payload, s); err != nil {
 		return err
 	}
-	if w.egressCache.hit(s.Epoch, s.T) {
-		return w.send(w.egressCache.typ, w.egressCache.payload)
-	}
-	ok, err := w.stepGate(s.Epoch, "route")
-	if !ok {
-		return err
-	}
-	if s.T != w.curT {
-		return w.sendError(false, fmt.Errorf("route: step %d, worker at step %d", s.T, w.curT))
-	}
-	if w.opts.TestHookPreRoute != nil {
-		w.opts.TestHookPreRoute(s.T)
-	}
-	buckets, err := w.node.Route(s.T)
-	if err != nil {
-		return w.sendError(!errors.Is(err, sim.ErrPolicyPanic), err)
-	}
-	w.routedT = s.T
-	resp := msgEgress{Epoch: w.epoch, T: s.T, Buckets: buckets}
-	w.egressCache.store(w.epoch, s.T, mtEgress, resp.encode())
-	return w.send(mtEgress, w.egressCache.payload)
-}
-
-func (w *worker) onApply(payload []byte) error {
-	a, err := decodeEgress(payload)
-	if err != nil {
-		return err
-	}
-	if w.appliedCache.hit(a.Epoch, a.T) {
-		return w.send(w.appliedCache.typ, w.appliedCache.payload)
-	}
-	ok, err := w.stepGate(a.Epoch, "apply")
-	if !ok {
-		return err
-	}
-	if a.T != w.curT || w.routedT != a.T {
-		return w.sendError(false, fmt.Errorf("apply: step %d, worker at step %d (routed %d)", a.T, w.curT, w.routedT))
-	}
-	rep, err := w.node.Apply(a.T, a.Buckets)
-	if err != nil {
-		return w.sendError(false, err)
-	}
-	resp := msgApplied{
-		Epoch: w.epoch, T: a.T,
-		Hops: rep.Hops, Deflections: rep.Deflections,
-		Arrivals: rep.Arrivals, LastArrival: rep.LastArrival,
-		Reroutes: rep.Reroutes, MaxNodeLoad: rep.MaxNodeLoad,
-		Finalized: rep.Finalized,
-	}
-	if w.hashing {
-		for _, idx := range w.node.Owned() {
-			words, err := w.node.HashWords(idx, nil)
-			if err != nil {
-				return w.sendError(false, err)
-			}
-			resp.Blocks = append(resp.Blocks, hashBlock{Shard: idx, Words: words})
+	if w.steppedOK && s.Epoch == w.epoch {
+		switch {
+		case s.T == w.resp.T:
+			return w.write(w.stepped)
+		case s.T < w.resp.T:
+			return nil // late duplicate of a barrier already left behind
 		}
 	}
-	w.curT = a.T + 1
-	w.routedT = -1
-	w.appliedCache.store(w.epoch, a.T, mtApplied, resp.encode())
-	return w.send(mtApplied, w.appliedCache.payload)
+	ok, err := w.stepGate(s.Epoch, "step")
+	if !ok {
+		return err
+	}
+	at := s.T
+	if s.Apply {
+		at--
+	}
+	if at != w.curT || (s.Apply && w.routedT != at) {
+		return w.sendError(false, fmt.Errorf("step: request for barrier %d (apply=%v), worker at step %d (routed %d)", s.T, s.Apply, w.curT, w.routedT))
+	}
+	w.steppedOK = false
+	w.runs.B = w.runs.B[:0]
+	w.resp = msgStepped{Epoch: w.epoch, T: s.T, Applied: s.Apply, Routed: s.Route, Blocks: w.resp.Blocks[:0], Egress: w.resp.Egress[:0]}
+	if s.Apply {
+		if err := w.apply(at, s.Ingress); err != nil {
+			return w.sendError(false, err)
+		}
+		w.curT, w.routedT = s.T, -1
+	}
+	if s.Route {
+		if w.opts.TestHookPreRoute != nil {
+			w.opts.TestHookPreRoute(s.T)
+		}
+		buckets, err := w.node.Route(s.T)
+		if err != nil {
+			return w.sendError(!errors.Is(err, sim.ErrPolicyPanic), err)
+		}
+		w.routedT = s.T
+		for i := range buckets {
+			off := len(w.runs.B)
+			encodeMoves(&w.runs, buckets[i].Moves)
+			w.resp.Egress = append(w.resp.Egress, rawBucket{From: buckets[i].From, To: buckets[i].To, Body: w.runs.B[off:]})
+		}
+	}
+	w.stepped = frameOf(w.stepped, mtStepped, &w.resp)
+	w.steppedOK = true
+	return w.write(w.stepped)
+}
+
+// apply applies step t from the wire's ingress buckets and fills the
+// applied half of w.resp.
+func (w *worker) apply(t int, ingress []rawBucket) error {
+	var err error
+	for i := range ingress {
+		if i == len(w.ingress) {
+			w.ingress = append(w.ingress, shard.Bucket{})
+		}
+		b := &w.ingress[i]
+		b.From, b.To = ingress[i].From, ingress[i].To
+		if b.Moves, err = decodeMoves(ingress[i].Body, b.Moves); err != nil {
+			return err
+		}
+	}
+	rep, arrived, err := w.node.ApplyArrived(t, w.ingress[:len(ingress)])
+	if err != nil {
+		return err
+	}
+	r := &w.resp
+	r.Hops, r.Deflections = rep.Hops, rep.Deflections
+	r.Arrivals, r.LastArrival = rep.Arrivals, rep.LastArrival
+	r.Reroutes, r.MaxNodeLoad = rep.Reroutes, rep.MaxNodeLoad
+	for _, p := range arrived {
+		ps := sim.CapturePacket(p)
+		ps.Encode(&w.runs)
+	}
+	r.Finalized = w.runs.B
+	if !w.hashing {
+		return nil
+	}
+	for _, idx := range w.node.Owned() {
+		if w.words, err = w.node.HashWords(idx, w.words[:0]); err != nil {
+			return err
+		}
+		off := len(w.runs.B)
+		for _, word := range w.words {
+			w.runs.B = binary.LittleEndian.AppendUint64(w.runs.B, word)
+		}
+		r.Blocks = append(r.Blocks, hashBlock{Shard: idx, Words: w.runs.B[off:]})
+	}
+	return nil
 }
 
 func (w *worker) onCkpt(payload []byte) error {
-	s, err := decodeStep(payload)
+	s, err := decodeAt(payload)
 	if err != nil {
 		return err
 	}
@@ -384,7 +413,7 @@ func (w *worker) onCkpt(payload []byte) error {
 	}
 	// Checkpoint capture is read-only, hence naturally idempotent: a
 	// retried CKPT just recaptures the same state. No cache needed.
-	return w.send(mtParts, resp.encode())
+	return w.send(mtParts, &resp)
 }
 
 // Dial connects to a coordinator address: paths (containing a '/') dial

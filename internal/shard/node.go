@@ -224,6 +224,18 @@ func (n *Node) Route(t int) ([]Bucket, error) {
 // appear at most once, exactly as senders produce them. Route(t) must have
 // run first.
 func (n *Node) Apply(t int, ingress []Bucket) (ApplyReport, error) {
+	rep, arrived, err := n.ApplyArrived(t, ingress)
+	for _, p := range arrived {
+		rep.Finalized = append(rep.Finalized, sim.CapturePacket(p))
+	}
+	return rep, err
+}
+
+// ApplyArrived is Apply for a caller that serializes the arrived packets
+// itself: rep.Finalized stays nil and the packets come back as they are,
+// post-arrival, in the order Apply captures them — valid until the next
+// Apply.
+func (n *Node) ApplyArrived(t int, ingress []Bucket) (ApplyReport, []*sim.Packet, error) {
 	var rep ApplyReport
 	n.finalized = n.finalized[:0]
 	for _, idx := range n.owned {
@@ -240,7 +252,7 @@ func (n *Node) Apply(t int, ingress []Bucket) (ApplyReport, error) {
 				continue
 			}
 			if cnt >= len(lists) {
-				return rep, fmt.Errorf("shard: step %d shard %d: more than %d ingress lists (duplicate sender bucket?)",
+				return rep, nil, fmt.Errorf("shard: step %d shard %d: more than %d ingress lists (duplicate sender bucket?)",
 					t, idx, len(lists)-1)
 			}
 			lists[cnt] = in.Moves
@@ -252,10 +264,7 @@ func (n *Node) Apply(t int, ingress []Bucket) (ApplyReport, error) {
 
 		s.drain(&rep, t+1)
 	}
-	for _, p := range n.finalized {
-		rep.Finalized = append(rep.Finalized, sim.CapturePacket(p))
-	}
-	return rep, nil
+	return rep, n.finalized, nil
 }
 
 // HashWords appends shard idx's configuration-hash word pairs — one
