@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard dist-demo policylab-demo clean
+.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim dist-demo policylab-demo clean
 
 # Output file for the committed benchmark record (see bench-json).
 BENCH_JSON ?= BENCH_PR10.json
@@ -188,6 +188,15 @@ dist-chaos-smoke:
 # in-process shard rungs they are read against.
 ladder-dshard:
 	$(GO) run ./bench --workload dense_torus.dshard --seconds 5 --trace 1 | awk '$$2 ~ /^(dshard|shard)\./'
+
+# The kernel rung of the cost ladder: one traced pass on each single-engine
+# workload — dense_torus.sim (every node busy) and sparse_arrivals.sim
+# (under 1% busy) — printing the routing-kernel, single-engine and
+# in-process shard rungs.
+ladder-sim:
+	for w in dense_torus.sim sparse_arrivals.sim; do \
+		$(GO) run ./bench --workload $$w --seconds 5 --trace 1 | awk '$$2 ~ /^(sim|routing|shard)\./'; \
+	done
 
 # Distributed demo: a coordinator spawns two worker processes, one is
 # SIGKILLed mid-run, and the run recovers from the last coordinated

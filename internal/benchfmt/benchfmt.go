@@ -87,11 +87,11 @@ func parseLine(line string) (Benchmark, bool, error) {
 		return Benchmark{}, false, nil
 	}
 	name, procs := splitProcs(strings.TrimPrefix(fields[0], "Benchmark"))
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	iters, err := strconv.ParseUint(fields[1], 10, 63) // b.N is never negative
 	if err != nil {
 		return Benchmark{}, false, fmt.Errorf("benchfmt: bad iteration count in %q: %w", line, err)
 	}
-	b := Benchmark{Name: name, Procs: procs, Iterations: iters, Metrics: make(map[string]float64)}
+	b := Benchmark{Name: name, Procs: procs, Iterations: int64(iters), Metrics: make(map[string]float64)}
 	rest := fields[2:]
 	if len(rest)%2 != 0 {
 		return Benchmark{}, false, fmt.Errorf("benchfmt: odd value/unit pairing in %q", line)

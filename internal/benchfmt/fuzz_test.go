@@ -22,6 +22,7 @@ func FuzzParseBench(f *testing.F) {
 	f.Add("BenchmarkSub/case-with-dash-16 4 2 ns/op\n")  // subtest + procs suffix
 	f.Add("Benchmark-12 7 1 ns/op\n")                    // empty name, procs only
 	f.Add("BenchmarkHuge 9223372036854775807 1 ns/op\n") // max int64 iterations
+	f.Add("Benchmark -1\n")                              // negative iteration count
 	f.Add(strings.Repeat("BenchmarkA 1 1 ns/op\n", 100))
 
 	f.Fuzz(func(t *testing.T, input string) {

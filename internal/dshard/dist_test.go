@@ -277,7 +277,11 @@ func (k *killableSpawner) kill(slot int) {
 // per-step hashes, live counts, final summary, final state hash. Zero lost
 // state, five rejoins.
 func TestDistributedKillRejoin(t *testing.T) {
-	const side, seed, maxSteps, kills = 8, 9, 400, 5
+	// The run must outlast the last kill: a kill after the final step forces
+	// no rejoin. Each kill rolls back to a checkpoint (every 4 steps) and the
+	// next lands three steps later, so the fifth lands by step 4·4+5 = 21
+	// even when every kill is two steps late; at side 20 the run takes 22.
+	const side, seed, maxSteps, kills = 20, 9, 400, 5
 	m := mesh.MustNewTorus(2, side)
 	pkts, err := workload.FullLoad(m, 2, rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -340,7 +344,7 @@ func TestDistributedKillRejoin(t *testing.T) {
 	if got := c.Recoveries(); got < kills {
 		t.Errorf("recoveries: %d, want >= %d (every kill must force a rejoin)", got, kills)
 	}
-	t.Logf("survived %d kills with %d recoveries", kills, c.Recoveries())
+	t.Logf("survived %d kills with %d recoveries in %d steps", kills, c.Recoveries(), res.Steps)
 }
 
 // TestDistributedTransportFaults runs with a lossy transport on every

@@ -30,6 +30,10 @@ type Tables struct {
 	degree []int8
 	// coord[int(id)*dim+axis] is the cached coordinate of the node.
 	coord []int32
+	// axisGood[delta+side] is the set of good directions along one axis for
+	// a packet whose destination lies delta = dst−from coordinates away on
+	// that axis: goodPlus, goodMinus, both (a torus tie) or neither.
+	axisGood []uint8
 	// dead counts the base arcs currently masked out of neighbor. It is 0 on
 	// the shared table for good; the good-direction queries consult the
 	// neighbor row only when it is non-zero.
@@ -43,6 +47,13 @@ func (m *Mesh) Tables() *Tables {
 	return m.tables
 }
 
+// Entries of Tables.axisGood: bit 0 is the axis's "+" direction, bit 1 its
+// "−" direction, matching Dir's low bit.
+const (
+	goodPlus  = 1
+	goodMinus = 2
+)
+
 func buildTables(m *Mesh) *Tables {
 	t := &Tables{
 		base:     m,
@@ -53,6 +64,18 @@ func buildTables(m *Mesh) *Tables {
 		neighbor: make([]NodeID, m.size*m.DirCount()),
 		degree:   make([]int8, m.size),
 		coord:    make([]int32, m.size*m.dim),
+		axisGood: make([]uint8, 2*m.side+1),
+	}
+	for delta := 1 - m.side; delta < m.side; delta++ {
+		switch fwd := (delta + m.side) % m.side; { // steps in "+" on the ring
+		case delta == 0:
+		case !m.wrap && delta > 0, m.wrap && 2*fwd < m.side:
+			t.axisGood[delta+m.side] = goodPlus
+		case !m.wrap, 2*fwd > m.side:
+			t.axisGood[delta+m.side] = goodMinus
+		default: // exactly opposite on the ring: both ways are shortest
+			t.axisGood[delta+m.side] = goodPlus | goodMinus
+		}
 	}
 	var buf [MaxDim]int
 	for id := 0; id < m.size; id++ {
@@ -194,45 +217,20 @@ func (t *Tables) GoodDirs(from, dst NodeID, buf []Dir) []Dir {
 // packet all of whose geometrically good arcs are down has no good
 // direction, so every surviving arc deflects it — exactly how a bufferless
 // router degrades.
+//
+// Each axis is one axisGood lookup and an unconditional two-slot write that
+// the count then keeps or drops, so the emit has no data-dependent branch;
+// the write can land one slot past the final count, which buf's 2·MaxDim
+// slots always hold (every axis before the last adds at most two).
 func (t *Tables) GoodDirsInto(from, dst NodeID, buf *[2 * MaxDim]Dir) int {
 	cf := t.coord[int(from)*t.dim:]
 	cd := t.coord[int(dst)*t.dim:]
 	n := 0
-	if !t.wrap {
-		for a := 0; a < t.dim; a++ {
-			f, d := cf[a], cd[a]
-			if f == d {
-				continue
-			}
-			if f < d {
-				buf[n] = Dir(2 * a)
-			} else {
-				buf[n] = Dir(2*a + 1)
-			}
-			n++
-		}
-	} else {
-		for a := 0; a < t.dim; a++ {
-			fwd := cd[a] - cf[a]
-			if fwd == 0 {
-				continue
-			}
-			if fwd < 0 {
-				fwd += t.side
-			}
-			switch {
-			case 2*fwd < t.side:
-				buf[n] = Dir(2 * a)
-				n++
-			case 2*fwd > t.side:
-				buf[n] = Dir(2*a + 1)
-				n++
-			default: // exactly opposite on the ring: both ways are shortest
-				buf[n] = Dir(2 * a)
-				buf[n+1] = Dir(2*a + 1)
-				n += 2
-			}
-		}
+	for a := 0; a < t.dim; a++ {
+		g := t.axisGood[int(cd[a]-cf[a]+t.side)]
+		buf[n] = Dir(2*a) | Dir(^g&1) // "+" unless "−" alone is good
+		buf[n+1] = Dir(2*a + 1)       // the tie's second direction
+		n += int(g&1 + g>>1)
 	}
 	if t.dead == 0 {
 		return n
@@ -262,23 +260,6 @@ func (t *Tables) IsGoodDir(from, dst NodeID, dir Dir) bool {
 		return false
 	}
 	a := int(dir) >> 1
-	f := t.coord[int(from)*t.dim+a]
-	d := t.coord[int(dst)*t.dim+a]
-	if f == d {
-		return false
-	}
-	if !t.wrap {
-		if dir&1 == 0 {
-			return f < d
-		}
-		return f > d
-	}
-	fwd := d - f
-	if fwd < 0 {
-		fwd += t.side
-	}
-	if dir&1 == 0 {
-		return 2*fwd <= t.side
-	}
-	return 2*fwd >= t.side
+	g := t.axisGood[int(t.coord[int(dst)*t.dim+a]-t.coord[int(from)*t.dim+a]+t.side)]
+	return g>>(dir&1)&1 != 0
 }

@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// exhaustiveNodes is the largest mesh whose good-direction primitives are
+// checked for every (from, dst) pair; larger ones sample 32 destinations per
+// node.
+const exhaustiveNodes = 4096
+
 // checkTablesAgainstMesh exhaustively compares every table-served primitive
 // against the arithmetic implementation on the base mesh.
 func checkTablesAgainstMesh(t *testing.T, m *Mesh) {
@@ -50,37 +55,53 @@ func checkTablesAgainstMesh(t *testing.T, m *Mesh) {
 				t.Fatalf("%v: TwoNeighbor(%d, %v) = (%d, %v), want (%d, %v)", m, from, dir, gn, gok, wn, wok)
 			}
 		}
-		// Good-direction primitives against a sample of destinations (all of
-		// them on small meshes).
+		// Good-direction primitives against every destination, or a sample
+		// of them on large meshes.
 		dsts := m.Size()
-		for s := 0; s < 32 && s < dsts; s++ {
+		if dsts > exhaustiveNodes {
+			dsts = 32
+		}
+		for s := 0; s < dsts; s++ {
 			dst := NodeID(s)
-			if dsts > 32 {
-				dst = NodeID(rng.Intn(dsts))
+			if m.Size() > exhaustiveNodes {
+				dst = NodeID(rng.Intn(m.Size()))
 			}
-			if got, want := tab.Dist(from, dst), m.Dist(from, dst); got != want {
-				t.Fatalf("%v: Dist(%d, %d) = %d, want %d", m, from, dst, got, want)
-			}
-			got := tab.GoodDirs(from, dst, bufA[:0])
-			want := m.GoodDirs(from, dst, bufB[:0])
-			if !slices.Equal(got, want) {
-				t.Fatalf("%v: GoodDirs(%d, %d) = %v, want %v", m, from, dst, got, want)
-			}
-			if g, w := tab.GoodDirCount(from, dst), m.GoodDirCount(from, dst); g != w {
-				t.Fatalf("%v: GoodDirCount(%d, %d) = %d, want %d", m, from, dst, g, w)
-			}
-			for d := 0; d < m.DirCount(); d++ {
-				if g, w := tab.IsGoodDir(from, dst, Dir(d)), m.IsGoodDir(from, dst, Dir(d)); g != w {
-					t.Fatalf("%v: IsGoodDir(%d, %d, %v) = %v, want %v", m, from, dst, Dir(d), g, w)
-				}
-			}
+			checkGoodDirs(t, m, from, dst, &bufA, &bufB)
 		}
 	}
 }
 
+// checkGoodDirs compares the table's good-direction primitives and distance
+// for one (from, dst) pair with the mesh's. The per-direction checks compare
+// against the reference good set, computed once. (No t.Helper: it is called
+// for millions of pairs, and the messages name the pair.)
+func checkGoodDirs(t *testing.T, m *Mesh, from, dst NodeID, bufA, bufB *[2 * MaxDim]Dir) {
+	tab := m.Tables()
+	want := m.GoodDirs(from, dst, bufB[:0])
+	if n := tab.GoodDirsInto(from, dst, bufA); !slices.Equal(bufA[:n], want) {
+		t.Fatalf("%v: GoodDirsInto(%d, %d) = %v, want %v", m, from, dst, bufA[:n], want)
+	}
+	if got := tab.GoodDirs(from, dst, bufA[:0]); !slices.Equal(got, want) {
+		t.Fatalf("%v: GoodDirs(%d, %d) = %v, want %v", m, from, dst, got, want)
+	}
+	if got := tab.GoodDirCount(from, dst); got != len(want) {
+		t.Fatalf("%v: GoodDirCount(%d, %d) = %d, want %d", m, from, dst, got, len(want))
+	}
+	for d := Dir(0); int(d) < m.DirCount(); d++ {
+		if got := tab.IsGoodDir(from, dst, d); got != slices.Contains(want, d) {
+			t.Fatalf("%v: IsGoodDir(%d, %d, %v) = %v, want %v", m, from, dst, d, got, !got)
+		}
+	}
+	if got, want := tab.Dist(from, dst), m.Dist(from, dst); got != want {
+		t.Fatalf("%v: Dist(%d, %d) = %d, want %d", m, from, dst, got, want)
+	}
+}
+
 // TestTablesMatchMeshPrimitives cross-checks the flat tables against the
-// arithmetic mesh primitives on a spread of meshes and tori, including the
-// even-side torus whose half-way axis offers both directions.
+// arithmetic mesh primitives on a spread of meshes and tori: odd sides, and
+// even-side tori whose half-way offset on an axis makes both directions
+// good. Dimensions 5 to MaxDim run at the smallest side New and NewTorus
+// accept.
 func TestTablesMatchMeshPrimitives(t *testing.T) {
 	cases := []*Mesh{
 		MustNew(1, 2), MustNew(1, 7),
@@ -89,10 +110,42 @@ func TestTablesMatchMeshPrimitives(t *testing.T) {
 		MustNew(4, 3),
 		MustNewTorus(1, 3), MustNewTorus(1, 6),
 		MustNewTorus(2, 3), MustNewTorus(2, 4), MustNewTorus(2, 7),
-		MustNewTorus(3, 4), MustNewTorus(3, 5),
+		MustNewTorus(3, 4), MustNewTorus(3, 5), MustNewTorus(4, 4), MustNewTorus(5, 4),
+	}
+	for dim := 5; dim <= MaxDim; dim++ {
+		cases = append(cases, MustNew(dim, 2), MustNewTorus(dim, 3))
 	}
 	for _, m := range cases {
 		checkTablesAgainstMesh(t, m)
+	}
+}
+
+// TestGoodDirsEveryAxisTies puts the destination half-way round an even
+// torus on every axis, so each axis contributes both directions and, at
+// dimension MaxDim, GoodDirsInto fills all 2·MaxDim slots of its buffer — the
+// case where its write-ahead slot is the buffer's last.
+func TestGoodDirsEveryAxisTies(t *testing.T) {
+	var bufA, bufB [2 * MaxDim]Dir
+	for dim := 1; dim <= MaxDim; dim++ {
+		for _, side := range []int{4, 6} {
+			if side > 4 && dim > 5 {
+				continue // 6^6 nodes and up: side 4 covers these dimensions
+			}
+			m := MustNewTorus(dim, side)
+			rng := rand.New(rand.NewSource(int64(dim * side)))
+			for k := 0; k < 64; k++ {
+				from := NodeID(rng.Intn(m.Size()))
+				c := m.Coord(from, nil)
+				for a := range c {
+					c[a] = (c[a] + side/2) % side
+				}
+				dst := m.ID(c)
+				if n := m.Tables().GoodDirsInto(from, dst, &bufA); n != 2*dim {
+					t.Fatalf("%v: %d good directions from %d to %d, want %d", m, n, from, dst, 2*dim)
+				}
+				checkGoodDirs(t, m, from, dst, &bufA, &bufB)
+			}
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ const (
 // reusable scratch; policies embed one. Not safe for concurrent use.
 type Assigner struct {
 	dirOwner [2 * mesh.MaxDim]int
-	visited  [2 * mesh.MaxDim]bool
+	visited  uint16 // bit d: arc d already explored by the current augmentation
 	free     [2 * mesh.MaxDim]mesh.Dir
 }
 
@@ -58,10 +58,10 @@ type Assigner struct {
 // good arcs.
 func (a *Assigner) augment(ns *sim.NodeState, i int, out []mesh.Dir) bool {
 	for _, g := range ns.Info(i).Good() {
-		if a.visited[g] {
+		if a.visited&(1<<g) != 0 {
 			continue
 		}
-		a.visited[g] = true
+		a.visited |= 1 << g
 		j := a.dirOwner[g]
 		if j < 0 || a.augment(ns, j, out) {
 			a.dirOwner[g] = i
@@ -85,9 +85,7 @@ func (a *Assigner) Assign(ns *sim.NodeState, out []mesh.Dir, order []int, deflec
 		out[i] = mesh.NoDir
 	}
 	for _, i := range order {
-		for d := 0; d < dirCount; d++ {
-			a.visited[d] = false
-		}
+		a.visited = 0
 		a.augment(ns, i, out)
 	}
 

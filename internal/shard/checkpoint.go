@@ -160,15 +160,21 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	}
 	ck := &Checkpoint{Manifest: m, Parts: make([]ShardPart, len(e.shards))}
 	for i, s := range e.shards {
-		part := ShardPart{Version: CheckpointVersion, Index: i, Time: e.time}
-		for _, l := range s.active {
-			for _, p := range s.byLocal[l] {
-				part.Packets = append(part.Packets, sim.CapturePacket(p))
-			}
-		}
-		ck.Parts[i] = part
+		ck.Parts[i] = s.part(e.time)
 	}
 	return ck, nil
+}
+
+// part captures the shard's live packets as its checkpoint part for step t,
+// in queue order over its ascending active nodes.
+func (s *shardState) part(t int) ShardPart {
+	part := ShardPart{Version: CheckpointVersion, Index: s.idx, Time: t}
+	for _, l := range s.q.Active() {
+		for _, p := range s.q.At(int(l)) {
+			part.Packets = append(part.Packets, sim.CapturePacket(p))
+		}
+	}
+	return part
 }
 
 // Restore loads a checkpoint into a freshly-built engine (no packets, time
@@ -210,6 +216,19 @@ func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("%w: injector installed=%v, checkpoint has_injector=%v", ErrBadCheckpoint, e.injector != nil, m.HasInjector)
 	}
 
+	var ids []int
+	for i := range m.Finalized {
+		ids = append(ids, m.Finalized[i].ID)
+	}
+	for i := range ck.Parts {
+		for j := range ck.Parts[i].Packets {
+			ids = append(ids, ck.Parts[i].Packets[j].ID)
+		}
+	}
+	if id, dup := sim.DuplicateID(ids); dup {
+		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
+	}
+
 	for _, s := range e.shards {
 		s.reset()
 	}
@@ -246,21 +265,15 @@ func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 			if err != nil {
 				return err
 			}
-			e.shards[e.pt.owner(p.Node)].enqueue(p)
+			if !e.shards[e.pt.owner(p.Node)].enqueue(p) {
+				return fmt.Errorf("%w: node %d holds more packets than its out-degree %d",
+					ErrBadCheckpoint, p.Node, e.mesh.Degree(p.Node))
+			}
 			live++
 		}
 	}
 	if live != m.Live {
 		return fmt.Errorf("%w: manifest says %d live packets, parts carry %d", ErrBadCheckpoint, m.Live, live)
-	}
-	for _, s := range e.shards {
-		for _, l := range s.active {
-			if deg := s.sub.DegreeLocal(int(l)); len(s.byLocal[l]) > deg {
-				return fmt.Errorf("%w: node %d holds %d packets, out-degree %d",
-					ErrBadCheckpoint, s.sub.GlobalID(int(l)), len(s.byLocal[l]), deg)
-			}
-		}
-		s.sortActive()
 	}
 
 	e.packets = packets

@@ -481,3 +481,68 @@ func TestRestoreGuards(t *testing.T) {
 		}
 	})
 }
+
+// TestLoadRejectsDuplicateIDs is the sharded counterpart of sim's Restore
+// checks: a checkpoint or a worker part that carries one packet ID twice is
+// refused, and a part that overfills a node is refused at the packet that
+// does not fit, before it is written anywhere.
+func TestLoadRejectsDuplicateIDs(t *testing.T) {
+	m, pkts := testProblem(t, 6)
+	opts := shard.Options{Grid: shard.Grid{P: 2, Q: 2}, Seed: 6, MaxSteps: 3000}
+	e := mustShard(t, m, pkts, opts)
+	if err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("checkpoint", func(t *testing.T) {
+		dup := *ck
+		dup.Parts = append([]shard.ShardPart(nil), ck.Parts...)
+		dup.Parts[1].Packets = append([]sim.PacketState(nil), ck.Parts[1].Packets...)
+		dup.Parts[1].Packets[0].ID = ck.Parts[0].Packets[0].ID
+		fresh := mustShard(t, m, nil, opts)
+		if err := fresh.Restore(&dup); !errors.Is(err, shard.ErrBadCheckpoint) {
+			t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+		}
+	})
+
+	g := shard.Grid{P: 2, Q: 1}
+	node, err := shard.NewNode(m, routing.NewRandomGreedy(), g, []int{0}, 6, sim.ValidateOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(id int, n mesh.NodeID) sim.PacketState {
+		return sim.CapturePacket(sim.NewPacket(id, n, m.ID([]int{6, 6})))
+	}
+	full := m.ID([]int{1, 1}) // owned by shard 0, out-degree 4
+	t.Run("part", func(t *testing.T) {
+		part := []sim.PacketState{at(5, full), at(5, full+1)}
+		if err := node.LoadShard(0, part); !errors.Is(err, shard.ErrBadCheckpoint) {
+			t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+		}
+	})
+	t.Run("over-degree", func(t *testing.T) {
+		var part []sim.PacketState
+		for id := 0; id <= m.Degree(full); id++ {
+			part = append(part, at(id, full))
+		}
+		if err := node.LoadShard(0, part); !errors.Is(err, shard.ErrBadCheckpoint) {
+			t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+		}
+		words, err := node.HashWords(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(words); i += 2 {
+			if n := mesh.NodeID(words[i] >> 32); n != full {
+				t.Fatalf("a packet of node %d's refused part is queued at node %d", full, n)
+			}
+		}
+		if len(words) != 2*m.Degree(full) {
+			t.Fatalf("node %d holds %d packets after the refused load, want the %d that fit", full, len(words)/2, m.Degree(full))
+		}
+	})
+}

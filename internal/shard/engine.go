@@ -74,11 +74,7 @@ type shardState struct {
 	router *sim.NodeRouter
 	pt     *partition
 
-	// byLocal[local] is the queue of the owned node, sliced to out-degree
-	// capacity off one contiguous backing array (allocation-free enqueue).
-	byLocal    [][]*sim.Packet
-	active     []int32 // local ids of non-empty queues, sorted between steps
-	activeMark []bool
+	q sim.Queues // by local id, which orders like the global id within the shard
 
 	// Halo mailboxes. internal stages this shard's own moves; egress[b]
 	// stages moves leaving toward receiver shard recvShard[b]. recvOf maps
@@ -228,9 +224,6 @@ func New(m *mesh.Mesh, policy sim.Policy, packets []*sim.Packet, opts Options) (
 	if e.nextID, err = sim.AdmitInitial(m, packets, e.place); err != nil {
 		return nil, err
 	}
-	for _, s := range e.shards {
-		s.sortActive()
-	}
 
 	for _, s := range e.shards {
 		go s.work()
@@ -243,10 +236,10 @@ func New(m *mesh.Mesh, policy sim.Policy, packets []*sim.Packet, opts Options) (
 }
 
 // newShardState builds one shard: the owned rectangle, its NodeRouter over
-// the table every shard of the mesh shares, the allocation-free queue
-// backing, and the egress buckets. Shared by the in-process Engine (which
-// adds the phase channel and a worker goroutine) and the distributed Node
-// (which steps its shards sequentially and leaves cmds/wg nil).
+// the table every shard of the mesh shares, its queues, and the egress
+// buckets. Shared by the in-process Engine (which adds the phase channel and
+// a worker goroutine) and the distributed Node (which steps its shards
+// sequentially and leaves cmds/wg nil).
 func newShardState(m *mesh.Mesh, pt *partition, col, row int, policy sim.Policy, seed int64, validation sim.ValidationLevel) (*shardState, error) {
 	x0, y0, w, h := pt.bounds(col, row)
 	sub, err := m.Subgrid(x0, y0, w, h)
@@ -254,24 +247,12 @@ func newShardState(m *mesh.Mesh, pt *partition, col, row int, policy sim.Policy,
 		return nil, err
 	}
 	s := &shardState{
-		idx:        row*pt.grid.P + col,
-		sub:        sub,
-		router:     sim.NewNodeRouter(m.Tables(), policy, seed, validation),
-		pt:         pt,
-		byLocal:    make([][]*sim.Packet, sub.Len()),
-		activeMark: make([]bool, sub.Len()),
-		recvOf:     make([]int, m.DirCount()),
-	}
-	arcs := 0
-	for l := 0; l < sub.Len(); l++ {
-		arcs += sub.DegreeLocal(l)
-	}
-	backing := make([]*sim.Packet, arcs)
-	off := 0
-	for l := 0; l < sub.Len(); l++ {
-		deg := sub.DegreeLocal(l)
-		s.byLocal[l] = backing[off : off : off+deg]
-		off += deg
+		idx:    row*pt.grid.P + col,
+		sub:    sub,
+		router: sim.NewNodeRouter(m.Tables(), policy, seed, validation),
+		pt:     pt,
+		q:      sim.NewQueues(sub.Len(), m.DirCount(), sub.DegreeLocal),
+		recvOf: make([]int, m.DirCount()),
 	}
 	wireEgress(s, pt.grid, m.Wrap(), col, row)
 	return s, nil
@@ -378,7 +359,7 @@ func (e *Engine) SetInjector(inj sim.Injector) {
 func (e *Engine) InjectionCapacity(node mesh.NodeID) int {
 	s := e.shards[e.pt.owner(node)]
 	l := s.sub.LocalID(node)
-	c := s.sub.DegreeLocal(l) - len(s.byLocal[l])
+	c := s.sub.DegreeLocal(l) - s.q.Len(l)
 	if c < 0 {
 		return 0
 	}
@@ -401,12 +382,10 @@ var _ sim.InjectorHost = (*Engine)(nil)
 // freely.
 func (e *Engine) place(p *sim.Packet) (held int, ok bool) {
 	s := e.shards[e.pt.owner(p.Src)]
-	l := s.sub.LocalID(p.Src)
-	held = len(s.byLocal[l])
-	if held >= s.sub.DegreeLocal(l) {
+	held = s.q.Len(s.sub.LocalID(p.Src))
+	if !s.enqueue(p) {
 		return held, false
 	}
-	s.enqueue(p)
 	e.live++
 	return held + 1, true
 }
@@ -427,9 +406,6 @@ func (e *Engine) inject() error {
 	}
 	e.nextID = nextID
 	e.packets = append(e.packets, batch...)
-	for _, s := range e.shards {
-		s.sortActive()
-	}
 	return nil
 }
 
@@ -467,7 +443,7 @@ func (s *shardState) runPhase(cmd phaseCmd) {
 	case phaseRoute:
 		s.err = s.route(cmd.t)
 	case phaseApply:
-		s.apply(cmd.t)
+		s.err = s.apply(cmd.t)
 	}
 }
 
@@ -501,8 +477,8 @@ func (s *shardState) route(t int) error {
 		s.egress[b] = s.egress[b][:0]
 	}
 	var buf [2 * mesh.MaxDim]sim.Move
-	for _, l := range s.active {
-		pkts := s.byLocal[l]
+	for _, l := range s.q.Active() {
+		pkts := s.q.At(int(l))
 		node := s.sub.GlobalID(int(l))
 		dst := buf[:len(pkts)]
 		if err := s.router.RouteNode(node, t, pkts, dst); err != nil {
@@ -531,8 +507,8 @@ func (s *shardState) route(t int) error {
 // owner), so a k-way min-merge on Move.From reproduces exactly the single
 // engine's per-destination enqueue order; queue order is routing-relevant
 // state, so this is where sharded equals unsharded.
-func (s *shardState) apply(t int) {
-	s.clearQueues()
+func (s *shardState) apply(t int) error {
+	s.q.Clear()
 	var lists [maxMergeLists][]sim.Move
 	n := 0
 	if len(s.internal) > 0 {
@@ -545,8 +521,7 @@ func (s *shardState) apply(t int) {
 			n++
 		}
 	}
-	s.merge(t, lists[:n])
-	s.sortActive()
+	return s.merge(t, lists[:n])
 }
 
 // maxMergeLists bounds how many staging lists one shard's apply can merge:
@@ -555,21 +530,10 @@ func (s *shardState) apply(t int) {
 // shards (fewer when torus wrap aliases them) contributes one list.
 const maxMergeLists = 5
 
-// clearQueues empties every queue and the active set — the first half of
-// apply.
-func (s *shardState) clearQueues() {
-	for _, l := range s.active {
-		s.byLocal[l] = s.byLocal[l][:0]
-		s.activeMark[l] = false
-	}
-	s.active = s.active[:0]
-}
-
-// reset empties the shard for (re)loading from a checkpoint part: queues,
-// active set and the per-step partials. The coordinator owns the global
-// counters.
+// reset empties the shard for (re)loading from a checkpoint part: queues and
+// the per-step partials. The coordinator owns the global counters.
 func (s *shardState) reset() {
-	s.clearQueues()
+	s.q.Clear()
 	s.tally = sim.MoveTally{}
 	s.router.DrainCounters()
 }
@@ -594,8 +558,10 @@ func (s *shardState) drain(rep *ApplyReport, now int) {
 // are disjoint (every node has one owner), so the merge reproduces exactly
 // the single engine's per-destination enqueue order. When s.finalized is
 // non-nil (the distributed Node), arrived packets are additionally collected
-// there, since no surrounding Engine tracks them.
-func (s *shardState) merge(t int, lists [][]sim.Move) {
+// there, since no surrounding Engine tracks them. A node receives at most
+// one packet per incoming arc, so a queue overflows only when an unvalidated
+// policy sent two packets down one arc; that is an error.
+func (s *shardState) merge(t int, lists [][]sim.Move) error {
 	n := len(lists)
 	for n > 0 {
 		best := 0
@@ -605,30 +571,24 @@ func (s *shardState) merge(t int, lists [][]sim.Move) {
 			}
 		}
 		mv := &lists[best][0]
-		if s.tally.Apply(mv, t+1) {
-			s.enqueue(mv.Packet)
-		} else if s.finalized != nil {
-			*s.finalized = append(*s.finalized, mv.Packet)
+		if !s.tally.Apply(mv, t+1) {
+			if s.finalized != nil {
+				*s.finalized = append(*s.finalized, mv.Packet)
+			}
+		} else if !s.enqueue(mv.Packet) {
+			return fmt.Errorf("%w: step %d: node %d receives more packets than it has arcs", sim.ErrLinkConflict, t, mv.To)
 		}
 		if lists[best] = lists[best][1:]; len(lists[best]) == 0 {
 			lists[best] = lists[n-1]
 			n--
 		}
 	}
+	return nil
 }
 
-func (s *shardState) enqueue(p *sim.Packet) {
-	l := int32(s.sub.LocalID(p.Node))
-	if len(s.byLocal[l]) == 0 && !s.activeMark[l] {
-		s.activeMark[l] = true
-		s.active = append(s.active, l)
-	}
-	s.byLocal[l] = append(s.byLocal[l], p)
-}
-
-// sortActive restores local-id order (which is global-id order within the
-// shard) after apply perturbed it.
-func (s *shardState) sortActive() { s.active = sim.SortActive(s.active, s.activeMark) }
+// enqueue queues p at its node, which the shard owns, and reports whether
+// the node had room.
+func (s *shardState) enqueue(p *sim.Packet) bool { return s.q.Push(s.sub.LocalID(p.Node), p) }
 
 // Step advances the simulation by one synchronous step: a route barrier, an
 // apply barrier (the halo exchange happens between the two — receivers read
@@ -675,7 +635,7 @@ func (e *Engine) Step() error {
 // active nodes — rows in ascending y, shard columns left to right within a
 // row, owned nodes in ascending x — reproducing sim.Engine's stateHash fold
 // exactly. Within a shard, the active nodes of one global row form a
-// contiguous local-id range, found by binary search in the sorted active
+// contiguous local-id range, found by binary search in the ascending active
 // list.
 func (e *Engine) stateHash() uint64 {
 	h := sim.ConfigHashSeed
@@ -688,10 +648,10 @@ func (e *Engine) stateHash() uint64 {
 				_, sy0, w, _ := s.sub.Bounds()
 				lo := int32((y - sy0) * w)
 				hi := lo + int32(w)
-				a := s.active
+				a := s.q.Active()
 				i := sort.Search(len(a), func(i int) bool { return a[i] >= lo })
 				for ; i < len(a) && a[i] < hi; i++ {
-					for _, p := range s.byLocal[a[i]] {
+					for _, p := range s.q.At(int(a[i])) {
 						h = sim.ConfigHashPacket(h, p)
 					}
 				}

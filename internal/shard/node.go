@@ -167,11 +167,19 @@ func (n *Node) shard(idx int) (*shardState, error) {
 // queue order over ascending nodes — the exact order of a checkpoint
 // ShardPart re-partitioned to this shard, which is how both initial
 // distribution and post-failure rollback arrive. Counter partials are
-// cleared; the coordinator owns the global counters.
+// cleared; the coordinator owns the global counters. Packet IDs must be
+// unique within the part, and no node may hold more than its out-degree.
 func (n *Node) LoadShard(idx int, pkts []sim.PacketState) error {
 	s, err := n.shard(idx)
 	if err != nil {
 		return err
+	}
+	ids := make([]int, len(pkts))
+	for i := range pkts {
+		ids[i] = pkts[i].ID
+	}
+	if id, dup := sim.DuplicateID(ids); dup {
+		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
 	}
 	s.reset()
 	for i := range pkts {
@@ -186,15 +194,11 @@ func (n *Node) LoadShard(idx int, pkts []sim.PacketState) error {
 			return fmt.Errorf("%w: packet %d at node %d belongs to shard %d, loaded into %d",
 				ErrBadCheckpoint, p.ID, p.Node, n.pt.owner(p.Node), idx)
 		}
-		s.enqueue(p)
-	}
-	for _, l := range s.active {
-		if deg := s.sub.DegreeLocal(int(l)); len(s.byLocal[l]) > deg {
-			return fmt.Errorf("%w: node %d holds %d packets, out-degree %d",
-				ErrBadCheckpoint, s.sub.GlobalID(int(l)), len(s.byLocal[l]), deg)
+		if !s.enqueue(p) {
+			return fmt.Errorf("%w: node %d holds more packets than its out-degree %d",
+				ErrBadCheckpoint, p.Node, n.m.Degree(p.Node))
 		}
 	}
-	s.sortActive()
 	return nil
 }
 
@@ -258,10 +262,10 @@ func (n *Node) ApplyArrived(t int, ingress []Bucket) (ApplyReport, []*sim.Packet
 			lists[cnt] = in.Moves
 			cnt++
 		}
-		s.clearQueues()
-		s.merge(t, lists[:cnt])
-		s.sortActive()
-
+		s.q.Clear()
+		if err := s.merge(t, lists[:cnt]); err != nil {
+			return rep, nil, err
+		}
 		s.drain(&rep, t+1)
 	}
 	return rep, n.finalized, nil
@@ -277,8 +281,8 @@ func (n *Node) HashWords(idx int, dst []uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, l := range s.active {
-		for _, p := range s.byLocal[l] {
+	for _, l := range s.q.Active() {
+		for _, p := range s.q.At(int(l)) {
 			id, pos := sim.ConfigHashPacketWords(p)
 			dst = append(dst, id, pos)
 		}
@@ -293,13 +297,7 @@ func (n *Node) Part(idx, t int) (ShardPart, error) {
 	if err != nil {
 		return ShardPart{}, err
 	}
-	part := ShardPart{Version: CheckpointVersion, Index: idx, Time: t}
-	for _, l := range s.active {
-		for _, p := range s.byLocal[l] {
-			part.Packets = append(part.Packets, sim.CapturePacket(p))
-		}
-	}
-	return part, nil
+	return s.part(t), nil
 }
 
 // Live returns the number of live packets across the hosted shards.
@@ -307,8 +305,8 @@ func (n *Node) Live() int {
 	total := 0
 	for _, idx := range n.owned {
 		s := n.shards[idx]
-		for _, l := range s.active {
-			total += len(s.byLocal[l])
+		for _, l := range s.q.Active() {
+			total += s.q.Len(int(l))
 		}
 	}
 	return total

@@ -197,7 +197,7 @@ type Engine struct {
 	router *NodeRouter  // routes every node against topo; rebuilt by SetFaults
 	policy Policy
 	// packets is every packet of the problem; the live ones are also in
-	// byNode. Finalized IDs need no record of their own: every ID ever
+	// q. Finalized IDs need no record of their own: every ID ever
 	// accepted is below the nextID watermark.
 	packets []*Packet
 	opts    Options
@@ -212,9 +212,7 @@ type Engine struct {
 	time        int
 	live        int
 	lastArrival int
-	byNode      [][]*Packet
-	active      []mesh.NodeID
-	activeMark  []bool
+	q           Queues // by node id
 	observers   []Observer
 
 	// conflictObs is the opt-in conflict tap (SetConflictObserver); confRec
@@ -280,22 +278,11 @@ func New(m *mesh.Mesh, policy Policy, packets []*Packet, opts Options) (*Engine,
 		policy:       policy,
 		packets:      packets,
 		opts:         opts,
-		byNode:       make([][]*Packet, m.Size()),
-		activeMark:   make([]bool, m.Size()),
+		q:            NewQueues(m.Size(), tab.DirCount(), func(i int) int { return tab.Degree(mesh.NodeID(i)) }),
 		livelockable: opts.DetectLivelock && policy.Deterministic(),
 	}
 	e.src.Seed(rng.Mix(opts.Seed))
 	e.rng = rand.New(&e.src)
-	// One contiguous backing array for all per-node queues: a node never
-	// holds more packets than its out-degree, so slicing each queue to its
-	// degree's capacity makes enqueue allocation-free for the whole run.
-	queueBacking := make([]*Packet, m.ArcCount())
-	off := 0
-	for id := range e.byNode {
-		deg := tab.Degree(mesh.NodeID(id))
-		e.byNode[id] = queueBacking[off : off : off+deg]
-		off += deg
-	}
 	if e.livelockable {
 		e.seen = make(map[uint64]int)
 	}
@@ -304,7 +291,6 @@ func New(m *mesh.Mesh, policy Policy, packets []*Packet, opts Options) (*Engine,
 		return nil, err
 	}
 	e.moves = make([]Move, 0, e.live)
-	e.sortActive()
 	return e, nil
 }
 
@@ -319,26 +305,13 @@ func (e *Engine) place(p *Packet) (held int, ok bool) {
 	if e.overlay != nil && (e.overlay.NodeDown(p.Src) || e.overlay.NodeDown(p.Dst)) {
 		return 0, false
 	}
-	held = len(e.byNode[p.Src])
-	if held >= e.topo.Degree(p.Src) {
+	held = e.q.Len(int(p.Src))
+	if held >= e.topo.Degree(p.Src) || !e.q.Push(int(p.Src), p) {
 		return held, false
 	}
-	e.enqueue(p)
 	e.live++
 	return held + 1, true
 }
-
-func (e *Engine) enqueue(p *Packet) {
-	if len(e.byNode[p.Node]) == 0 && !e.activeMark[p.Node] {
-		e.activeMark[p.Node] = true
-		e.active = append(e.active, p.Node)
-	}
-	e.byNode[p.Node] = append(e.byNode[p.Node], p)
-}
-
-// sortActive restores the sorted order of the active list after a step's
-// move application (or after injection) perturbed it.
-func (e *Engine) sortActive() { e.active = SortActive(e.active, e.activeMark) }
 
 // AddObserver registers an observer to run after every step.
 func (e *Engine) AddObserver(o Observer) { e.observers = append(e.observers, o) }
@@ -359,7 +332,7 @@ func (e *Engine) SetInjector(inj Injector) {
 // Inject call must count its own earlier picks against the capacity
 // itself.
 func (e *Engine) InjectionCapacity(node mesh.NodeID) int {
-	c := e.topo.Degree(node) - len(e.byNode[node])
+	c := e.topo.Degree(node) - e.q.Len(int(node))
 	if c < 0 {
 		return 0
 	}
@@ -394,7 +367,6 @@ func (e *Engine) inject() error {
 	e.packets = append(e.packets, batch...)
 	e.dropped += refused
 	e.dropInject += refused
-	e.sortActive()
 	return nil
 }
 
@@ -412,7 +384,7 @@ func (e *Engine) Packets() []*Packet { return e.packets }
 
 // PacketsAt returns the packets currently at the given node. The slice is
 // engine-owned and valid until the next Step.
-func (e *Engine) PacketsAt(node mesh.NodeID) []*Packet { return e.byNode[node] }
+func (e *Engine) PacketsAt(node mesh.NodeID) []*Packet { return e.q.At(int(node)) }
 
 // Time returns the current step index.
 func (e *Engine) Time() int { return e.time }
@@ -441,19 +413,18 @@ func (e *Engine) Step() error {
 			return err
 		}
 	}
-	// Route every active node. Active nodes are kept sorted so that the
-	// move buffer is grouped by source node in ascending order. Every live
-	// packet sits in exactly one active node's queue, so the step produces
-	// exactly e.live moves; the buffer is reused across steps and only
-	// reallocated when injection outgrows it.
+	// Route every active node, in ascending order, so the move buffer is
+	// grouped by source node. Every live packet sits in exactly one active
+	// node's queue, so the step produces exactly e.live moves; the buffer is
+	// reused across steps and only reallocated when injection outgrows it.
 	if cap(e.moves) < e.live {
 		e.moves = make([]Move, e.live)
 	}
 	e.moves = e.moves[:e.live]
 	base := 0
-	for _, node := range e.active {
-		pkts := e.byNode[node]
-		if err := e.router.RouteNode(node, t, pkts, e.moves[base:base+len(pkts)]); err != nil {
+	for _, node := range e.q.Active() {
+		pkts := e.q.At(int(node))
+		if err := e.router.RouteNode(mesh.NodeID(node), t, pkts, e.moves[base:base+len(pkts)]); err != nil {
 			return err
 		}
 		base += len(pkts)
@@ -462,17 +433,15 @@ func (e *Engine) Step() error {
 	e.maxNodeLoad = max(e.maxNodeLoad, maxLoad)
 	e.reroutes += reroutes
 
-	// Apply all moves simultaneously.
-	for _, node := range e.active {
-		e.byNode[node] = e.byNode[node][:0]
-		e.activeMark[node] = false
-	}
-	e.active = e.active[:0]
+	// Apply all moves simultaneously. A node receives at most one packet per
+	// incoming arc, so its queue cannot overflow unless an unvalidated policy
+	// sent two packets down one arc.
+	e.q.Clear()
 	e.time = t + 1
 	var tally MoveTally
 	for i := range e.moves {
-		if mv := &e.moves[i]; tally.Apply(mv, e.time) {
-			e.enqueue(mv.Packet)
+		if mv := &e.moves[i]; tally.Apply(mv, e.time) && !e.q.Push(int(mv.To), mv.Packet) {
+			return fmt.Errorf("%w: step %d: node %d receives more packets than it has arcs", ErrLinkConflict, t, mv.To)
 		}
 	}
 	e.totalHops += tally.Hops
@@ -481,7 +450,6 @@ func (e *Engine) Step() error {
 		e.live -= tally.Arrivals
 		e.lastArrival = e.time
 	}
-	e.sortActive()
 
 	if e.conflictObs != nil {
 		e.emitConflicts(t)
@@ -518,7 +486,7 @@ func mix64(h, v uint64) uint64 {
 
 // stateHash digests the full routing-relevant configuration: for each live
 // packet its identity, position, entry arc and history flags, visited in
-// queue order over the (sorted) active nodes. Two equal configurations under
+// queue order over the ascending active nodes. Two equal configurations under
 // a deterministic policy evolve identically, so a repeated hash marks a
 // livelock (up to the negligible 64-bit collision probability, documented in
 // the Options). Only the live packets are walked — finalized ones can never
@@ -527,8 +495,8 @@ func mix64(h, v uint64) uint64 {
 // packets in flight, not the total ever injected.
 func (e *Engine) stateHash() uint64 {
 	h := ConfigHashSeed
-	for _, node := range e.active {
-		for _, p := range e.byNode[node] {
+	for _, node := range e.q.Active() {
+		for _, p := range e.q.At(int(node)) {
 			h = ConfigHashPacket(h, p)
 		}
 	}

@@ -208,6 +208,28 @@ func TestValidationCatchesIllegalAssignments(t *testing.T) {
 		}
 	})
 
+	t.Run("link conflict uncaught by validation still fails", func(t *testing.T) {
+		// Three packets pushed down one arc into a degree-2 corner: the
+		// corner's queue has no room for the third.
+		src := m.ID([]int{1, 0})
+		var pkts []*Packet
+		for i := 0; i < 3; i++ {
+			pkts = append(pkts, NewPacket(i, src, m.ID([]int{3, 3})))
+		}
+		pol := badPolicy(func(ns *NodeState, out []mesh.Dir, rng *rand.Rand) {
+			for i := range out {
+				out[i] = mesh.DirMinus(0)
+			}
+		})
+		e, err := New(m, pol, pkts, Options{Validation: ValidateOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Step(); !errors.Is(err, ErrLinkConflict) {
+			t.Errorf("Step() = %v, want ErrLinkConflict even unvalidated", err)
+		}
+	})
+
 	t.Run("non greedy", func(t *testing.T) {
 		// A single packet deflected while its good arcs are free.
 		p := NewPacket(0, m.ID([]int{1, 1}), m.ID([]int{3, 1}))

@@ -173,16 +173,14 @@ func (e *Engine) markDropped(p *Packet, cause DropCause) {
 // out-degree and a legal step cannot overfill a node; arcs into down nodes
 // are gone, so no packet can enter one.
 func (e *Engine) degrade() {
-	keep := e.active[:0]
-	for _, node := range e.active {
-		pkts := e.byNode[node]
+	for _, id := range e.q.Active() {
+		node, pkts := mesh.NodeID(id), e.q.At(int(id))
 		if e.overlay.NodeDown(node) {
 			for _, p := range pkts {
 				e.markDropped(p, DropCrash)
 				e.live--
 			}
-			e.byNode[node] = pkts[:0]
-			e.activeMark[node] = false
+			e.q.Truncate(int(id), 0)
 			continue
 		}
 		w := 0
@@ -203,12 +201,6 @@ func (e *Engine) degrade() {
 			}
 			pkts = pkts[:deg]
 		}
-		e.byNode[node] = pkts
-		if len(pkts) == 0 {
-			e.activeMark[node] = false
-			continue
-		}
-		keep = append(keep, node)
+		e.q.Truncate(int(id), len(pkts))
 	}
-	e.active = keep
 }

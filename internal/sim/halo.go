@@ -126,7 +126,7 @@ type NodeRouter struct {
 	// a line, so one shard's per-node writes (src reseed, maxNodeLoad,
 	// reroutes) keep invalidating the line that holds its neighbour's tab,
 	// read on every RouteNode.
-	_ [40]byte
+	_ [48]byte
 }
 
 // NewNodeRouter returns a router over the given table. Tie-break randomness

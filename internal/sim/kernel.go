@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -14,10 +15,10 @@ import (
 // This file holds the pieces of a step loop that are the same whichever
 // engine runs it — the single engine here, the sharded engine
 // (internal/shard) and the distributed coordinator (internal/dshard):
-// admitting packets, applying a move to its packet, keeping an active list
-// sorted, and the stop flag of a Run. Together with NodeRouter (halo.go,
-// "route one node") they are the kernel; each exists once, so the engines
-// cannot drift apart on them.
+// admitting packets, applying a move to its packet, the per-node queues with
+// their active list, and the stop flag of a Run. Together with NodeRouter
+// (halo.go, "route one node") they are the kernel; each exists once, so the
+// engines cannot drift apart on them.
 
 // PlaceFunc is how an engine takes delivery of an admitted packet: it
 // enqueues p at p.Src when that node still has room under the engine's
@@ -157,27 +158,129 @@ func (c *MoveTally) Apply(mv *Move, now int) (live bool) {
 	return true
 }
 
-// SortActive restores the ascending order of an active list (the ids of the
-// non-empty queues) after a step's move application or an injection
-// perturbed it, and returns it. mark[id] must be true exactly for the ids in
-// the list. Dense lists are rebuilt by one ordered scan of the mark bitmap —
-// a counting pass with no comparisons; sparse ones fall back to slices.Sort.
-// Both paths are allocation-free.
-func SortActive[T ~int32](active []T, mark []bool) []T {
-	if len(active) <= 1 {
-		return active
+// Queues holds the packets of a set of nodes — the whole mesh for the single
+// engine, one shard's rectangle (by local index) for the sharded ones — and
+// their active list: the ascending indices of the non-empty queues, the
+// order every engine routes, hashes and captures in. A node's queue is a
+// run of stride slots in one flat array plus a uint8 length, so queueing is
+// a store and never allocates. Occupancy is a two-level bitset (one bit per
+// node, one summary bit per 64-node word): the active list is rebuilt by
+// scanning set bits in O(active + nodes/4096), with no comparison sort, and
+// Clear touches only the occupied nodes and their words.
+//
+// Queues must not be copied once used. It is single-goroutine state.
+type Queues struct {
+	stride  int
+	slots   []*Packet
+	n       []uint8 // queue length per node
+	limit   []uint8 // queue capacity per node: its intact out-degree
+	bits    []uint64
+	summary []uint64
+	active  []int32
+	dirty   bool // active is stale: a queue was filled or emptied since the scan
+}
+
+// NewQueues returns empty queues for nodes 0..nodes-1 with stride slots each;
+// node i holds at most capacity(i) ≤ stride packets.
+func NewQueues(nodes, stride int, capacity func(i int) int) Queues {
+	// Lengths and capacities share one allocation, as do both bitset levels.
+	counts := make([]uint8, 2*nodes)
+	nw := (nodes + 63) / 64
+	words := make([]uint64, nw+(nw+63)/64)
+	q := Queues{
+		stride:  stride,
+		slots:   make([]*Packet, nodes*stride),
+		n:       counts[:nodes:nodes],
+		limit:   counts[nodes:],
+		bits:    words[:nw:nw],
+		summary: words[nw:],
 	}
-	if len(active)*4 >= len(mark) {
-		active = active[:0]
-		for id, m := range mark {
-			if m {
-				active = append(active, T(id))
+	for i := range q.limit {
+		q.limit[i] = uint8(capacity(i))
+	}
+	return q
+}
+
+// Len returns the number of packets queued at node i.
+func (q *Queues) Len(i int) int { return int(q.n[i]) }
+
+// At returns node i's queue in queue order. The slice aliases q (its
+// capacity is its length, so an append copies instead of overwriting the
+// next node) and is valid until the queue changes.
+func (q *Queues) At(i int) []*Packet {
+	o := i * q.stride
+	end := o + int(q.n[i])
+	return q.slots[o:end:end]
+}
+
+// Push appends p to node i's queue if the node has room and reports whether
+// it did; a full queue is left untouched.
+func (q *Queues) Push(i int, p *Packet) bool {
+	n := q.n[i]
+	if n >= q.limit[i] {
+		return false
+	}
+	q.slots[i*q.stride+int(n)] = p
+	q.n[i] = n + 1
+	q.bits[i>>6] |= 1 << (i & 63)
+	q.summary[i>>12] |= 1 << (i >> 6 & 63)
+	q.dirty = true
+	return true
+}
+
+// Truncate keeps the first n packets of node i's queue (n ≤ Len(i)).
+func (q *Queues) Truncate(i, n int) {
+	q.n[i] = uint8(n)
+	if n > 0 {
+		return
+	}
+	w := i >> 6
+	if q.bits[w] &^= 1 << (i & 63); q.bits[w] == 0 {
+		q.summary[w>>6] &^= 1 << (w & 63)
+	}
+	q.dirty = true
+}
+
+// Active returns the indices of the non-empty queues in ascending order. The
+// slice is owned by q and valid until the queues change.
+func (q *Queues) Active() []int32 {
+	if !q.dirty {
+		return q.active
+	}
+	a := q.active[:0]
+	for s, sw := range q.summary {
+		for ; sw != 0; sw &= sw - 1 {
+			w := s<<6 | bits.TrailingZeros64(sw)
+			for word := q.bits[w]; word != 0; word &= word - 1 {
+				a = append(a, int32(w<<6|bits.TrailingZeros64(word)))
 			}
 		}
-		return active
 	}
-	slices.Sort(active)
-	return active
+	q.active, q.dirty = a, false
+	return a
+}
+
+// Clear empties every queue.
+func (q *Queues) Clear() {
+	for _, i := range q.Active() {
+		q.n[i] = 0
+		q.bits[i>>6] = 0
+		q.summary[i>>12] = 0
+	}
+	q.active = q.active[:0]
+}
+
+// DuplicateID sorts ids in place and returns one that occurs more than once,
+// if any — the uniqueness check every restore path applies to the packet IDs
+// it is handed.
+func DuplicateID(ids []int) (id int, dup bool) {
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return ids[i], true
+		}
+	}
+	return 0, false
 }
 
 // StopFlag unifies every reason a Run must stop between steps — a ctx

@@ -3,10 +3,15 @@ package sim
 import "hotpotato/internal/mesh"
 
 // Move records the routing of one packet during one step.
+//
+// The fields are ordered widest first so a Move packs into 32 bytes, half a
+// cache line: the engines write one per packet per step.
 type Move struct {
 	// Packet is the moved packet (its fields reflect the post-move state by
 	// the time observers run).
 	Packet *Packet
+	// GoodCount is the number of good directions the packet had at From.
+	GoodCount int
 	// From is the node the packet was routed out of.
 	From mesh.NodeID
 	// To is the node the packet entered.
@@ -16,8 +21,6 @@ type Move struct {
 	// Advanced reports whether the move decreased the packet's distance to
 	// its destination; !Advanced means the packet was deflected.
 	Advanced bool
-	// GoodCount is the number of good directions the packet had at From.
-	GoodCount int
 	// WasRestricted reports GoodCount == 1.
 	WasRestricted bool
 	// WasTypeA reports whether the packet was a restricted type-A packet at

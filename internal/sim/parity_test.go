@@ -239,21 +239,77 @@ func (leanGreedyPolicy) Route(ns *NodeState, out []mesh.Dir, rng *rand.Rand) {
 	}
 }
 
-// TestStepSteadyStateAllocs asserts the tentpole claim directly: once an
-// engine is constructed, stepping it allocates nothing.
-func TestStepSteadyStateAllocs(t *testing.T) {
-	m := mesh.MustNew(2, 16)
-	packets := parityPackets(m, 2*m.Size(), 3)
-	e, err := New(m, leanGreedyPolicy{}, packets, Options{Seed: 3, Validation: ValidateGreedy})
-	if err != nil {
-		t.Fatal(err)
+// poolInjector injects one packet per step from a preallocated pool, at a
+// node that has room, so the injector itself never allocates.
+type poolInjector struct {
+	pool  []Packet
+	batch [1]*Packet
+}
+
+func (pi *poolInjector) Exhausted(int) bool { return false }
+
+func (pi *poolInjector) Inject(t int, host InjectorHost, rng *rand.Rand) []*Packet {
+	m := host.Mesh()
+	src, dst := mesh.NodeID(rng.Intn(m.Size())), mesh.NodeID(rng.Intn(m.Size()))
+	if len(pi.pool) == 0 || host.InjectionCapacity(src) == 0 {
+		return nil
 	}
-	allocs := testing.AllocsPerRun(40, func() {
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Step allocates %.1f times per call, want 0", allocs)
+	p := &pi.pool[0]
+	pi.pool = pi.pool[1:]
+	*p = Packet{ID: host.NextPacketID(), Src: src, Dst: dst, Node: src, EnteredVia: mesh.NoDir}
+	pi.batch[0] = p
+	return pi.batch[:]
+}
+
+// TestStepSteadyStateAllocs asserts the tentpole claim directly: once an
+// engine is constructed (and, with an injector, warmed up), stepping it
+// allocates nothing — on a dense mesh and torus, on a mesh sparse enough
+// that most summary words of the occupancy bitset are empty, and with
+// packets arriving every step.
+func TestStepSteadyStateAllocs(t *testing.T) {
+	sparse := mesh.MustNew(2, 128)
+	cases := []struct {
+		name    string
+		m       *mesh.Mesh
+		packets []*Packet
+		warmup  int
+		inject  bool
+	}{
+		{name: "mesh16", m: mesh.MustNew(2, 16), packets: parityPackets(mesh.MustNew(2, 16), 2*16*16, 3)},
+		{name: "torus64", m: mesh.MustNewTorus(2, 64), packets: parityPackets(mesh.MustNewTorus(2, 64), 2*64*64, 3)},
+		{name: "sparse-mesh128", m: sparse, packets: []*Packet{
+			NewPacket(0, sparse.ID([]int{0, 0}), sparse.ID([]int{127, 127})),
+			NewPacket(1, sparse.ID([]int{127, 0}), sparse.ID([]int{0, 127})),
+			NewPacket(2, sparse.ID([]int{64, 127}), sparse.ID([]int{64, 0})),
+		}},
+		{name: "injector", m: mesh.MustNewTorus(2, 16), warmup: 200, inject: true,
+			packets: make([]*Packet, 0, 1024)}, // room for every injected packet: e.packets never grows
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(tc.m, leanGreedyPolicy{}, tc.packets, Options{Seed: 3, Validation: ValidateGreedy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.inject {
+				e.SetInjector(&poolInjector{pool: make([]Packet, 1000)})
+			}
+			for i := 0; i < tc.warmup; i++ {
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.Live() == 0 {
+				t.Fatal("no packets in flight to step")
+			}
+			allocs := testing.AllocsPerRun(40, func() {
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state Step allocates %.1f times per call, want 0", allocs)
+			}
+		})
 	}
 }

@@ -34,13 +34,14 @@ func (pi *PacketInfo) Good() []mesh.Dir { return pi.goodBuf[:pi.GoodCount] }
 // trackable history flags).
 type NodeState struct {
 	// Mesh is the network topology the node routes against: the engine's
-	// *mesh.Tables. Without faults that is the mesh's shared table; with a
-	// fault model installed it is the failure overlay's masked copy, whose
+	// table. Without faults that is the mesh's shared table; with a fault
+	// model installed it is the failure overlay's masked copy, whose
 	// connectivity methods (HasArc, Degree, GoodDirs) reflect the surviving
 	// arcs while geometry (Dist, coordinates) stays that of the intact mesh
 	// — a bufferless router knows its live ports but has no global failure
-	// map.
-	Mesh mesh.Topology
+	// map. It is the concrete *mesh.Tables, not the mesh.Topology interface,
+	// so the lookups policies make per packet are direct, inlinable calls.
+	Mesh *mesh.Tables
 	// Node is the node being routed.
 	Node mesh.NodeID
 	// Time is the current step index.

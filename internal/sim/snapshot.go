@@ -178,10 +178,12 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		idx[p.ID] = i
 		s.Packets[i] = CapturePacket(p)
 	}
-	s.Queues = make([]QueueState, 0, len(e.active))
-	for _, node := range e.active {
-		q := QueueState{Node: node, Packets: make([]int, len(e.byNode[node]))}
-		for i, p := range e.byNode[node] {
+	active := e.q.Active()
+	s.Queues = make([]QueueState, 0, len(active))
+	for _, node := range active {
+		pkts := e.q.At(int(node))
+		q := QueueState{Node: mesh.NodeID(node), Packets: make([]int, len(pkts))}
+		for i, p := range pkts {
 			q.Packets[i] = idx[p.ID]
 		}
 		s.Queues = append(s.Queues, q)
@@ -255,8 +257,12 @@ func (e *Engine) Restore(s *Snapshot) error {
 		return fmt.Errorf("%w: injector installed=%v, snapshot has_injector=%v", ErrBadSnapshot, e.injector != nil, s.HasInjector)
 	}
 
-	// Rebuild the packet population and the per-node queues.
+	// Rebuild the packet population and check the queues against it before
+	// anything is queued, so a refused snapshot leaves the engine fresh: IDs
+	// are unique and below the watermark, and every live packet is queued
+	// exactly once, at its own node, within the node's out-degree.
 	packets := make([]*Packet, len(s.Packets))
+	ids := make([]int, len(s.Packets))
 	live := 0
 	for i := range s.Packets {
 		ps := &s.Packets[i]
@@ -266,19 +272,28 @@ func (e *Engine) Restore(s *Snapshot) error {
 		if err := e.mesh.CheckID(ps.Dst); err != nil {
 			return fmt.Errorf("%w: packet %d destination: %v", ErrBadSnapshot, ps.ID, err)
 		}
-		packets[i] = ps.Packet()
+		if ps.ID >= s.NextID {
+			return fmt.Errorf("%w: packet id %d at or above watermark %d", ErrBadSnapshot, ps.ID, s.NextID)
+		}
+		packets[i], ids[i] = ps.Packet(), ps.ID
 		if !packets[i].Arrived() && !packets[i].Dropped() {
 			live++
 		}
 	}
+	if id, dup := DuplicateID(ids); dup {
+		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadSnapshot, id)
+	}
+	queued := make([]bool, len(packets))
+	held := make([]uint8, e.mesh.Size())
 	enqueued := 0
 	for _, q := range s.Queues {
 		if err := e.mesh.CheckID(q.Node); err != nil {
 			return fmt.Errorf("%w: queue node %d: %v", ErrBadSnapshot, q.Node, err)
 		}
-		if len(e.byNode[q.Node])+len(q.Packets) > e.mesh.Degree(q.Node) {
-			return fmt.Errorf("%w: node %d queue exceeds out-degree %d", ErrBadSnapshot, q.Node, e.mesh.Degree(q.Node))
+		if deg := e.mesh.Degree(q.Node); len(q.Packets) > deg-int(held[q.Node]) {
+			return fmt.Errorf("%w: node %d queue exceeds out-degree %d", ErrBadSnapshot, q.Node, deg)
 		}
+		held[q.Node] += uint8(len(q.Packets))
 		for _, pi := range q.Packets {
 			if pi < 0 || pi >= len(packets) {
 				return fmt.Errorf("%w: queue of node %d references packet index %d of %d", ErrBadSnapshot, q.Node, pi, len(packets))
@@ -287,22 +302,23 @@ func (e *Engine) Restore(s *Snapshot) error {
 			if p.Arrived() || p.Dropped() || p.Node != q.Node {
 				return fmt.Errorf("%w: packet %d queued at node %d but not live there", ErrBadSnapshot, p.ID, q.Node)
 			}
-			e.enqueue(p)
+			if queued[pi] {
+				return fmt.Errorf("%w: packet %d queued twice", ErrBadSnapshot, p.ID)
+			}
+			queued[pi] = true
 			enqueued++
 		}
 	}
 	if enqueued != live {
 		return fmt.Errorf("%w: %d live packets but %d queued", ErrBadSnapshot, live, enqueued)
 	}
-	e.packets = packets
-	e.live = live
-	e.sortActive()
-
-	for _, p := range packets {
-		if p.ID >= s.NextID {
-			return fmt.Errorf("%w: packet id %d at or above watermark %d", ErrBadSnapshot, p.ID, s.NextID)
+	for _, q := range s.Queues {
+		for _, pi := range q.Packets {
+			e.q.Push(int(q.Node), packets[pi])
 		}
 	}
+	e.packets = packets
+	e.live = live
 	e.nextID = s.NextID
 	e.time = s.Time
 	e.lastArrival = s.LastArrival

@@ -244,6 +244,105 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	})
 }
 
+// twoPacketSnapshot returns a snapshot of a two-packet engine after one step,
+// with both packets still live on different nodes.
+func twoPacketSnapshot(t *testing.T, m *mesh.Mesh, opts Options) *Snapshot {
+	t.Helper()
+	pkts := []*Packet{
+		NewPacket(0, m.ID([]int{0, 0}), m.ID([]int{5, 5})),
+		NewPacket(1, m.ID([]int{5, 0}), m.ID([]int{0, 5})),
+	}
+	e, err := New(m, firstGoodPolicy(), pkts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Queues) != 2 || e.Live() != 2 {
+		t.Fatalf("premise: %d queues, %d live, want 2 and 2", len(s.Queues), e.Live())
+	}
+	return s
+}
+
+// TestRestoreRejectsDoubleQueuedPacket: a queue that lists one live packet
+// twice — and so leaves the other live packet unqueued with the count still
+// matching — is refused instead of running one packet twice.
+func TestRestoreRejectsDoubleQueuedPacket(t *testing.T) {
+	m := mesh.MustNew(2, 6)
+	opts := Options{Seed: 3, Validation: ValidateBasic}
+	s := twoPacketSnapshot(t, m, opts)
+	q := s.Queues[0]
+	s.Queues = []QueueState{{Node: q.Node, Packets: []int{q.Packets[0], q.Packets[0]}}}
+	e, err := New(m, firstGoodPolicy(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(s); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Restore err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestRestoreRejectsDuplicateIDs: two packets with one ID are refused.
+func TestRestoreRejectsDuplicateIDs(t *testing.T) {
+	m := mesh.MustNew(2, 6)
+	opts := Options{Seed: 3, Validation: ValidateBasic}
+	s := twoPacketSnapshot(t, m, opts)
+	s.Packets[1].ID = s.Packets[0].ID
+	e, err := New(m, firstGoodPolicy(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(s); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Restore err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestRestoreFailureLeavesEngineFresh: a snapshot refused on its last queue
+// queues nothing, so the same engine still takes the good snapshot and
+// continues exactly like the engine it was taken from.
+func TestRestoreFailureLeavesEngineFresh(t *testing.T) {
+	m := mesh.MustNew(2, 6)
+	opts := Options{Seed: 3, Validation: ValidateBasic}
+	good := twoPacketSnapshot(t, m, opts)
+	bad := *good
+	bad.Queues = slices.Clone(good.Queues)
+	bad.Queues[1].Packets = []int{len(good.Packets)} // out of range, found after queue 0
+	e, err := New(m, firstGoodPolicy(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(&bad); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Restore err = %v, want ErrBadSnapshot", err)
+	}
+	if e.Live() != 0 || e.Time() != 0 || len(e.Packets()) != 0 || len(e.q.Active()) != 0 {
+		t.Fatalf("refused Restore left live=%d time=%d packets=%d active=%v",
+			e.Live(), e.Time(), len(e.Packets()), e.q.Active())
+	}
+	if err := e.Restore(good); err != nil {
+		t.Fatalf("Restore of the good snapshot after a refused one: %v", err)
+	}
+	ref, err := New(m, firstGoodPolicy(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Restore(good); err != nil {
+		t.Fatal(err)
+	}
+	if eh, rh := e.StateHash(), ref.StateHash(); eh != rh {
+		t.Fatalf("state hash %#x, want %#x", eh, rh)
+	}
+	eRes, _ := runToEnd(t, e)
+	refRes, _ := runToEnd(t, ref)
+	if eRes != refRes {
+		t.Fatalf("result after a refused Restore %+v, want %+v", eRes, refRes)
+	}
+}
+
 // statefulInjector injects one packet per step from an internal countdown —
 // state the engine RNG does not cover, so checkpointing it requires the
 // CheckpointableInjector interface.
