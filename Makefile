@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim dist-demo policylab-demo clean
+.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim ladder-durable dist-demo policylab-demo clean
 
 # Output file for the committed benchmark record (see bench-json).
 BENCH_JSON ?= BENCH_PR10.json
@@ -197,6 +197,14 @@ ladder-sim:
 	for w in dense_torus.sim sparse_arrivals.sim; do \
 		$(GO) run ./bench --workload $$w --seconds 5 --trace 1 | awk '$$2 ~ /^(sim|routing|shard)\./'; \
 	done
+
+# The durability rung of the cost ladder: one traced pass on
+# durable_jobs.daemon (jobs resumed from a t=8 checkpoint, saving every 8
+# steps), printing the checkpoint codec, snapshot/restore, server, WAL store
+# and daemon rungs.
+ladder-durable:
+	$(GO) run ./bench --workload durable_jobs.daemon --seconds 5 --trace 1 \
+		| awk '$$2 ~ /^(checkpoint|server|store|daemon)\./ || $$2 == "sim.snapshot_ms" || $$2 == "sim.restore_ms"'
 
 # Distributed demo: a coordinator spawns two worker processes, one is
 # SIGKILLed mid-run, and the run recovers from the last coordinated

@@ -129,9 +129,10 @@ func BenchmarkCheckpointDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkRunCheckpointed times a complete run that snapshots and encodes
-// its state every 16 steps, against BenchmarkRunPlain's uncheckpointed
-// baseline of the same instance — the steady-state cost of crash safety.
+// BenchmarkRunCheckpointed times a complete run that encodes its state every
+// 16 steps — straight from the engine, as a periodic binary checkpoint does —
+// against BenchmarkRunPlain's uncheckpointed baseline of the same instance:
+// the steady-state cost of crash safety.
 func BenchmarkRunCheckpointed(b *testing.B) {
 	m := mesh.MustNew(2, 16)
 	b.ReportAllocs()
@@ -143,7 +144,7 @@ func BenchmarkRunCheckpointed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		save := func(s *sim.Snapshot) error { return checkpoint.Write(io.Discard, s, checkpoint.Binary) }
+		save := func(e *sim.Engine) error { return checkpoint.WriteValue(io.Discard, e, checkpoint.Binary) }
 		res, err := e.RunCheckpointed(context.Background(), 16, save)
 		if err != nil {
 			b.Fatal(err)

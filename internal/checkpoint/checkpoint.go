@@ -1,6 +1,7 @@
 // Package checkpoint persists checkpoint values — engine snapshots
 // (sim.Snapshot) and, via the generic WriteValue/ReadValue pair, any other
-// serializable run state such as the sharded engine's per-shard files — as
+// serializable run state such as the sharded engine's per-shard files or a
+// *sim.Engine itself, whose AppendBinary writes its snapshot's bytes — as
 // versioned checkpoint files, so long runs survive crashes and signals: the
 // state is captured between steps, written atomically, and restored
 // bit-identically on resume (see sim.Engine.Snapshot/Restore for the parity

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -196,6 +198,47 @@ func TestBinaryWriteAllocs(t *testing.T) {
 		}
 	}); avg > 3 {
 		t.Fatalf("binary Write allocates %.1f objects per call, want <= 3", avg)
+	}
+}
+
+// TestPeriodicSaveAllocsFlat: a periodic binary save — SaveValue of the
+// engine itself, the single engine's checkpoint sink — allocates the same
+// number of objects on a 64² run as on a 16² one: what it allocates is file
+// handling, never a copy of the packets.
+func TestPeriodicSaveAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	// One P and no GC keep the pooled buffer in place between saves, so no
+	// refill is charged to one of the two sizes.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	saveAllocs := func(side int) float64 {
+		m := mesh.MustNewTorus(2, side)
+		packets, err := workload.UniformRandom(m, 2*m.Size(), rand.New(rand.NewSource(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.New(m, routing.NewRandomGreedy(), packets, sim.Options{Seed: 4, Validation: sim.ValidateGreedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "job.hpck")
+		return testing.AllocsPerRun(10, func() {
+			if err := SaveValue(path, e, Binary); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := saveAllocs(16), saveAllocs(64)
+	t.Logf("allocations per save: %.1f (16²), %.1f (64²)", small, large)
+	if large != small {
+		t.Fatalf("a periodic save allocates %.1f times on a 16² torus and %.1f on a 64² one, want the same", small, large)
 	}
 }
 

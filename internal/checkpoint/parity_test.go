@@ -3,6 +3,7 @@ package checkpoint_test
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -90,7 +91,10 @@ func stepN(t testing.TB, e *sim.Engine, n int) {
 // TestFormatParity: for a batch run, Poisson arrivals caught mid-burst, a
 // fault overlay that has already dropped packets, and a livelock detector
 // with history, both encodings reproduce the snapshot field for field, and
-// engines restored from either continue in lockstep with the original.
+// engines restored from either continue in lockstep with the original. The
+// engine's own encoder writes Snapshot().AppendBinary's bytes at every step,
+// and the file a periodic save writes with it (SaveValue of the engine)
+// resumes to the uninterrupted run's state hash and Result.
 func TestFormatParity(t *testing.T) {
 	cases := []parityCase{
 		{name: "batch", k: 128, check: func(t *testing.T, s *sim.Snapshot) {
@@ -123,7 +127,14 @@ func TestFormatParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			pc.check(t, snap)
-			stepN(t, orig, 20)
+			path := filepath.Join(t.TempDir(), "engine.hpck")
+			if err := checkpoint.SaveValue(path, orig, checkpoint.Binary); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				sameBytes(t, orig)
+				stepN(t, orig, 1)
+			}
 
 			for _, format := range []checkpoint.Format{checkpoint.JSON, checkpoint.Binary} {
 				var buf bytes.Buffer
@@ -147,6 +158,51 @@ func TestFormatParity(t *testing.T) {
 						format, e.StateHash(), orig.StateHash(), e.Progress(), orig.Progress())
 				}
 			}
+
+			got, err := checkpoint.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, snap) {
+				t.Fatalf("the engine-written file decodes to\n%+v\nthe snapshot of its state is\n%+v", got, snap)
+			}
+			resumed := pc.build(t, false)
+			if err := resumed.Restore(got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := orig.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := resumed.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *res != *want || resumed.StateHash() != orig.StateHash() {
+				t.Fatalf("resumed from the engine-written file: %+v hash %#x, uninterrupted %+v hash %#x",
+					*res, resumed.StateHash(), *want, orig.StateHash())
+			}
 		})
+	}
+}
+
+// sameBytes checks that the engine encoder writes what encoding a Snapshot
+// of the same state writes.
+func sameBytes(t *testing.T, e *sim.Engine) {
+	t.Helper()
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := snap.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("step %d: Engine.AppendBinary wrote %d bytes, Snapshot().AppendBinary %d, not the same", e.Time(), len(got), len(want))
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"hotpotato/internal/checkpoint"
@@ -387,7 +389,7 @@ func (r *Run) Run(ctx context.Context, onStep func()) (*sim.Result, error) {
 		if onStep != nil {
 			r.sim.AddObserver(sim.ObserverFunc(func(*sim.StepRecord) { onStep() }))
 		}
-		res, err = runSaving(ctx, r, r.sim.RunCheckpointed, r.sim.Snapshot, checkpoint.Save)
+		res, err = runSaving(ctx, r, r.sim.RunCheckpointed, func() (*sim.Engine, error) { return r.sim, nil }, saveSim)
 	case r.shard != nil:
 		r.shard.StepHook = hook
 		res, err = runSaving(ctx, r, r.shard.RunCheckpointed, r.shard.Checkpoint, shard.SaveDir)
@@ -404,9 +406,24 @@ func (r *Run) Run(ctx context.Context, onStep func()) (*sim.Result, error) {
 	return res, err
 }
 
+// saveSim is the single engine's checkpoint sink. A binary checkpoint is
+// encoded straight from the engine (sim.Engine.AppendBinary: the bytes of
+// its Snapshot, without the copy); JSON goes through Snapshot.
+func saveSim(path string, e *sim.Engine, format checkpoint.Format) error {
+	if format == checkpoint.Binary {
+		return checkpoint.SaveValue(path, e, format)
+	}
+	s, err := e.Snapshot()
+	if err != nil {
+		return err
+	}
+	return checkpoint.Save(path, s, format)
+}
+
 // runSaving drives an in-process engine's RunCheckpointed with the Spec's
-// checkpoint sink and applies the early-stop rule. T is the engine's
-// checkpoint type; write replaces the file atomically.
+// checkpoint sink and applies the early-stop rule. T is what the engine
+// hands its sink — the single engine itself, a shard.Checkpoint — and
+// capture produces it outside the run; write replaces the file atomically.
 func runSaving[T any](ctx context.Context, r *Run,
 	run func(context.Context, int, func(*T) error) (*sim.Result, error),
 	capture func() (*T, error), write func(string, *T, checkpoint.Format) error) (*sim.Result, error) {
@@ -461,5 +478,23 @@ func HasCheckpoint(path string) bool {
 }
 
 // RemoveCheckpoint deletes the checkpoint at path, file or directory ("" and
-// a path holding nothing are no-ops).
-func RemoveCheckpoint(path string) error { return os.RemoveAll(path) }
+// a path holding nothing are no-ops), and with it any <path>.tmp-* sibling: a
+// save killed between creating its temporary file and the rename leaves one
+// behind, and nothing else would ever remove it.
+func RemoveCheckpoint(path string) error {
+	if path == "" {
+		return nil
+	}
+	err := os.RemoveAll(path)
+	dir, prefix := filepath.Split(filepath.Clean(path))
+	if dir == "" {
+		dir = "."
+	}
+	entries, _ := os.ReadDir(dir) // best effort: the checkpoint itself is what must go
+	for _, ent := range entries {
+		if strings.HasPrefix(ent.Name(), prefix+".tmp-") {
+			os.Remove(filepath.Join(dir, ent.Name()))
+		}
+	}
+	return err
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -189,6 +190,47 @@ func TestRunPreCancelled(t *testing.T) {
 				t.Fatalf("RemoveCheckpoint: err %v, still there = %v", err, engine.HasCheckpoint(s.CheckpointPath))
 			}
 		})
+	}
+}
+
+// TestRemoveCheckpointOrphanedTemps: a save killed between creating its
+// temporary file and the rename leaves <path>.tmp-* behind; RemoveCheckpoint
+// takes such files with the checkpoint — also when the kill hit the first
+// save, so there is no checkpoint — and leaves other checkpoints' files alone.
+func TestRemoveCheckpointOrphanedTemps(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "j000001.hpck")
+	orphans := []string{path + ".tmp-123", path + ".tmp-456"}
+	others := []string{filepath.Join(dir, "j000002.hpck"), filepath.Join(dir, "j000002.hpck.tmp-789"), path + "x.tmp-1"}
+	write := func(paths ...string) {
+		for _, p := range paths {
+			if err := os.WriteFile(p, []byte("HPCK"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
+
+	write(path)
+	write(orphans...)
+	write(others...)
+	if err := engine.RemoveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append([]string{path}, orphans...) {
+		if exists(p) {
+			t.Errorf("%s survived RemoveCheckpoint", filepath.Base(p))
+		}
+	}
+	for _, p := range others {
+		if !exists(p) {
+			t.Errorf("RemoveCheckpoint of %s removed %s", filepath.Base(path), filepath.Base(p))
+		}
+	}
+
+	write(orphans[0])
+	if err := engine.RemoveCheckpoint(path); err != nil || exists(orphans[0]) {
+		t.Fatalf("orphan without a checkpoint: err %v, still there = %v", err, exists(orphans[0]))
 	}
 }
 

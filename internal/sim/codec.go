@@ -8,10 +8,11 @@ import (
 )
 
 // This file is the binary form of the snapshot types: the one PacketState
-// field codec (shared by HPCK checkpoints and the dshard wire) and
-// Snapshot's encoding.BinaryAppender / BinaryUnmarshaler pair. Fields are
-// written in declaration order as codec varints; a layout change is a
-// SnapshotVersion bump.
+// field codec (shared by HPCK checkpoints and the dshard wire),
+// Snapshot's encoding.BinaryAppender / BinaryUnmarshaler pair, and the
+// engine's own AppendBinary, which writes the same bytes through the same
+// head, packet, queue and tail code. Fields are written in declaration
+// order as codec varints; a layout change is a SnapshotVersion bump.
 
 // Encode appends the packet's fields: ID, Src, Dst, Node, EnteredVia,
 // InjectedAt, Class, ArrivedAt, DroppedAt, Cause, Hops, Deflections, one
@@ -110,6 +111,65 @@ func DecodeSeen(d *codec.Dec) []SeenState {
 // AppendBinary implements encoding.BinaryAppender.
 func (s *Snapshot) AppendBinary(b []byte) ([]byte, error) {
 	e := codec.Enc{B: b}
+	s.encodeHead(&e)
+	EncodePackets(&e, s.Packets)
+	e.U64(uint64(len(s.Queues)))
+	for i := range s.Queues {
+		q := &s.Queues[i]
+		encodeQueueHead(&e, q.Node, len(q.Packets))
+		for _, pi := range q.Packets {
+			e.Num(pi)
+		}
+	}
+	s.encodeTail(&e)
+	return e.B, nil
+}
+
+// AppendBinary implements encoding.BinaryAppender for the engine itself: it
+// appends exactly the bytes Snapshot().AppendBinary(b) would, with the
+// scalars, Seen and the packet and queue layouts written by the same code,
+// but reads the packets and queues in place instead of copying them into a
+// Snapshot first. Into a b with room enough it allocates nothing (an
+// injector's SnapshotState aside). It must not be called while a Step is in
+// flight.
+func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
+	var s Snapshot
+	if err := e.captureScalars(&s); err != nil {
+		return b, err
+	}
+	s.Seen = e.seenLog
+	enc := codec.Enc{B: b}
+	s.encodeHead(&enc)
+	enc.U64(uint64(len(e.packets)))
+	var ps PacketState
+	for _, p := range e.packets {
+		ps.capture(p)
+		ps.Encode(&enc)
+	}
+	active := e.q.Active()
+	enc.U64(uint64(len(active)))
+	for _, node := range active {
+		pkts := e.q.At(int(node))
+		encodeQueueHead(&enc, mesh.NodeID(node), len(pkts))
+		for _, p := range pkts {
+			enc.Num(int(p.pos))
+		}
+	}
+	s.encodeTail(&enc)
+	return enc.B, nil
+}
+
+// encodeQueueHead writes a queue's node and length; the packets' indexes
+// into the packet list follow.
+func encodeQueueHead(e *codec.Enc, node mesh.NodeID, n int) {
+	e.I64(int64(node))
+	e.U64(uint64(n))
+}
+
+// encodeHead writes every field before the packet list: version, the
+// configuration guard, clock and watermarks, the livelock detector and the
+// cumulative counters.
+func (s *Snapshot) encodeHead(e *codec.Enc) {
 	e.Num(s.Version)
 	e.Num(s.MeshDim)
 	e.Num(s.MeshSide)
@@ -126,7 +186,7 @@ func (s *Snapshot) AppendBinary(b []byte) ([]byte, error) {
 	e.U64(s.SerialRNG)
 
 	e.Bool(s.Livelocked)
-	EncodeSeen(&e, s.Seen)
+	EncodeSeen(e, s.Seen)
 
 	e.I64(s.TotalDeflections)
 	e.I64(s.TotalHops)
@@ -138,18 +198,10 @@ func (s *Snapshot) AppendBinary(b []byte) ([]byte, error) {
 	e.Num(s.DroppedUnreachable)
 	e.Num(s.DroppedStranded)
 	e.Num(s.DroppedInject)
+}
 
-	EncodePackets(&e, s.Packets)
-	e.U64(uint64(len(s.Queues)))
-	for i := range s.Queues {
-		q := &s.Queues[i]
-		e.I64(int64(q.Node))
-		e.U64(uint64(len(q.Packets)))
-		for _, pi := range q.Packets {
-			e.Num(pi)
-		}
-	}
-
+// encodeTail writes every field after the queues: injector and fault state.
+func (s *Snapshot) encodeTail(e *codec.Enc) {
 	e.Bool(s.HasInjector)
 	e.Bytes(s.InjectorState)
 
@@ -158,7 +210,6 @@ func (s *Snapshot) AppendBinary(b []byte) ([]byte, error) {
 	e.U64(s.OverlayDigest)
 	e.Num(s.LinkFailures)
 	e.Num(s.NodeFailures)
-	return e.B, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. It refuses any

@@ -224,9 +224,13 @@ type Engine struct {
 
 	livelock     bool
 	livelockable bool
-	seen         map[uint64]int
-	injector     Injector
-	nextID       int
+	// seen is the livelock detector's set of configuration hashes; seenLog
+	// records the same entries in the order they were seen, i.e. by ascending
+	// Time, which is the order every checkpoint writes them in.
+	seen     map[uint64]struct{}
+	seenLog  []SeenState
+	injector Injector
+	nextID   int
 
 	// Fault state (nil/zero without SetFaults).
 	faults       FaultModel
@@ -284,11 +288,14 @@ func New(m *mesh.Mesh, policy Policy, packets []*Packet, opts Options) (*Engine,
 	e.src.Seed(rng.Mix(opts.Seed))
 	e.rng = rand.New(&e.src)
 	if e.livelockable {
-		e.seen = make(map[uint64]int)
+		e.seen = make(map[uint64]struct{})
 	}
 	var err error
 	if e.nextID, err = AdmitInitial(m, packets, e.place); err != nil {
 		return nil, err
+	}
+	for i, p := range packets {
+		p.pos = int32(i)
 	}
 	e.moves = make([]Move, 0, e.live)
 	return e, nil
@@ -364,6 +371,9 @@ func (e *Engine) inject() error {
 		return err
 	}
 	e.nextID = nextID
+	for i, p := range batch {
+		p.pos = int32(len(e.packets) + i)
+	}
 	e.packets = append(e.packets, batch...)
 	e.dropped += refused
 	e.dropInject += refused
@@ -467,7 +477,8 @@ func (e *Engine) Step() error {
 		if _, dup := e.seen[h]; dup {
 			e.livelock = true
 		} else {
-			e.seen[h] = e.time
+			e.seen[h] = struct{}{}
+			e.seenLog = append(e.seenLog, SeenState{Hash: h, Time: e.time})
 		}
 	}
 	return nil
@@ -529,11 +540,13 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // RunCheckpointed is RunContext with periodic state capture: when every > 0
-// and save is non-nil, save receives a fresh Snapshot after each `every`
-// completed steps, and — regardless of `every` — once more when the run is
-// stopped early by cancellation or deadline with unsaved progress, so a
-// resumed run loses nothing. A save error aborts the run.
-func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Snapshot) error) (*Result, error) {
+// and save is non-nil, save is handed the engine, between steps, after each
+// `every` completed steps, and — regardless of `every` — once more when the
+// run is stopped early by cancellation or deadline with unsaved progress, so
+// a resumed run loses nothing. The sink captures what it persists itself:
+// AppendBinary encodes the state straight from the engine, Snapshot copies
+// it; it must not step the engine. A save error aborts the run.
+func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Engine) error) (*Result, error) {
 	stop := NewStopFlag(ctx, e.opts.MaxWallTime)
 	defer stop.Release()
 
@@ -544,8 +557,8 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Snap
 		}
 		sinceSave++
 		if every > 0 && save != nil && sinceSave >= every {
-			if err := e.saveSnapshot(save); err != nil {
-				return nil, err
+			if err := save(e); err != nil {
+				return nil, fmt.Errorf("sim: checkpoint save: %w", err)
 			}
 			sinceSave = 0
 		}
@@ -557,24 +570,12 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Snap
 			e.deadlineExceeded = true
 		}
 		if save != nil && sinceSave > 0 {
-			if err := e.saveSnapshot(save); err != nil {
-				return nil, err
+			if err := save(e); err != nil {
+				return nil, fmt.Errorf("sim: checkpoint save: %w", err)
 			}
 		}
 	}
 	return e.result(), runErr
-}
-
-// saveSnapshot captures the engine state and hands it to the callback.
-func (e *Engine) saveSnapshot(save func(*Snapshot) error) error {
-	s, err := e.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := save(s); err != nil {
-		return fmt.Errorf("sim: checkpoint save: %w", err)
-	}
-	return nil
 }
 
 func (e *Engine) result() *Result {

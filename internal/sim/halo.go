@@ -75,16 +75,34 @@ func CapturePacket(p *Packet) PacketState {
 	}
 }
 
+// capture is CapturePacket into existing memory: the engine encoder and
+// Snapshot capture every packet of every save, and assigning field by field
+// skips the temporary that `*ps = CapturePacket(p)` is built in and copied
+// from.
+func (ps *PacketState) capture(p *Packet) {
+	ps.ID, ps.Src, ps.Dst, ps.Node = p.ID, p.Src, p.Dst, p.Node
+	ps.EnteredVia, ps.InjectedAt, ps.Class = p.EnteredVia, p.InjectedAt, p.Class
+	ps.ArrivedAt, ps.DroppedAt, ps.Cause = p.ArrivedAt, p.DroppedAt, p.Cause
+	ps.Hops, ps.Deflections = p.Hops, p.Deflections
+	ps.AdvancedPrev, ps.RestrictedPrev, ps.GoodPrev = p.AdvancedPrev, p.RestrictedPrev, p.GoodPrev
+}
+
 // Packet materializes the captured state back into a live Packet.
 func (ps *PacketState) Packet() *Packet {
-	return &Packet{
-		ID: ps.ID, Src: ps.Src, Dst: ps.Dst, Node: ps.Node,
-		EnteredVia: ps.EnteredVia, InjectedAt: ps.InjectedAt, Class: ps.Class,
-		ArrivedAt: ps.ArrivedAt, DroppedAt: ps.DroppedAt, Cause: ps.Cause,
-		Hops: ps.Hops, Deflections: ps.Deflections,
-		AdvancedPrev: ps.AdvancedPrev, RestrictedPrev: ps.RestrictedPrev,
-		GoodPrev: ps.GoodPrev,
-	}
+	p := new(Packet)
+	ps.fill(p)
+	return p
+}
+
+// fill writes the captured state into p's observable fields, field by field
+// for capture's reason: Restore fills every packet of its slab, and Packet()
+// is on dshard's per-move decode path.
+func (ps *PacketState) fill(p *Packet) {
+	p.ID, p.Src, p.Dst, p.Node = ps.ID, ps.Src, ps.Dst, ps.Node
+	p.EnteredVia, p.InjectedAt, p.Class = ps.EnteredVia, ps.InjectedAt, ps.Class
+	p.ArrivedAt, p.DroppedAt, p.Cause = ps.ArrivedAt, ps.DroppedAt, ps.Cause
+	p.Hops, p.Deflections = ps.Hops, ps.Deflections
+	p.AdvancedPrev, p.RestrictedPrev, p.GoodPrev = ps.AdvancedPrev, ps.RestrictedPrev, ps.GoodPrev
 }
 
 // NodeRouter routes single nodes against a *mesh.Tables: the mesh's shared

@@ -56,6 +56,11 @@ type Packet struct {
 	// one good direction) at the beginning of the previous step. False
 	// right after injection.
 	RestrictedPrev bool
+	// pos is the packet's position in its sim.Engine's packet list, stamped
+	// when the packet joins it (New, injection, Restore): the checkpoint
+	// encoder writes queues as positions and reads them here instead of
+	// building an ID map per save. It sits in the struct's padding.
+	pos int32
 	// GoodPrev is the packet's good-direction count at the beginning of the
 	// previous step, or 0 right after injection.
 	GoodPrev int

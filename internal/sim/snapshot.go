@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hotpotato/internal/mesh"
 )
@@ -140,9 +142,38 @@ func (e *Engine) StateHash() uint64 { return e.stateHash() }
 
 // Snapshot captures the complete between-steps state of the engine. It must
 // not be called while a Step is in flight; the engine is unchanged. The
-// returned snapshot shares no memory with the engine.
+// returned snapshot shares no memory with the engine. Seen is in ascending
+// Time order, so two snapshots of one state are equal field for field and
+// encode to the same bytes — the bytes Engine.AppendBinary writes.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	s := &Snapshot{
+	s := &Snapshot{}
+	if err := e.captureScalars(s); err != nil {
+		return nil, err
+	}
+	s.Seen = slices.Clone(e.seenLog)
+	s.Packets = make([]PacketState, len(e.packets))
+	for i, p := range e.packets {
+		s.Packets[i].capture(p)
+	}
+	// The queues' index lists are cut from one array: between steps every
+	// live packet is queued exactly once.
+	active := e.q.Active()
+	s.Queues = make([]QueueState, len(active))
+	idx := make([]int, 0, e.live)
+	for i, node := range active {
+		start := len(idx)
+		for _, p := range e.q.At(int(node)) {
+			idx = append(idx, int(p.pos))
+		}
+		s.Queues[i] = QueueState{Node: mesh.NodeID(node), Packets: idx[start:len(idx):len(idx)]}
+	}
+	return s, nil
+}
+
+// captureScalars fills every Snapshot field but Seen, Packets and Queues —
+// the part both Snapshot and AppendBinary read the same way.
+func (e *Engine) captureScalars(s *Snapshot) error {
+	*s = Snapshot{
 		Version:    SnapshotVersion,
 		MeshDim:    e.mesh.Dim(),
 		MeshSide:   e.mesh.Side(),
@@ -172,36 +203,12 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		DroppedInject:      e.dropInject,
 	}
 
-	idx := make(map[int]int, len(e.packets))
-	s.Packets = make([]PacketState, len(e.packets))
-	for i, p := range e.packets {
-		idx[p.ID] = i
-		s.Packets[i] = CapturePacket(p)
-	}
-	active := e.q.Active()
-	s.Queues = make([]QueueState, 0, len(active))
-	for _, node := range active {
-		pkts := e.q.At(int(node))
-		q := QueueState{Node: mesh.NodeID(node), Packets: make([]int, len(pkts))}
-		for i, p := range pkts {
-			q.Packets[i] = idx[p.ID]
-		}
-		s.Queues = append(s.Queues, q)
-	}
-
-	if e.seen != nil {
-		s.Seen = make([]SeenState, 0, len(e.seen))
-		for h, t := range e.seen {
-			s.Seen = append(s.Seen, SeenState{Hash: h, Time: t})
-		}
-	}
-
 	if e.injector != nil {
 		s.HasInjector = true
 		if ci, ok := e.injector.(CheckpointableInjector); ok {
 			data, err := ci.SnapshotState()
 			if err != nil {
-				return nil, fmt.Errorf("sim: snapshot injector state: %w", err)
+				return fmt.Errorf("sim: snapshot injector state: %w", err)
 			}
 			s.InjectorState = data
 		}
@@ -214,7 +221,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		s.LinkFailures = e.overlay.LinkFailures()
 		s.NodeFailures = e.overlay.NodeFailures()
 	}
-	return s, nil
+	return nil
 }
 
 // Restore reinstates a snapshot into the engine. The engine must be freshly
@@ -260,7 +267,9 @@ func (e *Engine) Restore(s *Snapshot) error {
 	// Rebuild the packet population and check the queues against it before
 	// anything is queued, so a refused snapshot leaves the engine fresh: IDs
 	// are unique and below the watermark, and every live packet is queued
-	// exactly once, at its own node, within the node's out-degree.
+	// exactly once, at its own node, within the node's out-degree. The
+	// packets are one slab, so the allocations do not grow with their count.
+	slab := make([]Packet, len(s.Packets))
 	packets := make([]*Packet, len(s.Packets))
 	ids := make([]int, len(s.Packets))
 	live := 0
@@ -275,7 +284,9 @@ func (e *Engine) Restore(s *Snapshot) error {
 		if ps.ID >= s.NextID {
 			return fmt.Errorf("%w: packet id %d at or above watermark %d", ErrBadSnapshot, ps.ID, s.NextID)
 		}
-		packets[i], ids[i] = ps.Packet(), ps.ID
+		ps.fill(&slab[i])
+		slab[i].pos = int32(i)
+		packets[i], ids[i] = &slab[i], ps.ID
 		if !packets[i].Arrived() && !packets[i].Dropped() {
 			live++
 		}
@@ -326,9 +337,14 @@ func (e *Engine) Restore(s *Snapshot) error {
 
 	e.livelock = s.Livelocked
 	if e.livelockable {
-		e.seen = make(map[uint64]int, len(s.Seen))
+		// Files of older builds list Seen in map order; the log is by Time.
+		e.seenLog = slices.Clone(s.Seen)
+		slices.SortFunc(e.seenLog, func(a, b SeenState) int {
+			return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Hash, b.Hash))
+		})
+		e.seen = make(map[uint64]struct{}, len(s.Seen))
 		for _, entry := range s.Seen {
-			e.seen[entry.Hash] = entry.Time
+			e.seen[entry.Hash] = struct{}{}
 		}
 	}
 

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -488,7 +490,7 @@ func TestRunPreCancelled(t *testing.T) {
 	cancel()
 	for i := 0; i < 50; i++ {
 		e := swapForeverEngine(t, Options{MaxSteps: 1 << 30})
-		res, err := e.RunCheckpointed(ctx, 1, func(*Snapshot) error {
+		res, err := e.RunCheckpointed(ctx, 1, func(*Engine) error {
 			t.Fatal("save called with no progress to save")
 			return nil
 		})
@@ -519,15 +521,25 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
+// keepSnapshots is a RunCheckpointed sink that keeps a Snapshot of every
+// state it is handed.
+func keepSnapshots(t *testing.T, snaps *[]*Snapshot) func(*Engine) error {
+	return func(e *Engine) error {
+		s, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		*snaps = append(*snaps, s)
+		return nil
+	}
+}
+
 // TestRunCheckpointed: the save callback fires every N steps and once more
 // on an early stop with unsaved progress.
 func TestRunCheckpointed(t *testing.T) {
 	e := swapForeverEngine(t, Options{MaxSteps: 100})
 	var snaps []*Snapshot
-	res, err := e.RunCheckpointed(context.Background(), 30, func(s *Snapshot) error {
-		snaps = append(snaps, s)
-		return nil
-	})
+	res, err := e.RunCheckpointed(context.Background(), 30, keepSnapshots(t, &snaps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,20 +559,151 @@ func TestRunCheckpointed(t *testing.T) {
 	// final save at the stop point.
 	e2 := swapForeverEngine(t, Options{MaxSteps: 1 << 30})
 	ctx, cancel := context.WithCancel(context.Background())
-	var last *Snapshot
-	count := 0
-	_, err = e2.RunCheckpointed(ctx, 1000, func(s *Snapshot) error {
-		last = s
-		count++
+	var kept []*Snapshot
+	keep := keepSnapshots(t, &kept)
+	_, err = e2.RunCheckpointed(ctx, 1000, func(e *Engine) error {
 		cancel() // first save (or the exit save) also triggers the stop
-		return nil
+		return keep(e)
 	})
 	// The run is cancelled by the save callback itself; either the periodic
 	// save at step 1000 or — since cancel comes from within — the exit save.
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if last == nil || last.Time == 0 {
-		t.Fatalf("no usable checkpoint captured on cancellation (count=%d)", count)
+	if len(kept) == 0 || kept[len(kept)-1].Time == 0 {
+		t.Fatalf("no usable checkpoint captured on cancellation (count=%d)", len(kept))
 	}
+}
+
+// TestSnapshotBytesDeterministic: two captures of one state are the same
+// bytes, in both encodings and from both binary encoders. The livelock
+// detector's history used to be listed in map order, so on this 16² torus
+// most pairs of Snapshot() calls encoded differently.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	m := mesh.MustNewTorus(2, 16)
+	e, err := New(m, leanGreedyPolicy{}, parityPackets(m, 2*m.Size(), 3),
+		Options{Seed: 3, Validation: ValidateGreedy, DetectLivelock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Seen) != 6 {
+		t.Fatalf("premise: %d Seen entries after 6 steps, want 6", len(first.Seen))
+	}
+	if !slices.IsSortedFunc(first.Seen, func(a, b SeenState) int { return a.Time - b.Time }) {
+		t.Fatalf("Seen not in Time order: %+v", first.Seen)
+	}
+	wantBin, err := first.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 50; try++ {
+		s, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin, err := s.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := e.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bin, wantBin) || !bytes.Equal(js, wantJSON) || !bytes.Equal(direct, wantBin) {
+			t.Fatalf("capture %d of one state encodes differently (binary %v, JSON %v, engine encoder %v)",
+				try, !bytes.Equal(bin, wantBin), !bytes.Equal(js, wantJSON), !bytes.Equal(direct, wantBin))
+		}
+	}
+}
+
+// checkpointBudgetEngine is a 2-D torus of the given side at full load,
+// stepped 8 times with the livelock detector (and optionally a link-flap
+// fault overlay) on, so every section of a checkpoint is populated.
+func checkpointBudgetEngine(t *testing.T, side int, faults bool) *Engine {
+	t.Helper()
+	m := mesh.MustNewTorus(2, side)
+	e, err := New(m, leanGreedyPolicy{}, parityPackets(m, 2*m.Size(), 3), checkpointBudgetOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faults {
+		e.SetFaults(flapModel{rate: 0.01, repair: 0.3}, FateDrop)
+	}
+	for i := 0; i < 8; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+var checkpointBudgetOptions = Options{Seed: 3, Validation: ValidateBasic, DetectLivelock: true}
+
+// TestCheckpointAllocationBudget pins what a checkpoint costs in
+// allocations: Engine.AppendBinary allocates nothing into a buffer that has
+// room, and Restore's allocation count does not grow with the number of
+// packets it rebuilds (they are one slab).
+func TestCheckpointAllocationBudget(t *testing.T) {
+	for _, faults := range []bool{false, true} {
+		t.Run(fmt.Sprintf("append-binary/faults=%v", faults), func(t *testing.T) {
+			e := checkpointBudgetEngine(t, 16, faults)
+			buf, err := e.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				if buf, err = e.AppendBinary(buf[:0]); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("Engine.AppendBinary into a buffer with room allocates %.1f times per call, want 0", allocs)
+			}
+		})
+	}
+	t.Run("restore", func(t *testing.T) {
+		restoreAllocs := func(side int) (float64, int) {
+			snap, err := checkpointBudgetEngine(t, side, false).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const runs = 10
+			targets := make([]*Engine, runs+1) // AllocsPerRun calls f once more to warm up
+			for i := range targets {
+				if targets[i], err = New(mesh.MustNewTorus(2, side), leanGreedyPolicy{}, nil, checkpointBudgetOptions); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := targets[next].Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			return allocs, len(snap.Packets)
+		}
+		small, smallPackets := restoreAllocs(16)
+		large, largePackets := restoreAllocs(64)
+		if large != small {
+			t.Errorf("Restore allocates %.1f times for %d packets but %.1f for %d, want a count independent of the packets",
+				small, smallPackets, large, largePackets)
+		}
+	})
 }
