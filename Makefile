@@ -2,10 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke bench bench-json bench-shard bench-dist bench-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim ladder-durable dist-demo policylab-demo clean
-
-# Output file for the committed benchmark record (see bench-json).
-BENCH_JSON ?= BENCH_PR10.json
+.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim ladder-durable dist-demo policylab-demo clean
 
 all: build vet test
 
@@ -41,7 +38,6 @@ vet:
 # over TCP, and the binary checkpoint decoder because it parses whatever a
 # CRC-valid file claims to be a snapshot, shard part or manifest.
 fuzz-smoke:
-	$(GO) test -fuzz FuzzParseBench -fuzztime 15s ./internal/benchfmt/
 	$(GO) test -fuzz FuzzWAL -fuzztime 15s ./internal/server/store/
 	$(GO) test -fuzz FuzzHaloFrame -fuzztime 15s ./internal/dshard/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 15s ./internal/checkpoint/
@@ -65,48 +61,6 @@ saturation-smoke:
 
 fmt:
 	gofmt -w .
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Run the full root benchmark suite (experiment benchmarks E1-E21 plus the
-# engine microbenchmarks) and commit the result as structured JSON.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -timeout 30m . | tee bench_output.txt | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
-
-# Rerun just the sharded-engine benchmark and refresh its committed record
-# (BENCH_PR7.json). -short in bench-smoke skips the 1024x1024 sizes; this
-# target runs them all.
-bench-shard:
-	$(GO) test -run '^$$' -bench ShardedFullLoad -benchtime 5x -benchmem -timeout 60m . \
-		| tee bench_shard_output.txt | $(GO) run ./cmd/benchjson -o BENCH_PR7.json
-
-# Rerun just the distributed benchmark and refresh its committed record
-# (BENCH_PR8.json): one coordinator driving two loopback worker processes
-# vs the in-process 2x1 sharded engine on the same full-load problem — the
-# committed number is the price of the wire.
-bench-dist:
-	$(GO) test -run '^$$' -bench DistributedFullLoad -benchtime 10x -benchmem -timeout 30m . \
-		| tee bench_dist_output.txt | $(GO) run ./cmd/benchjson -o BENCH_PR8.json
-
-# CI smoke variant: 100ms per benchmark (-short keeps the sharded
-# benchmark to its 256x256 sizes) — time-based so microsecond-scale
-# benchmarks get hundreds of iterations (a single iteration is too noisy
-# to gate on) while the heavy sharded ones still run once — then a
-# blocking delta-table comparison against the committed record, which is
-# generated the same way. The 2.0 threshold (3x) absorbs shared-runner
-# noise; benchmarks absent from the old record are listed as new, never
-# failed. The zero-allocation contract for the engine hot path (Step with
-# a nil ConflictObserver) is asserted on a dedicated amortized pass —
-# 0 allocs/op is a steady-state claim, and a single iteration can catch a
-# one-off buffer growth that 5000 iterations round away.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineStepSteadyState|ConflictTraceOverhead' -benchtime 5000x -benchmem -timeout 10m . \
-		| $(GO) run ./cmd/benchjson -o /dev/null \
-			-assert-zero-allocs 'EngineStepSteadyState|ConflictTraceOverhead/off'
-	$(GO) test -short -run '^$$' -bench . -benchtime 100ms -benchmem -timeout 15m . \
-		| $(GO) run ./cmd/benchjson -o /tmp/bench-smoke.json
-	$(GO) run ./cmd/benchjson -compare -threshold 2.0 $(BENCH_JSON) /tmp/bench-smoke.json
 
 experiments:
 	$(GO) run ./cmd/experiments
@@ -235,4 +189,4 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_shard_output.txt bench_dist_output.txt
+	rm -f cover.out test_output.txt

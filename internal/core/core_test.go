@@ -282,6 +282,42 @@ func TestFewestGoodFirstDDim(t *testing.T) {
 	}
 }
 
+// TestRestrictedPriorityStepAllocs holds the production policy to the
+// engine's zero-allocation contract: once a dense run is past its first 32
+// steps, a Step under restricted priority with greedy validation and no
+// conflict observer allocates nothing. sim.TestStepSteadyStateAllocs states
+// the same contract for a test policy only, since package sim cannot import
+// this one.
+func TestRestrictedPriorityStepAllocs(t *testing.T) {
+	m := mesh.MustNew(2, 32)
+	for seed := int64(1); seed <= 5; seed++ {
+		packets, err := workload.FullLoad(m, 2, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.New(m, NewRestrictedPriority(), packets, sim.Options{Seed: seed, Validation: sim.ValidateGreedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 32; i++ {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if e.Done() {
+			t.Fatalf("seed %d: run finished before every measured Step had packets to route", seed)
+		}
+		if allocs != 0 {
+			t.Errorf("seed %d: Step at t=%d with %d packets live allocates %.2f times per call, want 0", seed, e.Time(), e.Live(), allocs)
+		}
+	}
+}
+
 // TestRestrictedPriorityOnLine: d=1 degenerate case still works (every
 // packet is restricted on a line).
 func TestRestrictedPriorityOnLine(t *testing.T) {
