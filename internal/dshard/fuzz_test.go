@@ -68,14 +68,14 @@ func FuzzHaloFrame(f *testing.F) {
 				t.Fatalf("accepted STEP does not re-encode to its input")
 			}
 			for i := range s.Ingress {
-				_, err := decodeMoves(s.Ingress[i].Body, nil)
+				_, err := decodeMoves(s.Ingress[i].Body, nil, freshPacket)
 				typed(err)
 			}
 		} else {
 			typed(err)
 		}
 		typed(decodeStepped(data, new(msgStepped)))
-		_, err = decodeMoves(data, nil)
+		_, err = decodeMoves(data, nil, freshPacket)
 		typed(err)
 		_, err = decodeParts(data)
 		typed(err)

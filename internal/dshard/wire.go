@@ -68,7 +68,7 @@ func done(d *codec.Dec) error {
 }
 
 // encodeMove serializes one halo move: the packet's pre-move state plus the
-// transfer record. The receiver materializes a fresh packet from it — the
+// transfer record. The receiver fills a packet of its own from it — the
 // sender's object never travels, so applying the move on the receiver
 // reproduces exactly the in-process mutation.
 func encodeMove(e *codec.Enc, mv *sim.Move) {
@@ -94,7 +94,9 @@ func encodeMove(e *codec.Enc, mv *sim.Move) {
 	e.Byte(flags)
 }
 
-func decodeMove(d *codec.Dec, mv *sim.Move) {
+// decodeMove decodes one halo move into mv, filling a packet taken from
+// newPacket (shard.Node.Recycled on a worker).
+func decodeMove(d *codec.Dec, mv *sim.Move, newPacket func() *sim.Packet) {
 	var ps sim.PacketState
 	ps.Decode(d)
 	mv.From = mesh.NodeID(d.I32())
@@ -107,7 +109,8 @@ func decodeMove(d *codec.Dec, mv *sim.Move) {
 		mv.WasRestricted = flags&2 != 0
 		mv.WasTypeA = flags&4 != 0
 		mv.ArrivedNow = flags&8 != 0
-		mv.Packet = ps.Packet()
+		mv.Packet = newPacket()
+		ps.Fill(mv.Packet)
 	}
 }
 
@@ -120,13 +123,13 @@ func encodeMoves(e *codec.Enc, moves []sim.Move) {
 	}
 }
 
-// decodeMoves materializes a bucket body into dst's storage.
-func decodeMoves(body []byte, dst []sim.Move) ([]sim.Move, error) {
+// decodeMoves decodes a bucket body into dst's storage via decodeMove.
+func decodeMoves(body []byte, dst []sim.Move, newPacket func() *sim.Packet) ([]sim.Move, error) {
 	d := codec.Dec{B: body}
 	n := d.Count("move")
 	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
-		decodeMove(&d, &dst[i])
+		decodeMove(&d, &dst[i], newPacket)
 	}
 	return dst, done(&d)
 }

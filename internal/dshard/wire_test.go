@@ -22,6 +22,9 @@ func testPackets() []sim.PacketState {
 // payloadOf is a message's payload bytes.
 func payloadOf(m message) []byte { return frameOf(nil, 0, m)[frameHeaderLen:] }
 
+// freshPacket is decodeMoves' packet source for callers without a node.
+func freshPacket() *sim.Packet { return new(sim.Packet) }
+
 // testMove is one halo move of the fixture packet under another id.
 func testMove(id int) sim.Move {
 	ps := testPackets()[0]
@@ -130,7 +133,7 @@ func TestWireRoundTrip(t *testing.T) {
 // the sender encoded, and a body that lies about its count is refused.
 func TestWireBucketBodies(t *testing.T) {
 	b := testBucket(0, 1, testMove(1), testMove(2), testMove(4))
-	moves, err := decodeMoves(b.Body, nil)
+	moves, err := decodeMoves(b.Body, nil, freshPacket)
 	if err != nil || len(moves) != 3 {
 		t.Fatalf("decodeMoves: %d moves, err %v", len(moves), err)
 	}
@@ -145,15 +148,15 @@ func TestWireBucketBodies(t *testing.T) {
 			t.Errorf("move %d: %+v, want %+v", i, got, want)
 		}
 	}
-	if again, err := decodeMoves(b.Body, moves); err != nil || &again[0] != &moves[0] {
+	if again, err := decodeMoves(b.Body, moves, freshPacket); err != nil || &again[0] != &moves[0] {
 		t.Errorf("decodeMoves did not reuse its destination (err %v)", err)
 	}
 	for n := 0; n < len(b.Body); n++ {
-		if _, err := decodeMoves(b.Body[:n], nil); !errors.Is(err, ErrBadMessage) {
+		if _, err := decodeMoves(b.Body[:n], nil, freshPacket); !errors.Is(err, ErrBadMessage) {
 			t.Fatalf("body cut to %d bytes: err %v, want ErrBadMessage", n, err)
 		}
 	}
-	if _, err := decodeMoves(append(append([]byte(nil), b.Body...), 0), nil); !errors.Is(err, ErrBadMessage) {
+	if _, err := decodeMoves(append(append([]byte(nil), b.Body...), 0), nil, freshPacket); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("trailing byte in a body: err %v, want ErrBadMessage", err)
 	}
 }
@@ -168,7 +171,7 @@ func TestWireMoveFidelity(t *testing.T) {
 	encodeMove(&e, &in)
 	d := codec.Dec{B: e.B}
 	var out sim.Move
-	decodeMove(&d, &out)
+	decodeMove(&d, &out, freshPacket)
 	if err := done(&d); err != nil {
 		t.Fatal(err)
 	}

@@ -349,7 +349,10 @@ func (w *worker) onStep(payload []byte) error {
 }
 
 // apply applies step t from the wire's ingress buckets and fills the
-// applied half of w.resp.
+// applied half of w.resp. Ingress packets are the node's recycled ones: once
+// the arrived packets are encoded, every packet the apply left unreferenced
+// — those and the egress packets of the route it consumed — goes back to
+// the node (Release).
 func (w *worker) apply(t int, ingress []rawBucket) error {
 	var err error
 	for i := range ingress {
@@ -358,7 +361,7 @@ func (w *worker) apply(t int, ingress []rawBucket) error {
 		}
 		b := &w.ingress[i]
 		b.From, b.To = ingress[i].From, ingress[i].To
-		if b.Moves, err = decodeMoves(ingress[i].Body, b.Moves); err != nil {
+		if b.Moves, err = decodeMoves(ingress[i].Body, b.Moves, w.node.Recycled); err != nil {
 			return err
 		}
 	}
@@ -375,6 +378,7 @@ func (w *worker) apply(t int, ingress []rawBucket) error {
 		ps.Encode(&w.runs)
 	}
 	r.Finalized = w.runs.B
+	w.node.Release()
 	if !w.hashing {
 		return nil
 	}

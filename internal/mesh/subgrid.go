@@ -6,7 +6,9 @@ import "fmt"
 // spatial-decomposition unit of the sharded engine. It owns the nodes with x
 // in [X0, X0+W) and y in [Y0, Y0+H) and is nothing but that rectangle — the
 // ownership test and the conversion between global node ids and row-major
-// rectangle-local indices. It holds no connectivity of its own: every shard
+// rectangle-local indices, both division-free: a global id's coordinates are
+// read from the base mesh's shared Tables, and a local index's global id from
+// an owned-size table. It holds no connectivity of its own: every shard
 // routes against the base mesh's shared Tables, whose neighbor entries are
 // global ids, so a boundary node's neighbor simply fails Owns (it lies in a
 // halo cell another shard owns, wrapped to the far side of the mesh on a
@@ -15,7 +17,9 @@ import "fmt"
 //
 // Subgrids are immutable once built and safe for concurrent use.
 type Subgrid struct {
-	base *Mesh
+	base   *Mesh
+	coord  []int32  // the base mesh's Tables.coord: x at 2*id, y at 2*id+1
+	global []NodeID // global id of each owned node, in row-major order
 	// Owned rectangle, in global coordinates.
 	x0, y0, w, h int
 }
@@ -34,7 +38,11 @@ func (m *Mesh) Subgrid(x0, y0, w, h int) (*Subgrid, error) {
 		return nil, fmt.Errorf("mesh: subgrid [%d,%d)x[%d,%d) leaves the %dx%d mesh",
 			x0, x0+w, y0, y0+h, m.side, m.side)
 	}
-	return &Subgrid{base: m, x0: x0, y0: y0, w: w, h: h}, nil
+	g := &Subgrid{base: m, coord: m.Tables().coord, global: make([]NodeID, w*h), x0: x0, y0: y0, w: w, h: h}
+	for l := range g.global {
+		g.global[l] = NodeID((y0+l/w)*m.side + x0 + l%w)
+	}
+	return g, nil
 }
 
 // Bounds returns the owned rectangle: origin (x0, y0) and extent w x h in
@@ -44,26 +52,23 @@ func (g *Subgrid) Bounds() (x0, y0, w, h int) { return g.x0, g.y0, g.w, g.h }
 // Len returns the number of owned nodes, w*h.
 func (g *Subgrid) Len() int { return g.w * g.h }
 
-// Owns reports whether the global node id lies inside the owned rectangle.
+// Owns reports whether the global node id, a node of the base mesh, lies
+// inside the owned rectangle.
 func (g *Subgrid) Owns(id NodeID) bool {
-	x := int(id) % g.base.side
-	y := int(id) / g.base.side
-	return x >= g.x0 && x < g.x0+g.w && y >= g.y0 && y < g.y0+g.h
+	c := g.coord[2*int(id) : 2*int(id)+2]
+	return uint(int(c[0])-g.x0) < uint(g.w) && uint(int(c[1])-g.y0) < uint(g.h)
 }
 
 // LocalID returns the rectangle-local index of an owned global node:
 // row-major within the rectangle, so local order and global id order agree
 // on the owned set. The caller must ensure Owns(id).
 func (g *Subgrid) LocalID(id NodeID) int {
-	x := int(id) % g.base.side
-	y := int(id) / g.base.side
-	return (y-g.y0)*g.w + (x - g.x0)
+	c := g.coord[2*int(id) : 2*int(id)+2]
+	return (int(c[1])-g.y0)*g.w + int(c[0]) - g.x0
 }
 
 // GlobalID returns the global node id of a rectangle-local index.
-func (g *Subgrid) GlobalID(local int) NodeID {
-	return NodeID((g.y0+local/g.w)*g.base.side + g.x0 + local%g.w)
-}
+func (g *Subgrid) GlobalID(local int) NodeID { return g.global[local] }
 
 // DegreeLocal returns the out-degree of an owned local index, read from the
 // base mesh's shared table.

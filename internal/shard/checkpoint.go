@@ -236,10 +236,10 @@ func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 	packets := make([]*sim.Packet, 0, len(m.Finalized))
 	live := 0
 	admit := func(ps *sim.PacketState, wantLive bool) (*sim.Packet, error) {
-		p := ps.Packet()
-		if err := e.mesh.CheckID(p.Node); err != nil {
-			return nil, fmt.Errorf("%w: packet %d: %v", ErrBadCheckpoint, p.ID, err)
+		if err := checkPacketIDs(e.mesh, ps); err != nil {
+			return nil, err
 		}
+		p := ps.Packet()
 		if p.ID >= m.NextID {
 			return nil, fmt.Errorf("%w: packet id %d >= next id %d", ErrBadCheckpoint, p.ID, m.NextID)
 		}

@@ -470,6 +470,28 @@ func TestRestoreGuards(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadCheckpoint", err)
 		}
 	})
+	// A packet whose source or destination is not a node of the mesh would
+	// load and then panic the next route, which indexes the tables with the
+	// destination; Restore refuses it as sim.Restore does.
+	for _, tc := range []struct {
+		name   string
+		mutate func(ps *sim.PacketState)
+	}{
+		{"off-mesh-destination", func(ps *sim.PacketState) { ps.Dst = mesh.NodeID(m.Size()) }},
+		{"negative-destination", func(ps *sim.PacketState) { ps.Dst = -1 }},
+		{"off-mesh-source", func(ps *sim.PacketState) { ps.Src = mesh.NodeID(m.Size() + 5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *ck
+			bad.Parts = append([]shard.ShardPart(nil), ck.Parts...)
+			bad.Parts[1].Packets = append([]sim.PacketState(nil), ck.Parts[1].Packets...)
+			tc.mutate(&bad.Parts[1].Packets[0])
+			fresh := mustShard(t, m, nil, opts)
+			if err := fresh.Restore(&bad); !errors.Is(err, shard.ErrBadCheckpoint) {
+				t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+			}
+		})
+	}
 	t.Run("used-engine", func(t *testing.T) {
 		if err := e.Restore(ck); !errors.Is(err, shard.ErrBadCheckpoint) {
 			t.Fatalf("err = %v, want ErrBadCheckpoint", err)
@@ -545,4 +567,38 @@ func TestLoadRejectsDuplicateIDs(t *testing.T) {
 			t.Fatalf("node %d holds %d packets after the refused load, want the %d that fit", full, len(words)/2, m.Degree(full))
 		}
 	})
+}
+
+// TestLoadShardRejectsOffMeshIDs: a worker part whose packet has a source or
+// destination outside the mesh is refused with ErrBadCheckpoint, and the
+// node routes afterwards without panicking — before the check, such a part
+// loaded and the next Route panicked inside the good-direction lookup,
+// which a dshard worker goroutine does not recover.
+func TestLoadShardRejectsOffMeshIDs(t *testing.T) {
+	m := mesh.MustNewTorus(2, 8)
+	node, err := shard.NewNode(m, routing.NewRandomGreedy(), shard.Grid{P: 2, Q: 1}, []int{0}, 6, sim.ValidateOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := m.ID([]int{1, 1}) // owned by shard 0
+	for _, tc := range []struct {
+		name     string
+		src, dst mesh.NodeID
+	}{
+		{"destination-past-the-end", src, mesh.NodeID(2 * m.Size())},
+		{"negative-destination", src, -3},
+		{"source-past-the-end", mesh.NodeID(m.Size()), m.ID([]int{6, 6})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := sim.CapturePacket(sim.NewPacket(1, src, m.ID([]int{6, 6})))
+			ps.Src, ps.Dst = tc.src, tc.dst
+			ok := sim.CapturePacket(sim.NewPacket(0, src, m.ID([]int{5, 5})))
+			if err := node.LoadShard(0, []sim.PacketState{ok, ps}); !errors.Is(err, shard.ErrBadCheckpoint) {
+				t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+			}
+			if _, err := node.Route(0); err != nil {
+				t.Fatalf("route after the refused load: %v", err)
+			}
+		})
+	}
 }

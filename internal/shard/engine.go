@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -83,6 +85,7 @@ type shardState struct {
 	// reach the same shard (a 2-wide torus ring) share one bucket, so a
 	// node emitting through both still delivers its moves in queue order.
 	internal  []sim.Move
+	edge      []bool // edge[l]: an arc out of local node l leaves the shard
 	egress    [][]sim.Move
 	recvShard []int
 	recvOf    []int
@@ -255,6 +258,13 @@ func newShardState(m *mesh.Mesh, pt *partition, col, row int, policy sim.Policy,
 		recvOf: make([]int, m.DirCount()),
 	}
 	wireEgress(s, pt.grid, m.Wrap(), col, row)
+	s.edge = make([]bool, sub.Len())
+	for l := range s.edge {
+		for d := range s.recvOf {
+			to, ok := m.Tables().Neighbor(sub.GlobalID(l), mesh.Dir(d))
+			s.edge[l] = s.edge[l] || ok && !sub.Owns(to)
+		}
+	}
 	return s, nil
 }
 
@@ -466,36 +476,44 @@ func (e *Engine) phase(ph, t int) error {
 }
 
 // route routes every active node of the shard in ascending global-node
-// order, staging each move in the internal list or the egress bucket of the
-// receiving shard. Within every staging list, moves are appended in
-// (source node, queue position) order — the single engine's application
-// order restricted to that list — which is what the receivers' merge relies
-// on.
+// order. The router writes a node's moves straight into the internal list;
+// at an edge node the boundary-crossing ones then move to the egress bucket
+// of their receiving shard and the rest close up in place. Every staging
+// list thus holds its moves in (source node, queue position) order — the
+// single engine's application order restricted to that list — which is
+// what the receivers' merge relies on.
 func (s *shardState) route(t int) error {
 	s.internal = s.internal[:0]
 	for b := range s.egress {
 		s.egress[b] = s.egress[b][:0]
 	}
-	var buf [2 * mesh.MaxDim]sim.Move
 	for _, l := range s.q.Active() {
 		pkts := s.q.At(int(l))
-		node := s.sub.GlobalID(int(l))
-		dst := buf[:len(pkts)]
-		if err := s.router.RouteNode(node, t, pkts, dst); err != nil {
+		n := len(s.internal)
+		s.internal = slices.Grow(s.internal, len(pkts))[:n+len(pkts)]
+		if err := s.router.RouteNode(s.sub.GlobalID(int(l)), t, pkts, s.internal[n:]); err != nil {
 			return err
 		}
-		for i := range dst {
-			if s.sub.Owns(dst[i].To) {
-				s.internal = append(s.internal, dst[i])
+		if !s.edge[l] {
+			continue // every move stays in the shard
+		}
+		for i := n; i < len(s.internal); i++ {
+			mv := &s.internal[i]
+			if s.sub.Owns(mv.To) {
+				if n != i {
+					s.internal[n] = *mv
+				}
+				n++
 				continue
 			}
-			b := s.recvOf[dst[i].Dir]
+			b := s.recvOf[mv.Dir]
 			if b < 0 {
 				return fmt.Errorf("shard: internal error: shard %d step %d move %d->%d via %v has no receiver",
-					s.idx, t, dst[i].From, dst[i].To, dst[i].Dir)
+					s.idx, t, mv.From, mv.To, mv.Dir)
 			}
-			s.egress[b] = append(s.egress[b], dst[i])
+			s.egress[b] = append(s.egress[b], *mv)
 		}
+		s.internal = s.internal[:n]
 	}
 	return nil
 }
@@ -504,7 +522,7 @@ func (s *shardState) route(t int) error {
 // its internal list merged with the ingress buckets — in ascending global
 // source-node order. Each staging list is sorted by source node (route's
 // invariant) and the lists' source sets are disjoint (every node has one
-// owner), so a k-way min-merge on Move.From reproduces exactly the single
+// owner), so merging them by Move.From reproduces exactly the single
 // engine's per-destination enqueue order; queue order is routing-relevant
 // state, so this is where sharded equals unsharded.
 func (s *shardState) apply(t int) error {
@@ -553,34 +571,40 @@ func (s *shardState) drain(rep *ApplyReport, now int) {
 	rep.Reroutes += reroutes
 }
 
-// merge applies the staging lists by k-way min-merge on Move.From. Each list
-// is sorted by source node (route's invariant) and the lists' source sets
-// are disjoint (every node has one owner), so the merge reproduces exactly
-// the single engine's per-destination enqueue order. When s.finalized is
-// non-nil (the distributed Node), arrived packets are additionally collected
-// there, since no surrounding Engine tracks them. A node receives at most
-// one packet per incoming arc, so a queue overflows only when an unvalidated
-// policy sent two packets down one arc; that is an error.
+// merge applies the staging lists in ascending source-node order, a run at
+// a time: the list with the smallest head applies every move whose source
+// precedes the other lists' heads. Each list is sorted by source node
+// (route's invariant) and the lists' source sets are disjoint (every node
+// has one owner), so this is exactly the single engine's per-destination
+// enqueue order. When s.finalized is non-nil (the distributed Node), arrived
+// packets are also collected there. A node receives at most one packet per
+// incoming arc, so a queue overflows only when an unvalidated policy sent
+// two packets down one arc; that is an error.
 func (s *shardState) merge(t int, lists [][]sim.Move) error {
-	n := len(lists)
-	for n > 0 {
-		best := 0
+	for n := len(lists); n > 0; {
+		best, bound := 0, mesh.NodeID(math.MaxInt32) // bound: the smallest head but best's
 		for i := 1; i < n; i++ {
-			if lists[i][0].From < lists[best][0].From {
-				best = i
+			if head := lists[i][0].From; head < lists[best][0].From {
+				best, bound = i, lists[best][0].From
+			} else {
+				bound = min(bound, head)
 			}
 		}
-		mv := &lists[best][0]
-		if !s.tally.Apply(mv, t+1) {
-			if s.finalized != nil {
-				*s.finalized = append(*s.finalized, mv.Packet)
+		run := lists[best]
+		j := 0
+		for ; j < len(run) && run[j].From < bound; j++ {
+			mv := &run[j]
+			if !s.tally.Apply(mv, t+1) {
+				if s.finalized != nil {
+					*s.finalized = append(*s.finalized, mv.Packet)
+				}
+			} else if !s.enqueue(mv.Packet) {
+				return fmt.Errorf("%w: step %d: node %d receives more packets than it has arcs", sim.ErrLinkConflict, t, mv.To)
 			}
-		} else if !s.enqueue(mv.Packet) {
-			return fmt.Errorf("%w: step %d: node %d receives more packets than it has arcs", sim.ErrLinkConflict, t, mv.To)
 		}
-		if lists[best] = lists[best][1:]; len(lists[best]) == 0 {
-			lists[best] = lists[n-1]
+		if lists[best] = run[j:]; j == len(run) {
 			n--
+			lists[best] = lists[n]
 		}
 	}
 	return nil

@@ -13,7 +13,7 @@ import (
 // distributed run is bit-identical to a single-engine one. A Partition maps
 // global nodes to shard indices for a coordinator that must split packet
 // populations itself, and a Node hosts a subset of the grid's shards inside
-// one worker process — same shardState, same route, same k-way merge — with
+// one worker process — same shardState, same route, same merge — with
 // every cross-shard move surfaced as an explicit Bucket instead of an
 // in-memory mailbox, so the halo exchange can travel over a wire.
 
@@ -55,7 +55,7 @@ func (p *Partition) Side() int { return p.pt.side }
 // one step, in (source node, queue position) order — the same receiver-keyed
 // egress bucket the in-process engine exchanges through shared memory,
 // surfaced so it can be serialized. Moves reference live packets; a bucket
-// is valid until its producing shard routes again.
+// is valid until its producing shard routes again or its Node releases.
 type Bucket struct {
 	From, To int
 	Moves    []sim.Move
@@ -93,6 +93,11 @@ type Node struct {
 	shards map[int]*shardState
 
 	finalized []*sim.Packet
+
+	// free holds the released packets; applied marks the window from a
+	// successful ApplyArrived to the next Route or LoadShard.
+	free    []*sim.Packet
+	applied bool
 }
 
 // NewNode builds a node hosting the given shard indices of grid g over mesh
@@ -182,18 +187,23 @@ func (n *Node) LoadShard(idx int, pkts []sim.PacketState) error {
 		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
 	}
 	s.reset()
+	n.applied = false
+	s.internal = slices.Grow(s.internal[:0], len(pkts)) // a route stages one move per packet
+	slab := make([]sim.Packet, len(pkts))
 	for i := range pkts {
-		p := pkts[i].Packet()
-		if err := n.m.CheckID(p.Node); err != nil {
-			return fmt.Errorf("%w: packet %d: %v", ErrBadCheckpoint, p.ID, err)
+		ps := &pkts[i]
+		if err := checkPacketIDs(n.m, ps); err != nil {
+			return err
 		}
-		if p.Arrived() {
-			return fmt.Errorf("%w: packet %d already arrived", ErrBadCheckpoint, p.ID)
+		if ps.ArrivedAt >= 0 {
+			return fmt.Errorf("%w: packet %d already arrived", ErrBadCheckpoint, ps.ID)
 		}
-		if n.pt.owner(p.Node) != idx {
+		if n.pt.owner(ps.Node) != idx {
 			return fmt.Errorf("%w: packet %d at node %d belongs to shard %d, loaded into %d",
-				ErrBadCheckpoint, p.ID, p.Node, n.pt.owner(p.Node), idx)
+				ErrBadCheckpoint, ps.ID, ps.Node, n.pt.owner(ps.Node), idx)
 		}
+		p := &slab[i]
+		ps.Fill(p)
 		if !s.enqueue(p) {
 			return fmt.Errorf("%w: node %d holds more packets than its out-degree %d",
 				ErrBadCheckpoint, p.Node, n.m.Degree(p.Node))
@@ -202,11 +212,24 @@ func (n *Node) LoadShard(idx int, pkts []sim.PacketState) error {
 	return nil
 }
 
+// checkPacketIDs refuses a packet state whose source, destination or node
+// is not a node of m, as sim.Restore does: routing indexes the mesh's
+// tables with the node and the destination.
+func checkPacketIDs(m *mesh.Mesh, ps *sim.PacketState) error {
+	for _, id := range [...]mesh.NodeID{ps.Src, ps.Dst, ps.Node} {
+		if err := m.CheckID(id); err != nil {
+			return fmt.Errorf("%w: packet %d (%d->%d at %d): %v", ErrBadCheckpoint, ps.ID, ps.Src, ps.Dst, ps.Node, err)
+		}
+	}
+	return nil
+}
+
 // Route routes every hosted shard for step t and returns the cross-shard
 // egress buckets, ordered by (sending shard, bucket index) — a fixed order,
 // so the serialized exchange is deterministic. The returned buckets alias
-// shard staging memory: they are valid until the next Route.
+// shard staging memory: they are valid until the next Route or Release.
 func (n *Node) Route(t int) ([]Bucket, error) {
+	n.applied = false
 	var out []Bucket
 	for _, idx := range n.owned {
 		s := n.shards[idx]
@@ -224,7 +247,7 @@ func (n *Node) Route(t int) ([]Bucket, error) {
 
 // Apply applies step t on every hosted shard: each shard's internal moves
 // merged with the ingress buckets addressed to it. Bucket order does not
-// matter (the k-way merge orders by source node); each (From, To) pair may
+// matter (the merge orders by source node); each (From, To) pair may
 // appear at most once, exactly as senders produce them. Route(t) must have
 // run first.
 func (n *Node) Apply(t int, ingress []Bucket) (ApplyReport, error) {
@@ -238,9 +261,10 @@ func (n *Node) Apply(t int, ingress []Bucket) (ApplyReport, error) {
 // ApplyArrived is Apply for a caller that serializes the arrived packets
 // itself: rep.Finalized stays nil and the packets come back as they are,
 // post-arrival, in the order Apply captures them — valid until the next
-// Apply.
+// Apply or Release.
 func (n *Node) ApplyArrived(t int, ingress []Bucket) (ApplyReport, []*sim.Packet, error) {
 	var rep ApplyReport
+	n.applied = false
 	n.finalized = n.finalized[:0]
 	for _, idx := range n.owned {
 		s := n.shards[idx]
@@ -268,7 +292,46 @@ func (n *Node) ApplyArrived(t int, ingress []Bucket) (ApplyReport, []*sim.Packet
 		}
 		s.drain(&rep, t+1)
 	}
+	n.applied = true
 	return rep, n.finalized, nil
+}
+
+// Release hands Recycled the packets the last ApplyArrived left dead: the
+// egress packets of the route it consumed (their queues are emptied, their
+// state left as bytes) and the arrived packets it returned, which the
+// caller must have encoded. It empties the consumed staging lists, so no
+// released packet stays reachable, and is a no-op unless ApplyArrived
+// succeeded since the last Route or LoadShard. Only a caller whose halo
+// moves travel as bytes may release: one that hands Route's buckets back in
+// memory enqueues the senders' packets at the receivers.
+func (n *Node) Release() {
+	if !n.applied {
+		return
+	}
+	n.applied = false
+	for _, idx := range n.owned {
+		s := n.shards[idx]
+		s.internal = s.internal[:0]
+		for b := range s.egress {
+			for i := range s.egress[b] {
+				n.free = append(n.free, s.egress[b][i].Packet)
+			}
+			s.egress[b] = s.egress[b][:0]
+		}
+	}
+	n.free = append(n.free, n.finalized...)
+	n.finalized = n.finalized[:0]
+}
+
+// Recycled returns a packet for the caller to fill (sim.PacketState.Fill):
+// a released one, or a new one when none is left.
+func (n *Node) Recycled() *sim.Packet {
+	if k := len(n.free) - 1; k >= 0 {
+		p := n.free[k]
+		n.free = n.free[:k]
+		return p
+	}
+	return new(sim.Packet)
 }
 
 // HashWords appends shard idx's configuration-hash word pairs — one

@@ -70,7 +70,8 @@ type ConflictRecord struct {
 // Nodes that route all their packets forward are not conflicts — nothing was
 // contended — and produce no record. The hook is opt-in and free when unset:
 // with a nil observer the engine's hot path pays one predicted branch per
-// step and allocates nothing (bench-gated, see BenchmarkConflictTraceOverhead).
+// step and allocates nothing (asserted by
+// core.TestRestrictedPriorityStepAllocs).
 type ConflictObserver interface {
 	OnConflict(rec *ConflictRecord)
 }

@@ -90,14 +90,14 @@ func (ps *PacketState) capture(p *Packet) {
 // Packet materializes the captured state back into a live Packet.
 func (ps *PacketState) Packet() *Packet {
 	p := new(Packet)
-	ps.fill(p)
+	ps.Fill(p)
 	return p
 }
 
-// fill writes the captured state into p's observable fields, field by field
-// for capture's reason: Restore fills every packet of its slab, and Packet()
-// is on dshard's per-move decode path.
-func (ps *PacketState) fill(p *Packet) {
+// Fill writes the captured state into p's observable fields, field by field
+// for capture's reason: Restore and a shard load fill every packet of their
+// slab, and a dshard worker fills a recycled packet per halo move.
+func (ps *PacketState) Fill(p *Packet) {
 	p.ID, p.Src, p.Dst, p.Node = ps.ID, ps.Src, ps.Dst, ps.Node
 	p.EnteredVia, p.InjectedAt, p.Class = ps.EnteredVia, ps.InjectedAt, ps.Class
 	p.ArrivedAt, p.DroppedAt, p.Cause = ps.ArrivedAt, ps.DroppedAt, ps.Cause

@@ -284,7 +284,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 		if ps.ID >= s.NextID {
 			return fmt.Errorf("%w: packet id %d at or above watermark %d", ErrBadSnapshot, ps.ID, s.NextID)
 		}
-		ps.fill(&slab[i])
+		ps.Fill(&slab[i])
 		slab[i].pos = int32(i)
 		packets[i], ids[i] = &slab[i], ps.ID
 		if !packets[i].Arrived() && !packets[i].Dropped() {
