@@ -229,7 +229,13 @@ type Coordinator struct {
 	stepReq msgStep
 	blocks  [][]byte
 
+	// lastCK is the last coordinated checkpoint, recovery's floor. A fresh
+	// run's floor is the t=0 population as admit encoded it, one LOAD body
+	// per shard in loads, and its Parts stay nil: they are decoded from the
+	// bodies only when standing needs them. Every later floor is a
+	// checkpoint of collected parts, and loads is nil.
 	lastCK    *shard.Checkpoint
+	loads     [][]byte
 	finalHash uint64
 
 	// StepHook, when set before Run, is called after every completed step
@@ -402,9 +408,10 @@ func (c *Coordinator) Progress() sim.Progress {
 // checkpoint parts before shutting them down).
 func (c *Coordinator) StateHash() uint64 { return c.finalHash }
 
-// admit validates the initial packets and builds the t=0 coordinated
-// checkpoint — recovery's permanent floor: a worker killed on the very
-// first step still rejoins from somewhere.
+// admit validates the initial packets and builds the t=0 floor —
+// recovery's permanent one: a worker killed on the very first step still
+// rejoins from somewhere. The floor is each shard's LOAD body, encoded once
+// straight from the packets; no other copy of the population is made.
 func (c *Coordinator) admit(packets []*sim.Packet) error {
 	perNode := make([]int32, c.m.Size())
 	nextID, err := sim.AdmitInitial(c.m, packets, func(p *sim.Packet) (int, bool) {
@@ -422,36 +429,64 @@ func (c *Coordinator) admit(packets []*sim.Packet) error {
 	c.nextID = nextID
 	c.total = len(packets)
 
-	// Checkpoint parts hold packets in queue order over ascending nodes, and
-	// within one node in injection order — the queue order shard.New
-	// produces. The per-node counts give every node its slot range inside
-	// its shard's part, so one pass over the packets places each directly.
-	perShard := make([]int32, c.grid.Count())
+	// A LOAD body lists its shard's packets in queue order over ascending
+	// nodes, and within one node in injection order — the queue order
+	// shard.New produces. Laid out shard after shard, the per-node counts
+	// give every node its slot range, so one pass over the packets puts each
+	// in its place and a second encodes them in that order.
+	count := c.grid.Count()
+	end := make([]int32, count) // one past each shard's last slot
+	for node, n := range perNode {
+		if n > 0 {
+			end[c.part.Owner(mesh.NodeID(node))] += n
+		}
+	}
+	for i := 1; i < count; i++ {
+		end[i] += end[i-1]
+	}
+	next := make([]int32, count)
+	copy(next[1:], end)
 	for node, n := range perNode {
 		if n > 0 {
 			owner := c.part.Owner(mesh.NodeID(node))
-			perNode[node], perShard[owner] = perShard[owner], perShard[owner]+n
+			perNode[node], next[owner] = next[owner], next[owner]+n
 		}
 	}
-	ck := &shard.Checkpoint{Parts: make([]shard.ShardPart, c.grid.Count())}
-	for i, n := range perShard {
-		ck.Parts[i] = shard.ShardPart{Version: shard.CheckpointVersion, Index: i, Time: 0}
-		if n > 0 {
-			ck.Parts[i].Packets = make([]sim.PacketState, n)
-		}
-	}
+	order := make([]*sim.Packet, c.live)
 	for _, p := range packets {
 		if p.Arrived() { // source == destination: absorbed at time 0
 			c.finalized = append(c.finalized, sim.CapturePacket(p))
 			continue
 		}
-		ck.Parts[c.part.Owner(p.Src)].Packets[perNode[p.Src]] = sim.CapturePacket(p)
+		order[perNode[p.Src]] = p
 		perNode[p.Src]++
 	}
-	if ck.Manifest, err = c.manifest(); err != nil {
+	// The bodies share one buffer, presized from one encoded packet (plus a
+	// byte of slack each) so that it is not regrown packet by packet; a short
+	// guess costs only append's growth.
+	var e codec.Enc
+	if len(order) > 0 {
+		sim.EncodePacket(&e, order[len(order)-1])
+		e.B = make([]byte, 0, (len(e.B)+1)*len(order)+binary.MaxVarintLen64*count)
+	}
+	cut := make([]int, count+1) // shard i's body is e.B[cut[i]:cut[i+1]]
+	from := int32(0)
+	for i, to := range end {
+		e.U64(uint64(to - from))
+		for _, p := range order[from:to] {
+			sim.EncodePacket(&e, p)
+		}
+		cut[i+1], from = len(e.B), to
+	}
+	c.loads = make([][]byte, count)
+	for i := range c.loads {
+		c.loads[i] = e.B[cut[i]:cut[i+1]:cut[i+1]]
+	}
+	m, err := c.manifest()
+	if err != nil {
 		return err
 	}
-	c.lastCK = ck
+	c.lastCK = &shard.Checkpoint{Manifest: m}
 	return nil
 }
 
@@ -490,7 +525,10 @@ func (c *Coordinator) adoptCheckpoint(ck *shard.Checkpoint) error {
 	if live != m.Live {
 		return fmt.Errorf("%w: manifest says %d live packets, parts carry %d", shard.ErrBadCheckpoint, m.Live, live)
 	}
-	c.lastCK = ck
+	if err := ck.CheckUniqueIDs(); err != nil {
+		return err
+	}
+	c.lastCK, c.loads = ck, nil
 	c.restoreState(m)
 	c.total = live + len(m.Finalized)
 	return nil
@@ -852,8 +890,12 @@ func (c *Coordinator) standing() (*shard.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	parts, err := c.floorParts()
+	if err != nil {
+		return nil, err
+	}
 	ck := &shard.Checkpoint{Manifest: m}
-	for i, pkts := range c.partitionParts(c.lastCK) {
+	for i, pkts := range parts {
 		// A part lists packets over ascending nodes; a re-partition strings
 		// together runs of them (a part that was handed on is sorted already).
 		slices.SortStableFunc(pkts, func(a, b sim.PacketState) int { return int(a.Node) - int(b.Node) })
@@ -862,12 +904,34 @@ func (c *Coordinator) standing() (*shard.Checkpoint, error) {
 	return ck, nil
 }
 
-// phaseLoad pushes a checkpoint's state to every worker: ASSIGN for slots
+// floorParts returns the floor's live packets per shard of the current
+// grid: the t=0 LOAD bodies decoded, or the floor checkpoint's parts
+// re-partitioned.
+func (c *Coordinator) floorParts() ([][]sim.PacketState, error) {
+	if c.loads == nil {
+		return c.partitionParts(c.lastCK), nil
+	}
+	parts := make([][]sim.PacketState, len(c.loads))
+	for i, body := range c.loads {
+		d := codec.Dec{B: body}
+		parts[i] = sim.DecodePackets(&d, "packet")
+		if err := d.Done(); err != nil {
+			return nil, fmt.Errorf("dshard: t=0 load of shard %d: %w", i, err)
+		}
+	}
+	return parts, nil
+}
+
+// phaseLoad pushes the floor's state to every worker: ASSIGN for slots
 // whose connection is new (they need the problem definition), then LOAD
-// with each owned shard's packets.
-func (c *Coordinator) phaseLoad(ctx context.Context, ck *shard.Checkpoint, assign map[int]bool) []workerFailure {
-	parts := c.partitionParts(ck)
-	t := ck.Manifest.Time
+// with each owned shard's packets — the t=0 bodies as admit encoded them,
+// or the floor checkpoint's parts.
+func (c *Coordinator) phaseLoad(ctx context.Context, assign map[int]bool) []workerFailure {
+	var parts [][]sim.PacketState
+	if c.loads == nil {
+		parts = c.partitionParts(c.lastCK)
+	}
+	t := c.lastCK.Manifest.Time
 	for _, ws := range c.workers {
 		if assign[ws.slot] {
 			a := msgAssign{
@@ -888,10 +952,18 @@ func (c *Coordinator) phaseLoad(ctx context.Context, ck *shard.Checkpoint, assig
 	return c.barrier(ctx, mtLoaded, t, func(ws *workerSlot) []byte {
 		if frames[ws.slot] == nil {
 			l := msgLoad{Epoch: c.epoch, T: t}
+			size := frameHeaderLen + 3*binary.MaxVarintLen64 // header, epoch, time, shard count
 			for _, idx := range ws.owned {
-				l.Shards = append(l.Shards, shardLoad{Index: idx, Packets: parts[idx]})
+				sl := shardLoad{Index: idx}
+				if c.loads != nil {
+					sl.Body = c.loads[idx]
+					size += binary.MaxVarintLen64 + len(sl.Body)
+				} else {
+					sl.Packets = parts[idx]
+				}
+				l.Shards = append(l.Shards, sl)
 			}
-			frames[ws.slot] = frameOf(nil, mtLoad, &l)
+			frames[ws.slot] = frameOf(make([]byte, 0, size), mtLoad, &l)
 		}
 		return frames[ws.slot]
 	}, func(*workerSlot, []byte) error { return nil })
@@ -1160,7 +1232,7 @@ func (c *Coordinator) recoverFrom(ctx context.Context, fails []workerFailure) er
 			}
 		}
 		c.logf("coordinator: rolling back to checkpoint of step %d (epoch %d)", c.lastCK.Manifest.Time, c.epoch)
-		fails = c.phaseLoad(ctx, c.lastCK, newConn)
+		fails = c.phaseLoad(ctx, newConn)
 		if len(fails) == 0 {
 			c.restoreState(&c.lastCK.Manifest)
 			return nil
@@ -1233,7 +1305,7 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 	if err := c.ensureWorkers(ctx, slots); err != nil {
 		return lost(err)
 	}
-	if fails := c.phaseLoad(ctx, c.lastCK, assign); len(fails) > 0 {
+	if fails := c.phaseLoad(ctx, assign); len(fails) > 0 {
 		if err := c.recoverFrom(ctx, fails); err != nil {
 			return lost(err)
 		}
@@ -1264,7 +1336,7 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dshard: checkpoint save: %w", err)
 			}
-			c.lastCK = ck
+			c.lastCK, c.loads = ck, nil
 			sinceCK, sinceDisk = 0, 0
 		}
 		runErr = nil

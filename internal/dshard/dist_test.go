@@ -3,7 +3,9 @@ package dshard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -600,5 +602,61 @@ func TestDistributedRejects(t *testing.T) {
 	_ = m
 	if _, err := dshard.New(good, dup, distOptions(2)); !errors.Is(err, sim.ErrBadInjection) {
 		t.Errorf("duplicate ids: err %v, want ErrBadInjection", err)
+	}
+}
+
+// TestResumeRefusesDuplicateIDs: a checkpoint that holds one packet ID twice
+// — in two parts, or live and among the finalized packets — is refused on
+// resume with shard.ErrBadCheckpoint, as shard.Engine.Restore refuses it.
+// The copies sit in shards that different workers own, so no worker can see
+// both: the coordinator has to check.
+func TestResumeRefusesDuplicateIDs(t *testing.T) {
+	writer := stopRef(t, "random", stopPackets(t), 300)
+	for writer.Progress().Delivered == 0 {
+		stepTo(t, writer, writer.Time()+1)
+	}
+	cases := []struct {
+		name   string
+		tamper func(ck *shard.Checkpoint) int
+	}{
+		{"untouched", func(*shard.Checkpoint) int { return -1 }},
+		{"two parts", func(ck *shard.Checkpoint) int {
+			id := ck.Parts[0].Packets[0].ID
+			ck.Parts[len(ck.Parts)-1].Packets[0].ID = id
+			return id
+		}},
+		{"live and finalized", func(ck *shard.Checkpoint) int {
+			id := ck.Manifest.Finalized[0].ID
+			ck.Parts[len(ck.Parts)-1].Packets[0].ID = id
+			return id
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := writer.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := tc.tamper(ck)
+			opts := distOptions(2)
+			opts.Resume = ck
+			c, err := dshard.New(dshard.Spec{
+				Side: stopSide, Wrap: true, Policy: "random", Grid: shard.Grid{P: 2, Q: 1}, Seed: stopSeed, MaxSteps: 300, DetectLivelock: true,
+			}, nil, opts)
+			if id < 0 {
+				if err != nil {
+					t.Fatalf("untouched checkpoint refused: %v", err)
+				}
+				c.Close()
+				return
+			}
+			if err == nil {
+				c.Close()
+				t.Fatalf("checkpoint with packet id %d twice accepted", id)
+			}
+			if want := fmt.Sprintf("packet id %d occurs more than once", id); !errors.Is(err, shard.ErrBadCheckpoint) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err %v, want ErrBadCheckpoint: %s", err, want)
+			}
+		})
 	}
 }

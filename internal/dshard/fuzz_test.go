@@ -6,8 +6,11 @@ import (
 	"io"
 	"testing"
 
+	"hotpotato/internal/codec"
+	"hotpotato/internal/mesh"
 	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
+	"hotpotato/internal/spec"
 )
 
 // FuzzHaloFrame fuzzes the whole inbound path a coordinator or worker
@@ -34,6 +37,14 @@ func FuzzHaloFrame(f *testing.F) {
 	f.Add(append(step[:len(step):len(step)], step[5:]...))
 	f.Add(testBucket(0, 1, testMove(1), testMove(2)).Body)
 
+	pol, err := spec.NewPolicy("fixed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	node, err := shard.NewNode(mesh.MustNewTorus(2, 4), pol, shard.Grid{P: 1, Q: 1}, []int{0}, 1, sim.ValidateOff)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadFrame(bytes.NewReader(data), 1<<20)
 		if err == nil {
@@ -56,8 +67,17 @@ func FuzzHaloFrame(f *testing.F) {
 		typed(err)
 		_, err = decodeAssign(data)
 		typed(err)
-		_, err = decodeLoad(data)
+		_, err = decodeLoadPackets(data)
 		typed(err)
+		// The worker's LOAD path proper: bodies decoded straight into a
+		// node's slab. A payload that does not decode fails as
+		// ErrBadMessage; one that does may still fail the load's checks.
+		d := codec.Dec{B: data}
+		if _, n := decodeLoadHead(&d); d.Err() == nil {
+			if err := loadShards(node, &d, n); d.Err() != nil && !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("undecodable LOAD body is not ErrBadMessage: %v", err)
+			}
+		}
 		_, err = decodeAt(data)
 		typed(err)
 		var s msgStep

@@ -72,8 +72,7 @@ func done(d *codec.Dec) error {
 // sender's object never travels, so applying the move on the receiver
 // reproduces exactly the in-process mutation.
 func encodeMove(e *codec.Enc, mv *sim.Move) {
-	ps := sim.CapturePacket(mv.Packet)
-	ps.Encode(e)
+	sim.EncodePacket(e, mv.Packet)
 	e.I64(int64(mv.From))
 	e.I64(int64(mv.To))
 	e.I64(int64(mv.Dir))
@@ -236,10 +235,14 @@ func decodeAssign(p []byte) (msgAssign, error) {
 }
 
 // shardLoad is one shard's worth of state in a LOAD: live packets in the
-// exact enqueue order of a checkpoint part re-partitioned to this shard.
+// exact enqueue order of a checkpoint part re-partitioned to this shard, as
+// a counted packet list. Body, when set, is that list already encoded
+// (sim.EncodePackets' bytes, which admit writes straight from the packets)
+// and Packets is not consulted.
 type shardLoad struct {
 	Index   int
 	Packets []sim.PacketState
+	Body    []byte
 }
 
 // msgLoad (re)initializes a worker's shards to the state of step T — the
@@ -256,18 +259,50 @@ func (m *msgLoad) appendTo(e *codec.Enc) {
 	e.U64(uint64(len(m.Shards)))
 	for i := range m.Shards {
 		e.Num(m.Shards[i].Index)
-		sim.EncodePackets(e, m.Shards[i].Packets)
+		if m.Shards[i].Body != nil {
+			e.B = append(e.B, m.Shards[i].Body...)
+		} else {
+			sim.EncodePackets(e, m.Shards[i].Packets)
+		}
 	}
 }
 
-func decodeLoad(p []byte) (msgLoad, error) {
-	d := codec.Dec{B: p}
-	m := msgLoad{Epoch: d.U64(), T: d.Num()}
-	n := d.Count("shard load")
-	for i := 0; i < n; i++ {
-		m.Shards = append(m.Shards, shardLoad{Index: d.Num(), Packets: sim.DecodePackets(&d, "packet")})
+// decodeLoadHead reads a LOAD's epoch, time and shard count. The shards
+// follow in d, each an index and a body that loadShards decodes straight
+// into the worker's packet slabs.
+func decodeLoadHead(d *codec.Dec) (msgAt, int) {
+	m := msgAt{Epoch: d.U64(), T: d.Num()}
+	return m, d.Count("shard load")
+}
+
+// loadShards loads the LOAD shards d holds into node, each body straight
+// into its shard's slab (shard.Node.LoadBody), then empties the hosted
+// shards the LOAD omits, so a rollback never leaves stale packets behind. A
+// payload that does not decode is ErrBadMessage; one that decodes but fails
+// the node's checks is the node's error.
+func loadShards(node *shard.Node, d *codec.Dec, shards int) error {
+	loaded := make([]int, 0, shards)
+	for i := 0; i < shards; i++ {
+		idx := d.Num()
+		if err := node.LoadBody(idx, d); err != nil {
+			if d.Err() != nil {
+				return fmt.Errorf("%w: %v", ErrBadMessage, d.Err())
+			}
+			return err
+		}
+		loaded = append(loaded, idx)
 	}
-	return m, done(&d)
+	if err := done(d); err != nil {
+		return err
+	}
+	for _, idx := range node.Owned() {
+		if !slices.Contains(loaded, idx) {
+			if err := node.LoadShard(idx, nil); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // msgAt is the shared shape of the bare (epoch, t) messages: LOADED, CKPT

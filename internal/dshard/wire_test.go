@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"hotpotato/internal/codec"
+	"hotpotato/internal/mesh"
 	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
+	"hotpotato/internal/spec"
+	"hotpotato/internal/workload"
 )
 
 func testPackets() []sim.PacketState {
@@ -61,6 +65,18 @@ func testStepped() *msgStepped {
 	}
 }
 
+// decodeLoadPackets decodes a LOAD payload into packet states. Workers
+// never do: loadShards decodes each body straight into a packet slab.
+func decodeLoadPackets(p []byte) (msgLoad, error) {
+	d := codec.Dec{B: p}
+	at, n := decodeLoadHead(&d)
+	m := msgLoad{Epoch: at.Epoch, T: at.T}
+	for i := 0; i < n; i++ {
+		m.Shards = append(m.Shards, shardLoad{Index: d.Num(), Packets: sim.DecodePackets(&d, "packet")})
+	}
+	return m, done(&d)
+}
+
 // TestWireRoundTrip pushes every message type through encode → decode →
 // re-encode and requires byte-identical output: the codec is canonical, so
 // equality of bytes is equality of meaning.
@@ -79,7 +95,7 @@ func TestWireRoundTrip(t *testing.T) {
 			return &m, err
 		}},
 		{"load", &msgLoad{Epoch: 2, T: 40, Shards: []shardLoad{{Index: 0, Packets: testPackets()}, {Index: 2}}}, func(p []byte) (message, error) {
-			m, err := decodeLoad(p)
+			m, err := decodeLoadPackets(p)
 			return &m, err
 		}},
 		{"at", &msgAt{Epoch: 9, T: 123}, func(p []byte) (message, error) {
@@ -261,5 +277,56 @@ func TestWireGoldenBytes(t *testing.T) {
 		if got := hex.EncodeToString(frameOf(nil, tc.typ, tc.msg)); got != tc.want {
 			t.Errorf("%s frame changed:\n  got  %s\n  want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestLoadBodiesMatchCapturedStates: the t=0 LOAD bodies admit encodes
+// straight from the packets frame byte for byte like a LOAD built from the
+// captured states of shard.New's queues — the same packets in the same
+// order, through the same per-packet encoder — and a packet absorbed at t=0
+// is finalized, not loaded.
+func TestLoadBodiesMatchCapturedStates(t *testing.T) {
+	m := mesh.MustNewTorus(2, 12)
+	pkts, err := workload.FullLoad(m, 2, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts = append(pkts, sim.NewPacket(len(pkts), 5, 5))
+	grid := shard.Grid{P: 2, Q: 2}
+	pol, err := spec.NewPolicy("fixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clones := make([]*sim.Packet, len(pkts))
+	for i, p := range pkts {
+		ps := sim.CapturePacket(p)
+		clones[i] = ps.Packet()
+	}
+	ref, err := shard.New(m, pol, clones, shard.Options{Grid: grid, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want, err := ref.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Spec{Side: 12, Wrap: true, Policy: "fixed", Grid: grid, Seed: 1}, pkts, Options{Workers: 2, Policies: spec.NewPolicy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if len(c.loads) != len(want.Parts) {
+		t.Fatalf("%d LOAD bodies for %d shards", len(c.loads), len(want.Parts))
+	}
+	for i, part := range want.Parts {
+		fromStates := frameOf(nil, mtLoad, &msgLoad{Epoch: 1, Shards: []shardLoad{{Index: i, Packets: part.Packets}}})
+		fromPackets := frameOf(nil, mtLoad, &msgLoad{Epoch: 1, Shards: []shardLoad{{Index: i, Body: c.loads[i]}}})
+		if !bytes.Equal(fromStates, fromPackets) {
+			t.Errorf("shard %d: LOAD from packets differs from LOAD from captured states", i)
+		}
+	}
+	if !reflect.DeepEqual(c.finalized, want.Manifest.Finalized) {
+		t.Errorf("finalized at t=0: %+v, want %+v", c.finalized, want.Manifest.Finalized)
 	}
 }

@@ -238,9 +238,10 @@ func (w *worker) heartbeat(every time.Duration) {
 }
 
 func (w *worker) onLoad(payload []byte) error {
-	l, err := decodeLoad(payload)
-	if err != nil {
-		return err
+	d := codec.Dec{B: payload}
+	l, shards := decodeLoadHead(&d)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	if l.Epoch < w.epoch {
 		return nil // stale request from before a recovery; drop it
@@ -249,21 +250,11 @@ func (w *worker) onLoad(payload []byte) error {
 		return w.sendError(true, errors.New("load before assign"))
 	}
 	w.epoch = l.Epoch
-	loaded := make(map[int]bool, len(l.Shards))
-	for i := range l.Shards {
-		if err := w.node.LoadShard(l.Shards[i].Index, l.Shards[i].Packets); err != nil {
-			return w.sendError(true, fmt.Errorf("load: %w", err))
+	if err := loadShards(w.node, &d, shards); err != nil {
+		if errors.Is(err, ErrBadMessage) {
+			return err
 		}
-		loaded[l.Shards[i].Index] = true
-	}
-	// Shards the message omitted are empty at this step; clear them too so
-	// a rollback never leaves stale packets behind.
-	for _, idx := range w.node.Owned() {
-		if !loaded[idx] {
-			if err := w.node.LoadShard(idx, nil); err != nil {
-				return w.sendError(true, fmt.Errorf("load: %w", err))
-			}
-		}
+		return w.sendError(true, fmt.Errorf("load: %w", err))
 	}
 	w.curT = l.T
 	w.routedT = -1
@@ -374,8 +365,7 @@ func (w *worker) apply(t int, ingress []rawBucket) error {
 	r.Arrivals, r.LastArrival = rep.Arrivals, rep.LastArrival
 	r.Reroutes, r.MaxNodeLoad = rep.Reroutes, rep.MaxNodeLoad
 	for _, p := range arrived {
-		ps := sim.CapturePacket(p)
-		ps.Encode(&w.runs)
+		sim.EncodePacket(&w.runs, p)
 	}
 	r.Finalized = w.runs.B
 	w.node.Release()

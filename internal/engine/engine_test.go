@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hotpotato/internal/checkpoint"
 	"hotpotato/internal/engine"
 	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
@@ -147,6 +148,68 @@ func TestOpenParity(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestResumeRefusesDuplicateIDs: a .shards checkpoint that holds one packet
+// ID twice — in two parts, or live and among the finalized packets — is
+// refused alike by the in-process and the distributed engine: the same
+// ErrBadCheckpoint, the same words.
+func TestResumeRefusesDuplicateIDs(t *testing.T) {
+	base := engine.Spec{
+		Dim: 2, Side: 10, Policy: "random", Seed: 5, MaxSteps: 6, Grid: shard.Grid{P: 2, Q: 1},
+		Workload: spec.WorkloadSpec{Name: "full-load"},
+	}
+	dir := t.TempDir()
+	w := base
+	w.CheckpointPath, w.CheckpointEvery = filepath.Join(dir, "w.shards"), 6
+	finish(t, w)
+	tampers := map[string]func(ck *shard.Checkpoint) int{
+		"two parts": func(ck *shard.Checkpoint) int {
+			id := ck.Parts[0].Packets[0].ID
+			ck.Parts[1].Packets[0].ID = id
+			return id
+		},
+		"live and finalized": func(ck *shard.Checkpoint) int {
+			id := ck.Manifest.Finalized[0].ID
+			ck.Parts[1].Packets[0].ID = id
+			return id
+		},
+	}
+	for name, tamper := range tampers {
+		t.Run(name, func(t *testing.T) {
+			ck, err := shard.LoadDir(w.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ck.Manifest.Finalized) == 0 || len(ck.Parts[0].Packets) == 0 || len(ck.Parts[1].Packets) == 0 {
+				t.Fatalf("step-%d checkpoint has %d finalized packets and parts of %d and %d",
+					ck.Manifest.Time, len(ck.Manifest.Finalized), len(ck.Parts[0].Packets), len(ck.Parts[1].Packets))
+			}
+			id := tamper(ck)
+			s := base
+			s.ResumeFrom = filepath.Join(t.TempDir(), "dup.shards")
+			if err := shard.SaveDir(s.ResumeFrom, ck, checkpoint.Binary); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("packet id %d occurs more than once", id)
+			var msgs []string
+			for _, dist := range []int{0, 2} {
+				s.DistWorkers = dist
+				r, err := engine.Open(s)
+				if err == nil {
+					r.Close()
+					t.Fatalf("dist=%d: checkpoint with packet id %d twice accepted", dist, id)
+				}
+				if !errors.Is(err, engine.ErrBadCheckpoint) || !errors.Is(err, shard.ErrBadCheckpoint) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("dist=%d: err %v, want ErrBadCheckpoint: %s", dist, err, want)
+				}
+				msgs = append(msgs, err.Error())
+			}
+			if msgs[0] != msgs[1] {
+				t.Errorf("-shards and -dist refuse differently:\n  %s\n  %s", msgs[0], msgs[1])
+			}
+		})
 	}
 }
 

@@ -77,19 +77,71 @@ func buildTables(m *Mesh) *Tables {
 			t.axisGood[delta+m.side] = goodPlus | goodMinus
 		}
 	}
-	var buf [MaxDim]int
-	for id := 0; id < m.size; id++ {
-		node := NodeID(id)
-		for a, c := range m.Coord(node, buf[:]) {
-			t.coord[id*t.dim+a] = int32(c)
-		}
-		t.degree[id] = int8(m.Degree(node))
-		for d := 0; d < t.dirCount; d++ {
-			if to, ok := m.Neighbor(node, Dir(d)); ok {
-				t.neighbor[id*t.dirCount+d] = to
-			} else {
-				t.neighbor[id*t.dirCount+d] = -1
+	// One odometer walk over the rows along axis 0: c holds the row's
+	// coordinates on the other axes, and a neighbour is id ± stride, wrapped
+	// round the ring on a torus or -1 off the edge of a mesh. What the other
+	// axes contribute (neighbour offsets, degree) is fixed for a whole row;
+	// no division anywhere.
+	var c [MaxDim]int32
+	var off [2 * MaxDim]int // per direction of axes ≥ 1: the neighbour's id offset
+	var has [2 * MaxDim]bool
+	last := t.side - 1
+	for row := 0; row < m.size; row += m.side {
+		rowDeg := int8(0)
+		for a := 1; a < t.dim; a++ {
+			s := m.strides[a]
+			off[2*a], has[2*a] = s, c[a] < last || t.wrap
+			if c[a] == last {
+				off[2*a] = -int(last) * s
 			}
+			off[2*a+1], has[2*a+1] = -s, c[a] > 0 || t.wrap
+			if c[a] == 0 {
+				off[2*a+1] = int(last) * s
+			}
+			if has[2*a] {
+				rowDeg++
+			}
+			if has[2*a+1] {
+				rowDeg++
+			}
+		}
+		for x := int32(0); x <= last; x++ {
+			id := row + int(x)
+			cd := t.coord[id*t.dim : (id+1)*t.dim]
+			cd[0] = x
+			for a := 1; a < t.dim; a++ {
+				cd[a] = c[a]
+			}
+			nb := t.neighbor[id*t.dirCount : (id+1)*t.dirCount]
+			nb[0], nb[1] = NodeID(id+1), NodeID(id-1)
+			deg := rowDeg + 2
+			switch {
+			case x < last:
+			case t.wrap:
+				nb[0] = NodeID(row)
+			default:
+				nb[0], deg = -1, deg-1
+			}
+			switch {
+			case x > 0:
+			case t.wrap:
+				nb[1] = NodeID(row + int(last))
+			default:
+				nb[1], deg = -1, deg-1
+			}
+			for d := 2; d < t.dirCount; d++ {
+				nb[d] = -1
+				if has[d] {
+					nb[d] = NodeID(id + off[d])
+				}
+			}
+			t.degree[id] = deg
+		}
+		for a := 1; a < t.dim; a++ {
+			if c[a]++; c[a] <= last {
+				break
+			}
+			c[a] = 0
 		}
 	}
 	return t

@@ -172,3 +172,87 @@ func TestTablesFuzz(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// referenceTables builds the coordinate, degree and neighbour rows of m
+// from the per-node definition — Coord, Degree and Neighbor, one node and
+// direction at a time — which is what the odometer walk of buildTables
+// must reproduce entry for entry.
+func referenceTables(m *Mesh) (coord []int32, degree []int8, neighbor []NodeID) {
+	var buf [MaxDim]int
+	for id := 0; id < m.Size(); id++ {
+		node := NodeID(id)
+		for _, c := range m.Coord(node, buf[:]) {
+			coord = append(coord, int32(c))
+		}
+		degree = append(degree, int8(m.Degree(node)))
+		for d := 0; d < m.DirCount(); d++ {
+			to, ok := m.Neighbor(node, Dir(d))
+			if !ok {
+				to = -1
+			}
+			neighbor = append(neighbor, to)
+		}
+	}
+	return coord, degree, neighbor
+}
+
+// checkTableRows compares a freshly built table's rows with the per-node
+// definition.
+func checkTableRows(t testing.TB, m *Mesh, tab *Tables) {
+	t.Helper()
+	coord, degree, neighbor := referenceTables(m)
+	if !slices.Equal(tab.coord, coord) {
+		t.Fatalf("%v: coordinate rows differ from Coord", m)
+	}
+	if !slices.Equal(tab.degree, degree) {
+		t.Fatalf("%v: degree rows differ from Degree", m)
+	}
+	if !slices.Equal(tab.neighbor, neighbor) {
+		t.Fatalf("%v: neighbour rows differ from Neighbor", m)
+	}
+}
+
+// TestTablesMatchPerNodeDefinition checks the odometer-built rows against
+// the per-node definition for every node and direction, over dimensions 1–4
+// and sides 2–7, mesh and torus — the side-2 torus included, where "+" and
+// "−" on an axis reach the same neighbour (NewTorus refuses that side; the
+// table builder does not care).
+func TestTablesMatchPerNodeDefinition(t *testing.T) {
+	for dim := 1; dim <= 4; dim++ {
+		for side := 2; side <= 7; side++ {
+			for _, wrap := range []bool{false, true} {
+				m, err := build(dim, side, wrap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab := buildTables(m)
+				checkTableRows(t, m, tab)
+				if wrap && side == 2 {
+					for id := 0; id < m.Size(); id++ {
+						for a := 0; a < dim; a++ {
+							if p, q := tab.neighbor[id*2*dim+2*a], tab.neighbor[id*2*dim+2*a+1]; p != q || p < 0 {
+								t.Fatalf("%v: node %d axis %d: + reaches %d, - reaches %d", m, id, a, p, q)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTables times one table build — what every engine, every dshard
+// worker ASSIGN and every recovery pays before its first step — at the
+// benchmark grid, a large-grid size and a 3-dimensional one. The first
+// build of each is checked against the per-node definition.
+func BenchmarkTables(b *testing.B) {
+	for _, m := range []*Mesh{MustNewTorus(2, 64), MustNewTorus(2, 512), MustNew(3, 64)} {
+		b.Run(m.String(), func(b *testing.B) {
+			checkTableRows(b, m, buildTables(m))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildTables(m)
+			}
+		})
+	}
+}

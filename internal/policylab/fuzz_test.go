@@ -32,6 +32,10 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("not json\n00000000 {}\n"))
 	f.Add([]byte{})
 	f.Add([]byte("{\"trace\":\"hotpotato-conflicts\",\"version\":1}\ndeadbeef {\"t\":1}\n"))
+	// CRC fields a loose parser would read but no writer emits.
+	for _, field := range []string{" 000abcd", "abcd    ", "0x00abcd"} {
+		f.Add([]byte("{\"trace\":\"hotpotato-conflicts\",\"version\":1}\n" + field + " {\"t\":1}\n"))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, recs, err := ReadTrace(bytes.NewReader(data))

@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"hotpotato/internal/codec"
 	"hotpotato/internal/sim"
 )
 
@@ -156,8 +157,8 @@ func decodeLine(raw []byte) (sim.ConflictRecord, bool) {
 	if len(raw) < 10 || raw[8] != ' ' {
 		return rec, false
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(raw[:8]), "%08x", &want); err != nil {
+	want, ok := codec.Hex32(raw[:8])
+	if !ok {
 		return rec, false
 	}
 	payload := raw[9:]

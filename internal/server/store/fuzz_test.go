@@ -37,6 +37,10 @@ func FuzzWAL(f *testing.F) {
 	corrupt := bytes.Clone(whole)
 	corrupt[len(corrupt)/2] ^= 0x20
 	f.Add(corrupt)
+	// CRC fields a loose parser would read but no writer emits.
+	f.Add([]byte(" 000abcd {}\n"))
+	f.Add([]byte("abcd     {}\n"))
+	f.Add([]byte("0x00abcd {}\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, clean, err := DecodeAll(data)
 		if err != nil {

@@ -29,6 +29,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"hotpotato/internal/codec"
 )
 
 // Version is the WAL schema version written into the header line.
@@ -176,9 +178,9 @@ func decodeLine(line []byte) ([]byte, error) {
 	if len(line) < 10 || line[8] != ' ' {
 		return nil, fmt.Errorf("short or unframed line")
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return nil, fmt.Errorf("bad crc field: %w", err)
+	want, ok := codec.Hex32(line[:8])
+	if !ok {
+		return nil, fmt.Errorf("bad crc field %q", line[:8])
 	}
 	payload := line[9:]
 	if got := crc32.ChecksumIEEE(payload); got != want {

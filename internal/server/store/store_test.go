@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,5 +199,37 @@ func TestQuarantineEvidence(t *testing.T) {
 	_, rec := openT(t, path)
 	if j := rec.Job("j000001"); j.Starts != 3 || !j.Pending() {
 		t.Fatalf("folded %+v, want 3 starts pending", j)
+	}
+}
+
+// smallCRCPayload returns a payload whose CRC-32 is below 1<<16, so that the
+// padded and left-aligned renderings of its CRC field below read back, under
+// a loose parser, as the right value.
+func smallCRCPayload(t *testing.T) ([]byte, uint32) {
+	t.Helper()
+	for i := 0; i < 1<<22; i++ {
+		p := fmt.Appendf(nil, `{"pad":%d}`, i)
+		if c := crc32.ChecksumIEEE(p); c < 1<<16 {
+			return p, c
+		}
+	}
+	t.Fatal("no payload with a 16-bit CRC found")
+	return nil, 0
+}
+
+// TestDecodeLineRejectsLooseCRC: the CRC field is exactly eight lowercase
+// hex digits. fmt.Sscanf's %08x, which read it before, also took the field
+// space-padded (" 000abcd") or left-aligned ("abcd    "), and read
+// "0x00abcd" as 0.
+func TestDecodeLineRejectsLooseCRC(t *testing.T) {
+	payload, crc := smallCRCPayload(t)
+	line := func(field string) []byte { return append([]byte(field+" "), payload...) }
+	if got, err := decodeLine(line(fmt.Sprintf("%08x", crc))); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("canonical line: %q, %v", got, err)
+	}
+	for _, field := range []string{fmt.Sprintf(" %07x", crc), fmt.Sprintf("%-8x", crc), fmt.Sprintf("0x%06x", crc)} {
+		if _, err := decodeLine(line(field)); err == nil {
+			t.Errorf("CRC field %q accepted", field)
+		}
 	}
 }

@@ -191,6 +191,30 @@ func (e *Engine) Restore(ck *Checkpoint) error {
 	return e.loadCheckpoint(ck)
 }
 
+// CheckUniqueIDs refuses, as ErrBadCheckpoint, a checkpoint that holds
+// one packet ID twice: in two parts, twice in one part, or live and among
+// the manifest's finalized packets. Restore applies it, and so does a
+// distributed run resuming the checkpoint.
+func (ck *Checkpoint) CheckUniqueIDs() error {
+	n := len(ck.Manifest.Finalized)
+	for i := range ck.Parts {
+		n += len(ck.Parts[i].Packets)
+	}
+	ids := make([]int, 0, n)
+	for i := range ck.Manifest.Finalized {
+		ids = append(ids, ck.Manifest.Finalized[i].ID)
+	}
+	for i := range ck.Parts {
+		for j := range ck.Parts[i].Packets {
+			ids = append(ids, ck.Parts[i].Packets[j].ID)
+		}
+	}
+	if id, dup := sim.DuplicateID(ids); dup {
+		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
+	}
+	return nil
+}
+
 // loadCheckpoint resets every shard and loads the checkpoint's state. Used
 // by Restore and by in-run panic recovery (where the configuration guards
 // hold trivially).
@@ -216,17 +240,8 @@ func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("%w: injector installed=%v, checkpoint has_injector=%v", ErrBadCheckpoint, e.injector != nil, m.HasInjector)
 	}
 
-	var ids []int
-	for i := range m.Finalized {
-		ids = append(ids, m.Finalized[i].ID)
-	}
-	for i := range ck.Parts {
-		for j := range ck.Parts[i].Packets {
-			ids = append(ids, ck.Parts[i].Packets[j].ID)
-		}
-	}
-	if id, dup := sim.DuplicateID(ids); dup {
-		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
+	if err := ck.CheckUniqueIDs(); err != nil {
+		return err
 	}
 
 	for _, s := range e.shards {

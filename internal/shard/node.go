@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"hotpotato/internal/codec"
 	"hotpotato/internal/mesh"
 	"hotpotato/internal/sim"
 )
@@ -84,8 +85,8 @@ type ApplyReport struct {
 // above decides how they travel.
 //
 // A Node is single-goroutine state. The step protocol is Route(t) → the
-// caller exchanges buckets → Apply(t); LoadShard (re)initializes a shard
-// between steps.
+// caller exchanges buckets → Apply(t); LoadBody or LoadShard
+// (re)initializes a shard between steps.
 type Node struct {
 	m      *mesh.Mesh
 	pt     *partition
@@ -93,9 +94,11 @@ type Node struct {
 	shards map[int]*shardState
 
 	finalized []*sim.Packet
+	// ids is LoadBody's scratch for the duplicate-ID check.
+	ids []int
 
 	// free holds the released packets; applied marks the window from a
-	// successful ApplyArrived to the next Route or LoadShard.
+	// successful ApplyArrived to the next Route or load.
 	free    []*sim.Packet
 	applied bool
 }
@@ -170,29 +173,41 @@ func (n *Node) shard(idx int) (*shardState, error) {
 
 // LoadShard replaces shard idx's state with the given live packets, in
 // queue order over ascending nodes — the exact order of a checkpoint
-// ShardPart re-partitioned to this shard, which is how both initial
-// distribution and post-failure rollback arrive. Counter partials are
-// cleared; the coordinator owns the global counters. Packet IDs must be
-// unique within the part, and no node may hold more than its out-degree.
+// ShardPart re-partitioned to this shard. It is LoadBody on the packets'
+// encoding, so an in-memory load passes the very checks a LOAD does.
 func (n *Node) LoadShard(idx int, pkts []sim.PacketState) error {
+	var e codec.Enc
+	sim.EncodePackets(&e, pkts)
+	d := codec.Dec{B: e.B}
+	return n.LoadBody(idx, &d)
+}
+
+// LoadBody replaces shard idx's state with the counted packet list d reads
+// next (sim.EncodePackets' layout: a dshard LOAD body), decoding each packet
+// straight into one slab — the one loader behind initial distribution,
+// post-failure rollback and resume. The packets come in queue order over
+// ascending nodes. Counter partials are cleared; the coordinator owns the
+// global counters. Every packet must be live and in the mesh, sit on a node
+// the shard owns, and carry an ID unique within the body, and no node may
+// hold more than its out-degree. A body d cannot decode is refused, and
+// d.Err() tells the caller so.
+func (n *Node) LoadBody(idx int, d *codec.Dec) error {
 	s, err := n.shard(idx)
 	if err != nil {
 		return err
 	}
-	ids := make([]int, len(pkts))
-	for i := range pkts {
-		ids[i] = pkts[i].ID
-	}
-	if id, dup := sim.DuplicateID(ids); dup {
-		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
-	}
+	count := d.Count("packet")
 	s.reset()
 	n.applied = false
-	s.internal = slices.Grow(s.internal[:0], len(pkts)) // a route stages one move per packet
-	slab := make([]sim.Packet, len(pkts))
-	for i := range pkts {
-		ps := &pkts[i]
-		if err := checkPacketIDs(n.m, ps); err != nil {
+	s.internal = slices.Grow(s.internal[:0], count) // a route stages one move per packet
+	slab := make([]sim.Packet, count)
+	n.ids = n.ids[:0]
+	var ps sim.PacketState
+	for i := range slab {
+		if ps.Decode(d); d.Err() != nil {
+			return fmt.Errorf("%w: shard %d body: %v", ErrBadCheckpoint, idx, d.Err())
+		}
+		if err := checkPacketIDs(n.m, &ps); err != nil {
 			return err
 		}
 		if ps.ArrivedAt >= 0 {
@@ -202,9 +217,17 @@ func (n *Node) LoadShard(idx int, pkts []sim.PacketState) error {
 			return fmt.Errorf("%w: packet %d at node %d belongs to shard %d, loaded into %d",
 				ErrBadCheckpoint, ps.ID, ps.Node, n.pt.owner(ps.Node), idx)
 		}
-		p := &slab[i]
-		ps.Fill(p)
-		if !s.enqueue(p) {
+		ps.Fill(&slab[i])
+		n.ids = append(n.ids, ps.ID)
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("%w: shard %d body: %v", ErrBadCheckpoint, idx, err)
+	}
+	if id, dup := sim.DuplicateID(n.ids); dup {
+		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
+	}
+	for i := range slab {
+		if p := &slab[i]; !s.enqueue(p) {
 			return fmt.Errorf("%w: node %d holds more packets than its out-degree %d",
 				ErrBadCheckpoint, p.Node, n.m.Degree(p.Node))
 		}
@@ -301,7 +324,7 @@ func (n *Node) ApplyArrived(t int, ingress []Bucket) (ApplyReport, []*sim.Packet
 // state left as bytes) and the arrived packets it returned, which the
 // caller must have encoded. It empties the consumed staging lists, so no
 // released packet stays reachable, and is a no-op unless ApplyArrived
-// succeeded since the last Route or LoadShard. Only a caller whose halo
+// succeeded since the last Route or load. Only a caller whose halo
 // moves travel as bytes may release: one that hands Route's buckets back in
 // memory enqueues the senders' packets at the receivers.
 func (n *Node) Release() {

@@ -64,6 +64,16 @@ func (ps *PacketState) Decode(d *codec.Dec) {
 	ps.GoodPrev = d.Num()
 }
 
+// EncodePacket appends a live packet's fields: exactly the bytes
+// CapturePacket(p).Encode writes, through that same Encode, without a
+// PacketState copy of the packet left behind. The engine's AppendBinary and
+// dshard's LOAD bodies, halo moves and arrivals all encode packets with it.
+func EncodePacket(e *codec.Enc, p *Packet) {
+	var ps PacketState
+	ps.capture(p)
+	ps.Encode(e)
+}
+
 // EncodePackets appends a counted packet list.
 func EncodePackets(e *codec.Enc, pkts []PacketState) {
 	e.U64(uint64(len(pkts)))
@@ -141,10 +151,8 @@ func (e *Engine) AppendBinary(b []byte) ([]byte, error) {
 	enc := codec.Enc{B: b}
 	s.encodeHead(&enc)
 	enc.U64(uint64(len(e.packets)))
-	var ps PacketState
 	for _, p := range e.packets {
-		ps.capture(p)
-		ps.Encode(&enc)
+		EncodePacket(&enc, p)
 	}
 	active := e.q.Active()
 	enc.U64(uint64(len(active)))

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"hotpotato/internal/mesh"
@@ -139,6 +141,37 @@ func TestInjectionValidation(t *testing.T) {
 	}
 	if _, err := New(m, nil, nil, Options{}); !errors.Is(err, ErrBadInjection) {
 		t.Errorf("nil policy error = %v", err)
+	}
+}
+
+// TestAdmitInitialSparseUnorderedIDs: IDs need be neither dense nor in
+// order. The watermark is one past the largest, packets reach place in input
+// order, and a duplicate hidden among out-of-order IDs is still refused —
+// before any packet is placed.
+func TestAdmitInitialSparseUnorderedIDs(t *testing.T) {
+	m := mesh.MustNew(2, 4)
+	mk := func(ids ...int) []*Packet {
+		ps := make([]*Packet, len(ids))
+		for i, id := range ids {
+			ps[i] = NewPacket(id, mesh.NodeID(i), 15)
+		}
+		return ps
+	}
+	var placed []int
+	place := func(p *Packet) (int, bool) { placed = append(placed, p.ID); return 1, true }
+	next, err := AdmitInitial(m, mk(900, 3, 41, 7), place)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != 901 || !slices.Equal(placed, []int{900, 3, 41, 7}) {
+		t.Fatalf("next id %d, placed %v; want 901, [900 3 41 7]", next, placed)
+	}
+	placed = nil
+	if _, err := AdmitInitial(m, mk(900, 41, 3, 77, 41), place); !errors.Is(err, ErrBadInjection) || !strings.Contains(err.Error(), "duplicate packet id 41") {
+		t.Fatalf("duplicate among unordered ids: err = %v", err)
+	}
+	if len(placed) != 0 {
+		t.Fatalf("placed %v before refusing the batch", placed)
 	}
 }
 

@@ -30,11 +30,13 @@ type PlaceFunc func(p *Packet) (held int, ok bool)
 // many-to-many model — every packet sits at its in-mesh source, IDs are
 // unique, no node originates more packets than its out-degree — resets each
 // packet's lifecycle fields and absorbs source==destination packets at time
-// 0. Every other packet is handed to place, in input order. It returns the
-// ID watermark (one past the largest ID).
+// 0. Every other packet is handed to place, in input order, once the whole
+// batch has passed the checks; uniqueness is DuplicateID on one scratch
+// slice of the IDs, as on every restore path. It returns the ID watermark
+// (one past the largest ID).
 func AdmitInitial(m *mesh.Mesh, packets []*Packet, place PlaceFunc) (nextID int, err error) {
-	ids := make(map[int]struct{}, len(packets))
-	for _, p := range packets {
+	ids := make([]int, len(packets))
+	for i, p := range packets {
 		if p == nil {
 			return 0, fmt.Errorf("%w: nil packet", ErrBadInjection)
 		}
@@ -47,13 +49,15 @@ func AdmitInitial(m *mesh.Mesh, packets []*Packet, place PlaceFunc) (nextID int,
 		if p.Node != p.Src {
 			return 0, fmt.Errorf("%w: packet %d not at its source", ErrBadInjection, p.ID)
 		}
-		if _, dup := ids[p.ID]; dup {
-			return 0, fmt.Errorf("%w: duplicate packet id %d", ErrBadInjection, p.ID)
-		}
-		ids[p.ID] = struct{}{}
-		if p.ID >= nextID {
-			nextID = p.ID + 1
-		}
+		ids[i] = p.ID
+	}
+	if id, dup := DuplicateID(ids); dup {
+		return 0, fmt.Errorf("%w: duplicate packet id %d", ErrBadInjection, id)
+	}
+	if len(ids) > 0 {
+		nextID = max(ids[len(ids)-1]+1, 0)
+	}
+	for _, p := range packets {
 		p.Cause = DropNone
 		p.DroppedAt = -1
 		if p.Src == p.Dst {
