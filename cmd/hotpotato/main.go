@@ -239,7 +239,7 @@ func runCtx(ctx context.Context, args []string) error {
 		maxWall      = fs.Duration("max-wall", 0, "wall-clock budget for the run (0 = unlimited)")
 
 		ckptPath   = fs.String("checkpoint", "", "checkpoint file: saved periodically (-checkpoint-every) and on SIGINT/SIGTERM")
-		ckptEvery  = fs.Int("checkpoint-every", 0, "with -checkpoint, save every N steps (0 = only on interrupt; a -dist run also saves on its coordinator's 256-step rollback cadence)")
+		ckptEvery  = fs.Int("checkpoint-every", 0, "with -checkpoint, save every N steps (0 = only on interrupt; a -dist run also saves on its coordinator's 256-step rollback cadence); saves are written behind the run, so the file may lag it by up to two saves until the run returns")
 		ckptFormat = fs.String("checkpoint-format", "binary", "checkpoint encoding: binary or json")
 		resume     = fs.Bool("resume", false, "restore state from -checkpoint before running (pass the same flags as the original run)")
 		showVer    = fs.Bool("version", false, "print the build version and exit")

@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		jobTO    = fs.Duration("job-timeout", 0, "per-job wall-time budget (0 = unlimited); over-budget jobs checkpoint")
 		attempts = fs.Int("max-attempts", 1, "attempts per job before it is reported failed")
 		ckptDir  = fs.String("checkpoint-dir", "", "directory for drained/timed-out job checkpoints (empty = no checkpointing)")
-		ckptEach = fs.Int("checkpoint-every", 0, "also checkpoint running jobs every N engine steps (0 = only on stop; needs -checkpoint-dir)")
+		ckptEach = fs.Int("checkpoint-every", 0, "also checkpoint running jobs every N engine steps (0 = only on stop; needs -checkpoint-dir); saves are written behind the job, so a job's file may lag it by up to two saves until its run returns")
 		wal      = fs.String("wal", "", "write-ahead log for the durable job store (empty = jobs do not survive restarts)")
 		tenRate  = fs.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 = no per-tenant limiting)")
 		tenBurst = fs.Int("tenant-burst", 1, "per-tenant admission burst")

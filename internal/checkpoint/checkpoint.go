@@ -5,7 +5,9 @@
 // versioned checkpoint files, so long runs survive crashes and signals: the
 // state is captured between steps, written atomically, and restored
 // bit-identically on resume (see sim.Engine.Snapshot/Restore for the parity
-// contract).
+// contract). Append encodes a file into memory and WriteFile puts bytes on
+// disk atomically, so a caller can capture on one goroutine and write on
+// another; Resume decodes a binary file straight into a fresh engine.
 //
 // The container format is a fixed header — magic "HPCK", one format byte,
 // a little-endian uint32 container version, a little-endian uint32 IEEE
@@ -35,6 +37,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"hotpotato/internal/sim"
@@ -70,53 +73,130 @@ type binaryAppender interface {
 	AppendBinary(b []byte) ([]byte, error)
 }
 
-// bufPool recycles the buffers a checkpoint is assembled in (WriteValue) or
-// read into (ReadValue), so a periodic save allocates nothing per call.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufPool recycles the buffers a checkpoint is assembled in (WriteValue,
+// SaveValue) or read into (ReadValue, Resume), so a periodic save allocates
+// nothing per call.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // ErrBadFile is returned by Read/Load for files that are not checkpoints,
 // are truncated or corrupt, or come from a future container version.
 var ErrBadFile = errors.New("checkpoint: not a valid checkpoint file")
 
-// WriteValue encodes any checkpointable value into w inside the HPCK
-// envelope. The envelope authenticates the container (magic, format byte,
-// container version, payload CRC); any schema versioning of the value
-// itself rides inside the payload and is the caller's contract — exactly
-// how Read enforces sim.SnapshotVersion for engine snapshots.
-func WriteValue(w io.Writer, v any, format Format) error {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
+// Append appends the checkpoint file of v — the HPCK envelope, then v
+// encoded in the given format — to b. The envelope authenticates the
+// container (magic, format byte, container version, payload CRC); any
+// schema versioning of the value itself rides inside the payload and is the
+// caller's contract — exactly how Read enforces sim.SnapshotVersion for
+// engine snapshots. Into a b with room enough a binary value whose own
+// AppendBinary allocates nothing costs no allocation.
+func Append(b []byte, v any, format Format) ([]byte, error) {
+	start := len(b)
 	var hdr [headerLen]byte
-	buf.Write(hdr[:]) // filled in below, once the payload's CRC is known
+	b = append(b, hdr[:]...) // filled in below, once the payload's CRC is known
 	switch format {
 	case JSON:
+		buf := bytes.NewBuffer(b)
 		enc := json.NewEncoder(buf)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(v); err != nil {
-			return fmt.Errorf("checkpoint: encode: %w", err)
+			return b[:start], fmt.Errorf("checkpoint: encode: %w", err)
 		}
+		b = buf.Bytes()
 	case Binary:
 		a, ok := v.(binaryAppender)
 		if !ok {
-			return fmt.Errorf("checkpoint: encode: %T has no AppendBinary", v)
+			return b[:start], fmt.Errorf("checkpoint: encode: %T has no AppendBinary", v)
 		}
-		payload, err := a.AppendBinary(buf.AvailableBuffer())
-		if err != nil {
-			return fmt.Errorf("checkpoint: encode: %w", err)
+		var err error
+		if b, err = a.AppendBinary(b); err != nil {
+			return b[:start], fmt.Errorf("checkpoint: encode: %w", err)
 		}
-		buf.Write(payload)
 	default:
-		return fmt.Errorf("checkpoint: unknown format %q", byte(format))
+		return b[:start], fmt.Errorf("checkpoint: unknown format %q", byte(format))
 	}
+	file := b[start:]
+	copy(file[:4], magic[:])
+	file[4] = byte(format)
+	binary.LittleEndian.PutUint32(file[5:9], Version)
+	binary.LittleEndian.PutUint32(file[9:headerLen], crc32.ChecksumIEEE(file[headerLen:]))
+	return b, nil
+}
 
-	b := buf.Bytes()
-	copy(b[:4], magic[:])
-	b[4] = byte(format)
-	binary.LittleEndian.PutUint32(b[5:9], Version)
-	binary.LittleEndian.PutUint32(b[9:headerLen], crc32.ChecksumIEEE(b[headerLen:]))
+// WriteValue encodes any checkpointable value into w inside the HPCK
+// envelope (see Append); header and payload leave in one Write.
+func WriteValue(w io.Writer, v any, format Format) error {
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	b, err := Append((*bp)[:0], v, format)
+	if err != nil {
+		return err
+	}
+	*bp = b
 	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("checkpoint: write: %w", err)
+	}
+	return nil
+}
+
+// readPayload reads a checkpoint's envelope and payload from r into *bp,
+// verifying the magic, the container version and the payload's CRC, and
+// returns the format byte and the payload (which aliases *bp).
+func readPayload(r io.Reader, bp *[]byte) (Format, []byte, error) {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, fmt.Errorf("%w: short header: %v", ErrBadFile, err)
+	}
+	if !bytes.Equal(hdr[:4], magic[:]) {
+		return 0, nil, fmt.Errorf("%w: bad magic %q", ErrBadFile, hdr[:4])
+	}
+	format := Format(hdr[4])
+	if ver := binary.LittleEndian.Uint32(hdr[5:9]); ver != Version {
+		return 0, nil, fmt.Errorf("%w: container version %d, this build reads %d", ErrBadFile, ver, Version)
+	}
+	payload := (*bp)[:0]
+	for {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, 512)
+		}
+		n, err := r.Read(payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			*bp = payload
+			return 0, nil, fmt.Errorf("%w: read payload: %v", ErrBadFile, err)
+		}
+	}
+	*bp = payload
+	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(hdr[9:headerLen]) {
+		return 0, nil, fmt.Errorf("%w: payload checksum mismatch (corrupt or truncated)", ErrBadFile)
+	}
+	switch format {
+	case JSON, Binary:
+		return format, payload, nil
+	case legacyGob:
+		return 0, nil, fmt.Errorf("%w: format 'B' is the gob payload of an older build; this build reads 'V' and 'J'", ErrBadFile)
+	}
+	return 0, nil, fmt.Errorf("%w: unknown format byte %q", ErrBadFile, byte(format))
+}
+
+// decodePayload decodes a payload readPayload returned into v (a non-nil
+// pointer). Both decoders copy what they keep, so the payload can live in a
+// recycled buffer.
+func decodePayload(format Format, payload []byte, v any) error {
+	if format == JSON {
+		if err := json.Unmarshal(payload, v); err != nil {
+			return fmt.Errorf("%w: decode: %v", ErrBadFile, err)
+		}
+		return nil
+	}
+	u, ok := v.(encoding.BinaryUnmarshaler)
+	if !ok {
+		return fmt.Errorf("checkpoint: decode: %T has no UnmarshalBinary", v)
+	}
+	if err := u.UnmarshalBinary(payload); err != nil {
+		return fmt.Errorf("%w: decode: %v", ErrBadFile, err)
 	}
 	return nil
 }
@@ -125,65 +205,31 @@ func WriteValue(w io.Writer, v any, format Format) error {
 // pointer), sniffing the payload format from the header and verifying the
 // container version and checksum.
 func ReadValue(r io.Reader, v any) error {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: short header: %v", ErrBadFile, err)
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	format, payload, err := readPayload(r, bp)
+	if err != nil {
+		return err
 	}
-	if !bytes.Equal(hdr[:4], magic[:]) {
-		return fmt.Errorf("%w: bad magic %q", ErrBadFile, hdr[:4])
-	}
-	format := Format(hdr[4])
-	if ver := binary.LittleEndian.Uint32(hdr[5:9]); ver != Version {
-		return fmt.Errorf("%w: container version %d, this build reads %d", ErrBadFile, ver, Version)
-	}
-	// Both decoders copy what they keep, so the payload can live in a
-	// recycled buffer.
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
-	if _, err := buf.ReadFrom(r); err != nil {
-		return fmt.Errorf("%w: read payload: %v", ErrBadFile, err)
-	}
-	payload := buf.Bytes()
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(hdr[9:headerLen]) {
-		return fmt.Errorf("%w: payload checksum mismatch (corrupt or truncated)", ErrBadFile)
-	}
-
-	switch format {
-	case JSON:
-		if err := json.Unmarshal(payload, v); err != nil {
-			return fmt.Errorf("%w: decode: %v", ErrBadFile, err)
-		}
-	case Binary:
-		u, ok := v.(encoding.BinaryUnmarshaler)
-		if !ok {
-			return fmt.Errorf("checkpoint: decode: %T has no UnmarshalBinary", v)
-		}
-		if err := u.UnmarshalBinary(payload); err != nil {
-			return fmt.Errorf("%w: decode: %v", ErrBadFile, err)
-		}
-	case legacyGob:
-		return fmt.Errorf("%w: format 'B' is the gob payload of an older build; this build reads 'V' and 'J'", ErrBadFile)
-	default:
-		return fmt.Errorf("%w: unknown format byte %q", ErrBadFile, byte(format))
-	}
-	return nil
+	return decodePayload(format, payload, v)
 }
 
-// SaveValue writes any checkpointable value to path atomically: the bytes
-// go to a temporary file in the same directory, are fsynced, and replace
-// path with a rename. A crash mid-save therefore leaves the previous
-// checkpoint intact — the property periodic checkpointing exists for.
-func SaveValue(path string, v any, format Format) error {
+// WriteFile replaces the file at path with data atomically: the bytes go
+// to a temporary file in the same directory, are fsynced, and replace path
+// with a rename. A crash mid-write therefore leaves the previous checkpoint
+// intact — the property periodic checkpointing exists for. It is the one
+// way a checkpoint file reaches the disk: SaveValue is Append, then
+// WriteFile.
+func WriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := WriteValue(tmp, v, format); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return err
+		return fmt.Errorf("checkpoint: write: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -196,6 +242,19 @@ func SaveValue(path string, v any, format Format) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// SaveValue writes any checkpointable value to path atomically: Append
+// into a pooled buffer, then WriteFile.
+func SaveValue(path string, v any, format Format) error {
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	b, err := Append((*bp)[:0], v, format)
+	if err != nil {
+		return err
+	}
+	*bp = b
+	return WriteFile(path, b)
 }
 
 // LoadValue reads a checkpoint file written by SaveValue into v.
@@ -225,10 +284,17 @@ func Read(r io.Reader) (*sim.Snapshot, error) {
 	if err := ReadValue(r, s); err != nil {
 		return nil, err
 	}
-	if s.Version != sim.SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot schema v%d, this build reads v%d", ErrBadFile, s.Version, sim.SnapshotVersion)
+	if err := checkSchema(s); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+func checkSchema(s *sim.Snapshot) error {
+	if s.Version != sim.SnapshotVersion {
+		return fmt.Errorf("%w: snapshot schema v%d, this build reads v%d", ErrBadFile, s.Version, sim.SnapshotVersion)
+	}
+	return nil
 }
 
 // Save writes the engine snapshot to path atomically (see SaveValue).
@@ -248,4 +314,40 @@ func Load(path string) (*sim.Snapshot, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
+}
+
+// Resume reads the checkpoint file at path into e, a freshly built engine
+// configured as the checkpointed one (see sim.Engine.Restore). A binary
+// file decodes straight into the engine (sim.Engine.RestoreBinary), with no
+// Snapshot in between; a JSON file goes through Read's Snapshot and
+// Restore. A file Load would refuse is refused with Load's error (ErrBadFile,
+// or the error opening it) and leaves e fresh; a checkpoint the engine
+// refuses returns the engine's error, which wraps sim.ErrBadSnapshot.
+func Resume(path string, e *sim.Engine) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	defer f.Close()
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	format, payload, err := readPayload(f, bp)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if format == Binary {
+		err := e.RestoreBinary(payload)
+		if err != nil && !errors.Is(err, sim.ErrBadSnapshot) {
+			return fmt.Errorf("%s: %w: decode: %v", path, ErrBadFile, err)
+		}
+		return err
+	}
+	s := &sim.Snapshot{}
+	if err := decodePayload(format, payload, s); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if err := checkSchema(s); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return e.Restore(s)
 }

@@ -118,10 +118,40 @@ func (d *Dec) I64() int64 {
 	return x
 }
 
+// Varints reads len(dst) zig-zag varints, as that many I64 calls would,
+// but decodes a value of one byte, or two in minimal form — most fields of
+// most records — in place, without a call; any other takes I64's path and
+// checks. After an error the rest of dst is zero.
+func (d *Dec) Varints(dst []int64) {
+	b, off := d.B, d.off
+	for i := range dst {
+		if d.err == nil && off < len(b) {
+			if u := uint64(b[off]); u < 0x80 {
+				off++
+				dst[i] = int64(u>>1) ^ -int64(u&1)
+				continue
+			} else if off+1 < len(b) && b[off+1]-1 < 0x7f { // a minimal two-byte value
+				u = u&0x7f | uint64(b[off+1])<<7
+				off += 2
+				dst[i] = int64(u>>1) ^ -int64(u&1)
+				continue
+			}
+		}
+		d.off = off
+		dst[i] = d.I64()
+		off = d.off
+	}
+	d.off = off
+}
+
 // Num, I32 and I8 read a varint that must fit the narrower type (ints, node
 // ids, directions); an out-of-range value is an error, never a truncation.
-func (d *Dec) Num() int {
-	v := d.I64()
+// AsInt, AsI32 and AsI8 are their range checks, for values Varints read.
+func (d *Dec) Num() int   { return d.AsInt(d.I64()) }
+func (d *Dec) I32() int32 { return d.AsI32(d.I64()) }
+func (d *Dec) I8() int8   { return d.AsI8(d.I64()) }
+
+func (d *Dec) AsInt(v int64) int {
 	if int64(int(v)) != v {
 		d.Fail("varint overflows int")
 		return 0
@@ -129,8 +159,7 @@ func (d *Dec) Num() int {
 	return int(v)
 }
 
-func (d *Dec) I32() int32 {
-	v := d.I64()
+func (d *Dec) AsI32(v int64) int32 {
 	if int64(int32(v)) != v {
 		d.Fail("varint overflows int32")
 		return 0
@@ -138,8 +167,7 @@ func (d *Dec) I32() int32 {
 	return int32(v)
 }
 
-func (d *Dec) I8() int8 {
-	v := d.I64()
+func (d *Dec) AsI8(v int64) int8 {
 	if int64(int8(v)) != v {
 		d.Fail("varint overflows int8")
 		return 0
@@ -193,12 +221,15 @@ func (d *Dec) span(what string) []byte {
 // Count reads a collection length and guards it against the bytes left in
 // the payload (each element costs at least one byte), so a corrupted count
 // cannot drive a huge allocation.
-func (d *Dec) Count(what string) int {
+func (d *Dec) Count(what string) int { return d.Items(what, 1) }
+
+// Items is Count for elements that each cost at least size bytes.
+func (d *Dec) Items(what string, size int) int {
 	n := d.U64()
 	if d.err != nil {
 		return 0
 	}
-	if n > uint64(len(d.B)-d.off) {
+	if n > uint64((len(d.B)-d.off)/size) {
 		d.Fail(what + " count exceeds payload")
 		return 0
 	}

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,28 @@ func TestRoundTrip(t *testing.T) {
 	d.U64()
 	if err := d.Done(); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing byte: err = %v", err)
+	}
+}
+
+// TestVarints: Varints reads what as many I64 calls read, one-byte and
+// longer values mixed, and zeroes what follows an error.
+func TestVarints(t *testing.T) {
+	want := []int64{0, -1, 63, -64, 64, -65, math.MaxInt64, math.MinInt64, 5}
+	var e Enc
+	for _, v := range want {
+		e.I64(v)
+	}
+	d := Dec{B: e.B}
+	got := make([]int64, len(want))
+	d.Varints(got)
+	if d.Done() != nil || !slices.Equal(got, want) {
+		t.Fatalf("Varints read %v (err %v), want %v", got, d.Done(), want)
+	}
+	d = Dec{B: e.B[:len(e.B)-2]} // cuts MinInt64 short, drops 5
+	got = []int64{9, 9, 9, 9, 9, 9, 9, 9, 9}
+	d.Varints(got)
+	if d.Err() == nil || !slices.Equal(got, append(want[:7:7], 0, 0)) {
+		t.Fatalf("truncated Varints read %v (err %v)", got, d.Err())
 	}
 }
 
@@ -100,6 +123,8 @@ func TestRejections(t *testing.T) {
 		"count 2^63":          func(d *Dec) { d.B = huge; d.Count("thing") },
 		"string 2^63":         func(d *Dec) { d.B = huge; _ = d.Str() },
 		"count beyond input":  func(d *Dec) { d.B = []byte{5, 1, 2, 3, 4}; d.Count("thing") },
+		"items beyond input":  func(d *Dec) { d.B = []byte{3, 1, 2, 3, 4, 5}; d.Items("pair", 2) },
+		"varints non-minimal": func(d *Dec) { d.B = []byte{2, 0x81, 0x00}; d.Varints(make([]int64, 2)) },
 	}
 	for name, run := range cases {
 		var d Dec

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"hotpotato/internal/checkpoint"
@@ -282,12 +283,11 @@ func (r *Run) openSim(lvl sim.ValidationLevel) error {
 		e.SetInjector(r.source)
 	}
 	if s.ResumeFrom != "" {
-		snap, err := checkpoint.Load(s.ResumeFrom)
-		if err != nil {
+		if err := checkpoint.Resume(s.ResumeFrom, e); err != nil {
+			if errors.Is(err, sim.ErrBadSnapshot) {
+				return resumeErr(s.ResumeFrom, err)
+			}
 			return badCheckpoint(err)
-		}
-		if err := e.Restore(snap); err != nil {
-			return resumeErr(s.ResumeFrom, err)
 		}
 	}
 	r.sim, r.stepper = e, e
@@ -373,10 +373,13 @@ func (r *Run) openDist(lvl sim.ValidationLevel) error {
 // the partial Result alongside context.Canceled, and any other error comes
 // with a nil Result.
 //
-// With Spec.CheckpointPath set, a run stopped early always leaves a loadable
-// checkpoint of the state it stopped in — also when stopped before its first
-// step, where the in-process engines' own flush finds no unsaved progress:
-// the initial state is the run itself.
+// With Spec.CheckpointPath set, an in-process run writes its checkpoints
+// behind itself (see writer): the file may lag the run by up to two
+// captures while it steps, but Run returns only once the last capture is on
+// disk, or with the error that kept it off. A run stopped early therefore
+// always leaves a loadable checkpoint of the state it stopped in — also
+// when stopped before its first step, where the in-process engines' own
+// flush finds no unsaved progress: the initial state is the run itself.
 func (r *Run) Run(ctx context.Context, onStep func()) (*sim.Result, error) {
 	var hook func(int, int)
 	if onStep != nil {
@@ -389,10 +392,15 @@ func (r *Run) Run(ctx context.Context, onStep func()) (*sim.Result, error) {
 		if onStep != nil {
 			r.sim.AddObserver(sim.ObserverFunc(func(*sim.StepRecord) { onStep() }))
 		}
-		res, err = runSaving(ctx, r, r.sim.RunCheckpointed, func() (*sim.Engine, error) { return r.sim, nil }, saveSim)
+		current := func() (*sim.Engine, error) { return r.sim, nil }
+		if r.format == checkpoint.Binary {
+			res, err = runSaving(ctx, r, "sim", r.sim.RunCheckpointed, current, binaryFiles)
+		} else {
+			res, err = runSaving(ctx, r, "sim", r.sim.RunCheckpointed, current, snapshotFiles)
+		}
 	case r.shard != nil:
 		r.shard.StepHook = hook
-		res, err = runSaving(ctx, r, r.shard.RunCheckpointed, r.shard.Checkpoint, shard.SaveDir)
+		res, err = runSaving(ctx, r, "shard", r.shard.RunCheckpointed, r.shard.Checkpoint, shardDirs)
 	default:
 		r.coord.StepHook = hook // the coordinator persists by itself
 		res, err = r.coord.Run(ctx)
@@ -406,47 +414,99 @@ func (r *Run) Run(ctx context.Context, onStep func()) (*sim.Result, error) {
 	return res, err
 }
 
-// saveSim is the single engine's checkpoint sink. A binary checkpoint is
-// encoded straight from the engine (sim.Engine.AppendBinary: the bytes of
-// its Snapshot, without the copy); JSON goes through Snapshot.
-func saveSim(path string, e *sim.Engine, format checkpoint.Format) error {
-	if format == checkpoint.Binary {
-		return checkpoint.SaveValue(path, e, format)
-	}
-	s, err := e.Snapshot()
-	if err != nil {
+// persistence is how a run persists what its engine hands the checkpoint
+// sink (V): capture copies it into a writer-owned T on the run's goroutine,
+// between steps; write puts a T at the checkpoint path on the writer's
+// goroutine; release, if set, gives a T's memory back once the run is over.
+type persistence[V, T any] struct {
+	capture func(dst *T, v V) error
+	write   func(path string, src *T, format checkpoint.Format) error
+	release func(*T)
+}
+
+// binaryFiles captures the whole checkpoint file, encoded straight from the
+// engine (sim.Engine.AppendBinary: the bytes of its Snapshot, without the
+// copy) into a buffer recycled from run to run.
+var binaryFiles = persistence[*sim.Engine, *[]byte]{
+	capture: func(b **[]byte, e *sim.Engine) (err error) {
+		if *b == nil {
+			*b = fileBufs.Get().(*[]byte)
+		}
+		**b, err = checkpoint.Append((**b)[:0], e, checkpoint.Binary)
 		return err
-	}
-	return checkpoint.Save(path, s, format)
+	},
+	write: func(path string, b **[]byte, _ checkpoint.Format) error { return checkpoint.WriteFile(path, **b) },
+	release: func(b **[]byte) {
+		if *b != nil {
+			fileBufs.Put(*b)
+		}
+	},
+}
+
+var fileBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// snapshotFiles captures the engine's Snapshot (the JSON format); the
+// writer encodes it.
+var snapshotFiles = persistence[*sim.Engine, *sim.Snapshot]{
+	capture: func(s **sim.Snapshot, e *sim.Engine) (err error) {
+		*s, err = e.Snapshot()
+		return err
+	},
+	write: func(path string, s **sim.Snapshot, format checkpoint.Format) error {
+		return checkpoint.Save(path, *s, format)
+	},
+}
+
+// shardDirs keeps the sharded engine's Checkpoint, a fresh copy per call;
+// the writer saves it as a directory.
+var shardDirs = persistence[*shard.Checkpoint, *shard.Checkpoint]{
+	capture: func(dst **shard.Checkpoint, ck *shard.Checkpoint) error { *dst = ck; return nil },
+	write: func(dir string, ck **shard.Checkpoint, format checkpoint.Format) error {
+		return shard.SaveDir(dir, *ck, format)
+	},
 }
 
 // runSaving drives an in-process engine's RunCheckpointed with the Spec's
-// checkpoint sink and applies the early-stop rule. T is what the engine
-// hands its sink — the single engine itself, a shard.Checkpoint — and
-// capture produces it outside the run; write replaces the file atomically.
-func runSaving[T any](ctx context.Context, r *Run,
-	run func(context.Context, int, func(*T) error) (*sim.Result, error),
-	capture func() (*T, error), write func(string, *T, checkpoint.Format) error) (*sim.Result, error) {
+// checkpoint sink — a capture handed to a writer that persists it behind
+// the run — and applies the early-stop rule. current produces what the
+// engine hands its sink outside the run. name prefixes a write error that
+// surfaces once the run is over, as the engine prefixes one its sink
+// returns.
+func runSaving[V, T any](ctx context.Context, r *Run, name string,
+	run func(context.Context, int, func(V) error) (*sim.Result, error),
+	current func() (V, error), p persistence[V, T]) (*sim.Result, error) {
 	path, every := r.spec.CheckpointPath, r.spec.CheckpointEvery
 	if path == "" {
 		return run(ctx, 0, nil)
 	}
-	save := func(v *T) error {
-		if err := write(path, v, r.format); err != nil {
-			return err
-		}
-		r.saved = path
-		return nil
+	w := newWriter(func(c *T) error { return p.write(path, c, r.format) })
+	save := func(v V) error {
+		return w.capture(func(c *T) error { return p.capture(c, v) })
 	}
 	res, err := run(ctx, every, save)
-	if res != nil && (err != nil || res.DeadlineExceeded) && r.saved == "" {
-		v, cerr := capture()
+	if res != nil && (err != nil || res.DeadlineExceeded) && w.captured == 0 {
+		v, cerr := current()
 		if cerr == nil {
 			cerr = save(v)
 		}
 		if cerr != nil {
-			return nil, cerr
+			res, err = nil, cerr
 		}
+	}
+	written, werr := w.close()
+	if p.release != nil {
+		for i := range w.slots {
+			p.release(&w.slots[i])
+		}
+	}
+	switch {
+	case res == nil:
+		return nil, err
+	case werr != nil:
+		return nil, fmt.Errorf("%s: checkpoint save: %w", name, werr)
+	}
+	if written > 0 {
+		r.saved = path
 	}
 	return res, err
 }

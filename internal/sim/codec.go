@@ -41,20 +41,28 @@ func (ps *PacketState) Encode(e *codec.Enc) {
 	e.Num(ps.GoodPrev)
 }
 
-// Decode reads what Encode wrote.
+// packetBytes is the least a packet encodes to: thirteen varints and the
+// flags byte, one byte each.
+const packetBytes = 14
+
+// Decode reads what Encode wrote: the twelve varints before the flags byte
+// in one codec.Dec.Varints call, so a field of one or two bytes costs no
+// call, then each value's range check.
 func (ps *PacketState) Decode(d *codec.Dec) {
-	ps.ID = d.Num()
-	ps.Src = mesh.NodeID(d.I32())
-	ps.Dst = mesh.NodeID(d.I32())
-	ps.Node = mesh.NodeID(d.I32())
-	ps.EnteredVia = mesh.Dir(d.I8())
-	ps.InjectedAt = d.Num()
-	ps.Class = d.Num()
-	ps.ArrivedAt = d.Num()
-	ps.DroppedAt = d.Num()
-	ps.Cause = DropCause(d.Num())
-	ps.Hops = d.Num()
-	ps.Deflections = d.Num()
+	var f [12]int64
+	d.Varints(f[:])
+	ps.ID = d.AsInt(f[0])
+	ps.Src = mesh.NodeID(d.AsI32(f[1]))
+	ps.Dst = mesh.NodeID(d.AsI32(f[2]))
+	ps.Node = mesh.NodeID(d.AsI32(f[3]))
+	ps.EnteredVia = mesh.Dir(d.AsI8(f[4]))
+	ps.InjectedAt = d.AsInt(f[5])
+	ps.Class = d.AsInt(f[6])
+	ps.ArrivedAt = d.AsInt(f[7])
+	ps.DroppedAt = d.AsInt(f[8])
+	ps.Cause = DropCause(d.AsInt(f[9]))
+	ps.Hops = d.AsInt(f[10])
+	ps.Deflections = d.AsInt(f[11])
 	flags := d.Byte()
 	if flags > 3 {
 		d.Fail("unknown packet flags")
@@ -85,7 +93,7 @@ func EncodePackets(e *codec.Enc, pkts []PacketState) {
 // DecodePackets reads a counted packet list (nil when empty); what names the
 // list in the error of an oversized count.
 func DecodePackets(d *codec.Dec, what string) []PacketState {
-	n := d.Count(what)
+	n := d.Items(what, packetBytes)
 	if n == 0 {
 		return nil
 	}
@@ -226,6 +234,50 @@ func (s *Snapshot) encodeTail(e *codec.Enc) {
 // data.
 func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	d := codec.Dec{B: data}
+	if err := s.decodeHead(&d); err != nil {
+		return err
+	}
+	s.Packets = DecodePackets(&d, "packet")
+	s.Queues = decodeQueues(&d, len(s.Packets))
+	s.decodeTail(&d)
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("sim: snapshot: %w", err)
+	}
+	return nil
+}
+
+// RestoreBinary is Restore from the bytes Snapshot.AppendBinary (and
+// Engine.AppendBinary) write, decoded straight into the engine: the packets
+// land in the engine's own slab, with no Snapshot copy of them in between.
+// It reads the payload through UnmarshalBinary's head, packet, queue and
+// tail decoders, then makes every check Restore makes, in Restore's order:
+// a payload UnmarshalBinary refuses is refused with its error (never
+// ErrBadSnapshot), and any other is refused exactly when Restore would
+// refuse its Snapshot, with Restore's error and the engine left as Restore
+// leaves it. It keeps no reference to data.
+func (e *Engine) RestoreBinary(data []byte) error {
+	d := codec.Dec{B: data}
+	var s Snapshot
+	if err := s.decodeHead(&d); err != nil {
+		return err
+	}
+	slab := make([]Packet, d.Items("packet", packetBytes))
+	var ps PacketState
+	for i := range slab {
+		ps.Decode(&d)
+		ps.Fill(&slab[i])
+	}
+	queues := decodeQueues(&d, len(slab))
+	s.decodeTail(&d)
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("sim: snapshot: %w", err)
+	}
+	return e.restore(&s, slab, queues)
+}
+
+// decodeHead reads what encodeHead wrote into s, refusing any schema
+// version but this build's before it reads on.
+func (s *Snapshot) decodeHead(d *codec.Dec) error {
 	*s = Snapshot{Version: d.Num()}
 	if d.Err() == nil && s.Version != SnapshotVersion {
 		return fmt.Errorf("sim: snapshot schema v%d, this build reads v%d", s.Version, SnapshotVersion)
@@ -245,7 +297,7 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	s.SerialRNG = d.U64()
 
 	s.Livelocked = d.Bool()
-	s.Seen = DecodeSeen(&d)
+	s.Seen = DecodeSeen(d)
 
 	s.TotalDeflections = d.I64()
 	s.TotalHops = d.I64()
@@ -257,34 +309,43 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	s.DroppedUnreachable = d.Num()
 	s.DroppedStranded = d.Num()
 	s.DroppedInject = d.Num()
+	return nil
+}
 
-	s.Packets = DecodePackets(&d, "packet")
-	if n := d.Count("queue"); n > 0 {
-		s.Queues = make([]QueueState, n)
-		// The queues' index lists are cut from one array: a consistent
-		// snapshot queues each packet at most once, so len(Packets) bounds
-		// their total (an inconsistent one gets its own arrays, and Restore
-		// refuses it).
-		idx := make([]int, 0, len(s.Packets))
-		for i := range s.Queues {
-			q := &s.Queues[i]
-			q.Node = mesh.NodeID(d.I32())
-			k := d.Count("queued packet")
-			if k == 0 {
-				continue
-			}
-			if k > cap(idx)-len(idx) {
-				idx = make([]int, 0, k)
-			}
-			end := len(idx) + k
-			q.Packets = idx[len(idx):end:end]
-			idx = idx[:end]
-			for j := range q.Packets {
-				q.Packets[j] = d.Num()
-			}
+// decodeQueues reads the queue list of a snapshot of the given number of
+// packets (nil when empty). The queues' index lists are cut from one array:
+// a consistent snapshot queues each packet at most once, so the packet
+// count bounds their total (an inconsistent one gets its own arrays, and
+// Restore refuses it).
+func decodeQueues(d *codec.Dec, packets int) []QueueState {
+	n := d.Items("queue", 2) // a node and a length
+	if n == 0 {
+		return nil
+	}
+	queues := make([]QueueState, n)
+	idx := make([]int, 0, packets)
+	for i := range queues {
+		q := &queues[i]
+		q.Node = mesh.NodeID(d.I32())
+		k := d.Count("queued packet")
+		if k == 0 {
+			continue
+		}
+		if k > cap(idx)-len(idx) {
+			idx = make([]int, 0, k)
+		}
+		end := len(idx) + k
+		q.Packets = idx[len(idx):end:end]
+		idx = idx[:end]
+		for j := range q.Packets {
+			q.Packets[j] = d.Num()
 		}
 	}
+	return queues
+}
 
+// decodeTail reads what encodeTail wrote into s.
+func (s *Snapshot) decodeTail(d *codec.Dec) {
 	s.HasInjector = d.Bool()
 	s.InjectorState = d.Bytes()
 
@@ -293,8 +354,4 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	s.OverlayDigest = d.U64()
 	s.LinkFailures = d.Num()
 	s.NodeFailures = d.Num()
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("sim: snapshot: %w", err)
-	}
-	return nil
 }

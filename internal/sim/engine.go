@@ -426,9 +426,10 @@ func (e *Engine) Step() error {
 	// Route every active node, in ascending order, so the move buffer is
 	// grouped by source node. Every live packet sits in exactly one active
 	// node's queue, so the step produces exactly e.live moves; the buffer is
-	// reused across steps and only reallocated when injection outgrows it.
+	// reused across steps and, when injection outgrows it, at least doubled,
+	// so a ramping run reallocates it O(log peak) times, not once per peak.
 	if cap(e.moves) < e.live {
-		e.moves = make([]Move, e.live)
+		e.moves = make([]Move, max(e.live, 2*cap(e.moves)))
 	}
 	e.moves = e.moves[:e.live]
 	base := 0

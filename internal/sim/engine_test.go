@@ -558,3 +558,46 @@ func TestEngineAccessors(t *testing.T) {
 		t.Errorf("PacketsAt(2) = %v", got)
 	}
 }
+
+// trainInjector injects one packet per step at node 0 of a ring, bound for
+// the node half-way round, until `until`: the packets form a train whose
+// cars never meet, so the live count climbs by one per step until the
+// first of them arrives.
+type trainInjector struct{ until int }
+
+func (ti trainInjector) Inject(t int, host InjectorHost, rng *rand.Rand) []*Packet {
+	if t >= ti.until {
+		return nil
+	}
+	return []*Packet{NewPacket(host.NextPacketID(), 0, mesh.NodeID(host.Mesh().Side()/2))}
+}
+
+func (ti trainInjector) Exhausted(t int) bool { return t >= ti.until }
+
+// TestMoveBufferGrowsGeometrically: a run whose live count climbs by one per
+// step to 500 reallocates the per-step move buffer a logarithmic number of
+// times, not at every new peak.
+func TestMoveBufferGrowsGeometrically(t *testing.T) {
+	m := mesh.MustNewTorus(1, 1001)
+	e, err := New(m, leanGreedyPolicy{}, nil, Options{Seed: 1, Validation: ValidateGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetInjector(trainInjector{until: 600})
+	peak, reallocs, lastCap := 0, 0, cap(e.moves)
+	for i := 0; i < 600; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, len(e.moves))
+		if c := cap(e.moves); c != lastCap {
+			reallocs, lastCap = reallocs+1, c
+		}
+	}
+	if peak != 500 {
+		t.Fatalf("premise: a step routed at most %d packets, want 500", peak)
+	}
+	if reallocs > 12 {
+		t.Fatalf("the move buffer was reallocated %d times on the way to %d live packets, want <= 12", reallocs, peak)
+	}
+}

@@ -232,7 +232,22 @@ func (e *Engine) captureScalars(s *Snapshot) error {
 // fault model: Restore replays its Advance stream to rebuild the overlay
 // and verifies the result against the snapshot digest). After Restore the
 // run continues bit-identically to the engine the snapshot was taken from.
+// RestoreBinary does the same from the snapshot's bytes.
 func (e *Engine) Restore(s *Snapshot) error {
+	// The packets are one slab, so the allocations do not grow with their
+	// count.
+	slab := make([]Packet, len(s.Packets))
+	for i := range s.Packets {
+		s.Packets[i].Fill(&slab[i])
+	}
+	return e.restore(s, slab, s.Queues)
+}
+
+// restore is Restore and RestoreBinary once the packets are in their slab:
+// s supplies every other field (its Packets and Queues are not read), and
+// queues index into slab. The engine keeps slab, and nothing of s or
+// queues.
+func (e *Engine) restore(s *Snapshot, slab []Packet, queues []QueueState) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("%w: snapshot schema v%d, engine supports v%d", ErrBadSnapshot, s.Version, SnapshotVersion)
 	}
@@ -264,30 +279,27 @@ func (e *Engine) Restore(s *Snapshot) error {
 		return fmt.Errorf("%w: injector installed=%v, snapshot has_injector=%v", ErrBadSnapshot, e.injector != nil, s.HasInjector)
 	}
 
-	// Rebuild the packet population and check the queues against it before
-	// anything is queued, so a refused snapshot leaves the engine fresh: IDs
-	// are unique and below the watermark, and every live packet is queued
-	// exactly once, at its own node, within the node's out-degree. The
-	// packets are one slab, so the allocations do not grow with their count.
-	slab := make([]Packet, len(s.Packets))
-	packets := make([]*Packet, len(s.Packets))
-	ids := make([]int, len(s.Packets))
+	// Check the packet population and the queues against it before anything
+	// is queued, so a refused snapshot leaves the engine fresh: IDs are
+	// unique and below the watermark, and every live packet is queued
+	// exactly once, at its own node, within the node's out-degree.
+	packets := make([]*Packet, len(slab))
+	ids := make([]int, len(slab))
 	live := 0
-	for i := range s.Packets {
-		ps := &s.Packets[i]
-		if err := e.mesh.CheckID(ps.Src); err != nil {
-			return fmt.Errorf("%w: packet %d source: %v", ErrBadSnapshot, ps.ID, err)
+	for i := range slab {
+		p := &slab[i]
+		if err := e.mesh.CheckID(p.Src); err != nil {
+			return fmt.Errorf("%w: packet %d source: %v", ErrBadSnapshot, p.ID, err)
 		}
-		if err := e.mesh.CheckID(ps.Dst); err != nil {
-			return fmt.Errorf("%w: packet %d destination: %v", ErrBadSnapshot, ps.ID, err)
+		if err := e.mesh.CheckID(p.Dst); err != nil {
+			return fmt.Errorf("%w: packet %d destination: %v", ErrBadSnapshot, p.ID, err)
 		}
-		if ps.ID >= s.NextID {
-			return fmt.Errorf("%w: packet id %d at or above watermark %d", ErrBadSnapshot, ps.ID, s.NextID)
+		if p.ID >= s.NextID {
+			return fmt.Errorf("%w: packet id %d at or above watermark %d", ErrBadSnapshot, p.ID, s.NextID)
 		}
-		ps.Fill(&slab[i])
-		slab[i].pos = int32(i)
-		packets[i], ids[i] = &slab[i], ps.ID
-		if !packets[i].Arrived() && !packets[i].Dropped() {
+		p.pos = int32(i)
+		packets[i], ids[i] = p, p.ID
+		if !p.Arrived() && !p.Dropped() {
 			live++
 		}
 	}
@@ -297,7 +309,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	queued := make([]bool, len(packets))
 	held := make([]uint8, e.mesh.Size())
 	enqueued := 0
-	for _, q := range s.Queues {
+	for _, q := range queues {
 		if err := e.mesh.CheckID(q.Node); err != nil {
 			return fmt.Errorf("%w: queue node %d: %v", ErrBadSnapshot, q.Node, err)
 		}
@@ -323,7 +335,18 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if enqueued != live {
 		return fmt.Errorf("%w: %d live packets but %d queued", ErrBadSnapshot, live, enqueued)
 	}
-	for _, q := range s.Queues {
+	// The injector's state goes in before the packets do, so a refusal of
+	// its bytes leaves the engine fresh too.
+	if s.HasInjector && len(s.InjectorState) > 0 {
+		ci, ok := e.injector.(CheckpointableInjector)
+		if !ok {
+			return fmt.Errorf("%w: snapshot carries injector state but injector %T cannot restore it", ErrBadSnapshot, e.injector)
+		}
+		if err := ci.RestoreState(s.InjectorState); err != nil {
+			return fmt.Errorf("%w: restore injector state: %w", ErrBadSnapshot, err)
+		}
+	}
+	for _, q := range queues {
 		for _, pi := range q.Packets {
 			e.q.Push(int(q.Node), packets[pi])
 		}
@@ -358,16 +381,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.dropUnreachable = s.DroppedUnreachable
 	e.dropStranded = s.DroppedStranded
 	e.dropInject = s.DroppedInject
-
-	if s.HasInjector && len(s.InjectorState) > 0 {
-		ci, ok := e.injector.(CheckpointableInjector)
-		if !ok {
-			return fmt.Errorf("%w: snapshot carries injector state but injector %T cannot restore it", ErrBadSnapshot, e.injector)
-		}
-		if err := ci.RestoreState(s.InjectorState); err != nil {
-			return fmt.Errorf("sim: restore injector state: %w", err)
-		}
-	}
 
 	if s.HasFaults {
 		// Replay the fault clock: the model contract (deterministic given its

@@ -707,3 +707,42 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkRestore prices a binary resume: the checkpoint bytes of a 32²
+// torus at two packets per node (2 048 packets) after eight steps, decoded
+// straight into a fresh engine. Building the engine is not timed.
+func BenchmarkRestore(b *testing.B) {
+	m := mesh.MustNewTorus(2, 32)
+	opts := Options{Seed: 3, Validation: ValidateGreedy}
+	src, err := New(m, leanGreedyPolicy{}, parityPackets(m, 2*m.Size(), 3), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := src.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	data, err := src.AppendBinary(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := New(m, leanGreedyPolicy{}, nil, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := e.RestoreBinary(data); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if e.StateHash() != src.StateHash() {
+			b.Fatal("restored engine differs from the source")
+		}
+		b.StartTimer()
+	}
+}
