@@ -32,12 +32,13 @@ vet:
 
 # Short fuzz pass over the untrusted-input parsers (CI runs this on every
 # push; `go test -fuzz` with a longer -fuzztime digs deeper locally). The
-# WAL decoder is fuzzed because it parses whatever a crash left on disk:
-# torn writes, truncation, bit rot. The halo frame reader and wire decoders
+# line-log framer and the WAL decoder on it are fuzzed because they parse
+# whatever a crash left on disk: torn writes, truncation, bit rot. The halo frame reader and wire decoders
 # are fuzzed because they parse whatever a peer (or a corrupting link) sends
 # over TCP, and the binary checkpoint decoder because it parses whatever a
 # CRC-valid file claims to be a snapshot, shard part or manifest.
 fuzz-smoke:
+	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/frame/
 	$(GO) test -fuzz FuzzWAL -fuzztime 15s ./internal/server/store/
 	$(GO) test -fuzz FuzzHaloFrame -fuzztime 15s ./internal/dshard/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 15s ./internal/checkpoint/

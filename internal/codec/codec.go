@@ -11,8 +11,6 @@
 // their type — so every accepted input re-encodes to the same bytes, and
 // collection counts are guarded by the bytes remaining, so a corrupt count
 // cannot drive an allocation larger than the input.
-//
-// Hex32 is the one text primitive: the CRC field of the line-framed logs.
 package codec
 
 import (
@@ -45,28 +43,6 @@ func (e *Enc) Str(s string) {
 func (e *Enc) Bytes(p []byte) {
 	e.U64(uint64(len(p)))
 	e.B = append(e.B, p...)
-}
-
-// Hex32 parses the CRC field that leads every line of the line-framed logs
-// (the job WAL, conflict traces): exactly eight lowercase hex digits, the
-// bytes the writers' %08x emits. Anything else — a space, a 0x prefix, upper
-// case, a short or long field — is refused rather than read loosely.
-func Hex32(field []byte) (uint32, bool) {
-	if len(field) != 8 {
-		return 0, false
-	}
-	var v uint32
-	for _, c := range field {
-		switch {
-		case '0' <= c && c <= '9':
-			v = v<<4 | uint32(c-'0')
-		case 'a' <= c && c <= 'f':
-			v = v<<4 | uint32(c-'a'+10)
-		default:
-			return 0, false
-		}
-	}
-	return v, true
 }
 
 // Dec consumes encoded fields from B. It tracks its position with an

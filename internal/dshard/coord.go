@@ -490,47 +490,20 @@ func (c *Coordinator) admit(packets []*sim.Packet) error {
 	return nil
 }
 
-// adoptCheckpoint resumes from a coordinated checkpoint, applying the same
-// configuration guards as shard.Engine.Restore. The writer's grid need not
-// match: parts are re-partitioned by current ownership at load time.
+// adoptCheckpoint resumes from a coordinated checkpoint once it passes
+// shard's checkpoint guard — the one shard.Engine.Restore applies. The
+// writer's grid need not match: parts are re-partitioned by current
+// ownership at load time.
 func (c *Coordinator) adoptCheckpoint(ck *shard.Checkpoint) error {
-	m := &ck.Manifest
-	switch {
-	case m.Version > shard.CheckpointVersion:
-		return fmt.Errorf("%w: schema v%d, this build reads up to v%d", shard.ErrBadCheckpoint, m.Version, shard.CheckpointVersion)
-	case m.MeshDim != 2 || m.MeshSide != c.spec.Side || m.MeshWrap != c.spec.Wrap:
-		return fmt.Errorf("%w: mesh mismatch: checkpoint dim=%d side=%d wrap=%v, spec side=%d wrap=%v",
-			shard.ErrBadCheckpoint, m.MeshDim, m.MeshSide, m.MeshWrap, c.spec.Side, c.spec.Wrap)
-	case m.PolicyName != c.polName:
-		return fmt.Errorf("%w: policy mismatch: checkpoint %q, spec %q", shard.ErrBadCheckpoint, m.PolicyName, c.polName)
-	case m.Seed != c.spec.Seed:
-		return fmt.Errorf("%w: seed mismatch: checkpoint %d, spec %d", shard.ErrBadCheckpoint, m.Seed, c.spec.Seed)
-	case m.Validation != c.spec.Validation:
-		return fmt.Errorf("%w: validation mismatch", shard.ErrBadCheckpoint)
-	case m.DetectLive != c.spec.DetectLivelock:
-		return fmt.Errorf("%w: livelock detection mismatch", shard.ErrBadCheckpoint)
-	case m.Shards != len(ck.Parts):
-		return fmt.Errorf("%w: manifest lists %d shards, checkpoint has %d parts", shard.ErrBadCheckpoint, m.Shards, len(ck.Parts))
-	case m.HasInjector:
-		return fmt.Errorf("%w: checkpoint carries injector state; distributed runs do not support arrival-driven traffic", shard.ErrBadCheckpoint)
-	}
-	live := 0
-	for i := range ck.Parts {
-		if ck.Parts[i].Time != m.Time {
-			return fmt.Errorf("%w: part %d is from step %d, manifest from step %d (torn checkpoint)",
-				shard.ErrBadCheckpoint, ck.Parts[i].Index, ck.Parts[i].Time, m.Time)
-		}
-		live += len(ck.Parts[i].Packets)
-	}
-	if live != m.Live {
-		return fmt.Errorf("%w: manifest says %d live packets, parts carry %d", shard.ErrBadCheckpoint, m.Live, live)
-	}
-	if err := ck.CheckUniqueIDs(); err != nil {
+	if err := ck.Check(shard.Guard{
+		Mesh: c.m, Policy: c.polName, Seed: c.spec.Seed, Validation: c.spec.Validation,
+		DetectLivelock: c.spec.DetectLivelock,
+	}); err != nil {
 		return err
 	}
 	c.lastCK, c.loads = ck, nil
-	c.restoreState(m)
-	c.total = live + len(m.Finalized)
+	c.restoreState(&ck.Manifest)
+	c.total = ck.Manifest.Live + len(ck.Manifest.Finalized)
 	return nil
 }
 

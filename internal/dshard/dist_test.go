@@ -660,3 +660,71 @@ func TestResumeRefusesDuplicateIDs(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeGuardMatchesRestore: shard.Engine.Restore and a dshard resume
+// apply one checkpoint guard, so every bad checkpoint is refused by both
+// with shard.ErrBadCheckpoint — before any worker sees it.
+func TestResumeGuardMatchesRestore(t *testing.T) {
+	writer := stopRef(t, "random", stopPackets(t), 300)
+	for writer.Progress().Delivered == 0 {
+		stepTo(t, writer, writer.Time()+1)
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func(m *shard.Manifest, parts []shard.ShardPart)
+	}{
+		{"untouched", nil},
+		{"later schema", func(m *shard.Manifest, _ []shard.ShardPart) { m.Version = shard.CheckpointVersion + 1 }},
+		{"mesh", func(m *shard.Manifest, _ []shard.ShardPart) { m.MeshSide++ }},
+		{"policy", func(m *shard.Manifest, _ []shard.ShardPart) { m.PolicyName = "restricted" }},
+		{"seed", func(m *shard.Manifest, _ []shard.ShardPart) { m.Seed++ }},
+		{"validation", func(m *shard.Manifest, _ []shard.ShardPart) { m.Validation++ }},
+		{"livelock detection", func(m *shard.Manifest, _ []shard.ShardPart) { m.DetectLive = !m.DetectLive }},
+		{"shard count", func(m *shard.Manifest, _ []shard.ShardPart) { m.Shards++ }},
+		{"injector", func(m *shard.Manifest, _ []shard.ShardPart) { m.HasInjector = true }},
+		{"torn", func(_ *shard.Manifest, parts []shard.ShardPart) { parts[1].Time++ }},
+		{"live count", func(m *shard.Manifest, _ []shard.ShardPart) { m.Live++ }},
+		{"huge live count", func(m *shard.Manifest, _ []shard.ShardPart) { m.Live = 1 << 62 }},
+		{"duplicate id", func(_ *shard.Manifest, parts []shard.ShardPart) {
+			parts[len(parts)-1].Packets[0].ID = parts[0].Packets[0].ID
+		}},
+		{"finalized not arrived", func(m *shard.Manifest, _ []shard.ShardPart) { m.Finalized[0].ArrivedAt = -1 }},
+		{"finalized off-mesh", func(m *shard.Manifest, _ []shard.ShardPart) { m.Finalized[0].Dst = stopSide * stopSide }},
+		{"finalized id past next", func(m *shard.Manifest, _ []shard.ShardPart) { m.Finalized[0].ID = m.NextID }},
+		{"live id past next", func(m *shard.Manifest, parts []shard.ShardPart) { parts[0].Packets[0].ID = m.NextID + 7 }},
+		{"live arrived", func(m *shard.Manifest, parts []shard.ShardPart) { parts[0].Packets[0].ArrivedAt = m.Time }},
+		{"live off-mesh", func(_ *shard.Manifest, parts []shard.ShardPart) { parts[0].Packets[0].Src = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Each engine gets its own capture: a resume may keep the slices.
+			tampered := func() *shard.Checkpoint {
+				ck, err := writer.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.tamper != nil {
+					tc.tamper(&ck.Manifest, ck.Parts)
+				}
+				return ck
+			}
+			restoreErr := stopRef(t, "random", nil, 300).Restore(tampered())
+			opts := distOptions(2)
+			opts.Resume = tampered()
+			c, resumeErr := dshard.New(dshard.Spec{
+				Side: stopSide, Wrap: true, Policy: "random", Grid: shard.Grid{P: 2, Q: 1}, Seed: stopSeed, MaxSteps: 300, DetectLivelock: true,
+			}, nil, opts)
+			if resumeErr == nil {
+				c.Close()
+			}
+			if tc.tamper == nil {
+				if restoreErr != nil || resumeErr != nil {
+					t.Fatalf("untouched checkpoint refused: restore %v, resume %v", restoreErr, resumeErr)
+				}
+				return
+			}
+			if !errors.Is(restoreErr, shard.ErrBadCheckpoint) || !errors.Is(resumeErr, shard.ErrBadCheckpoint) {
+				t.Fatalf("restore err %v, resume err %v; want ErrBadCheckpoint from both", restoreErr, resumeErr)
+			}
+		})
+	}
+}

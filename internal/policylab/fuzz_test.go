@@ -2,7 +2,10 @@ package policylab
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"hotpotato/internal/frame"
 )
 
 // FuzzReadTrace: the trace decoder must never panic on arbitrary input, and
@@ -25,17 +28,22 @@ func FuzzReadTrace(f *testing.F) {
 		f.Fatal(err)
 	}
 	full := buf.Bytes()
+	header := func(version int) []byte {
+		return frame.AppendLine(nil, fmt.Appendf(nil, `{"trace":"hotpotato-conflicts","version":%d}`, version))
+	}
 	f.Add(full)
 	f.Add(full[:len(full)-7])
-	f.Add([]byte("{\"trace\":\"hotpotato-conflicts\",\"version\":1}\n"))
-	f.Add([]byte("{\"trace\":\"hotpotato-conflicts\",\"version\":99}\n"))
-	f.Add([]byte("not json\n00000000 {}\n"))
+	f.Add(header(TraceVersion))
+	f.Add(header(99))
+	f.Add(frame.AppendLine(frame.AppendLine(nil, []byte("not json")), []byte("{}")))
 	f.Add([]byte{})
-	f.Add([]byte("{\"trace\":\"hotpotato-conflicts\",\"version\":1}\ndeadbeef {\"t\":1}\n"))
+	f.Add(append(header(TraceVersion), "deadbeef {\"t\":1}\n"...))
 	// CRC fields a loose parser would read but no writer emits.
 	for _, field := range []string{" 000abcd", "abcd    ", "0x00abcd"} {
-		f.Add([]byte("{\"trace\":\"hotpotato-conflicts\",\"version\":1}\n" + field + " {\"t\":1}\n"))
+		f.Add(append(header(TraceVersion), field+" {\"t\":1}\n"...))
 	}
+	// A version 1 trace: its header line had no frame.
+	f.Add(append([]byte("{\"trace\":\"hotpotato-conflicts\",\"version\":1}\n"), full[bytes.IndexByte(full, '\n')+1:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, recs, err := ReadTrace(bytes.NewReader(data))

@@ -2,10 +2,8 @@ package policylab
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -112,6 +110,26 @@ func TestTraceRejectsForeignHeader(t *testing.T) {
 	_, _, err = ReadTrace(strings.NewReader(""))
 	if err == nil {
 		t.Fatal("empty input should fail")
+	}
+}
+
+// TestTraceRefusesVersion1: a version 1 trace, whose header line had no CRC
+// frame, is refused rather than read as records under a new header.
+func TestTraceRefusesVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, TraceHeader{Dim: 2, Side: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := mkRecord(1, 2)
+	if err := w.Write(&rec); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	_, records, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+	v1 := append([]byte(`{"trace":"hotpotato-conflicts","version":1,"dim":2,"side":4}`+"\n"), records...)
+	if _, _, err := ReadTrace(bytes.NewReader(v1)); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("version 1 trace: err %v, want ErrBadTrace", err)
 	}
 }
 
@@ -418,34 +436,5 @@ func TestRecorderSpillErrorLatched(t *testing.T) {
 	}
 	if r.Total() != 5 {
 		t.Fatalf("recording stopped after spill error: total %d", r.Total())
-	}
-}
-
-// TestDecodeLineRejectsLooseCRC: a trace line's CRC field is exactly eight
-// lowercase hex digits. fmt.Sscanf's %08x, which read it before, also took
-// the field space-padded (" 000abcd") or left-aligned ("abcd    "), and
-// read "0x00abcd" as 0. The payload is a record whose CRC-32 is below
-// 1<<16, so the loose renderings would read back as the right value.
-func TestDecodeLineRejectsLooseCRC(t *testing.T) {
-	var payload []byte
-	var crc uint32
-	for t0 := 0; payload == nil; t0++ {
-		rec := mkRecord(t0, 3)
-		p, err := json.Marshal(&rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c := crc32.ChecksumIEEE(p); c < 1<<16 {
-			payload, crc = p, c
-		}
-	}
-	line := func(field string) []byte { return append([]byte(field+" "), payload...) }
-	if _, ok := decodeLine(line(fmt.Sprintf("%08x", crc))); !ok {
-		t.Fatal("canonical line refused")
-	}
-	for _, field := range []string{fmt.Sprintf(" %07x", crc), fmt.Sprintf("%-8x", crc), fmt.Sprintf("0x%06x", crc)} {
-		if _, ok := decodeLine(line(field)); ok {
-			t.Errorf("CRC field %q accepted", field)
-		}
 	}
 }

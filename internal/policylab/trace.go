@@ -7,7 +7,10 @@
 //     conflict — the contenders, the decision features a priority rule
 //     could have used, who won, who was deflected, and the node's
 //     contribution to the distance potential — ring-buffered in memory and
-//     spillable to a CRC-framed JSONL stream.
+//     spillable to a conflict trace: an internal/frame line log
+//     (TraceVersion 2) whose line 1 is a TraceHeader and every later line
+//     one ConflictRecord. A version 1 trace, whose header line had no CRC
+//     frame, is refused with ErrBadTrace.
 //   - Counterfactual replay (Replay): re-run a recorded window from a
 //     checkpoint under K alternative priority orders and score the
 //     divergence (deliveries, deflections, potential trajectory).
@@ -19,26 +22,24 @@ package policylab
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
-	"hotpotato/internal/codec"
+	"hotpotato/internal/frame"
 	"hotpotato/internal/sim"
 )
 
 // TraceVersion is the schema version written into the trace header line.
-const TraceVersion = 1
+// Version 2 framed the header line too; a version 1 trace is refused.
+const TraceVersion = 2
 
 // traceName identifies the file type in the header line.
 const traceName = "hotpotato-conflicts"
 
 // ErrBadTrace is returned when a conflict-trace file cannot be used: wrong
-// header, a version from a future build, or corruption before the final
-// line.
+// header, another version, or corruption before the final line.
 var ErrBadTrace = errors.New("policylab: not a usable conflict trace")
 
 // TraceHeader is the first line of every conflict-trace file: the run
@@ -54,14 +55,13 @@ type TraceHeader struct {
 	Seed    int64  `json:"seed"`
 }
 
-// Writer streams conflict records to a CRC-framed JSONL file, one record
-// per line: an 8-hex-digit CRC-32 (IEEE) of the JSON payload, one space,
-// the payload — the same hostile-input-tolerant framing as the job-store
-// WAL and internal/run's journal, so a torn final line from a crashed or
-// interrupted run is detectable and everything before it stays readable.
+// Writer streams conflict records as internal/frame lines, one record per
+// line: a torn final line from a crashed or interrupted run is detectable
+// and everything before it stays readable. The stream is not fsynced; the
+// caller owns the file.
 type Writer struct {
-	w   *bufio.Writer
-	buf bytes.Buffer
+	w    *bufio.Writer
+	line []byte
 }
 
 // NewWriter writes the header line and returns a Writer. The caller owns w
@@ -69,12 +69,12 @@ type Writer struct {
 func NewWriter(w io.Writer, hdr TraceHeader) (*Writer, error) {
 	hdr.Trace = traceName
 	hdr.Version = TraceVersion
-	line, err := json.Marshal(hdr)
+	payload, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, fmt.Errorf("policylab: trace header: %w", err)
 	}
 	tw := &Writer{w: bufio.NewWriter(w)}
-	if _, err := tw.w.Write(append(line, '\n')); err != nil {
+	if _, err := tw.w.Write(frame.AppendLine(nil, payload)); err != nil {
 		return nil, fmt.Errorf("policylab: trace write: %w", err)
 	}
 	return tw, nil
@@ -82,14 +82,12 @@ func NewWriter(w io.Writer, hdr TraceHeader) (*Writer, error) {
 
 // Write appends one framed record.
 func (tw *Writer) Write(rec *sim.ConflictRecord) error {
-	tw.buf.Reset()
-	enc := json.NewEncoder(&tw.buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(rec); err != nil {
+	payload, err := json.Marshal(rec)
+	if err != nil {
 		return fmt.Errorf("policylab: trace encode: %w", err)
 	}
-	payload := bytes.TrimRight(tw.buf.Bytes(), "\n")
-	if _, err := fmt.Fprintf(tw.w, "%08x %s\n", crc32.ChecksumIEEE(payload), payload); err != nil {
+	tw.line = frame.AppendLine(tw.line[:0], payload)
+	if _, err := tw.w.Write(tw.line); err != nil {
 		return fmt.Errorf("policylab: trace write: %w", err)
 	}
 	return nil
@@ -103,70 +101,42 @@ func (tw *Writer) Flush() error {
 	return nil
 }
 
-// ReadTrace decodes a conflict-trace stream. A torn final line — the
-// signature of a crash or an interrupt mid-write — is chopped off silently;
-// a bad line followed by more records is real corruption and returns an
-// error wrapping ErrBadTrace. Never panics on arbitrary input (see
-// FuzzReadTrace).
+// ReadTrace decodes a conflict-trace stream under internal/frame's torn-tail
+// rule: a torn final line — the signature of a crash or an interrupt
+// mid-write — is dropped silently; a bad line followed by more records is
+// real corruption and returns an error wrapping ErrBadTrace, as does a
+// header whose version is anything but TraceVersion. Never panics on
+// arbitrary input (see FuzzReadTrace).
 func ReadTrace(r io.Reader) (TraceHeader, []sim.ConflictRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var hdr TraceHeader
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return hdr, nil, fmt.Errorf("policylab: read trace: %w", err)
-		}
-		return hdr, nil, fmt.Errorf("%w: empty file", ErrBadTrace)
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Trace != traceName {
-		return hdr, nil, fmt.Errorf("%w: bad header line", ErrBadTrace)
-	}
-	if hdr.Version != TraceVersion {
-		return hdr, nil, fmt.Errorf("%w: trace version %d, this build reads %d", ErrBadTrace, hdr.Version, TraceVersion)
-	}
 	var recs []sim.ConflictRecord
-	bad := -1 // line number of the first undecodable line, if any
-	line := 1
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
+	hdrOK := false
+	_, err := frame.Read(r, func(n int, payload []byte) error {
+		if n == 1 {
+			if json.Unmarshal(payload, &hdr) != nil || hdr.Trace != traceName {
+				return errors.New("not a conflict trace")
+			}
+			if hdr.Version != TraceVersion {
+				return fmt.Errorf("trace version %d, this build reads %d", hdr.Version, TraceVersion)
+			}
+			hdrOK = true
+			return nil
 		}
-		if bad >= 0 {
-			// A decodable-or-not line after a bad one means the bad line was
-			// not a torn tail: refuse the file.
-			return hdr, nil, fmt.Errorf("%w: corrupt record at line %d", ErrBadTrace, bad)
-		}
-		rec, ok := decodeLine(raw)
-		if !ok {
-			bad = line
-			continue
+		var rec sim.ConflictRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
 		}
 		recs = append(recs, rec)
+		return nil
+	})
+	switch {
+	case err == nil:
+		return hdr, recs, nil
+	case !errors.Is(err, frame.ErrCorrupt):
+		return hdr, nil, fmt.Errorf("policylab: %w", err)
+	case !hdrOK:
+		return hdr, nil, fmt.Errorf("%w: bad header line: %w", ErrBadTrace, err)
+	default:
+		return hdr, nil, fmt.Errorf("%w: corrupt record: %w", ErrBadTrace, err)
 	}
-	if err := sc.Err(); err != nil {
-		return hdr, nil, fmt.Errorf("policylab: read trace: %w", err)
-	}
-	return hdr, recs, nil
-}
-
-// decodeLine parses one "crc payload" record line and verifies the CRC.
-func decodeLine(raw []byte) (sim.ConflictRecord, bool) {
-	var rec sim.ConflictRecord
-	if len(raw) < 10 || raw[8] != ' ' {
-		return rec, false
-	}
-	want, ok := codec.Hex32(raw[:8])
-	if !ok {
-		return rec, false
-	}
-	payload := raw[9:]
-	if crc32.ChecksumIEEE(payload) != want {
-		return rec, false
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, false
-	}
-	return rec, true
 }

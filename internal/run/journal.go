@@ -1,22 +1,25 @@
 package run
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
+
+	"hotpotato/internal/frame"
 )
 
-// JournalVersion is the schema version of the journal header line.
-const JournalVersion = 1
+// JournalVersion is the schema version of the journal header line. Version
+// 2 framed every line with a CRC; a version 1 journal is refused.
+const JournalVersion = 2
+
+// journalName identifies the file type in the header line.
+const journalName = "hotpotato-run"
 
 // ErrBadJournal is returned when a journal file cannot be used: wrong
-// header, version from a future build, or a label that does not match the
-// grid being executed (resuming a sweep against the journal of a different
-// one would silently mix results).
+// header, another version, corruption before the final line, or a label
+// that does not match the grid being executed (resuming a sweep against the
+// journal of a different one would silently mix results).
 var ErrBadJournal = errors.New("run: journal does not match this run")
 
 // header is the first line of every journal file.
@@ -47,122 +50,62 @@ const (
 	StatusFailed = "failed"
 )
 
-// Journal is an append-only JSONL record of completed cells. Every Record
-// is written, flushed and fsynced as one line, so a crash or kill at any
-// point loses at most the cells still in flight — never a finished one.
-// All methods are safe for concurrent use.
+// Journal is an append-only record of completed cells. Every Record is
+// written and fsynced as one line, so a crash or kill at any point loses at
+// most the cells still in flight — never a finished one. All methods are
+// safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	log  *frame.Log
 	done map[string]Entry
 }
 
 // OpenJournal creates the journal at path (truncating any previous file)
 // and writes the header. label ties the journal to one specific grid.
 func OpenJournal(path, label string) (*Journal, error) {
-	f, err := os.Create(path)
+	// A header of strings and ints always marshals.
+	hdr, _ := json.Marshal(header{Journal: journalName, Version: JournalVersion, Label: label})
+	log, err := frame.Create(path, hdr)
 	if err != nil {
 		return nil, fmt.Errorf("run: journal: %w", err)
 	}
-	j := &Journal{f: f, done: make(map[string]Entry)}
-	hdr, err := json.Marshal(header{Journal: "hotpotato-run", Version: JournalVersion, Label: label})
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := j.writeLine(hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{log: log, done: make(map[string]Entry)}, nil
 }
 
 // ResumeJournal opens an existing journal for appending, after loading the
 // fates it already records. The header must match label (pass "" to skip
-// the check). A torn final line — the signature of a hard kill mid-write:
-// unparseable, or complete but for its newline — is tolerated and ignored;
-// torn lines elsewhere are corruption and fail.
+// the check). A torn final line — the signature of a hard kill mid-write —
+// is truncated away; a bad line elsewhere is corruption and fails.
 func ResumeJournal(path, label string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("run: journal: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("run: journal: %w", err)
-	}
-	j := &Journal{f: f, done: make(map[string]Entry)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	lineNo := 0
-	var torn int        // line number of a previously seen unparseable line
-	var tornStart int64 // byte offset where the torn line begins
-	var offset int64    // byte offset of the line about to be processed
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		lineStart := offset
-		offset += int64(len(line)) + 1 // every line we write ends in '\n'
-		// A line the file ends inside of was cut before its newline. Even
-		// when it parses, appending after it would fuse two objects onto
-		// one line, so it is torn like any other partial write.
-		unterminated := offset > st.Size()
-		if len(line) == 0 {
-			continue
-		}
-		if torn != 0 {
-			f.Close()
-			return nil, fmt.Errorf("%w: %s: corrupt line %d followed by more entries", ErrBadJournal, path, torn)
-		}
-		if lineNo == 1 {
+	j := &Journal{done: make(map[string]Entry)}
+	log, _, err := frame.Open(path, nil, func(n int, payload []byte) error {
+		if n == 1 {
 			var h header
-			if err := json.Unmarshal(line, &h); err != nil || h.Journal != "hotpotato-run" || unterminated {
-				f.Close()
-				return nil, fmt.Errorf("%w: %s is not a run journal", ErrBadJournal, path)
+			if json.Unmarshal(payload, &h) != nil || h.Journal != journalName {
+				return errors.New("not a run journal")
 			}
-			if h.Version > JournalVersion {
-				f.Close()
-				return nil, fmt.Errorf("%w: %s: journal version %d, this build reads %d", ErrBadJournal, path, h.Version, JournalVersion)
+			if h.Version != JournalVersion {
+				return fmt.Errorf("journal version %d, this build reads %d", h.Version, JournalVersion)
 			}
 			if label != "" && h.Label != label {
-				f.Close()
-				return nil, fmt.Errorf("%w: %s records %q, this run is %q", ErrBadJournal, path, h.Label, label)
+				return fmt.Errorf("journal records %q, this run is %q", h.Label, label)
 			}
-			continue
+			return nil
 		}
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" || unterminated {
-			torn, tornStart = lineNo, lineStart // tolerated iff nothing follows
-			continue
+		if json.Unmarshal(payload, &e) != nil || e.Key == "" {
+			return errors.New("bad entry")
 		}
 		j.done[e.Key] = e // later entries win
+		return nil
+	})
+	if errors.Is(err, frame.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %s: %w", ErrBadJournal, path, err)
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("run: journal %s: %w", path, err)
+	if err != nil {
+		return nil, fmt.Errorf("run: journal: %w", err)
 	}
-	if lineNo == 0 {
-		f.Close()
-		return nil, fmt.Errorf("%w: %s is empty", ErrBadJournal, path)
-	}
-	if torn != 0 {
-		// Chop the torn tail so the file is clean JSONL again and the next
-		// entry starts where the interrupted write began.
-		if err := f.Truncate(tornStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("run: journal %s: %w", path, err)
-		}
-		if _, err := f.Seek(tornStart, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("run: journal %s: %w", path, err)
-		}
-		return j, nil
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("run: journal %s: %w", path, err)
-	}
+	j.log = log
 	return j, nil
 }
 
@@ -185,26 +128,13 @@ func (j *Journal) Record(e Entry) error {
 		return fmt.Errorf("run: journal: %w", err)
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.done[e.Key] = e
-	return j.writeLine(buf)
-}
-
-// writeLine appends buf + newline and fsyncs. Callers hold j.mu (or have
-// exclusive access during Open).
-func (j *Journal) writeLine(buf []byte) error {
-	if _, err := j.f.Write(append(buf, '\n')); err != nil {
-		return fmt.Errorf("run: journal write: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("run: journal sync: %w", err)
+	j.mu.Unlock()
+	if err := j.log.Append(buf); err != nil {
+		return fmt.Errorf("run: journal: %w", err)
 	}
 	return nil
 }
 
 // Close releases the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return j.log.Close() }

@@ -1,9 +1,15 @@
 // Package run executes a grid of independent work cells under supervision:
 // bounded parallelism, per-cell panic isolation and timeout, retry with
-// exponential backoff and jitter, and a crash-safe JSONL journal of fates.
-// It is the machinery behind cmd/sweep and cmd/experiments — a sweep that
-// dies 90% of the way through a 400-cell grid resumes from its journal and
-// reruns only the missing cells.
+// exponential backoff and jitter, and a crash-safe journal of fates. It is
+// the machinery behind cmd/sweep and cmd/experiments — a sweep that dies 90%
+// of the way through a 400-cell grid resumes from its journal and reruns
+// only the missing cells.
+//
+// The journal is an internal/frame line log (JournalVersion 2): line 1 is a
+// JSON header labelling the grid, every later line one JSON Entry. The
+// framing, the fsync and the torn-tail rule are internal/frame's; this
+// package adds the label check and the map of recorded fates. A version 1
+// journal, which had no CRC framing, is refused with ErrBadJournal.
 //
 // The model is deliberately minimal: a Cell is a key plus a function that
 // returns an opaque JSON payload. The supervisor neither interprets the

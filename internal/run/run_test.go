@@ -1,6 +1,7 @@
 package run
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hotpotato/internal/frame"
 )
 
 func payload(s string) json.RawMessage { return json.RawMessage(fmt.Sprintf("%q", s)) }
@@ -231,8 +234,18 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatch: wrong label, wrong file shape, future version
-// and corruption in the middle all refuse to resume.
+// framed returns payloads as framed journal lines.
+func framed(payloads ...string) []byte {
+	var b []byte
+	for _, p := range payloads {
+		b = frame.AppendLine(b, []byte(p))
+	}
+	return b
+}
+
+// TestResumeRejectsMismatch: wrong label, wrong file shape, another version
+// and corruption in the middle all refuse to resume, each for its own
+// reason.
 func TestResumeRejectsMismatch(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "grid.jsonl")
@@ -245,35 +258,99 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	}
 	j.Close()
 
-	if _, err := ResumeJournal(path, "grid-B"); !errors.Is(err, ErrBadJournal) {
-		t.Fatalf("label mismatch err = %v", err)
+	refuse := func(name, path, label, reason string) {
+		t.Helper()
+		_, err := ResumeJournal(path, label)
+		if !errors.Is(err, ErrBadJournal) || !strings.Contains(err.Error(), reason) {
+			t.Errorf("%s: err = %v, want ErrBadJournal: %s", name, err, reason)
+		}
 	}
-
-	notJournal := filepath.Join(dir, "not.jsonl")
-	os.WriteFile(notJournal, []byte("{\"foo\": 1}\n"), 0o644)
-	if _, err := ResumeJournal(notJournal, ""); !errors.Is(err, ErrBadJournal) {
-		t.Fatalf("non-journal err = %v", err)
+	write := func(name string, data []byte) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
+	refuse("label mismatch", path, "grid-B", `records "grid-A", this run is "grid-B"`)
+	refuse("non-journal", write("not.jsonl", framed(`{"foo": 1}`)), "", "not a run journal")
+	refuse("empty", write("empty.jsonl", nil), "", "empty")
+	refuse("future version", write("future.jsonl", framed(`{"journal":"hotpotato-run","version":99,"label":"x"}`)), "",
+		"journal version 99")
+	// A version 1 journal had no CRC framing: its header is an unframed line.
+	refuse("version 1", write("v1.jsonl", []byte(`{"journal":"hotpotato-run","version":1,"label":"x"}`+"\n"+
+		`{"key":"a","status":"ok","attempts":1}`+"\n")), "", "line 1: short or unframed line")
+	// A torn line NOT at the end: the first bytes of a framed entry, cut off
+	// and followed by a whole entry.
+	torn := framed(`{"key":"a","status":"ok","attempts":1}`)[:24]
+	refuse("mid-file corruption", write("mid.jsonl", append(append(framed(`{"journal":"hotpotato-run","version":2,"label":"x"}`),
+		append(torn, '\n')...), framed(`{"key":"b","status":"ok","attempts":1}`)...)), "", "line 2 is bad (crc mismatch")
+}
 
-	empty := filepath.Join(dir, "empty.jsonl")
-	os.WriteFile(empty, nil, 0o644)
-	if _, err := ResumeJournal(empty, ""); !errors.Is(err, ErrBadJournal) {
-		t.Fatalf("empty journal err = %v", err)
+// TestResumeRefusesFlippedResult: a bit flip inside a journaled result that
+// still parses as JSON fails its line's CRC, and with entries after it the
+// journal is corrupt — the flipped result is never replayed.
+func TestResumeRefusesFlippedResult(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	j, err := OpenJournal(path, "grid")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	future := filepath.Join(dir, "future.jsonl")
-	os.WriteFile(future, []byte(`{"journal":"hotpotato-run","version":99,"label":"x"}`+"\n"), 0o644)
-	if _, err := ResumeJournal(future, ""); !errors.Is(err, ErrBadJournal) {
-		t.Fatalf("future version err = %v", err)
+	for _, e := range []Entry{
+		{Key: "a", Status: StatusOK, Attempts: 1, Result: json.RawMessage(`{"steps":111}`)},
+		{Key: "b", Status: StatusOK, Attempts: 1, Result: json.RawMessage(`{"steps":222}`)},
+		{Key: "c", Status: StatusOK, Attempts: 1, Result: json.RawMessage(`{"steps":333}`)},
+	} {
+		if err := j.Record(e); err != nil {
+			t.Fatal(err)
+		}
 	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte(`"steps":222`)) + len(`"steps":2`)
+	data[at] ^= 0x01 // one bit: {"steps":222} becomes {"steps":232}
+	start := bytes.LastIndexByte(data[:at], '\n') + 1 + len("xxxxxxxx ")
+	if line := data[start : at+bytes.IndexByte(data[at:], '\n')]; !json.Valid(line) {
+		t.Fatalf("flipped entry %s is no longer valid JSON", line)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeJournal(path, "grid"); !errors.Is(err, ErrBadJournal) {
+		t.Fatalf("journal with a flipped result resumed: err = %v", err)
+	}
+}
 
-	midCorrupt := filepath.Join(dir, "mid.jsonl")
-	os.WriteFile(midCorrupt, []byte(
-		`{"journal":"hotpotato-run","version":1,"label":"x"}`+"\n"+
-			`{"key":"a","sta`+"\n"+ // torn line NOT at the end
-			`{"key":"b","status":"ok","attempts":1}`+"\n"), 0o644)
-	if _, err := ResumeJournal(midCorrupt, ""); !errors.Is(err, ErrBadJournal) {
-		t.Fatalf("mid-file corruption err = %v", err)
+// TestResumeHugeEntry: an entry larger than any line-scanner cap Record
+// might meet (here 17 MiB) resumes and replays whole.
+func TestResumeHugeEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	j, err := OpenJournal(path, "grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := json.RawMessage(`"` + strings.Repeat("x", 17<<20) + `"`)
+	if err := j.Record(Entry{Key: "big", Status: StatusOK, Attempts: 1, Result: big}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(Entry{Key: "small", Status: StatusOK, Attempts: 1, Result: payload("small")}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2, err := ResumeJournal(path, "grid")
+	if err != nil {
+		t.Fatalf("resume of a journal with a 17 MiB entry: %v", err)
+	}
+	defer j2.Close()
+	if e, ok := j2.Completed("big"); !ok || !bytes.Equal(e.Result, big) {
+		t.Fatalf("17 MiB entry lost or changed (ok %v, %d bytes)", ok, len(e.Result))
+	}
+	if _, ok := j2.Completed("small"); !ok {
+		t.Fatal("entry after the 17 MiB one lost")
 	}
 }
 
@@ -375,11 +452,12 @@ func TestResumeUnterminatedTail(t *testing.T) {
 
 	// A header cut before its newline is no journal at all.
 	hdrOnly := filepath.Join(t.TempDir(), "header.jsonl")
-	if err := os.WriteFile(hdrOnly, []byte(`{"journal":"hotpotato-run","version":1,"label":"grid"}`), 0o644); err != nil {
+	hdr := framed(`{"journal":"hotpotato-run","version":2,"label":"grid"}`)
+	if err := os.WriteFile(hdrOnly, hdr[:len(hdr)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeJournal(hdrOnly, "grid"); !errors.Is(err, ErrBadJournal) {
-		t.Fatalf("unterminated header err = %v, want ErrBadJournal", err)
+	if _, err := ResumeJournal(hdrOnly, "grid"); !errors.Is(err, ErrBadJournal) || !strings.Contains(err.Error(), "no terminating newline") {
+		t.Fatalf("unterminated header err = %v, want ErrBadJournal: no terminating newline", err)
 	}
 }
 

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"hotpotato/internal/frame"
 )
 
 // validWAL builds a small well-formed WAL for the seed corpus.
 func validWAL() []byte {
-	var buf bytes.Buffer
-	buf.Write(encodeLine([]byte(`{"wal":"hotpotatod-jobs","version":1}`)))
+	buf := frame.AppendLine(nil, []byte(`{"wal":"hotpotatod-jobs","version":1}`))
 	for i, r := range []Record{
 		{Job: "j000001", Op: OpAccepted, Tenant: "t", Spec: json.RawMessage(`{"k":8}`)},
 		{Job: "j000001", Op: OpRunning, Attempt: 1},
@@ -18,9 +19,9 @@ func validWAL() []byte {
 		r.Seq = int64(i + 1)
 		r.UnixMS = 1700000000000
 		payload, _ := json.Marshal(r)
-		buf.Write(encodeLine(payload))
+		buf = frame.AppendLine(buf, payload)
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // FuzzWAL feeds arbitrary bytes to the WAL decoder: it must never panic,
@@ -30,10 +31,10 @@ func validWAL() []byte {
 func FuzzWAL(f *testing.F) {
 	whole := validWAL()
 	f.Add(whole)
-	f.Add(whole[:len(whole)-1])  // torn newline
-	f.Add(whole[:len(whole)-7])  // torn payload
-	f.Add([]byte{})              // empty
-	f.Add([]byte("00000000 \n")) // framed empty payload
+	f.Add(whole[:len(whole)-1])       // torn newline
+	f.Add(whole[:len(whole)-7])       // torn payload
+	f.Add([]byte{})                   // empty
+	f.Add(frame.AppendLine(nil, nil)) // framed empty payload
 	corrupt := bytes.Clone(whole)
 	corrupt[len(corrupt)/2] ^= 0x20
 	f.Add(corrupt)
@@ -60,21 +61,20 @@ func FuzzWAL(f *testing.F) {
 			}
 		}
 		// Round-trip: re-encoding what was accepted must decode identically.
-		var buf bytes.Buffer
-		buf.Write(encodeLine([]byte(`{"wal":"hotpotatod-jobs","version":1}`)))
+		buf := frame.AppendLine(nil, []byte(`{"wal":"hotpotatod-jobs","version":1}`))
 		for _, r := range recs {
 			payload, err := json.Marshal(r)
 			if err != nil {
 				t.Fatalf("re-marshal: %v", err)
 			}
-			buf.Write(encodeLine(payload))
+			buf = frame.AppendLine(buf, payload)
 		}
-		recs2, clean2, err := DecodeAll(buf.Bytes())
+		recs2, clean2, err := DecodeAll(buf)
 		if err != nil {
 			t.Fatalf("re-encoded WAL rejected: %v", err)
 		}
-		if clean2 != int64(buf.Len()) {
-			t.Fatalf("re-encoded WAL torn at %d of %d", clean2, buf.Len())
+		if clean2 != int64(len(buf)) {
+			t.Fatalf("re-encoded WAL torn at %d of %d", clean2, len(buf))
 		}
 		if len(recs2) != len(recs) {
 			t.Fatalf("round trip kept %d of %d records", len(recs2), len(recs))

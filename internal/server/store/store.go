@@ -11,13 +11,12 @@
 // their last checkpoint if one exists — the checkpoint files themselves are
 // internal/checkpoint's business, the WAL only records lifecycle).
 //
-// The line format is hostile-input-tolerant by construction: each line is
-// an 8-hex-digit CRC-32 (IEEE) of the JSON payload, one space, the payload.
-// A torn final line — the signature of a crash mid-write — is detected by
-// its CRC or truncated JSON and chopped off on Open, exactly like
-// internal/run's journal; a corrupt line *followed by more records* is real
-// corruption and refuses to load. DecodeAll never panics on arbitrary
-// bytes (see FuzzWAL).
+// The WAL is an internal/frame line log: line 1 is a JSON header naming the
+// file type and version, every later line one JSON Record. The framing, the
+// fsync and the torn-tail rule (a bad final line is chopped off on Open, a
+// bad line followed by more refuses to load) are internal/frame's; this
+// package adds the header check, the rising sequence numbers and the fold.
+// DecodeAll never panics on arbitrary bytes (see FuzzWAL).
 package store
 
 import (
@@ -25,12 +24,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"sync"
 	"time"
 
-	"hotpotato/internal/codec"
+	"hotpotato/internal/frame"
 )
 
 // Version is the WAL schema version written into the header line.
@@ -159,102 +156,51 @@ func (r *Recovery) Job(id string) *JobRecord {
 
 // Store is an open WAL. Append is safe for concurrent use.
 type Store struct {
-	mu     sync.Mutex
-	f      *os.File
-	seq    int64
-	closed bool
+	mu  sync.Mutex // orders sequence numbers with their lines
+	log *frame.Log
+	seq int64
 }
 
-// encodeLine frames one payload: crc32 in fixed-width hex, space, payload.
-func encodeLine(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+10)
-	out = fmt.Appendf(out, "%08x ", crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
-	return append(out, '\n')
+// replay is the WAL's schema, applied one line at a time: line 1 must be
+// the header, every later line a record whose sequence number rises.
+type replay struct {
+	recs    []Record
+	lastSeq int64
 }
 
-// decodeLine verifies one line's CRC frame and returns the payload.
-func decodeLine(line []byte) ([]byte, error) {
-	if len(line) < 10 || line[8] != ' ' {
-		return nil, fmt.Errorf("short or unframed line")
+func (r *replay) line(n int, payload []byte) error {
+	if n == 1 {
+		var h header
+		if json.Unmarshal(payload, &h) != nil || h.WAL != walName {
+			return errors.New("missing or wrong header")
+		}
+		if h.Version > Version {
+			return fmt.Errorf("version %d, this build reads %d", h.Version, Version)
+		}
+		return nil
 	}
-	want, ok := codec.Hex32(line[:8])
-	if !ok {
-		return nil, fmt.Errorf("bad crc field %q", line[:8])
+	var rec Record
+	if json.Unmarshal(payload, &rec) != nil || rec.Job == "" || rec.Op == "" {
+		return errors.New("bad record json")
 	}
-	payload := line[9:]
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("crc mismatch: line says %08x, payload is %08x", want, got)
+	if rec.Seq <= r.lastSeq {
+		return fmt.Errorf("sequence went backwards (%d after %d)", rec.Seq, r.lastSeq)
 	}
-	return payload, nil
+	r.lastSeq = rec.Seq
+	r.recs = append(r.recs, rec)
+	return nil
 }
 
-// DecodeAll parses WAL bytes into records. It tolerates exactly one broken
-// region: a torn tail, i.e. a final line that is incomplete, fails its CRC,
-// or is unparseable — clean is the byte offset where that tail begins (==
-// len(data) when the file is whole). Corruption anywhere else returns an
-// error wrapping ErrBadWAL. It never panics, whatever the input (FuzzWAL).
+// DecodeAll parses WAL bytes into records under internal/frame's torn-tail
+// rule: clean is the byte offset where a tolerated torn final line begins
+// (== len(data) when the file is whole). Corruption anywhere else returns
+// an error wrapping ErrBadWAL. It never panics, whatever the input (FuzzWAL).
 func DecodeAll(data []byte) (recs []Record, clean int64, err error) {
-	var offset int64
-	lineNo := 0
-	lastSeq := int64(0)
-	for len(data) > 0 {
-		lineNo++
-		lineStart := offset
-		nl := bytes.IndexByte(data, '\n')
-		var line []byte
-		complete := nl >= 0
-		if complete {
-			line = data[:nl]
-			data = data[nl+1:]
-			offset += int64(nl) + 1
-		} else {
-			line = data
-			data = nil
-			offset += int64(len(line))
-		}
-		payload, lineErr := decodeLine(line)
-		var rec Record
-		if lineErr == nil && !complete {
-			// A line without its newline can pass the CRC check only if the
-			// crash landed exactly between payload and '\n'; the record is
-			// whole, but the file still needs its tail trimmed to stay
-			// appendable, so treat it as torn anyway.
-			lineErr = fmt.Errorf("unterminated final line")
-		}
-		if lineErr == nil {
-			if lineNo == 1 {
-				var h header
-				if json.Unmarshal(payload, &h) != nil || h.WAL != walName {
-					return nil, 0, fmt.Errorf("%w: missing or wrong header", ErrBadWAL)
-				}
-				if h.Version > Version {
-					return nil, 0, fmt.Errorf("%w: version %d, this build reads %d", ErrBadWAL, h.Version, Version)
-				}
-				continue
-			}
-			if uerr := json.Unmarshal(payload, &rec); uerr != nil || rec.Job == "" || rec.Op == "" {
-				lineErr = fmt.Errorf("bad record json")
-			} else if rec.Seq <= lastSeq {
-				lineErr = fmt.Errorf("sequence went backwards (%d after %d)", rec.Seq, lastSeq)
-			}
-		}
-		if lineErr != nil {
-			if lineNo == 1 {
-				return nil, 0, fmt.Errorf("%w: bad header line: %v", ErrBadWAL, lineErr)
-			}
-			if len(data) > 0 {
-				return nil, 0, fmt.Errorf("%w: corrupt line %d (%v) followed by more records", ErrBadWAL, lineNo, lineErr)
-			}
-			return recs, lineStart, nil // torn tail: tolerated
-		}
-		lastSeq = rec.Seq
-		recs = append(recs, rec)
+	var r replay
+	if clean, err = frame.Read(bytes.NewReader(data), r.line); err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", ErrBadWAL, err)
 	}
-	if lineNo == 0 {
-		return nil, 0, fmt.Errorf("%w: empty file", ErrBadWAL)
-	}
-	return recs, offset, nil
+	return r.recs, clean, nil
 }
 
 // fold reduces a record stream to per-job recovery state.
@@ -294,49 +240,19 @@ func fold(recs []Record) *Recovery {
 // line is truncated away; any other corruption fails with ErrBadWAL. The
 // returned Recovery reflects every job the file records.
 func Open(path string) (*Store, *Recovery, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	// A header of strings and ints always marshals.
+	hdr, _ := json.Marshal(header{WAL: walName, Version: Version})
+	var r replay
+	log, cut, err := frame.Open(path, hdr, r.line)
+	if errors.Is(err, frame.ErrCorrupt) {
+		return nil, nil, fmt.Errorf("%w: %s: %w", ErrBadWAL, path, err)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{f: f}
-	if len(data) == 0 { // fresh file: write the header
-		hdr, err := json.Marshal(header{WAL: walName, Version: Version})
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := s.writeLine(hdr); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return s, &Recovery{}, nil
-	}
-	recs, clean, err := DecodeAll(data)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if clean < int64(len(data)) {
-		if err := f.Truncate(clean); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: repairing torn tail of %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(clean, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	rec := fold(recs)
-	rec.Truncated = int64(len(data)) - clean
-	if n := len(recs); n > 0 {
-		s.seq = recs[n-1].Seq
-	}
-	return s, rec, nil
+	rec := fold(r.recs)
+	rec.Truncated = cut
+	return &Store{log: log, seq: r.lastSeq}, rec, nil
 }
 
 // Append stamps the record (sequence number, timestamp), writes it as one
@@ -345,29 +261,17 @@ func Open(path string) (*Store, *Recovery, error) {
 func (s *Store) Append(r Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("store: appending to a closed WAL")
-	}
 	s.seq++
 	r.Seq = s.seq
 	if r.UnixMS == 0 {
 		r.UnixMS = time.Now().UnixMilli()
 	}
 	payload, err := json.Marshal(r)
+	if err == nil {
+		err = s.log.Append(payload)
+	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	return s.writeLine(payload)
-}
-
-// writeLine appends one framed line and fsyncs. Callers hold s.mu (or have
-// exclusive access during Open).
-func (s *Store) writeLine(payload []byte) error {
-	if _, err := s.f.Write(encodeLine(payload)); err != nil {
-		return fmt.Errorf("store: wal write: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: wal sync: %w", err)
 	}
 	return nil
 }
@@ -376,12 +280,4 @@ func (s *Store) writeLine(payload []byte) error {
 // the behavior the chaos harness leans on to simulate a crash: close the
 // WAL, and everything the server tries to record afterwards is lost, like
 // the page cache of a kill -9'd process.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.f.Close()
-}
+func (s *Store) Close() error { return s.log.Close() }

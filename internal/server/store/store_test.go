@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"hotpotato/internal/frame"
 )
+
+// encodeLine frames one WAL line.
+func encodeLine(payload []byte) []byte { return frame.AppendLine(nil, payload) }
 
 func openT(t *testing.T, path string) (*Store, *Recovery) {
 	t.Helper()
@@ -202,34 +206,69 @@ func TestQuarantineEvidence(t *testing.T) {
 	}
 }
 
-// smallCRCPayload returns a payload whose CRC-32 is below 1<<16, so that the
-// padded and left-aligned renderings of its CRC field below read back, under
-// a loose parser, as the right value.
-func smallCRCPayload(t *testing.T) ([]byte, uint32) {
-	t.Helper()
-	for i := 0; i < 1<<22; i++ {
-		p := fmt.Appendf(nil, `{"pad":%d}`, i)
-		if c := crc32.ChecksumIEEE(p); c < 1<<16 {
-			return p, c
-		}
+// TestOpensVersion1Fixture: testdata/v1.wal was written by the store before
+// its framing moved into internal/frame. It must fold to the Recovery it
+// folded to then, re-frame byte for byte, and take appends after it — the
+// WAL format did not move.
+func TestOpensVersion1Fixture(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("testdata", "v1.wal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no payload with a 16-bit CRC found")
-	return nil, 0
-}
+	recs, clean, err := DecodeAll(orig)
+	if err != nil || clean != int64(len(orig)) {
+		t.Fatalf("DecodeAll: clean %d of %d, err %v", clean, len(orig), err)
+	}
+	reframed := encodeLine([]byte(`{"wal":"hotpotatod-jobs","version":1}`))
+	for _, r := range recs {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reframed = frame.AppendLine(reframed, payload)
+	}
+	if !bytes.Equal(reframed, orig) {
+		t.Fatalf("re-framed WAL differs from the fixture:\n%s\n%s", reframed, orig)
+	}
 
-// TestDecodeLineRejectsLooseCRC: the CRC field is exactly eight lowercase
-// hex digits. fmt.Sscanf's %08x, which read it before, also took the field
-// space-padded (" 000abcd") or left-aligned ("abcd    "), and read
-// "0x00abcd" as 0.
-func TestDecodeLineRejectsLooseCRC(t *testing.T) {
-	payload, crc := smallCRCPayload(t)
-	line := func(field string) []byte { return append([]byte(field+" "), payload...) }
-	if got, err := decodeLine(line(fmt.Sprintf("%08x", crc))); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("canonical line: %q, %v", got, err)
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, field := range []string{fmt.Sprintf(" %07x", crc), fmt.Sprintf("%-8x", crc), fmt.Sprintf("0x%06x", crc)} {
-		if _, err := decodeLine(line(field)); err == nil {
-			t.Errorf("CRC field %q accepted", field)
-		}
+	s, rec := openT(t, path)
+	spec := json.RawMessage(`{"side":8,"k":48,"seed":3}`)
+	want := &Recovery{Jobs: []*JobRecord{
+		{ID: "j000001", Tenant: "acme", Spec: spec, Op: OpDone, Starts: 1,
+			Result: json.RawMessage(`{"Steps":41,"Delivered":48}`), FinalHash: 0x9e3779b97f4a7c15},
+		{ID: "j000002", Tenant: "zeta", Spec: spec, Op: OpFailed, Starts: 1, Error: "engine: boom"},
+		{ID: "j000003", Tenant: "acme", Spec: spec, Op: OpCheckpointed, Starts: 1,
+			Checkpoint: "ckpt/j000003.hpck", Result: json.RawMessage(`{"Steps":20}`)},
+		{ID: "j000004", Tenant: "default", Spec: spec, Op: OpRunning, Starts: 2},
+		{ID: "j000005", Tenant: "default", Spec: spec, Op: OpQuarantined, Starts: 3,
+			Error: "started 3 times without finishing"},
+		{ID: "j000006", Tenant: "zeta", Spec: spec, Op: OpAccepted},
+	}}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("fixture folded to\n%+v\nwant\n%+v", rec, want)
+	}
+	if err := s.Append(Record{Job: "j000006", Op: OpRunning, Attempt: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, orig) {
+		t.Fatal("append rewrote the fixture's bytes")
+	}
+	s2, rec2 := openT(t, path)
+	s2.Close()
+	if j := rec2.Job("j000006"); j.Op != OpRunning || j.Starts != 1 {
+		t.Fatalf("appended record folded to %+v", j)
+	}
+	all, _, err := DecodeAll(data)
+	if err != nil || all[len(all)-1].Seq != 20 {
+		t.Fatalf("append after the fixture: err %v, last record %+v", err, all[len(all)-1])
 	}
 }

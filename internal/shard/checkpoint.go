@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"hotpotato/internal/checkpoint"
+	"hotpotato/internal/mesh"
 	"hotpotato/internal/sim"
 )
 
@@ -191,81 +192,67 @@ func (e *Engine) Restore(ck *Checkpoint) error {
 	return e.loadCheckpoint(ck)
 }
 
-// CheckUniqueIDs refuses, as ErrBadCheckpoint, a checkpoint that holds
-// one packet ID twice: in two parts, twice in one part, or live and among
-// the manifest's finalized packets. Restore applies it, and so does a
-// distributed run resuming the checkpoint.
-func (ck *Checkpoint) CheckUniqueIDs() error {
-	n := len(ck.Manifest.Finalized)
-	for i := range ck.Parts {
-		n += len(ck.Parts[i].Packets)
-	}
-	ids := make([]int, 0, n)
-	for i := range ck.Manifest.Finalized {
-		ids = append(ids, ck.Manifest.Finalized[i].ID)
-	}
-	for i := range ck.Parts {
-		for j := range ck.Parts[i].Packets {
-			ids = append(ids, ck.Parts[i].Packets[j].ID)
-		}
-	}
-	if id, dup := sim.DuplicateID(ids); dup {
-		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
-	}
-	return nil
+// Guard is the run configuration a resuming engine requires a checkpoint to
+// have been written under.
+type Guard struct {
+	Mesh           *mesh.Mesh
+	Policy         string
+	Seed           int64
+	Validation     sim.ValidationLevel
+	DetectLivelock bool
+	Injector       bool
 }
 
-// loadCheckpoint resets every shard and loads the checkpoint's state. Used
-// by Restore and by in-run panic recovery (where the configuration guards
-// hold trivially).
-func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
+// Check is the one guard every sharded checkpoint passes before an engine
+// loads it — Restore and in-run panic recovery on Engine, and a dshard
+// resume. It refuses, as ErrBadCheckpoint: a schema from a later build; a
+// configuration other than want's; a manifest whose shard count is not its
+// part count; a part from another step (a torn checkpoint); a packet off
+// the mesh, with an ID at or past NextID, or in the wrong section (a live
+// packet that arrived, a finalized one that did not); a live count the
+// parts do not carry; and a packet ID that occurs twice anywhere. It does
+// not check node capacity: the loader that enqueues does.
+func (ck *Checkpoint) Check(want Guard) error {
 	m := &ck.Manifest
 	switch {
 	case m.Version > CheckpointVersion:
 		return fmt.Errorf("%w: schema v%d, this build reads up to v%d", ErrBadCheckpoint, m.Version, CheckpointVersion)
-	case m.MeshDim != e.mesh.Dim() || m.MeshSide != e.mesh.Side() || m.MeshWrap != e.mesh.Wrap():
+	case m.MeshDim != want.Mesh.Dim() || m.MeshSide != want.Mesh.Side() || m.MeshWrap != want.Mesh.Wrap():
 		return fmt.Errorf("%w: mesh mismatch: checkpoint dim=%d side=%d wrap=%v, engine %s",
-			ErrBadCheckpoint, m.MeshDim, m.MeshSide, m.MeshWrap, e.mesh)
-	case m.PolicyName != e.policy.Name():
-		return fmt.Errorf("%w: policy mismatch: checkpoint %q, engine %q", ErrBadCheckpoint, m.PolicyName, e.policy.Name())
-	case m.Seed != e.opts.Seed:
-		return fmt.Errorf("%w: seed mismatch: checkpoint %d, engine %d", ErrBadCheckpoint, m.Seed, e.opts.Seed)
-	case m.Validation != e.opts.Validation:
-		return fmt.Errorf("%w: validation mismatch: checkpoint %d, engine %d", ErrBadCheckpoint, m.Validation, e.opts.Validation)
-	case m.DetectLive != e.opts.DetectLivelock:
+			ErrBadCheckpoint, m.MeshDim, m.MeshSide, m.MeshWrap, want.Mesh)
+	case m.PolicyName != want.Policy:
+		return fmt.Errorf("%w: policy mismatch: checkpoint %q, engine %q", ErrBadCheckpoint, m.PolicyName, want.Policy)
+	case m.Seed != want.Seed:
+		return fmt.Errorf("%w: seed mismatch: checkpoint %d, engine %d", ErrBadCheckpoint, m.Seed, want.Seed)
+	case m.Validation != want.Validation:
+		return fmt.Errorf("%w: validation mismatch: checkpoint %d, engine %d", ErrBadCheckpoint, m.Validation, want.Validation)
+	case m.DetectLive != want.DetectLivelock:
 		return fmt.Errorf("%w: livelock detection mismatch", ErrBadCheckpoint)
 	case m.Shards != len(ck.Parts):
 		return fmt.Errorf("%w: manifest lists %d shards, checkpoint has %d parts", ErrBadCheckpoint, m.Shards, len(ck.Parts))
-	case (e.injector != nil) != m.HasInjector:
-		return fmt.Errorf("%w: injector installed=%v, checkpoint has_injector=%v", ErrBadCheckpoint, e.injector != nil, m.HasInjector)
+	case m.HasInjector != want.Injector:
+		return fmt.Errorf("%w: injector installed=%v, checkpoint has_injector=%v", ErrBadCheckpoint, want.Injector, m.HasInjector)
 	}
-
-	if err := ck.CheckUniqueIDs(); err != nil {
-		return err
+	n := len(m.Finalized)
+	for i := range ck.Parts {
+		n += len(ck.Parts[i].Packets)
 	}
-
-	for _, s := range e.shards {
-		s.reset()
-	}
-
-	packets := make([]*sim.Packet, 0, len(m.Finalized))
-	live := 0
-	admit := func(ps *sim.PacketState, wantLive bool) (*sim.Packet, error) {
-		if err := checkPacketIDs(e.mesh, ps); err != nil {
-			return nil, err
+	ids := make([]int, 0, n)
+	packet := func(ps *sim.PacketState, live bool) error {
+		if err := checkPacketIDs(want.Mesh, ps); err != nil {
+			return err
 		}
-		p := ps.Packet()
-		if p.ID >= m.NextID {
-			return nil, fmt.Errorf("%w: packet id %d >= next id %d", ErrBadCheckpoint, p.ID, m.NextID)
+		if ps.ID >= m.NextID {
+			return fmt.Errorf("%w: packet id %d >= next id %d", ErrBadCheckpoint, ps.ID, m.NextID)
 		}
-		if wantLive == p.Arrived() {
-			return nil, fmt.Errorf("%w: packet %d in the wrong section (arrived=%v)", ErrBadCheckpoint, p.ID, p.Arrived())
+		if arrived := ps.ArrivedAt >= 0; arrived == live {
+			return fmt.Errorf("%w: packet %d in the wrong section (arrived=%v)", ErrBadCheckpoint, ps.ID, arrived)
 		}
-		packets = append(packets, p)
-		return p, nil
+		ids = append(ids, ps.ID)
+		return nil
 	}
 	for i := range m.Finalized {
-		if _, err := admit(&m.Finalized[i], false); err != nil {
+		if err := packet(&m.Finalized[i], false); err != nil {
 			return err
 		}
 	}
@@ -276,23 +263,52 @@ func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 				ErrBadCheckpoint, part.Index, part.Time, m.Time)
 		}
 		for j := range part.Packets {
-			p, err := admit(&part.Packets[j], true)
-			if err != nil {
+			if err := packet(&part.Packets[j], true); err != nil {
 				return err
 			}
+		}
+	}
+	if live := n - len(m.Finalized); live != m.Live {
+		return fmt.Errorf("%w: manifest says %d live packets, parts carry %d", ErrBadCheckpoint, m.Live, live)
+	}
+	if id, dup := sim.DuplicateID(ids); dup {
+		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
+	}
+	return nil
+}
+
+// loadCheckpoint resets every shard and loads the checkpoint's state once
+// Check has passed it. Used by Restore and by in-run panic recovery (where
+// the checks hold trivially).
+func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
+	m := &ck.Manifest
+	if err := ck.Check(Guard{
+		Mesh: e.mesh, Policy: e.policy.Name(), Seed: e.opts.Seed, Validation: e.opts.Validation,
+		DetectLivelock: e.opts.DetectLivelock, Injector: e.injector != nil,
+	}); err != nil {
+		return err
+	}
+
+	for _, s := range e.shards {
+		s.reset()
+	}
+	packets := make([]*sim.Packet, 0, len(m.Finalized)+m.Live)
+	for i := range m.Finalized {
+		packets = append(packets, m.Finalized[i].Packet())
+	}
+	for i := range ck.Parts {
+		for j := range ck.Parts[i].Packets {
+			p := ck.Parts[i].Packets[j].Packet()
 			if !e.shards[e.pt.owner(p.Node)].enqueue(p) {
 				return fmt.Errorf("%w: node %d holds more packets than its out-degree %d",
 					ErrBadCheckpoint, p.Node, e.mesh.Degree(p.Node))
 			}
-			live++
+			packets = append(packets, p)
 		}
-	}
-	if live != m.Live {
-		return fmt.Errorf("%w: manifest says %d live packets, parts carry %d", ErrBadCheckpoint, m.Live, live)
 	}
 
 	e.packets = packets
-	e.live = live
+	e.live = m.Live
 	e.time = m.Time
 	e.lastArrival = m.LastArrival
 	e.nextID = m.NextID
