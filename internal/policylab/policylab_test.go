@@ -2,8 +2,10 @@ package policylab
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -436,5 +438,54 @@ func TestRecorderSpillErrorLatched(t *testing.T) {
 	}
 	if r.Total() != 5 {
 		t.Fatalf("recording stopped after spill error: total %d", r.Total())
+	}
+}
+
+// TestDecodeLineRejectsLooseCRC: a trace line's CRC field is exactly eight
+// lowercase hex digits. A loose parser such as fmt.Sscanf's %08x also takes
+// the field space-padded (" 000abcd") or left-aligned ("abcd    "), and
+// reads "0x00abcd" as 0. The payload is a record whose CRC-32 is below
+// 1<<16, so each loose rendering would read back as the right value;
+// mid-trace, ReadTrace must refuse it as corruption.
+func TestDecodeLineRejectsLooseCRC(t *testing.T) {
+	var payload []byte
+	var crc uint32
+	for t0 := 0; payload == nil; t0++ {
+		rec := mkRecord(t0, 3)
+		p, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := crc32.ChecksumIEEE(p); c < 1<<16 {
+			payload, crc = p, c
+		}
+	}
+	// A whole trace, header and one record, split after the header line.
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, TraceHeader{Dim: 2, Side: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := mkRecord(1, 2)
+	if err := w.Write(&last); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.IndexByte(buf.Bytes(), '\n') + 1
+	hdr, tail := buf.Bytes()[:cut], buf.Bytes()[cut:]
+	trace := func(field string) []byte {
+		data := append(bytes.Clone(hdr), field+" "...)
+		data = append(append(data, payload...), '\n')
+		return append(data, tail...)
+	}
+	if _, recs, err := ReadTrace(bytes.NewReader(trace(fmt.Sprintf("%08x", crc)))); err != nil || len(recs) != 2 {
+		t.Fatalf("canonical line: %d records, %v", len(recs), err)
+	}
+	for _, field := range []string{fmt.Sprintf(" %07x", crc), fmt.Sprintf("%-8x", crc), fmt.Sprintf("0x%06x", crc)} {
+		if _, _, err := ReadTrace(bytes.NewReader(trace(field))); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("CRC field %q: err %v, want ErrBadTrace", field, err)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,5 +272,42 @@ func TestOpensVersion1Fixture(t *testing.T) {
 	all, _, err := DecodeAll(data)
 	if err != nil || all[len(all)-1].Seq != 20 {
 		t.Fatalf("append after the fixture: err %v, last record %+v", err, all[len(all)-1])
+	}
+}
+
+// TestDecodeLineRejectsLooseCRC: a WAL line's CRC field is exactly eight
+// lowercase hex digits. A loose parser such as fmt.Sscanf's %08x also takes
+// the field space-padded (" 000abcd") or left-aligned ("abcd    "), and
+// reads "0x00abcd" as 0. The record's CRC-32 is below 1<<16, so each loose
+// rendering would read back as the right value; mid-file, DecodeAll must
+// refuse it as corruption.
+func TestDecodeLineRejectsLooseCRC(t *testing.T) {
+	var payload []byte
+	var crc uint32
+	for i := 0; payload == nil; i++ {
+		p, err := json.Marshal(Record{Seq: 1, Job: fmt.Sprintf("j%06d", i), Op: OpAccepted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := crc32.ChecksumIEEE(p); c < 1<<16 {
+			payload, crc = p, c
+		}
+	}
+	hdr, _ := json.Marshal(header{WAL: walName, Version: Version})
+	next, _ := json.Marshal(Record{Seq: 2, Job: "j999999", Op: OpAccepted})
+	wal := func(field string) []byte {
+		data := encodeLine(hdr)
+		data = append(data, field+" "...)
+		data = append(data, payload...)
+		return append(append(data, '\n'), encodeLine(next)...)
+	}
+	recs, _, err := DecodeAll(wal(fmt.Sprintf("%08x", crc)))
+	if err != nil || len(recs) != 2 || recs[0].Seq != 1 {
+		t.Fatalf("canonical line: %+v, %v", recs, err)
+	}
+	for _, field := range []string{fmt.Sprintf(" %07x", crc), fmt.Sprintf("%-8x", crc), fmt.Sprintf("0x%06x", crc)} {
+		if _, _, err := DecodeAll(wal(field)); !errors.Is(err, ErrBadWAL) {
+			t.Errorf("CRC field %q: err %v, want ErrBadWAL", field, err)
+		}
 	}
 }
