@@ -10,17 +10,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
-	"hotpotato/internal/core"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/mesh"
-	"hotpotato/internal/sim"
+	"hotpotato/internal/spec"
 	"hotpotato/internal/version"
 	"hotpotato/internal/viz"
-	"hotpotato/internal/workload"
 )
 
 func main() {
@@ -93,28 +92,23 @@ func run(args []string) error {
 
 // congestedSnapshot runs a corner-rush instance until the first step with a
 // maximal number of bad nodes (within a small horizon) and returns the
-// per-node loads at that point.
+// per-node loads at that point. Like every frontend, it draws the workload
+// from seed and runs the engine with seed+1.
 func congestedSnapshot(n int, seed int64) (*mesh.Mesh, []int, int, error) {
-	m, err := mesh.New(2, n)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	packets, err := workload.CornerRush(m, n*n/3, rng)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	e, err := sim.New(m, core.NewRestrictedPriority(), packets, sim.Options{
-		Seed:       seed,
-		Validation: sim.ValidateRestricted,
+	horizon := 4 * n
+	r, err := engine.Open(engine.Spec{
+		Dim: 2, Side: n, Policy: "restricted", Validation: "restricted",
+		Workload: spec.WorkloadSpec{Name: "corner-rush"}, K: n * n / 3, Seed: seed,
+		MaxSteps: horizon - 1, // the loads after the last step are not looked at
 	})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	best := make([]int, m.Size())
+	defer r.Close()
+	m, e := r.Mesh(), r.Sim()
+	var best []int
 	bestBad, bestT := -1, 0
-	horizon := 4 * n
-	for t := 0; t < horizon && !e.Done(); t++ {
+	look := func() {
 		loads := make([]int, m.Size())
 		bad := 0
 		for id := mesh.NodeID(0); int(id) < m.Size(); id++ {
@@ -125,11 +119,12 @@ func congestedSnapshot(n int, seed int64) (*mesh.Mesh, []int, int, error) {
 			}
 		}
 		if bad > bestBad {
-			bestBad, bestT, best = bad, t, loads
+			bestBad, bestT, best = bad, e.Time(), loads
 		}
-		if err := e.Step(); err != nil {
-			return nil, nil, 0, err
-		}
+	}
+	look()
+	if _, err := r.Run(context.Background(), look); err != nil {
+		return nil, nil, 0, err
 	}
 	return m, best, bestT, nil
 }

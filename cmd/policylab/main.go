@@ -16,17 +16,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
 	"hotpotato/internal/checkpoint"
-	"hotpotato/internal/mesh"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/policylab"
 	"hotpotato/internal/policylab/search"
 	"hotpotato/internal/sim"
@@ -103,33 +103,22 @@ func runTrace(args []string) error {
 		return fmt.Errorf("-checkpoint-at needs -checkpoint")
 	}
 
-	m, err := mesh.New(*dim, *side)
+	ws, err := spec.ParseWorkloadSpec(*wl)
 	if err != nil {
 		return err
 	}
-	pol, err := spec.NewPolicy(*policy)
+	if ws.Arrivals, err = spec.ParseArrivalSpec(*arrivals); err != nil {
+		return err
+	}
+	r, err := engine.Open(engine.Spec{
+		Dim: *dim, Side: *side, Policy: *policy,
+		Workload: ws, K: *k, Seed: *seed, MaxSteps: *maxSteps,
+	})
 	if err != nil {
 		return err
 	}
-	pkts, err := spec.NewWorkload(*wl, m, *k, rand.New(rand.NewSource(*seed)))
-	if err != nil {
-		return err
-	}
-	e, err := sim.New(m, pol, pkts, sim.Options{Seed: *seed + 1, MaxSteps: *maxSteps, Validation: sim.ValidateGreedy})
-	if err != nil {
-		return err
-	}
-	as, err := spec.ParseArrivalSpec(*arrivals)
-	if err != nil {
-		return err
-	}
-	src, err := spec.BuildArrivals(as, m)
-	if err != nil {
-		return err
-	}
-	if src != nil {
-		e.SetInjector(src)
-	}
+	defer r.Close()
+	e, pol := r.Sim(), r.Policy()
 
 	rec := policylab.NewRecorder(0)
 	var flush func() error
@@ -156,34 +145,43 @@ func runTrace(args []string) error {
 	}
 	e.SetConflictObserver(rec)
 
-	// Step manually so the checkpoint lands exactly at -checkpoint-at.
-	budget := *maxSteps
-	if budget == 0 {
-		budget = sim.DefaultMaxSteps
+	// The checkpoint lands exactly at -checkpoint-at: before the first step
+	// when that is 0, else from the step hook once that step is done.
+	saved := false
+	due := func() bool { return *ckpt != "" && !saved && e.Time() == *ckptAt }
+	save := func() error {
+		snap, err := e.Snapshot()
+		if err == nil {
+			err = checkpoint.Save(*ckpt, snap, checkpoint.Binary)
+		}
+		if err != nil {
+			return err
+		}
+		saved = true
+		fmt.Printf("checkpoint:  step %d, %d in flight -> %s\n", e.Time(), e.Live(), *ckpt)
+		return nil
 	}
-	for e.Time() < budget && !e.Livelocked() {
-		if e.Done() && src == nil {
-			break
-		}
-		if *ckpt != "" && e.Time() == *ckptAt {
-			snap, err := e.Snapshot()
-			if err != nil {
-				return err
-			}
-			if err := checkpoint.Save(*ckpt, snap, checkpoint.Binary); err != nil {
-				return err
-			}
-			fmt.Printf("checkpoint:  step %d, %d in flight -> %s\n", e.Time(), e.Live(), *ckpt)
-		}
-		if e.Done() && src != nil && src.Exhausted(e.Time()) {
-			// Arrival-driven run fully drained and the source is done.
-			break
-		}
-		if err := e.Step(); err != nil {
+	if due() {
+		if err := save(); err != nil {
 			return err
 		}
 	}
-	if rec.Err() != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var saveErr error
+	res, err := r.Run(ctx, func() {
+		if due() {
+			if saveErr = save(); saveErr != nil {
+				cancel()
+			}
+		}
+	})
+	switch {
+	case saveErr != nil:
+		return saveErr
+	case err != nil:
+		return err
+	case rec.Err() != nil:
 		return rec.Err()
 	}
 	if flush != nil {
@@ -191,15 +189,12 @@ func runTrace(args []string) error {
 			return err
 		}
 	}
-
-	delivered := 0
-	for _, p := range e.Packets() {
-		if p.Arrived() {
-			delivered++
-		}
+	if *ckpt != "" && !saved {
+		return fmt.Errorf("the run ended at step %d, before -checkpoint-at %d: no checkpoint written to %s", e.Time(), *ckptAt, *ckpt)
 	}
+
 	total, contenders, deflected, db, da := rec.Stats()
-	fmt.Printf("run:         policy %s, %s, %d steps, %d delivered\n", pol.Name(), m, e.Time(), delivered)
+	fmt.Printf("run:         policy %s, %s, %d steps, %d delivered\n", pol.Name(), r.Mesh(), e.Time(), res.Delivered)
 	fmt.Printf("conflicts:   %d (%d contenders, %d deflected, potential drop %d)\n", total, contenders, deflected, db-da)
 	if *out != "" {
 		fmt.Printf("trace:       written to %s\n", *out)

@@ -130,9 +130,11 @@ func TestRunErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		"unknown command":        {[]string{"frobnicate"}, "unknown command"},
-		"checkpoint-at alone":    {[]string{"trace", "-checkpoint-at", "3"}, "-checkpoint-at needs -checkpoint"},
-		"bad policy spec":        {[]string{"trace", "-policy", "restricted:age=1"}, `unknown parameter "age"`},
+		"unknown command":     {[]string{"frobnicate"}, "unknown command"},
+		"checkpoint-at alone": {[]string{"trace", "-checkpoint-at", "3"}, "-checkpoint-at needs -checkpoint"},
+		"bad policy spec":     {[]string{"trace", "-policy", "restricted:age=1"}, `unknown parameter "age"`},
+		"checkpoint past the end": {[]string{"trace", "-n", "6", "-k", "8", "-checkpoint", filepath.Join(dir, "late.hpck"), "-checkpoint-at", "500"},
+			"run ended at step 8, before -checkpoint-at 500"},
 		"counterfactual no ckpt": {[]string{"counterfactual"}, "-checkpoint is required"},
 		"counterfactual no file": {[]string{"counterfactual", "-checkpoint", filepath.Join(dir, "absent.hpck")}, "no such file"},
 		"dump of a missing file": {[]string{"trace", "-dump", filepath.Join(dir, "absent.trace")}, "no such file"},

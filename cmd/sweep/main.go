@@ -23,7 +23,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strconv"
@@ -31,12 +30,11 @@ import (
 	"syscall"
 
 	"hotpotato/internal/analysis"
-	"hotpotato/internal/fault"
-	"hotpotato/internal/mesh"
+	"hotpotato/internal/core"
+	"hotpotato/internal/engine"
 	"hotpotato/internal/profiling"
 	runner "hotpotato/internal/run"
 	"hotpotato/internal/shard"
-	"hotpotato/internal/sim"
 	"hotpotato/internal/spec"
 	"hotpotato/internal/stats"
 	"hotpotato/internal/version"
@@ -82,18 +80,44 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-// workloadBySpec adapts the shared spec registry to the trial runner's
-// generator shape, binding the mesh and packet count once per cell. kSet
-// reports whether the user set -k explicitly, which fixed-size workloads
-// reject.
-func workloadBySpec(ws spec.WorkloadSpec, m *mesh.Mesh, k int, kSet bool) (func(rng *rand.Rand) ([]*sim.Packet, error), error) {
-	if err := ws.Validate(); err != nil {
+// openTrial opens one trial through the engine opener and, with track,
+// attaches the potential tracker to the single engine's move stream — which
+// a sharded run does not have, so it refuses -track.
+func openTrial(es engine.Spec, track bool) (*engine.Run, *core.Tracker, error) {
+	r, err := engine.Open(es)
+	if err != nil || !track {
+		return r, nil, err
+	}
+	e := r.Sim()
+	if e == nil {
+		r.Close()
+		return nil, nil, fmt.Errorf("%w: -shards cannot be combined with -track (the tracker observes one engine's move stream)", engine.ErrUnsupported)
+	}
+	tracker := core.NewTracker(r.Mesh(), r.Packets(), core.TrackerOptions{SelfCheckEvery: 64})
+	e.AddObserver(tracker)
+	return r, tracker, nil
+}
+
+// runTrial runs one trial to the end and keeps what a table row needs. A
+// trial cut short by ctx's deadline (-cell-timeout) is an error, not a row.
+func runTrial(ctx context.Context, es engine.Spec, track bool) (*analysis.TrialResult, error) {
+	r, tracker, err := openTrial(es, track)
+	if err != nil {
 		return nil, err
 	}
-	if kSet && ws.FixedSize() {
-		return nil, fmt.Errorf("workload %q derives its packet count from the mesh; drop -k", ws.Name)
+	defer r.Close()
+	res, err := r.Run(ctx, nil)
+	switch {
+	case err != nil:
+		return nil, err
+	case res.DeadlineExceeded:
+		return nil, context.Cause(ctx)
 	}
-	return func(rng *rand.Rand) ([]*sim.Packet, error) { return spec.BuildWorkload(ws, m, k, rng) }, nil
+	tr := &analysis.TrialResult{Result: res}
+	if tracker != nil {
+		tr.Violations = tracker.Violations()
+	}
+	return tr, nil
 }
 
 // cellRow is the JSON payload one grid cell produces: everything needed to
@@ -186,108 +210,67 @@ func runCtx(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if arrSpec != nil {
-		if err := arrSpec.Validate(); err != nil {
-			return err
-		}
-		if *track {
-			return errors.New("-arrivals and -track are mutually exclusive (the tracker reconstructs runs from the initial batch)")
-		}
+	if arrSpec != nil && *track {
+		return errors.New("-arrivals and -track are mutually exclusive (the tracker reconstructs runs from the initial batch)")
 	}
 	faultRates, err := parseFloats(*frFlag)
 	if err != nil {
 		return err
 	}
+	var grid shard.Grid
 	if *shardsFlag != "" {
-		// Fail the whole sweep up front rather than erroring every cell: the
-		// sharded engine is 2-D only and does not compose with the tracker
-		// or fault injection (see analysis.TrialSpec).
-		if _, err := shard.ParseGrid(*shardsFlag); err != nil {
+		if grid, err = shard.ParseGrid(*shardsFlag); err != nil {
 			return err
 		}
-		switch {
-		case *dim != 2:
-			return errors.New("-shards needs -d 2 (the sharded engine decomposes 2-D meshes)")
-		case *track:
-			return errors.New("-shards and -track are mutually exclusive")
-		}
-		for _, frate := range faultRates {
-			if frate != 0 {
-				return errors.New("-shards does not support fault injection (-fault-rate)")
-			}
-		}
 	}
-
-	lvl := sim.ValidateGreedy
+	validation := ""
 	if *validate {
-		lvl = sim.ValidateRestricted
+		validation = "restricted"
 	}
 
 	// Build the grid eagerly so bad flags fail before anything runs, and so
-	// cells carry everything they need without touching shared state.
+	// cells carry everything they need without touching shared state. Each
+	// cell is one engine.Spec, opened once here: which engine runs it and
+	// which combinations it refuses is the opener's call, made up front.
 	var cells []runner.Cell
 	for _, n := range ns {
-		var m *mesh.Mesh
-		if *torus {
-			m, err = mesh.NewTorus(*dim, n)
-		} else {
-			m, err = mesh.New(*dim, n)
-		}
-		if err != nil {
-			return err
-		}
 		for _, k := range ks {
 			for _, wlName := range spec.SplitSpecList(*wlFlag) {
 				ws, err := spec.ParseWorkloadSpec(wlName)
 				if err != nil {
 					return err
 				}
-				mkWl, err := workloadBySpec(ws, m, k, kSet)
-				if err != nil {
-					return err
+				if kSet && ws.FixedSize() {
+					return fmt.Errorf("workload %q derives its packet count from the mesh; drop -k", ws.Name)
 				}
+				ws.Arrivals = arrSpec
 				// SplitSpecList keeps parameterized policy specs
 				// ("weighted:age=1,dist=-0.5") in one piece: a bare key=val
 				// segment belongs to the spec before it.
 				for _, polName := range spec.SplitSpecList(*polFlag) {
-					mkPol, err := spec.PolicyFactory(polName)
-					if err != nil {
-						return err
-					}
 					for _, frate := range faultRates {
-						ts := analysis.TrialSpec{
-							Mesh:        m,
-							NewPolicy:   mkPol,
-							NewWorkload: mkWl,
-							Track:       *track,
-							Validation:  lvl,
-							MaxSteps:    *maxSteps,
-							Shards:      *shardsFlag,
+						es := engine.Spec{
+							Dim: *dim, Side: n, Torus: *torus,
+							Policy: polName, Validation: validation,
+							Workload: ws, K: k, MaxSteps: *maxSteps,
+							Fault: &spec.FaultConfig{Rate: frate, Repair: *faultRepair, MaxDown: *faultMaxDown},
+							Grid:  grid,
 						}
-						if arrSpec != nil {
-							m := m
-							ts.NewInjector = func() (sim.Injector, error) {
-								return spec.BuildArrivals(arrSpec, m)
-							}
+						r, _, err := openTrial(es, *track)
+						if err != nil {
+							return err
 						}
-						if frate != 0 { // negative rates reach the validator below
-							// Validate the rates here; NewFaults runs inside
-							// the trial, too late for a clean flag error.
-							if _, err := fault.NewLinkFlaps(frate, *faultRepair); err != nil {
-								return err
-							}
-							frate := frate
-							ts.NewFaults = func() sim.FaultModel {
-								f, _ := fault.NewLinkFlaps(frate, *faultRepair)
-								f.MaxDown = *faultMaxDown
-								return f
-							}
-						}
-						m, n, k, wlName, polName, frate := m, n, k, wlName, polName, frate
+						network := r.Mesh().String()
+						r.Close()
+						n, k, wlName, polName, frate := n, k, wlName, polName, frate
 						cells = append(cells, runner.Cell{
 							Key: fmt.Sprintf("n=%d/k=%d/%s/%s/fr=%g", n, k, wlName, polName, frate),
-							Work: func(context.Context) (json.RawMessage, error) {
-								results, err := analysis.RunTrialsParallel(ts, *trials, *seed, *workers)
+							Work: func(ctx context.Context) (json.RawMessage, error) {
+								results, err := analysis.RunSeeds(*trials, *seed, *workers, func(seed int64) (*analysis.TrialResult, error) {
+									es := es
+									es.Seed = seed
+									return runTrial(ctx, es, *track)
+								})
 								if err != nil {
 									return nil, err
 								}
@@ -311,7 +294,7 @@ func runCtx(ctx context.Context, args []string) error {
 									viol = analysis.TotalViolations(results).String()
 								}
 								return json.Marshal(cellRow{
-									Network: m.String(), N: n, K: kAct, Workload: wlName,
+									Network: network, N: n, K: kAct, Workload: wlName,
 									Policy: polName, FaultRate: frate, Delivered: delivered,
 									Dropped: dropped, StepsMean: sm.Mean, StepsStd: sm.Std,
 									StepsMax: int(sm.Max), DeflMean: deflSum / float64(len(results)),

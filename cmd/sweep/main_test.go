@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hotpotato/internal/engine"
 	runner "hotpotato/internal/run"
 )
 
@@ -106,6 +107,44 @@ func TestSweepErrors(t *testing.T) {
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// Combinations the engine a cell selects cannot run are the opener's
+	// refusals, the same as on every other frontend.
+	for _, args := range [][]string{
+		{"-d", "3", "-n", "4", "-shards", "2x1"},
+		{"-n", "8", "-shards", "2x2", "-fault-rate", "0.01"},
+		{"-n", "8", "-shards", "2x2", "-track"},
+	} {
+		if _, err := capture(t, func() error { return run(args) }); !errors.Is(err, engine.ErrUnsupported) {
+			t.Errorf("args %v: err = %v, want ErrUnsupported", args, err)
+		}
+	}
+}
+
+// TestSweepShardsMatchSingle: a sharded cell computes the same run as the
+// single engine, so -shards leaves the table byte for byte as it was, with
+// arrivals too.
+func TestSweepShardsMatchSingle(t *testing.T) {
+	grid := []string{"-n", "8,12", "-trials", "2", "-policy", "restricted,random",
+		"-workload", "uniform,hotspot", "-quiet-cells"}
+	for _, extra := range [][]string{
+		nil,
+		{"-arrivals", "poisson:rate=0.02,until=40", "-max-steps", "2000"},
+	} {
+		args := append(append([]string(nil), grid...), extra...)
+		single, err := capture(t, func() error { return run(args) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []string{"2x2", "2x1"} {
+			sharded, err := capture(t, func() error { return run(append(args, "-shards", shards)) })
+			if err != nil {
+				t.Fatalf("-shards %s %v: %v", shards, extra, err)
+			}
+			if sharded != single {
+				t.Errorf("-shards %s %v: table differs from the single engine's:\n%s\nvs\n%s", shards, extra, sharded, single)
+			}
 		}
 	}
 }

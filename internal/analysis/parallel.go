@@ -6,12 +6,11 @@ import (
 	"sync"
 )
 
-// RunTrialsParallel executes the spec for seeds seedBase..seedBase+trials-1
-// across up to `workers` goroutines (0 = GOMAXPROCS) and returns the
-// results in seed order. Each trial builds its own policy, engine and
-// tracker, so trials share nothing; results are bit-identical to
-// RunTrials with the same seeds regardless of the worker count.
-func RunTrialsParallel(spec TrialSpec, trials int, seedBase int64, workers int) ([]*TrialResult, error) {
+// RunSeeds calls trial for seeds seedBase..seedBase+trials-1 across up to
+// `workers` goroutines (0 = GOMAXPROCS) and returns the results in seed
+// order. As long as trial shares nothing between calls, the results are the
+// same for every worker count.
+func RunSeeds(trials int, seedBase int64, workers int, trial func(seed int64) (*TrialResult, error)) ([]*TrialResult, error) {
 	if trials <= 0 {
 		return nil, nil
 	}
@@ -32,11 +31,7 @@ func RunTrialsParallel(spec TrialSpec, trials int, seedBase int64, workers int) 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				s := spec
-				s.Seed = seedBase + int64(i)
-				res, err := RunTrial(s)
-				results[i] = res
-				errs[i] = err
+				results[i], errs[i] = trial(seedBase + int64(i))
 			}
 		}()
 	}

@@ -22,6 +22,15 @@ func parallelSpec(m *mesh.Mesh) TrialSpec {
 	}
 }
 
+// runParallel fans the spec's trials out over RunSeeds.
+func runParallel(spec TrialSpec, trials int, seedBase int64, workers int) ([]*TrialResult, error) {
+	return RunSeeds(trials, seedBase, workers, func(seed int64) (*TrialResult, error) {
+		s := spec
+		s.Seed = seed
+		return RunTrial(s)
+	})
+}
+
 // TestParallelMatchesSerial: the parallel runner must reproduce the serial
 // runner bit for bit, for any worker count.
 func TestParallelMatchesSerial(t *testing.T) {
@@ -31,7 +40,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 7, 0} {
-		parallel, err := RunTrialsParallel(parallelSpec(m), 6, 50, workers)
+		parallel, err := runParallel(parallelSpec(m), 6, 50, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +62,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestParallelEdgeCases(t *testing.T) {
 	m := mesh.MustNew(2, 6)
-	if res, err := RunTrialsParallel(parallelSpec(m), 0, 0, 4); err != nil || res != nil {
+	if res, err := runParallel(parallelSpec(m), 0, 0, 4); err != nil || res != nil {
 		t.Errorf("zero trials: %v, %v", res, err)
 	}
 	// Workers above trial count.
-	res, err := RunTrialsParallel(parallelSpec(m), 2, 0, 100)
+	res, err := runParallel(parallelSpec(m), 2, 0, 100)
 	if err != nil || len(res) != 2 {
 		t.Errorf("more workers than trials: %v, %v", res, err)
 	}
@@ -69,7 +78,7 @@ func TestParallelPropagatesErrors(t *testing.T) {
 	spec.NewWorkload = func(rng *rand.Rand) ([]*sim.Packet, error) {
 		return workload.UniformRandom(m, 1<<20, rng) // always fails
 	}
-	if _, err := RunTrialsParallel(spec, 3, 0, 2); err == nil {
+	if _, err := runParallel(spec, 3, 0, 2); err == nil {
 		t.Error("workload error not propagated")
 	}
 }

@@ -6,11 +6,14 @@ import (
 
 	"hotpotato/internal/core"
 	"hotpotato/internal/mesh"
-	"hotpotato/internal/shard"
 	"hotpotato/internal/sim"
 )
 
-// TrialSpec describes one repeatable simulation trial.
+// TrialSpec describes one repeatable simulation trial on the single engine
+// (sim.Engine). It is cmd/experiments' harness: its policies, workloads and
+// fault models are closures (ablated policies, hand-assembled instances)
+// that an engine.Spec of registry names cannot express. The other frontends
+// open their runs through engine.Open.
 type TrialSpec struct {
 	// Mesh is the network.
 	Mesh *mesh.Mesh
@@ -29,23 +32,12 @@ type TrialSpec struct {
 	MaxSteps int
 	// DetectLivelock enables the engine's livelock detector.
 	DetectLivelock bool
-	// Shards, when non-empty, runs the trial on the sharded engine with
-	// this PxQ spatial decomposition (2-D meshes only; bit-identical to the
-	// single engine, see internal/shard). Mutually exclusive with Track and
-	// NewFaults.
-	Shards string
 	// NewFaults constructs a fresh fault model for the trial (models are
 	// stateful, so each engine needs its own). Nil runs on the intact mesh.
 	NewFaults func() sim.FaultModel
 	// FaultFate selects what a node crash does to the packets inside
 	// (drop vs absorb); only consulted when NewFaults is set.
 	FaultFate sim.PacketFate
-	// NewInjector constructs a fresh arrival-driven packet source for the
-	// trial (sources are stateful, so each engine needs its own); built for
-	// example by spec.BuildArrivals. Nil runs the batch workload alone.
-	// Mutually exclusive with Track (the tracker reconstructs runs from the
-	// initial batch).
-	NewInjector func() (sim.Injector, error)
 }
 
 // TrialResult is the outcome of one trial.
@@ -82,9 +74,6 @@ func RunTrial(spec TrialSpec) (*TrialResult, error) {
 	if validation == sim.ValidateOff {
 		validation = sim.ValidateGreedy
 	}
-	if spec.Shards != "" {
-		return runShardedTrial(spec, packets, validation)
-	}
 	e, err := sim.New(spec.Mesh, spec.NewPolicy(), packets, sim.Options{
 		Seed:           spec.Seed + 1,
 		Validation:     validation,
@@ -96,16 +85,6 @@ func RunTrial(spec TrialSpec) (*TrialResult, error) {
 	}
 	if spec.NewFaults != nil {
 		e.SetFaults(spec.NewFaults(), spec.FaultFate)
-	}
-	if spec.NewInjector != nil {
-		if spec.Track {
-			return nil, fmt.Errorf("analysis: trials cannot combine NewInjector with Track (the tracker reconstructs runs from the initial batch)")
-		}
-		inj, err := spec.NewInjector()
-		if err != nil {
-			return nil, fmt.Errorf("analysis: injector: %w", err)
-		}
-		e.SetInjector(inj)
 	}
 	tr := &TrialResult{Packets: packets}
 	var tracker *core.Tracker
@@ -129,52 +108,6 @@ func RunTrial(spec TrialSpec) (*TrialResult, error) {
 		tr.MinSpare = tracker.MinSpare()
 		tr.MinPhi = tracker.MinPhi()
 		tr.Tracker = tracker
-	}
-	return tr, nil
-}
-
-// runShardedTrial is RunTrial's sharded-engine path: same seeds, same
-// summary, computed by the spatially-decomposed engine. The outcome is
-// bit-identical to the single engine's (internal/shard's parity contract),
-// so sharded sweep cells are directly comparable to unsharded ones.
-func runShardedTrial(spec TrialSpec, packets []*sim.Packet, validation sim.ValidationLevel) (*TrialResult, error) {
-	switch {
-	case spec.Track:
-		return nil, fmt.Errorf("analysis: sharded trials cannot attach the potential tracker (observers see one engine's move stream)")
-	case spec.NewFaults != nil:
-		return nil, fmt.Errorf("analysis: sharded trials do not support fault injection")
-	}
-	grid, err := shard.ParseGrid(spec.Shards)
-	if err != nil {
-		return nil, err
-	}
-	e, err := shard.New(spec.Mesh, spec.NewPolicy(), packets, shard.Options{
-		Grid:           grid,
-		Seed:           spec.Seed + 1,
-		Validation:     validation,
-		MaxSteps:       spec.MaxSteps,
-		DetectLivelock: spec.DetectLivelock,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	if spec.NewInjector != nil {
-		inj, err := spec.NewInjector()
-		if err != nil {
-			return nil, fmt.Errorf("analysis: injector: %w", err)
-		}
-		e.SetInjector(inj)
-	}
-	res, err := e.Run()
-	if err != nil {
-		return nil, err
-	}
-	tr := &TrialResult{Packets: packets, Result: res}
-	for _, p := range packets {
-		if d := spec.Mesh.Dist(p.Src, p.Dst); d > tr.DMax {
-			tr.DMax = d
-		}
 	}
 	return tr, nil
 }
