@@ -36,7 +36,10 @@ vet:
 # whatever a crash left on disk: torn writes, truncation, bit rot. The halo frame reader and wire decoders
 # are fuzzed because they parse whatever a peer (or a corrupting link) sends
 # over TCP, and the binary checkpoint decoder because it parses whatever a
-# CRC-valid file claims to be a snapshot, shard part or manifest.
+# CRC-valid file claims to be a snapshot, shard part or manifest. The routing
+# kernel is fuzzed against its pre-kernel oracle: every shipped priority
+# policy on random nodes, with and without dead arcs, at every validation
+# level.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/frame/
 	$(GO) test -fuzz FuzzWAL -fuzztime 15s ./internal/server/store/
@@ -46,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParseArrivalSpec -fuzztime 15s ./internal/spec/
 	$(GO) test -fuzz FuzzParsePolicySpec -fuzztime 15s ./internal/spec/
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 15s ./internal/policylab/
+	$(GO) test -fuzz FuzzRouteNode -fuzztime 15s ./internal/sim/
 
 # Saturation smoke: the dynamic-traffic stack (renewal sources, the
 # adversary, injector checkpointing, single and sharded engines) under the

@@ -105,15 +105,11 @@ func runE15(cfg Config) ([]*stats.Table, error) {
 		{"B-first within restricted", core.NewRestrictedPriorityTypeBFirst},
 		{"single-pass matching (no augment)", func() sim.Policy {
 			return routing.NewCustomSinglePass("restricted-single-pass",
-				func(ns *sim.NodeState, i, j int) bool {
-					ri, rj := 2, 2
-					if ns.Info(i).Restricted {
-						ri = 0
+				func(_ *sim.Site, _ *sim.Packet, good uint16) sim.Key {
+					if sim.Restricted(good) {
+						return sim.Key{}
 					}
-					if ns.Info(j).Restricted {
-						rj = 0
-					}
-					return ri < rj
+					return sim.Key{Major: 2}
 				}, true, routing.DeflectRandom)
 		}},
 	}

@@ -4,6 +4,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"hotpotato/internal/bound"
@@ -125,30 +126,20 @@ func e10Policies() []struct {
 		{"fixed-id", func() sim.Policy { return routing.NewFixedPriority() }},
 		{"reverse-id", func() sim.Policy {
 			return routing.NewCustom("greedy-reverse-id",
-				func(ns *sim.NodeState, i, j int) bool { return ns.Packets[i].ID > ns.Packets[j].ID },
+				func(_ *sim.Site, p *sim.Packet, _ uint16) sim.Key { return sim.Key{Major: -p.ID} },
 				false, routing.DeflectFirstFit)
 		}},
 		{"nearest-det", func() sim.Policy {
 			return routing.NewCustom("greedy-nearest-det",
-				func(ns *sim.NodeState, i, j int) bool {
-					di := ns.Mesh.Dist(ns.Packets[i].Node, ns.Packets[i].Dst)
-					dj := ns.Mesh.Dist(ns.Packets[j].Node, ns.Packets[j].Dst)
-					if di != dj {
-						return di < dj
-					}
-					return ns.Packets[i].ID < ns.Packets[j].ID
+				func(s *sim.Site, p *sim.Packet, _ uint16) sim.Key {
+					return sim.Key{Major: s.Mesh.Dist(p.Node, p.Dst), Minor: p.ID}
 				},
 				false, routing.DeflectFirstFit)
 		}},
 		{"farthest-det", func() sim.Policy {
 			return routing.NewCustom("greedy-farthest-det",
-				func(ns *sim.NodeState, i, j int) bool {
-					di := ns.Mesh.Dist(ns.Packets[i].Node, ns.Packets[i].Dst)
-					dj := ns.Mesh.Dist(ns.Packets[j].Node, ns.Packets[j].Dst)
-					if di != dj {
-						return di > dj
-					}
-					return ns.Packets[i].ID < ns.Packets[j].ID
+				func(s *sim.Site, p *sim.Packet, _ uint16) sim.Key {
+					return sim.Key{Major: -s.Mesh.Dist(p.Node, p.Dst), Minor: p.ID}
 				},
 				false, routing.DeflectFirstFit)
 		}},
@@ -156,12 +147,8 @@ func e10Policies() []struct {
 			// Deliberately the opposite of the paper's class: packets with
 			// MORE good directions win ties, so restricted packets starve.
 			return routing.NewCustom("greedy-antirestricted",
-				func(ns *sim.NodeState, i, j int) bool {
-					gi, gj := ns.Info(i).GoodCount, ns.Info(j).GoodCount
-					if gi != gj {
-						return gi > gj
-					}
-					return ns.Packets[i].ID < ns.Packets[j].ID
+				func(_ *sim.Site, p *sim.Packet, good uint16) sim.Key {
+					return sim.Key{Major: -bits.OnesCount16(good), Minor: p.ID}
 				},
 				false, routing.DeflectFirstFit)
 		}},

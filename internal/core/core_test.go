@@ -72,8 +72,8 @@ func TestSwitchRuleTrace(t *testing.T) {
 	b := sim.NewPacket(2, m.ID([]int{2, 3}), m.ID([]int{6, 3}))
 	// Deterministic B-first variant so the trace is exact.
 	pol := routing.NewCustom("restricted-bfirst-det",
-		func(ns *sim.NodeState, i, j int) bool {
-			return restrictedRank(ns, i, false) < restrictedRank(ns, j, false)
+		func(_ *sim.Site, p *sim.Packet, good uint16) sim.Key {
+			return sim.Key{Major: restrictedRank(p, good, false)}
 		},
 		false, routing.DeflectFirstFit)
 

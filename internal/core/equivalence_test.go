@@ -5,18 +5,63 @@ import (
 	"testing"
 
 	"hotpotato/internal/mesh"
-	"hotpotato/internal/routing"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/workload"
 )
 
-// TestRankLessEquivalence rebuilds each of this package's rank-based
-// policies as the semantically equivalent less-based routing.NewCustom
-// policy (less(i, j) = rank(i) < rank(j)) and runs the two in lockstep on
-// identical workloads and seeds: the per-step engine state hashes must
-// match exactly. The rank path and the less path of the routing matcher
-// consume the policy RNG identically, so any divergence is a real
-// priority-relation difference, not a tie-break artifact.
+// oracleRank is restrictedRank as it was written before keys: on the
+// NodeState's PacketInfo.
+func oracleRank(ns *sim.NodeState, i int, typeAFirst bool) int {
+	pi := ns.Info(i)
+	switch {
+	case pi.Restricted && pi.TypeA == typeAFirst:
+		return 0
+	case pi.Restricted:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// rankCheckPolicy routes with a priority policy through its Route on a
+// NodeState — the path a wrapping policy takes — and checks at every node
+// that the policy's key orders the node's packets exactly as rank does.
+type rankCheckPolicy struct {
+	sim.Policy
+	t      *testing.T
+	key    sim.KeyFunc
+	rank   func(ns *sim.NodeState, i int) int
+	checks int
+}
+
+func (c *rankCheckPolicy) Route(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
+	keys := make([]sim.Key, len(ns.Packets))
+	for i, p := range ns.Packets {
+		good := uint16(0)
+		for _, d := range ns.Info(i).Good() {
+			good |= 1 << d
+		}
+		keys[i] = c.key(&ns.Site, p, good)
+	}
+	for i, ki := range keys {
+		for j, kj := range keys {
+			keyLess := ki.Major < kj.Major || ki.Major == kj.Major && ki.Minor < kj.Minor
+			if rankLess := c.rank(ns, i) < c.rank(ns, j); keyLess != rankLess {
+				c.t.Errorf("step %d node %d: packets %d, %d: key order %v, rank order %v",
+					ns.Time, ns.Node, ns.Packets[i].ID, ns.Packets[j].ID, keyLess, rankLess)
+			}
+			c.checks++
+		}
+	}
+	c.Policy.Route(ns, out, rng)
+}
+
+// TestRankLessEquivalence runs each of this package's rank-based policies
+// twice on identical workloads and seeds: once routed by the kernel, once
+// through its NodeState Route with every node's key order checked against
+// the rank as it was written before keys, on PacketInfo (less(i, j) =
+// rank(i) < rank(j)). The per-step engine state hashes must match exactly,
+// and the key must never order two packets differently from the rank.
 func TestRankLessEquivalence(t *testing.T) {
 	cases := []struct {
 		rankBased func() sim.Policy
@@ -24,11 +69,11 @@ func TestRankLessEquivalence(t *testing.T) {
 	}{
 		{
 			rankBased: NewRestrictedPriority,
-			rank:      func(ns *sim.NodeState, i int) int { return restrictedRank(ns, i, true) },
+			rank:      func(ns *sim.NodeState, i int) int { return oracleRank(ns, i, true) },
 		},
 		{
 			rankBased: NewRestrictedPriorityTypeBFirst,
-			rank:      func(ns *sim.NodeState, i int) int { return restrictedRank(ns, i, false) },
+			rank:      func(ns *sim.NodeState, i int) int { return oracleRank(ns, i, false) },
 		},
 		{
 			rankBased: func() sim.Policy { return NewFewestGoodFirst() },
@@ -45,12 +90,7 @@ func TestRankLessEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		pol := tc.rankBased()
 		t.Run(pol.Name(), func(t *testing.T) {
-			rank := tc.rank
-			lessBased := func() sim.Policy {
-				return routing.NewCustom(pol.Name()+"-less",
-					func(ns *sim.NodeState, i, j int) bool { return rank(ns, i) < rank(ns, j) },
-					true, routing.DeflectRandom)
-			}
+			checked := &rankCheckPolicy{Policy: tc.rankBased(), t: t, key: pol.(*sim.PriorityPolicy).Priority().Key, rank: tc.rank}
 			for seed := int64(0); seed < 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				packets, err := workload.UniformRandom(m, 60, rng)
@@ -62,7 +102,7 @@ func TestRankLessEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := sim.New(m, lessBased(), clonePkts(packets), opts)
+				b, err := sim.New(m, checked, clonePkts(packets), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,6 +120,9 @@ func TestRankLessEquivalence(t *testing.T) {
 				if b.Done() != a.Done() {
 					t.Fatalf("seed %d: termination diverged", seed)
 				}
+			}
+			if checked.checks == 0 {
+				t.Fatal("no node held two packets; the test proved nothing")
 			}
 		})
 	}

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"hotpotato/internal/routing"
 	"hotpotato/internal/sim"
 )
@@ -15,12 +17,11 @@ import (
 // before non-restricted ones (Definition 18), and, within restricted,
 // type A before type B by default, so that a type-A packet is never
 // deflected and its spare-potential countdown is never interrupted.
-func restrictedRank(ns *sim.NodeState, i int, typeAFirst bool) int {
-	pi := ns.Info(i)
+func restrictedRank(p *sim.Packet, good uint16, typeAFirst bool) int {
 	switch {
-	case pi.Restricted && pi.TypeA == typeAFirst:
+	case sim.Restricted(good) && sim.TypeA(p, good) == typeAFirst:
 		return 0
-	case pi.Restricted:
+	case sim.Restricted(good):
 		return 1
 	default:
 		return 2
@@ -33,8 +34,10 @@ func restrictedRank(ns *sim.NodeState, i int, typeAFirst bool) int {
 // packets served first, random tie-breaking and random deflections.
 // Theorem 20 bounds its routing time on the n x n mesh by 8*sqrt(2)*n*sqrt(k).
 func NewRestrictedPriority() sim.Policy {
-	return routing.NewCustomRank("restricted-priority",
-		func(ns *sim.NodeState, i int) int { return restrictedRank(ns, i, true) },
+	return routing.NewCustom("restricted-priority",
+		func(_ *sim.Site, p *sim.Packet, good uint16) sim.Key {
+			return sim.Key{Major: restrictedRank(p, good, true)}
+		},
 		true, routing.DeflectRandom)
 }
 
@@ -46,12 +49,8 @@ func NewRestrictedPriority() sim.Policy {
 // this implementation.
 func NewRestrictedPriorityDeterministic() sim.Policy {
 	return routing.NewCustom("restricted-priority-det",
-		func(ns *sim.NodeState, i, j int) bool {
-			ri, rj := restrictedRank(ns, i, true), restrictedRank(ns, j, true)
-			if ri != rj {
-				return ri < rj
-			}
-			return ns.Packets[i].ID < ns.Packets[j].ID
+		func(_ *sim.Site, p *sim.Packet, good uint16) sim.Key {
+			return sim.Key{Major: restrictedRank(p, good, true), Minor: p.ID}
 		},
 		false, routing.DeflectFirstFit)
 }
@@ -62,8 +61,10 @@ func NewRestrictedPriorityDeterministic() sim.Policy {
 // it routinely deflects type-A packets, exercising the spare-potential
 // switch rule (case 3(b) of the potential definition, Figure 6).
 func NewRestrictedPriorityTypeBFirst() sim.Policy {
-	return routing.NewCustomRank("restricted-priority-bfirst",
-		func(ns *sim.NodeState, i int) int { return restrictedRank(ns, i, false) },
+	return routing.NewCustom("restricted-priority-bfirst",
+		func(_ *sim.Site, p *sim.Packet, good uint16) sim.Key {
+			return sim.Key{Major: restrictedRank(p, good, false)}
+		},
 		true, routing.DeflectRandom)
 }
 
@@ -72,18 +73,18 @@ func NewRestrictedPriorityTypeBFirst() sim.Policy {
 // restricted-first), packets that advanced in the previous step ("type A"
 // of their class) are preferred within a class, and the number of advancing
 // packets is maximized at every node (the extra requirement Section 5 adds
-// to make the d-dimensional analysis go through; the priority-ordered
-// augmenting matching in package routing guarantees it).
+// to make the d-dimensional analysis go through; the kernel's
+// priority-ordered maximum matching guarantees it).
 func NewFewestGoodFirst() sim.Policy {
-	return routing.NewCustomRank("fewest-good-first",
-		func(ns *sim.NodeState, i int) int {
+	return routing.NewCustom("fewest-good-first",
+		func(_ *sim.Site, p *sim.Packet, good uint16) sim.Key {
 			// Rank by good count, and within a class prefer packets that
 			// advanced in the previous step (the d-dimensional "type A").
-			r := 2 * ns.Info(i).GoodCount
-			if !ns.Packets[i].AdvancedPrev {
+			r := 2 * bits.OnesCount16(good)
+			if !p.AdvancedPrev {
 				r++
 			}
-			return r
+			return sim.Key{Major: r}
 		},
 		true, routing.DeflectRandom)
 }

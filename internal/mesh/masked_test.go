@@ -58,12 +58,13 @@ func (r *failureSetRef) check(t *testing.T, o *Overlay, after string) {
 	m := r.base
 	var into [2 * MaxDim]Dir
 	for id := NodeID(0); int(id) < m.Size(); id++ {
-		deg := 0
+		deg, arcs := 0, uint16(0)
 		for d := 0; d < m.DirCount(); d++ {
 			dir := Dir(d)
 			want := r.hasArc(id, dir)
 			if want {
 				deg++
+				arcs |= 1 << d
 			}
 			if got := o.HasArc(id, dir); got != want {
 				t.Fatalf("%v after %s: HasArc(%d, %v) = %v, want %v", m, after, id, dir, got, want)
@@ -85,8 +86,18 @@ func (r *failureSetRef) check(t *testing.T, o *Overlay, after string) {
 		if got := o.Degree(id); got != deg {
 			t.Fatalf("%v after %s: Degree(%d) = %d, want %d", m, after, id, got, deg)
 		}
+		if got := o.ArcMask(id); got != arcs {
+			t.Fatalf("%v after %s: ArcMask(%d) = %#x, want %#x", m, after, id, got, arcs)
+		}
 		for dst := NodeID(0); int(dst) < m.Size(); dst++ {
 			want := r.goodDirs(id, dst)
+			wantMask := uint16(0)
+			for _, d := range want {
+				wantMask |= 1 << d
+			}
+			if got := o.GoodMask(id, dst); got != wantMask {
+				t.Fatalf("%v after %s: GoodMask(%d, %d) = %#x, want %#x", m, after, id, dst, got, wantMask)
+			}
 			if got := o.GoodDirs(id, dst, nil); !slices.Equal(got, want) {
 				t.Fatalf("%v after %s: GoodDirs(%d, %d) = %v, want %v", m, after, id, dst, got, want)
 			}

@@ -52,13 +52,13 @@ func (o *Overlay) refreshLink(from NodeID, dir Dir) {
 	case alive == (o.neighbor[i] >= 0):
 	case alive:
 		o.neighbor[i], o.neighbor[j] = to, from
-		o.degree[from]++
-		o.degree[to]++
+		o.arcs[from] |= 1 << dir
+		o.arcs[to] |= 1 << dir.Opposite()
 		o.dead -= 2
 	default:
 		o.neighbor[i], o.neighbor[j] = -1, -1
-		o.degree[from]--
-		o.degree[to]--
+		o.arcs[from] &^= 1 << dir
+		o.arcs[to] &^= 1 << dir.Opposite()
 		o.dead += 2
 	}
 }
@@ -172,7 +172,7 @@ func (o *Overlay) Reset() {
 	clear(o.arcDown)
 	clear(o.nodeDown)
 	copy(o.neighbor, o.intact.neighbor)
-	copy(o.degree, o.intact.degree)
+	copy(o.arcs, o.intact.arcs)
 	o.dead = 0
 	o.downLinks = 0
 	o.downNodes = 0

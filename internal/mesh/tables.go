@@ -1,10 +1,13 @@
 package mesh
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Tables is the precomputed flat-array view of a Mesh: the same topology
-// with every hot primitive — Neighbor, HasArc, Degree, GoodDirs, IsGoodDir,
-// Dist, coordinate access — turned into array lookups and subtractions
+// with every hot primitive — Neighbor, HasArc, ArcMask, GoodMask, Dist,
+// coordinate access — turned into array lookups and subtractions
 // instead of div/mod coordinate arithmetic. It implements Topology and is
 // the one connectivity implementation every engine routes against: the
 // single engine, every shard and every distributed worker read the mesh's
@@ -25,18 +28,18 @@ type Tables struct {
 	// or -1 when the arc leads off the mesh or (on an Overlay's copy) is
 	// masked by the failure set.
 	neighbor []NodeID
-	// degree[id] is the number of non-negative entries in the node's
-	// neighbor row.
-	degree []int8
+	// arcs[id] has bit d set iff the node's neighbor entry along d is
+	// non-negative: its out-arcs as a mask, whose popcount is its degree.
+	arcs []uint16
 	// coord[int(id)*dim+axis] is the cached coordinate of the node.
 	coord []int32
 	// axisGood[delta+side] is the set of good directions along one axis for
 	// a packet whose destination lies delta = dst−from coordinates away on
 	// that axis: goodPlus, goodMinus, both (a torus tie) or neither.
-	axisGood []uint8
+	axisGood []uint16
 	// dead counts the base arcs currently masked out of neighbor. It is 0 on
-	// the shared table for good; the good-direction queries consult the
-	// neighbor row only when it is non-zero.
+	// the shared table for good; GoodMask consults the arc masks only when
+	// it is non-zero.
 	dead int
 }
 
@@ -62,9 +65,9 @@ func buildTables(m *Mesh) *Tables {
 		wrap:     m.wrap,
 		dirCount: m.DirCount(),
 		neighbor: make([]NodeID, m.size*m.DirCount()),
-		degree:   make([]int8, m.size),
+		arcs:     make([]uint16, m.size),
 		coord:    make([]int32, m.size*m.dim),
-		axisGood: make([]uint8, 2*m.side+1),
+		axisGood: make([]uint16, 2*m.side+1),
 	}
 	for delta := 1 - m.side; delta < m.side; delta++ {
 		switch fwd := (delta + m.side) % m.side; { // steps in "+" on the ring
@@ -80,14 +83,14 @@ func buildTables(m *Mesh) *Tables {
 	// One odometer walk over the rows along axis 0: c holds the row's
 	// coordinates on the other axes, and a neighbour is id ± stride, wrapped
 	// round the ring on a torus or -1 off the edge of a mesh. What the other
-	// axes contribute (neighbour offsets, degree) is fixed for a whole row;
-	// no division anywhere.
+	// axes contribute (neighbour offsets, arcs) is fixed for a whole row; no
+	// division anywhere.
 	var c [MaxDim]int32
 	var off [2 * MaxDim]int // per direction of axes ≥ 1: the neighbour's id offset
 	var has [2 * MaxDim]bool
 	last := t.side - 1
 	for row := 0; row < m.size; row += m.side {
-		rowDeg := int8(0)
+		rowArcs := uint16(0) // the arcs along axes ≥ 1, the same for the whole row
 		for a := 1; a < t.dim; a++ {
 			s := m.strides[a]
 			off[2*a], has[2*a] = s, c[a] < last || t.wrap
@@ -99,10 +102,10 @@ func buildTables(m *Mesh) *Tables {
 				off[2*a+1] = int(last) * s
 			}
 			if has[2*a] {
-				rowDeg++
+				rowArcs |= 1 << (2 * a)
 			}
 			if has[2*a+1] {
-				rowDeg++
+				rowArcs |= 1 << (2*a + 1)
 			}
 		}
 		for x := int32(0); x <= last; x++ {
@@ -114,20 +117,20 @@ func buildTables(m *Mesh) *Tables {
 			}
 			nb := t.neighbor[id*t.dirCount : (id+1)*t.dirCount]
 			nb[0], nb[1] = NodeID(id+1), NodeID(id-1)
-			deg := rowDeg + 2
+			arcs := rowArcs | 3
 			switch {
 			case x < last:
 			case t.wrap:
 				nb[0] = NodeID(row)
 			default:
-				nb[0], deg = -1, deg-1
+				nb[0], arcs = -1, arcs&^1
 			}
 			switch {
 			case x > 0:
 			case t.wrap:
 				nb[1] = NodeID(row + int(last))
 			default:
-				nb[1], deg = -1, deg-1
+				nb[1], arcs = -1, arcs&^2
 			}
 			for d := 2; d < t.dirCount; d++ {
 				nb[d] = -1
@@ -135,7 +138,7 @@ func buildTables(m *Mesh) *Tables {
 					nb[d] = NodeID(id + off[d])
 				}
 			}
-			t.degree[id] = deg
+			t.arcs[id] = arcs
 		}
 		for a := 1; a < t.dim; a++ {
 			if c[a]++; c[a] <= last {
@@ -147,12 +150,12 @@ func buildTables(m *Mesh) *Tables {
 	return t
 }
 
-// private returns a copy whose neighbor and degree rows the caller may
-// patch; the coordinate cache is never written and stays shared.
+// private returns a copy whose neighbor and arc rows the caller may patch;
+// the coordinate cache is never written and stays shared.
 func (t *Tables) private() *Tables {
 	c := *t
 	c.neighbor = slices.Clone(t.neighbor)
-	c.degree = slices.Clone(t.degree)
+	c.arcs = slices.Clone(t.arcs)
 	return &c
 }
 
@@ -250,11 +253,36 @@ func (t *Tables) TwoNeighbor(from NodeID, dir Dir) (NodeID, bool) {
 
 // Degree returns the out-degree of the node: its arcs that exist and are not
 // masked (0 for a failed node).
-func (t *Tables) Degree(id NodeID) int { return int(t.degree[id]) }
+func (t *Tables) Degree(id NodeID) int { return bits.OnesCount16(t.arcs[id]) }
 
-// GoodDirs appends the good directions (Definition 5) for a packet at
-// `from` destined to dst, in the same order Mesh.GoodDirs produces them:
-// by axis, "+" before "-" on a torus tie.
+// ArcMask returns the node's out-arcs as a mask: bit d is set iff the arc
+// along Dir(d) exists and is not masked.
+func (t *Tables) ArcMask(id NodeID) uint16 { return t.arcs[id] }
+
+// GoodMask returns the good directions (Definition 5) for a packet at
+// `from` destined to dst as a mask: bit d is set iff Dir(d) is good. It is
+// the one definition of "good" every other query derives from: one
+// axisGood lookup per axis, shifted into the axis's two bits. On a table
+// with masked arcs only the good directions whose arc survives are set: a
+// packet all of whose geometrically good arcs are down has no good
+// direction, so every surviving arc deflects it — exactly how a bufferless
+// router degrades.
+func (t *Tables) GoodMask(from, dst NodeID) uint16 {
+	cf := t.coord[int(from)*t.dim:]
+	cd := t.coord[int(dst)*t.dim:]
+	var good uint16
+	for a := 0; a < t.dim; a++ {
+		good |= t.axisGood[cd[a]-cf[a]+t.side] << (2 * a)
+	}
+	if t.dead != 0 {
+		good &= t.arcs[from]
+	}
+	return good
+}
+
+// GoodDirs appends the good directions for a packet at `from` destined to
+// dst in ascending direction order — the order Mesh.GoodDirs produces: by
+// axis, "+" before "-" on a torus tie.
 func (t *Tables) GoodDirs(from, dst NodeID, buf []Dir) []Dir {
 	var tmp [2 * MaxDim]Dir
 	n := t.GoodDirsInto(from, dst, &tmp)
@@ -262,56 +290,25 @@ func (t *Tables) GoodDirs(from, dst NodeID, buf []Dir) []Dir {
 }
 
 // GoodDirsInto writes the good directions for a packet at `from` destined
-// to dst into buf (which always has room: at most 2 per axis) and returns
-// the count, in the same order as GoodDirs. The fixed-array form avoids the
-// slice-append bookkeeping on the per-packet hot path. On a table with
-// masked arcs only the good directions whose arc survives are reported: a
-// packet all of whose geometrically good arcs are down has no good
-// direction, so every surviving arc deflects it — exactly how a bufferless
-// router degrades.
-//
-// Each axis is one axisGood lookup and an unconditional two-slot write that
-// the count then keeps or drops, so the emit has no data-dependent branch;
-// the write can land one slot past the final count, which buf's 2·MaxDim
-// slots always hold (every axis before the last adds at most two).
+// to dst into buf (which always has room) and returns the count, in the same
+// order as GoodDirs.
 func (t *Tables) GoodDirsInto(from, dst NodeID, buf *[2 * MaxDim]Dir) int {
-	cf := t.coord[int(from)*t.dim:]
-	cd := t.coord[int(dst)*t.dim:]
 	n := 0
-	for a := 0; a < t.dim; a++ {
-		g := t.axisGood[int(cd[a]-cf[a]+t.side)]
-		buf[n] = Dir(2*a) | Dir(^g&1) // "+" unless "−" alone is good
-		buf[n+1] = Dir(2*a + 1)       // the tie's second direction
-		n += int(g&1 + g>>1)
+	for good := t.GoodMask(from, dst); good != 0; good &= good - 1 {
+		buf[n] = Dir(bits.TrailingZeros16(good))
+		n++
 	}
-	if t.dead == 0 {
-		return n
-	}
-	row := t.neighbor[int(from)*t.dirCount:]
-	w := 0
-	for _, d := range buf[:n] {
-		if row[d] >= 0 {
-			buf[w] = d
-			w++
-		}
-	}
-	return w
+	return n
 }
 
 // GoodDirCount returns the number of good directions for a packet at `from`
 // destined to dst.
 func (t *Tables) GoodDirCount(from, dst NodeID) int {
-	var buf [2 * MaxDim]Dir
-	return t.GoodDirsInto(from, dst, &buf)
+	return bits.OnesCount16(t.GoodMask(from, dst))
 }
 
 // IsGoodDir reports whether dir is a good direction for a packet at `from`
 // destined to dst (and, on a table with masked arcs, its arc survives).
 func (t *Tables) IsGoodDir(from, dst NodeID, dir Dir) bool {
-	if t.dead != 0 && t.neighbor[int(from)*t.dirCount+int(dir)] < 0 {
-		return false
-	}
-	a := int(dir) >> 1
-	g := t.axisGood[int(t.coord[int(dst)*t.dim+a]-t.coord[int(from)*t.dim+a]+t.side)]
-	return g>>(dir&1)&1 != 0
+	return t.GoodMask(from, dst)>>uint(dir)&1 != 0
 }

@@ -173,39 +173,47 @@ func TestTablesFuzz(t *testing.T) {
 	}
 }
 
-// referenceTables builds the coordinate, degree and neighbour rows of m
-// from the per-node definition — Coord, Degree and Neighbor, one node and
-// direction at a time — which is what the odometer walk of buildTables
-// must reproduce entry for entry.
-func referenceTables(m *Mesh) (coord []int32, degree []int8, neighbor []NodeID) {
+// referenceTables builds the coordinate, arc-mask and neighbour rows of m
+// from the per-node definition — Coord and Neighbor, one node and direction
+// at a time — which is what the odometer walk of buildTables must reproduce
+// entry for entry.
+func referenceTables(m *Mesh) (coord []int32, arcs []uint16, neighbor []NodeID) {
 	var buf [MaxDim]int
 	for id := 0; id < m.Size(); id++ {
 		node := NodeID(id)
 		for _, c := range m.Coord(node, buf[:]) {
 			coord = append(coord, int32(c))
 		}
-		degree = append(degree, int8(m.Degree(node)))
+		mask := uint16(0)
 		for d := 0; d < m.DirCount(); d++ {
 			to, ok := m.Neighbor(node, Dir(d))
 			if !ok {
 				to = -1
+			} else {
+				mask |= 1 << d
 			}
 			neighbor = append(neighbor, to)
 		}
+		arcs = append(arcs, mask)
 	}
-	return coord, degree, neighbor
+	return coord, arcs, neighbor
 }
 
 // checkTableRows compares a freshly built table's rows with the per-node
 // definition.
 func checkTableRows(t testing.TB, m *Mesh, tab *Tables) {
 	t.Helper()
-	coord, degree, neighbor := referenceTables(m)
+	coord, arcs, neighbor := referenceTables(m)
 	if !slices.Equal(tab.coord, coord) {
 		t.Fatalf("%v: coordinate rows differ from Coord", m)
 	}
-	if !slices.Equal(tab.degree, degree) {
-		t.Fatalf("%v: degree rows differ from Degree", m)
+	if !slices.Equal(tab.arcs, arcs) {
+		t.Fatalf("%v: arc masks differ from Neighbor", m)
+	}
+	for id := range arcs {
+		if got, want := tab.Degree(NodeID(id)), m.Degree(NodeID(id)); got != want {
+			t.Fatalf("%v: node %d: Degree = %d, want %d", m, id, got, want)
+		}
 	}
 	if !slices.Equal(tab.neighbor, neighbor) {
 		t.Fatalf("%v: neighbour rows differ from Neighbor", m)

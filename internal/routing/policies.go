@@ -1,160 +1,32 @@
+// Package routing provides the family of baseline greedy hot-potato
+// policies and the constructors for custom ones.
+//
+// Every policy here (and in package core) is a priority-matching policy: a
+// sim.Priority the routing kernel executes — a priority key, a shuffle flag,
+// a deflection rule and a single-pass flag. The kernel matches a node's
+// packets to their good arcs in key order, which is what makes each of them
+// greedy (Definition 6) and, with restricted packets keyed first, a policy
+// that prefers restricted packets (Definition 18); see sim.Priority.
 package routing
 
-import (
-	"math/rand"
-	"slices"
+import "hotpotato/internal/sim"
 
-	"hotpotato/internal/mesh"
-	"hotpotato/internal/sim"
+// DeflectRule selects how deflected packets are spread over the leftover
+// arcs. Every leftover arc is bad for every deflected packet (see
+// sim.Priority), so the choice never affects compliance, only tie-breaking
+// dynamics.
+type DeflectRule int
+
+const (
+	// DeflectRandom assigns deflected packets to leftover arcs uniformly at
+	// random. Randomized deflection is the standard way to break the
+	// symmetric configurations that cause livelock.
+	DeflectRandom DeflectRule = iota
+	// DeflectFirstFit deterministically assigns deflected packets (in node
+	// order) to leftover arcs in ascending direction order. Useful for
+	// reproducible traces and for demonstrating livelock.
+	DeflectFirstFit
 )
-
-// lessFunc orders packet indices within a node state; i before j means i has
-// higher priority for advancing. A nil lessFunc keeps the incoming order.
-type lessFunc func(ns *sim.NodeState, i, j int) bool
-
-// rankFunc assigns a priority rank to a packet index; lower ranks advance
-// first. Equivalent to less(i, j) = rank(i) < rank(j), but evaluated once
-// per packet instead of twice per comparison.
-type rankFunc func(ns *sim.NodeState, i int) int
-
-// matchingPolicy is the common shape of all priority-matching policies.
-type matchingPolicy struct {
-	name          string
-	deterministic bool
-	shuffle       bool // randomize order before sorting (random tie-break)
-	singlePass    bool // skip augmentation (ablation variant)
-	less          lessFunc
-	rank          rankFunc // non-nil takes precedence over less
-	deflect       DeflectRule
-
-	assigner Assigner
-	buf      OrderBuf
-	keys     [2 * mesh.MaxDim]int
-}
-
-var _ sim.Policy = (*matchingPolicy)(nil)
-var _ sim.ClonablePolicy = (*matchingPolicy)(nil)
-
-// Name implements sim.Policy.
-func (p *matchingPolicy) Name() string { return p.name }
-
-// Clone implements sim.ClonablePolicy: identical configuration, fresh
-// scratch, so clones can route concurrently (the less functions used by
-// the shipped policies are stateless).
-func (p *matchingPolicy) Clone() sim.Policy {
-	return &matchingPolicy{
-		name:          p.name,
-		deterministic: p.deterministic,
-		shuffle:       p.shuffle,
-		singlePass:    p.singlePass,
-		less:          p.less,
-		rank:          p.rank,
-		deflect:       p.deflect,
-	}
-}
-
-// Deterministic implements sim.Policy.
-func (p *matchingPolicy) Deterministic() bool { return p.deterministic }
-
-// Route implements sim.Policy.
-func (p *matchingPolicy) Route(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
-	if len(ns.Packets) == 1 {
-		// The dominant case under light and moderate load: a lone packet
-		// needs no priority order and no matching — advance along a
-		// (uniformly random, when shuffling) good arc, or deflect onto a
-		// (uniformly random) surviving arc. The choice has the same
-		// distribution the full machinery produces.
-		p.routeSingle(ns, out, rng)
-		return
-	}
-	order := p.buf.Reset(len(ns.Packets))
-	if p.shuffle {
-		if len(order) > 1 {
-			rng.Shuffle(len(order), func(x, y int) {
-				order[x], order[y] = order[y], order[x]
-			})
-		}
-		// Also randomize each packet's good-arc preference. With a fixed
-		// axis order the matching is deterministic for a lone packet, which
-		// matters under link failures: a packet whose only good arc at its
-		// current node is down gets deflected to a neighbor, and from there
-		// a fixed preference walks it straight back — a two-node loop no
-		// amount of priority shuffling breaks. A random good arc lets it
-		// round the failed link instead.
-		for i := range ns.Packets {
-			g := ns.Info(i).Good()
-			if len(g) > 1 {
-				rng.Shuffle(len(g), func(x, y int) { g[x], g[y] = g[y], g[x] })
-			}
-		}
-	}
-	if p.rank != nil {
-		// Evaluate the rank once per packet and insertion-sort the (tiny —
-		// at most the node degree) order stably by it.
-		keys := p.keys[:len(order)]
-		for x, i := range order {
-			keys[x] = p.rank(ns, i)
-		}
-		for x := 1; x < len(order); x++ {
-			ox, kx := order[x], keys[x]
-			y := x - 1
-			for y >= 0 && keys[y] > kx {
-				order[y+1], keys[y+1] = order[y], keys[y]
-				y--
-			}
-			order[y+1], keys[y+1] = ox, kx
-		}
-	} else if p.less != nil {
-		// slices.SortStableFunc avoids the reflection-based swapper that
-		// sort.SliceStable allocates on every node of every step.
-		slices.SortStableFunc(order, func(x, y int) int {
-			switch {
-			case p.less(ns, x, y):
-				return -1
-			case p.less(ns, y, x):
-				return 1
-			default:
-				return 0
-			}
-		})
-	}
-	if p.singlePass {
-		p.assigner.AssignSinglePass(ns, out, order, p.deflect, rng)
-		return
-	}
-	p.assigner.Assign(ns, out, order, p.deflect, rng)
-}
-
-// routeSingle routes a node holding exactly one packet.
-func (p *matchingPolicy) routeSingle(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
-	g := ns.Info(0).Good()
-	if n := len(g); n > 0 {
-		if p.shuffle && n > 1 {
-			out[0] = g[rng.Intn(n)]
-		} else {
-			out[0] = g[0]
-		}
-		return
-	}
-	// No surviving good arc: a forced deflection over the existing arcs.
-	a := &p.assigner
-	dirCount := ns.Mesh.DirCount()
-	nfree := 0
-	for d := 0; d < dirCount; d++ {
-		if ns.HasArc(mesh.Dir(d)) {
-			a.free[nfree] = mesh.Dir(d)
-			nfree++
-		}
-	}
-	if nfree == 0 {
-		return // impossible in a legal configuration; the engine reports it
-	}
-	if p.deflect == DeflectRandom && nfree > 1 {
-		out[0] = a.free[rng.Intn(nfree)]
-	} else {
-		out[0] = a.free[0]
-	}
-}
 
 // NewRandomGreedy returns the unstructured greedy baseline: every step each
 // node advances a maximum number of packets with uniformly random priority
@@ -163,11 +35,7 @@ func (p *matchingPolicy) routeSingle(ns *sim.NodeState, out []mesh.Dir, rng *ran
 // tie-breaking is deterministic; randomization makes livelock vanish in
 // practice but admits no known time bound.
 func NewRandomGreedy() sim.Policy {
-	return &matchingPolicy{
-		name:    "greedy-random",
-		shuffle: true,
-		deflect: DeflectRandom,
-	}
+	return NewCustom("greedy-random", nil, true, DeflectRandom)
 }
 
 // NewFixedPriority returns a fully deterministic greedy policy: packets are
@@ -177,26 +45,18 @@ func NewRandomGreedy() sim.Policy {
 // livelock demonstration policy (see Section 1.2 of the paper, citing
 // [NS1] and [Haj], on how easily pure greed livelocks).
 func NewFixedPriority() sim.Policy {
-	return &matchingPolicy{
-		name:          "greedy-fixed",
-		deterministic: true,
-		rank:          func(ns *sim.NodeState, i int) int { return ns.Packets[i].ID },
-		deflect:       DeflectFirstFit,
-	}
+	return NewCustom("greedy-fixed",
+		func(_ *sim.Site, p *sim.Packet, _ uint16) sim.Key { return sim.Key{Major: p.ID} },
+		false, DeflectFirstFit)
 }
 
 // NewDestOrderGreedy returns a Brassil-Cruz-style greedy policy [BC]: a
 // prespecified order on destinations (the snake rank of the destination
 // node) determines priority, lower rank first, ties broken randomly.
 func NewDestOrderGreedy() sim.Policy {
-	return &matchingPolicy{
-		name:    "greedy-dest-order",
-		shuffle: true,
-		rank: func(ns *sim.NodeState, i int) int {
-			return ns.Mesh.SnakeRank(ns.Packets[i].Dst)
-		},
-		deflect: DeflectRandom,
-	}
+	return NewCustom("greedy-dest-order",
+		func(s *sim.Site, p *sim.Packet, _ uint16) sim.Key { return sim.Key{Major: s.Mesh.SnakeRank(p.Dst)} },
+		true, DeflectRandom)
 }
 
 // NewOldestFirst returns an age-priority greedy policy: packets injected
@@ -205,14 +65,9 @@ func NewDestOrderGreedy() sim.Policy {
 // "distance/age priorities" of [ZA]); on batch instances, where every
 // packet is injected at time 0, it degenerates to random priority.
 func NewOldestFirst() sim.Policy {
-	return &matchingPolicy{
-		name:    "greedy-oldest-first",
-		shuffle: true,
-		rank: func(ns *sim.NodeState, i int) int {
-			return ns.Packets[i].InjectedAt
-		},
-		deflect: DeflectRandom,
-	}
+	return NewCustom("greedy-oldest-first",
+		func(_ *sim.Site, p *sim.Packet, _ uint16) sim.Key { return sim.Key{Major: p.InjectedAt} },
+		true, DeflectRandom)
 }
 
 // NewClassPriority returns a strict-priority greedy policy for traffic
@@ -221,88 +76,52 @@ func NewOldestFirst() sim.Policy {
 // classes). Still a legal greedy policy: priorities only pick who wins a
 // contended arc.
 func NewClassPriority() sim.Policy {
-	return &matchingPolicy{
-		name:    "greedy-class-priority",
-		shuffle: true,
-		less: func(ns *sim.NodeState, i, j int) bool {
-			pi, pj := ns.Packets[i], ns.Packets[j]
-			if pi.Class != pj.Class {
-				return pi.Class > pj.Class
-			}
-			return pi.InjectedAt < pj.InjectedAt
+	return NewCustom("greedy-class-priority",
+		func(_ *sim.Site, p *sim.Packet, _ uint16) sim.Key {
+			return sim.Key{Major: -p.Class, Minor: p.InjectedAt}
 		},
-		deflect: DeflectRandom,
-	}
+		true, DeflectRandom)
 }
 
 // NewFarthestFirst returns a greedy policy that advances the packets
 // farthest from their destinations first (ties random). A natural
 // longest-job-first heuristic for makespan.
 func NewFarthestFirst() sim.Policy {
-	return &matchingPolicy{
-		name:    "greedy-farthest-first",
-		shuffle: true,
-		rank: func(ns *sim.NodeState, i int) int {
-			return -ns.Mesh.Dist(ns.Packets[i].Node, ns.Packets[i].Dst)
-		},
-		deflect: DeflectRandom,
-	}
+	return NewCustom("greedy-farthest-first",
+		func(s *sim.Site, p *sim.Packet, _ uint16) sim.Key { return sim.Key{Major: -s.Mesh.Dist(p.Node, p.Dst)} },
+		true, DeflectRandom)
 }
 
 // NewNearestFirst returns a greedy policy that advances the packets closest
 // to their destinations first (ties random), evacuating almost-home packets
 // quickly at the cost of letting distant packets starve.
 func NewNearestFirst() sim.Policy {
-	return &matchingPolicy{
-		name:    "greedy-nearest-first",
-		shuffle: true,
-		rank: func(ns *sim.NodeState, i int) int {
-			return ns.Mesh.Dist(ns.Packets[i].Node, ns.Packets[i].Dst)
-		},
-		deflect: DeflectRandom,
-	}
+	return NewCustom("greedy-nearest-first",
+		func(s *sim.Site, p *sim.Packet, _ uint16) sim.Key { return sim.Key{Major: s.Mesh.Dist(p.Node, p.Dst)} },
+		true, DeflectRandom)
 }
 
-// NewCustom builds a priority-matching greedy policy from a custom order.
-// less may be nil (incoming order); shuffle adds a random tie-break pass.
-// The result is a valid greedy policy for any choice of parameters.
-func NewCustom(name string, less func(ns *sim.NodeState, i, j int) bool, shuffle bool, deflect DeflectRule) sim.Policy {
-	return &matchingPolicy{
-		name:          name,
-		deterministic: !shuffle && deflect != DeflectRandom,
-		shuffle:       shuffle,
-		less:          less,
-		deflect:       deflect,
-	}
+// NewCustom builds a priority-matching greedy policy from a priority key:
+// lower keys advance first, and ties keep the (optionally shuffled) queue
+// order. key may be nil (queue order); shuffle adds a random tie-break
+// pass. The result is a valid greedy policy for any choice of parameters.
+func NewCustom(name string, key sim.KeyFunc, shuffle bool, deflect DeflectRule) sim.Policy {
+	return sim.NewPriorityPolicy(name, sim.Priority{
+		Key:           key,
+		Shuffle:       shuffle,
+		RandomDeflect: deflect == DeflectRandom,
+	})
 }
 
-// NewCustomRank builds a priority-matching greedy policy from an integer
-// rank on packets: lower ranks advance first, ties keep the (optionally
-// shuffled) incoming order. Semantically identical to NewCustom with
-// less(i, j) = rank(i) < rank(j), but the rank is evaluated once per packet
-// instead of twice per comparison, which matters on the simulation hot
-// path.
-func NewCustomRank(name string, rank func(ns *sim.NodeState, i int) int, shuffle bool, deflect DeflectRule) sim.Policy {
-	return &matchingPolicy{
-		name:          name,
-		deterministic: !shuffle && deflect != DeflectRandom,
-		shuffle:       shuffle,
-		rank:          rank,
-		deflect:       deflect,
-	}
-}
-
-// NewCustomSinglePass is NewCustom without augmenting-path matching: each
-// packet takes the first free good arc in priority order. Still greedy
+// NewCustomSinglePass is NewCustom without maximum matching: each packet
+// takes the first free good arc in priority order. Still greedy
 // (Definition 6) but it does not maximize the number of advancing packets;
 // exists as the ablation baseline for the matching machinery.
-func NewCustomSinglePass(name string, less func(ns *sim.NodeState, i, j int) bool, shuffle bool, deflect DeflectRule) sim.Policy {
-	return &matchingPolicy{
-		name:          name,
-		deterministic: !shuffle && deflect != DeflectRandom,
-		shuffle:       shuffle,
-		singlePass:    true,
-		less:          less,
-		deflect:       deflect,
-	}
+func NewCustomSinglePass(name string, key sim.KeyFunc, shuffle bool, deflect DeflectRule) sim.Policy {
+	return sim.NewPriorityPolicy(name, sim.Priority{
+		Key:           key,
+		Shuffle:       shuffle,
+		RandomDeflect: deflect == DeflectRandom,
+		SinglePass:    true,
+	})
 }

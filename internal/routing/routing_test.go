@@ -130,32 +130,24 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
-// buildNodeState constructs a NodeState for direct Assigner tests by
-// running a one-node engine step under a capture policy.
-func captureNodeState(t *testing.T, m *mesh.Mesh, packets []*sim.Packet, f func(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand)) {
+// routeOnce routes the packets, all at one node, once under pol with basic
+// validation and returns the directions the router assigned.
+func routeOnce(t *testing.T, m *mesh.Mesh, pol sim.Policy, packets []*sim.Packet) []mesh.Dir {
 	t.Helper()
-	cap := &capturePolicy{f: f}
-	e, err := sim.New(m, cap, packets, sim.Options{Validation: sim.ValidateBasic})
-	if err != nil {
+	moves := make([]sim.Move, len(packets))
+	r := sim.NewNodeRouter(m.Tables(), pol, 0, sim.ValidateBasic)
+	if err := r.RouteNode(packets[0].Node, 0, packets, moves); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Step(); err != nil {
-		t.Fatal(err)
+	out := make([]mesh.Dir, len(moves))
+	for i, mv := range moves {
+		out[i] = mv.Dir
 	}
-}
-
-type capturePolicy struct {
-	f func(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand)
-}
-
-func (c *capturePolicy) Name() string        { return "capture" }
-func (c *capturePolicy) Deterministic() bool { return true }
-func (c *capturePolicy) Route(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
-	c.f(ns, out, rng)
+	return out
 }
 
 // TestAssignMaximumMatching: in a node where a clever matching advances all
-// packets but a naive first-come assignment would not, the assigner must
+// packets but a naive first-come assignment would not, the matching must
 // advance everyone.
 func TestAssignMaximumMatching(t *testing.T) {
 	m := mesh.MustNew(2, 5)
@@ -165,20 +157,16 @@ func TestAssignMaximumMatching(t *testing.T) {
 	// so p1 advances too.
 	p0 := sim.NewPacket(0, center, m.ID([]int{4, 4}))
 	p1 := sim.NewPacket(1, center, m.ID([]int{4, 2}))
-	captureNodeState(t, m, []*sim.Packet{p0, p1}, func(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
-		var a Assigner
-		var b OrderBuf
-		a.Assign(ns, out, b.Reset(len(ns.Packets)), DeflectFirstFit, rng)
-		advanced := 0
-		for i := range out {
-			if ns.Mesh.IsGoodDir(ns.Node, ns.Packets[i].Dst, out[i]) {
-				advanced++
-			}
+	out := routeOnce(t, m, NewCustom("queue-order", nil, false, DeflectFirstFit), []*sim.Packet{p0, p1})
+	advanced := 0
+	for i, p := range []*sim.Packet{p0, p1} {
+		if m.IsGoodDir(center, p.Dst, out[i]) {
+			advanced++
 		}
-		if advanced != 2 {
-			t.Errorf("maximum matching advanced %d of 2 packets (out=%v)", advanced, out)
-		}
-	})
+	}
+	if advanced != 2 {
+		t.Errorf("maximum matching advanced %d of 2 packets (out=%v)", advanced, out)
+	}
 }
 
 // TestAssignFullNode: a node holding packets equal to its degree must
@@ -191,25 +179,21 @@ func TestAssignFullNode(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		packets = append(packets, sim.NewPacket(i, center, dst))
 	}
-	captureNodeState(t, m, packets, func(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
-		var a Assigner
-		var b OrderBuf
-		a.Assign(ns, out, b.Reset(len(ns.Packets)), DeflectFirstFit, rng)
-		seen := map[mesh.Dir]bool{}
-		advanced := 0
-		for i := range out {
-			if out[i] == mesh.NoDir || seen[out[i]] {
-				t.Fatalf("bad assignment %v", out)
-			}
-			seen[out[i]] = true
-			if ns.Mesh.IsGoodDir(ns.Node, ns.Packets[i].Dst, out[i]) {
-				advanced++
-			}
+	out := routeOnce(t, m, NewCustom("queue-order", nil, false, DeflectFirstFit), packets)
+	seen := map[mesh.Dir]bool{}
+	advanced := 0
+	for i := range out {
+		if out[i] == mesh.NoDir || seen[out[i]] {
+			t.Fatalf("bad assignment %v", out)
 		}
-		if advanced != 1 {
-			t.Errorf("advanced = %d, want 1 (single shared good arc)", advanced)
+		seen[out[i]] = true
+		if m.IsGoodDir(center, dst, out[i]) {
+			advanced++
 		}
-	})
+	}
+	if advanced != 1 {
+		t.Errorf("advanced = %d, want 1 (single shared good arc)", advanced)
+	}
 }
 
 // TestAssignPriorityRespected: with two packets contending for one arc, the
@@ -218,40 +202,19 @@ func TestAssignPriorityRespected(t *testing.T) {
 	m := mesh.MustNew(2, 5)
 	center := m.ID([]int{2, 2})
 	dst := m.ID([]int{4, 2})
-	p0 := sim.NewPacket(0, center, dst)
-	p1 := sim.NewPacket(1, center, dst)
 	for _, first := range []int{0, 1} {
-		first := first
-		captureNodeState(t, m, []*sim.Packet{
-			sim.NewPacket(p0.ID, p0.Src, p0.Dst),
-			sim.NewPacket(p1.ID, p1.Src, p1.Dst),
-		}, func(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
-			var a Assigner
-			order := []int{first, 1 - first}
-			a.Assign(ns, out, order, DeflectFirstFit, rng)
-			if !ns.Mesh.IsGoodDir(ns.Node, ns.Packets[first].Dst, out[first]) {
-				t.Errorf("priority packet %d deflected (out=%v)", first, out)
+		pol := NewCustom("first", func(_ *sim.Site, p *sim.Packet, _ uint16) sim.Key {
+			if p.ID == first {
+				return sim.Key{}
 			}
-			if ns.Mesh.IsGoodDir(ns.Node, ns.Packets[1-first].Dst, out[1-first]) {
-				t.Errorf("low-priority packet advanced on a contended arc")
-			}
-		})
-	}
-}
-
-func TestOrderBufReuse(t *testing.T) {
-	var b OrderBuf
-	o1 := b.Reset(3)
-	if len(o1) != 3 || o1[0] != 0 || o1[2] != 2 {
-		t.Fatalf("Reset(3) = %v", o1)
-	}
-	o1[0] = 99
-	o2 := b.Reset(5)
-	if len(o2) != 5 || o2[0] != 0 || o2[4] != 4 {
-		t.Fatalf("Reset(5) = %v", o2)
-	}
-	o3 := b.Reset(2)
-	if len(o3) != 2 || o3[0] != 0 || o3[1] != 1 {
-		t.Fatalf("Reset(2) = %v", o3)
+			return sim.Key{Major: 1}
+		}, false, DeflectFirstFit)
+		out := routeOnce(t, m, pol, []*sim.Packet{sim.NewPacket(0, center, dst), sim.NewPacket(1, center, dst)})
+		if !m.IsGoodDir(center, dst, out[first]) {
+			t.Errorf("priority packet %d deflected (out=%v)", first, out)
+		}
+		if m.IsGoodDir(center, dst, out[1-first]) {
+			t.Errorf("low-priority packet advanced on a contended arc")
+		}
 	}
 }

@@ -16,26 +16,22 @@ func TestAssignSinglePassNoAugment(t *testing.T) {
 	center := m.ID([]int{2, 2})
 	p0 := sim.NewPacket(0, center, m.ID([]int{4, 4})) // good: +x0, +x1
 	p1 := sim.NewPacket(1, center, m.ID([]int{4, 2})) // good: +x0 only
-	captureNodeState(t, m, []*sim.Packet{p0, p1}, func(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
-		var a Assigner
-		var b OrderBuf
-		a.AssignSinglePass(ns, out, b.Reset(len(ns.Packets)), DeflectFirstFit, rng)
-		advanced := 0
-		for i := range out {
-			if ns.Mesh.IsGoodDir(ns.Node, ns.Packets[i].Dst, out[i]) {
-				advanced++
-			}
+	out := routeOnce(t, m, NewCustomSinglePass("single-pass", nil, false, DeflectFirstFit), []*sim.Packet{p0, p1})
+	advanced := 0
+	for i, p := range []*sim.Packet{p0, p1} {
+		if m.IsGoodDir(center, p.Dst, out[i]) {
+			advanced++
 		}
-		// p0 (first in order) grabs +x0; p1 has no alternative: deflected.
-		if advanced != 1 {
-			t.Errorf("single-pass advanced %d, want 1 (out=%v)", advanced, out)
-		}
-		// Still Definition-6 compliant: p1's only good arc is used by the
-		// advancing p0.
-		if !ns.Mesh.IsGoodDir(ns.Node, ns.Packets[0].Dst, out[0]) {
-			t.Errorf("first packet not advancing: %v", out)
-		}
-	})
+	}
+	// p0 (first in order) grabs +x0; p1 has no alternative: deflected.
+	if advanced != 1 {
+		t.Errorf("single-pass advanced %d, want 1 (out=%v)", advanced, out)
+	}
+	// Still Definition-6 compliant: p1's only good arc is used by the
+	// advancing p0.
+	if !m.IsGoodDir(center, p0.Dst, out[0]) {
+		t.Errorf("first packet not advancing: %v", out)
+	}
 }
 
 // TestSinglePassPolicyIsGreedy: the single-pass policy passes the engine's

@@ -28,9 +28,8 @@ type Weights struct {
 	Deflect float64
 }
 
-// weightScale converts float weights to integer rank arithmetic: ranks are
-// fixed-point with 10 fractional bits, computed once per packet per node
-// (see rankFunc). Weights are quantized at construction, so two Weights
+// weightScale converts float weights to integer key arithmetic: keys are
+// fixed-point with 10 fractional bits, computed once per packet per node. Weights are quantized at construction, so two Weights
 // within 1/2048 of each other are the same policy.
 const weightScale = 1024
 
@@ -55,19 +54,13 @@ func NewWeighted(name string, w Weights) sim.Policy {
 	wDist := int(math.Round(w.Dist * weightScale))
 	wRestrict := int(math.Round(w.Restrict * weightScale))
 	wDeflect := int(math.Round(w.Deflect * weightScale))
-	return &matchingPolicy{
-		name:    name,
-		shuffle: true,
-		rank: func(ns *sim.NodeState, i int) int {
-			p := ns.Packets[i]
-			score := wAge * (ns.Time - p.InjectedAt)
-			score += wDist * ns.Mesh.Dist(p.Node, p.Dst)
-			if ns.Info(i).Restricted {
-				score += wRestrict
-			}
-			score += wDeflect * p.Deflections
-			return -score // lower rank advances first; higher score wins
-		},
-		deflect: DeflectRandom,
-	}
+	return NewCustom(name, func(s *sim.Site, p *sim.Packet, good uint16) sim.Key {
+		score := wAge * (s.Time - p.InjectedAt)
+		score += wDist * s.Mesh.Dist(p.Node, p.Dst)
+		if sim.Restricted(good) {
+			score += wRestrict
+		}
+		score += wDeflect * p.Deflections
+		return sim.Key{Major: -score} // lower keys advance first; higher score wins
+	}, true, DeflectRandom)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"hotpotato/internal/mesh"
@@ -109,17 +110,20 @@ func (ps *PacketState) Fill(p *Packet) {
 // table (the single engine without faults, every shard and every distributed
 // worker — neighbor entries are global ids, so a boundary move simply names a
 // node another shard owns) or a failure overlay's masked copy (with faults).
-// It is the only caller of Policy.Route: the PacketInfo precomputation, the
-// policy invocation with panic isolation, the validation levels and the Move
-// records all live here, so moves produced by P shard routers are
-// indistinguishable from the single engine's, including the
-// boundary-crossing ones the shard runner diverts into its halo exchange.
+// It owns the one priority matching (a *PriorityPolicy's description, run on
+// good-direction masks) and is the only caller of Policy.Route for every
+// other policy: the good masks, the policy invocation with panic isolation,
+// the validation levels and the Move records all live here, so moves
+// produced by P shard routers are indistinguishable from the single
+// engine's, including the boundary-crossing ones the shard runner diverts
+// into its halo exchange.
 //
 // A NodeRouter is single-goroutine state (one exists per engine or shard);
 // the policy handed to it must be that shard's own instance or clone.
 type NodeRouter struct {
 	tab        *mesh.Tables
 	policy     Policy
+	prio       *Priority // the policy's description when it is a *PriorityPolicy
 	seed       int64
 	validation ValidationLevel
 	dirCount   int
@@ -127,11 +131,10 @@ type NodeRouter struct {
 	// tie-break stream: they skip the per-node seed derivation.
 	reseed bool
 
-	ns       NodeState
-	out      []mesh.Dir
-	dirOwner []int
-	src      rng.SplitMix64
-	rnd      *rand.Rand
+	ns  NodeState
+	m   matcher
+	src rng.SplitMix64
+	rnd *rand.Rand
 
 	// maxNodeLoad and reroutes accumulate across RouteNode calls; the
 	// engines drain them into their global counters after each step
@@ -139,11 +142,11 @@ type NodeRouter struct {
 	maxNodeLoad int
 	reroutes    int64
 
-	// Tail pad to 256 B (four cache lines, and its own allocator size class).
-	// Unpadded, two routers allocated back to back — adjacent shards' — share
-	// a line, so one shard's per-node writes (src reseed, maxNodeLoad,
-	// reroutes) keep invalidating the line that holds its neighbour's tab,
-	// read on every RouteNode.
+	// Tail pad to a whole number of cache lines. Unpadded, two routers
+	// allocated back to back — adjacent shards' — share a line, so one
+	// shard's per-node writes (src reseed, maxNodeLoad, reroutes) keep
+	// invalidating the line that holds its neighbour's tab, read on every
+	// RouteNode.
 	_ [48]byte
 }
 
@@ -157,11 +160,13 @@ func NewNodeRouter(tab *mesh.Tables, policy Policy, seed int64, validation Valid
 		validation: validation,
 		dirCount:   tab.DirCount(),
 		reseed:     !policy.Deterministic(),
-		out:        make([]mesh.Dir, 0, tab.DirCount()),
-		dirOwner:   make([]int, tab.DirCount()),
+	}
+	if pp, ok := policy.(*PriorityPolicy); ok {
+		r.prio = &pp.pr
+	} else {
+		r.ns.infos = make([]PacketInfo, 0, tab.DirCount())
 	}
 	r.ns.Mesh = tab
-	r.ns.infos = make([]PacketInfo, 0, tab.DirCount())
 	r.rnd = rand.New(&r.src)
 	return r
 }
@@ -179,50 +184,35 @@ func (r *NodeRouter) DrainCounters() (maxNodeLoad int, reroutes int64) {
 // Move.To for boundary-crossing moves — are global.
 func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Move) error {
 	r.maxNodeLoad = max(r.maxNodeLoad, len(pkts))
-	ns := &r.ns
-	ns.Node = node
-	ns.Time = t
-	ns.Packets = pkts
 	// Good directions come from the routing table, so under faults they are
-	// the surviving good arcs; a live packet with GoodCount == 0 (possible
-	// only when faults cut every geometrically good arc) is a forced
-	// reroute. The infos are filled in place, never copied through a stack
-	// temporary.
-	if cap(ns.infos) < len(pkts) {
-		ns.infos = make([]PacketInfo, len(pkts))
-	} else {
-		ns.infos = ns.infos[:len(pkts)]
-	}
-	tab := r.tab
+	// the surviving good arcs; a live packet with none (possible only when
+	// faults cut every geometrically good arc) is a forced reroute.
+	tab, m := r.tab, &r.m
 	for i, p := range pkts {
-		pi := &ns.infos[i]
-		pi.GoodCount = tab.GoodDirsInto(p.Node, p.Dst, &pi.goodBuf)
-		if pi.GoodCount == 0 {
+		good := tab.GoodMask(p.Node, p.Dst)
+		if good == 0 {
 			r.reroutes++
 		}
-		pi.Restricted = pi.GoodCount == 1
-		pi.TypeA = pi.Restricted && p.RestrictedPrev && p.AdvancedPrev
+		m.good[i] = good
 	}
-
-	r.out = r.out[:len(pkts)]
-	for i := range r.out {
-		r.out[i] = mesh.NoDir
-	}
+	r.ns.Node, r.ns.Time = node, t
 	if r.reseed {
 		r.src.Seed(NodeSeed(r.seed, t, node))
 	}
-	if err := r.routePolicy(); err != nil {
+	if r.prio != nil && len(pkts) == 1 {
+		m.out[0] = m.single(r.prio, &r.ns.Site, r.rnd) // no key, no matching: nothing can panic
+	} else if err := r.route(pkts); err != nil {
 		return fmt.Errorf("step %d node %d: %w", t, node, err)
 	}
 
 	if r.validation > ValidateOff {
-		if err := r.validate(); err != nil {
+		if err := r.validate(pkts); err != nil {
 			return err
 		}
 	}
 	dirCount := r.dirCount
 	for i, p := range pkts {
-		dir := r.out[i]
+		dir := m.out[i]
 		var to mesh.NodeID
 		ok := dir >= 0 && int(dir) < dirCount
 		if ok {
@@ -233,95 +223,95 @@ func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Mo
 			// route through an arc the failure set removed).
 			return fmt.Errorf("%w: step %d node %d packet %d via %v", ErrOffMesh, t, node, p.ID, dir)
 		}
-		pi := ns.Info(i)
-		dst[i] = Move{
-			Packet:        p,
-			From:          node,
-			To:            to,
-			Dir:           dir,
-			Advanced:      goodContains(pi, dir),
-			GoodCount:     pi.GoodCount,
-			WasRestricted: pi.Restricted,
-			WasTypeA:      pi.TypeA,
-			ArrivedNow:    to == p.Dst,
-		}
+		// Field by field: a composite literal is built on the stack and
+		// copied in wide loads that stall on its narrow stores.
+		good := m.good[i]
+		mv := &dst[i]
+		mv.Packet, mv.From, mv.To, mv.Dir = p, node, to, dir
+		mv.Advanced = good>>dir&1 != 0
+		mv.GoodCount = bits.OnesCount16(good)
+		mv.WasRestricted = Restricted(good)
+		mv.WasTypeA = TypeA(p, good)
+		mv.ArrivedNow = to == p.Dst
 	}
 	return nil
 }
 
-// routePolicy invokes the policy with panic isolation: a panicking Route
-// surfaces as an ErrPolicyPanic instead of tearing down the process (or a
-// shard goroutine).
-func (r *NodeRouter) routePolicy() (err error) {
+// route fills r.m.out for the node — by the kernel's matching for a priority
+// policy, by the policy's Route otherwise — with panic isolation: a
+// panicking Route or priority key surfaces as an ErrPolicyPanic instead of
+// tearing down the process (or a shard goroutine).
+func (r *NodeRouter) route(pkts []*Packet) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("%w: policy %s: %v", ErrPolicyPanic, r.policy.Name(), rec)
 		}
 	}()
-	r.policy.Route(&r.ns, r.out, r.rnd)
+	if r.prio != nil {
+		r.m.route(r.prio, &r.ns.Site, pkts, r.rnd)
+		return nil
+	}
+	ns := &r.ns
+	ns.Packets = pkts
+	ns.infos = ns.infos[:len(pkts)]
+	out := r.m.out[:len(pkts)]
+	for i, p := range pkts {
+		ns.infos[i].set(p, r.m.good[i])
+		out[i] = mesh.NoDir
+	}
+	r.policy.Route(ns, out, r.rnd)
 	return nil
 }
 
-// validate checks the assignment in r.out for the node state in r.ns
-// according to the configured validation level: model legality (every
-// packet on a distinct existing arc), then greediness and restricted
-// preference.
-func (r *NodeRouter) validate() error {
-	ns := &r.ns
-	for i := range r.dirOwner {
-		r.dirOwner[i] = -1
-	}
-	for i, dir := range r.out {
-		p := ns.Packets[i]
+// validate checks the assignment in r.m.out according to the configured
+// validation level: model legality (every packet on a distinct existing
+// arc), then greediness and restricted preference, all on masks.
+func (r *NodeRouter) validate(pkts []*Packet) error {
+	s, m := &r.ns.Site, &r.m
+	arcs := r.tab.ArcMask(s.Node)
+	var owner [maxDeg]uint8
+	taken := uint16(0)
+	for i, dir := range m.out[:len(pkts)] {
+		p := pkts[i]
 		if dir < 0 || int(dir) >= r.dirCount {
 			return fmt.Errorf("%w: step %d node %d packet %d (dir %d)",
-				ErrUnassigned, ns.Time, ns.Node, p.ID, dir)
+				ErrUnassigned, s.Time, s.Node, p.ID, dir)
 		}
-		if !r.tab.HasArc(ns.Node, dir) {
+		bit := uint16(1) << dir
+		if arcs&bit == 0 {
 			return fmt.Errorf("%w: step %d node %d packet %d via %v",
-				ErrOffMesh, ns.Time, ns.Node, p.ID, dir)
+				ErrOffMesh, s.Time, s.Node, p.ID, dir)
 		}
-		if prev := r.dirOwner[dir]; prev >= 0 {
+		if taken&bit != 0 {
 			return fmt.Errorf("%w: step %d node %d packets %d and %d both via %v",
-				ErrLinkConflict, ns.Time, ns.Node, ns.Packets[prev].ID, p.ID, dir)
+				ErrLinkConflict, s.Time, s.Node, pkts[owner[dir]].ID, p.ID, dir)
 		}
-		r.dirOwner[dir] = i
+		taken |= bit
+		owner[dir] = uint8(i)
 	}
 	if r.validation < ValidateGreedy {
 		return nil
 	}
-	for i, dir := range r.out {
-		pi := ns.Info(i)
-		if goodContains(pi, dir) {
+	for i, dir := range m.out[:len(pkts)] {
+		good := m.good[i]
+		if good>>dir&1 != 0 {
 			continue // advancing
 		}
 		// Packet i is deflected: every (surviving) good arc must carry an
 		// advancing packet (Definition 6), and if packet i is restricted,
 		// that advancing packet must itself be restricted (Definition 18).
-		for _, g := range pi.Good() {
-			j := r.dirOwner[g]
-			if j < 0 || !goodContains(ns.Info(j), g) {
+		for rest := good; rest != 0; rest &= rest - 1 {
+			g := bits.TrailingZeros16(rest)
+			j := owner[g]
+			if taken>>g&1 == 0 || m.good[j]>>g&1 == 0 {
 				return fmt.Errorf("%w: step %d node %d packet %d deflected with free good arc %v",
-					ErrNotGreedy, ns.Time, ns.Node, ns.Packets[i].ID, g)
+					ErrNotGreedy, s.Time, s.Node, pkts[i].ID, mesh.Dir(g))
 			}
-			if r.validation >= ValidateRestricted && pi.Restricted && !ns.Info(j).Restricted {
+			if r.validation >= ValidateRestricted && Restricted(good) && !Restricted(m.good[j]) {
 				return fmt.Errorf("%w: step %d node %d packet %d deflected by non-restricted packet %d",
-					ErrNotRestrictedPreferring, ns.Time, ns.Node, ns.Packets[i].ID, ns.Packets[j].ID)
+					ErrNotRestrictedPreferring, s.Time, s.Node, pkts[i].ID, pkts[j].ID)
 			}
 		}
 	}
 	return nil
-}
-
-// goodContains reports whether dir belongs to the packet's (surviving) good
-// set. RouteNode already computed the set, so a scan of its at-most-2·dim
-// entries replaces a coordinate-arithmetic IsGoodDir call on the hot path —
-// and under faults it automatically means "surviving good arc".
-func goodContains(pi *PacketInfo, dir mesh.Dir) bool {
-	for _, g := range pi.Good() {
-		if g == dir {
-			return true
-		}
-	}
-	return false
 }

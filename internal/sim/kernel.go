@@ -82,11 +82,13 @@ func AdmitInitial(m *mesh.Mesh, packets []*Packet, place PlaceFunc) (nextID int,
 //
 // floor is the ID watermark before the injector ran and nextID the
 // watermark now (the injector may have drawn IDs in between); the advanced
-// watermark is returned (on error the run is over and the results are zero). Freshness is enforced with the watermark alone:
-// every ID accepted before this batch is below floor, and the floor then
-// climbs past each accepted packet, so reused IDs and duplicates within the
-// batch are rejected while anything monotone (NextPacketID in particular)
-// passes, and the used-ID record stays O(1).
+// watermark is returned. On error the run is over and the results are zero.
+//
+// Freshness is enforced with the watermark alone: every ID accepted before
+// this batch is below floor, and the floor then climbs past each accepted
+// packet, so reused IDs and duplicates within the batch are rejected while
+// anything monotone (NextPacketID in particular) passes, and the used-ID
+// record stays O(1).
 func AdmitInjected(m *mesh.Mesh, t int, batch []*Packet, floor, nextID int, place PlaceFunc) (newNextID, refused int, err error) {
 	for _, p := range batch {
 		if p == nil {

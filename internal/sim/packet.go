@@ -25,6 +25,21 @@ type Packet struct {
 	// EnteredVia is the direction of the arc through which the packet
 	// entered Node, or mesh.NoDir right after injection.
 	EnteredVia mesh.Dir
+
+	// The history fields sit with the position: a packet can straddle two
+	// cache lines, and the router reads ID, Dst, Node and these for every
+	// packet it routes, all within the first 32 bytes.
+
+	// AdvancedPrev reports whether the packet advanced (got closer to its
+	// destination) in the previous step. False right after injection.
+	AdvancedPrev bool
+	// RestrictedPrev reports whether the packet was restricted (had exactly
+	// one good direction) at the beginning of the previous step. False
+	// right after injection.
+	RestrictedPrev bool
+	// GoodPrev is the packet's good-direction count at the beginning of the
+	// previous step, or 0 right after injection.
+	GoodPrev int
 	// InjectedAt is the step at which the packet entered the network:
 	// 0 for batch instances, the injection step for dynamic traffic.
 	// Age-based policies may use it (locally trackable information).
@@ -49,21 +64,11 @@ type Packet struct {
 	// from its destination.
 	Deflections int
 
-	// AdvancedPrev reports whether the packet advanced (got closer to its
-	// destination) in the previous step. False right after injection.
-	AdvancedPrev bool
-	// RestrictedPrev reports whether the packet was restricted (had exactly
-	// one good direction) at the beginning of the previous step. False
-	// right after injection.
-	RestrictedPrev bool
 	// pos is the packet's position in its sim.Engine's packet list, stamped
 	// when the packet joins it (New, injection, Restore): the checkpoint
 	// encoder writes queues as positions and reads them here instead of
-	// building an ID map per save. It sits in the struct's padding.
+	// building an ID map per save. It sits in the struct's tail padding.
 	pos int32
-	// GoodPrev is the packet's good-direction count at the beginning of the
-	// previous step, or 0 right after injection.
-	GoodPrev int
 }
 
 // NewPacket returns a packet ready for injection at src.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"hotpotato/internal/fault"
 	"hotpotato/internal/mesh"
 )
 
@@ -261,19 +262,43 @@ func (pi *poolInjector) Inject(t int, host InjectorHost, rng *rand.Rand) []*Pack
 	return pi.batch[:]
 }
 
+// restrictedFirstTest is a priority policy the kernel routes itself:
+// restricted packets first, then by ID; shuffled when shuffle is set.
+func restrictedFirstTest(shuffle bool) Policy {
+	return NewPriorityPolicy("test-restricted-first", Priority{
+		Key: func(_ *Site, p *Packet, good uint16) Key {
+			if Restricted(good) {
+				return Key{Minor: p.ID}
+			}
+			return Key{Major: 1, Minor: p.ID}
+		},
+		Shuffle:       shuffle,
+		RandomDeflect: shuffle,
+	})
+}
+
 // TestStepSteadyStateAllocs asserts the tentpole claim directly: once an
-// engine is constructed (and, with an injector, warmed up), stepping it
-// allocates nothing — on a dense mesh and torus, on a mesh sparse enough
-// that most summary words of the occupancy bitset are empty, and with
-// packets arriving every step.
+// engine is constructed (and, with an injector or faults, warmed up),
+// stepping it allocates nothing — on a dense mesh and torus, on a mesh
+// sparse enough that most summary words of the occupancy bitset are empty,
+// with packets arriving every step, and with the kernel's own priority
+// matching under greedy and restricted validation and on a fault overlay.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	sparse := mesh.MustNew(2, 128)
+	faulty := mesh.MustNew(2, 16)
+	var cuts []fault.Event
+	for i := 1; i < 15; i += 3 {
+		cuts = append(cuts, fault.Event{Time: 0, Kind: fault.LinkDown, Node: faulty.ID([]int{i, i}), Dir: mesh.DirPlus(i % 2)})
+	}
 	cases := []struct {
-		name    string
-		m       *mesh.Mesh
-		packets []*Packet
-		warmup  int
-		inject  bool
+		name       string
+		m          *mesh.Mesh
+		packets    []*Packet
+		warmup     int
+		inject     bool
+		policy     Policy          // nil: leanGreedyPolicy
+		validation ValidationLevel // 0: ValidateGreedy
+		faults     FaultModel
 	}{
 		{name: "mesh16", m: mesh.MustNew(2, 16), packets: parityPackets(mesh.MustNew(2, 16), 2*16*16, 3)},
 		{name: "torus64", m: mesh.MustNewTorus(2, 64), packets: parityPackets(mesh.MustNewTorus(2, 64), 2*64*64, 3)},
@@ -284,12 +309,28 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		}},
 		{name: "injector", m: mesh.MustNewTorus(2, 16), warmup: 200, inject: true,
 			packets: make([]*Packet, 0, 1024)}, // room for every injected packet: e.packets never grows
+		{name: "priority-greedy", m: mesh.MustNewTorus(2, 64), packets: parityPackets(mesh.MustNewTorus(2, 64), 2*64*64, 3),
+			policy: restrictedFirstTest(true)},
+		{name: "priority-restricted", m: mesh.MustNew(2, 16), packets: parityPackets(mesh.MustNew(2, 16), 2*16*16, 3),
+			policy: restrictedFirstTest(false), validation: ValidateRestricted},
+		{name: "priority-faults", m: faulty, packets: parityPackets(faulty, 2*16*16, 3), warmup: 1,
+			policy: restrictedFirstTest(true), validation: ValidateRestricted, faults: fault.NewSchedule(cuts...)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := New(tc.m, leanGreedyPolicy{}, tc.packets, Options{Seed: 3, Validation: ValidateGreedy})
+			pol, lvl := tc.policy, tc.validation
+			if pol == nil {
+				pol = leanGreedyPolicy{}
+			}
+			if lvl == ValidateOff {
+				lvl = ValidateGreedy
+			}
+			e, err := New(tc.m, pol, tc.packets, Options{Seed: 3, Validation: lvl})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.faults != nil {
+				e.SetFaults(tc.faults, FateDrop)
 			}
 			if tc.inject {
 				e.SetInjector(&poolInjector{pool: make([]Packet, 1000)})
@@ -301,6 +342,9 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			}
 			if e.Live() == 0 {
 				t.Fatal("no packets in flight to step")
+			}
+			if tc.faults != nil && e.Topology().Degree(faulty.ID([]int{1, 1})) == faulty.Degree(faulty.ID([]int{1, 1})) {
+				t.Fatal("the fault overlay masks no arc")
 			}
 			allocs := testing.AllocsPerRun(40, func() {
 				if err := e.Step(); err != nil {

@@ -10,7 +10,8 @@ import (
 // a node: its good directions (Definition 5) and its restricted-type
 // classification (Section 4.1).
 type PacketInfo struct {
-	goodBuf [2 * mesh.MaxDim]mesh.Dir
+	good    uint16 // the good directions as a mask
+	goodBuf [maxDeg]mesh.Dir
 	// GoodCount is the number of good directions (1..d for live packets).
 	GoodCount int
 	// Restricted reports whether the packet has exactly one good direction.
@@ -20,6 +21,14 @@ type PacketInfo struct {
 	// step, and advanced in that step. Restricted packets that are not type
 	// A are type B. Meaningless when Restricted is false.
 	TypeA bool
+}
+
+// set fills the info of packet p from its good-direction mask.
+func (pi *PacketInfo) set(p *Packet, good uint16) {
+	pi.good = good
+	pi.GoodCount = listDirs(good, &pi.goodBuf)
+	pi.Restricted = Restricted(good)
+	pi.TypeA = TypeA(p, good)
 }
 
 // Good returns the packet's good directions, ordered by axis. The slice
@@ -33,19 +42,10 @@ func (pi *PacketInfo) Good() []mesh.Dir { return pi.goodBuf[:pi.GoodCount] }
 // are currently in it, with their destinations, entry arcs and locally
 // trackable history flags).
 type NodeState struct {
-	// Mesh is the network topology the node routes against: the engine's
-	// table. Without faults that is the mesh's shared table; with a fault
-	// model installed it is the failure overlay's masked copy, whose
-	// connectivity methods (HasArc, Degree, GoodDirs) reflect the surviving
-	// arcs while geometry (Dist, coordinates) stays that of the intact mesh
-	// — a bufferless router knows its live ports but has no global failure
-	// map. It is the concrete *mesh.Tables, not the mesh.Topology interface,
-	// so the lookups policies make per packet are direct, inlinable calls.
-	Mesh *mesh.Tables
-	// Node is the node being routed.
-	Node mesh.NodeID
-	// Time is the current step index.
-	Time int
+	// Site holds the table the node routes against (Mesh: the concrete
+	// *mesh.Tables, not the mesh.Topology interface, so the lookups policies
+	// make per packet are direct, inlinable calls), the node and the step.
+	Site
 	// Packets are the packets to route this step. None of them is at its
 	// destination. Policies must not mutate the packets.
 	Packets []*Packet
@@ -68,6 +68,10 @@ func (ns *NodeState) Degree() int { return ns.Mesh.Degree(ns.Node) }
 // out[i] for each ns.Packets[i]; the hot-potato constraint means no packet
 // may be left unassigned. The engine validates assignments according to its
 // configured validation level.
+//
+// A priority-matching policy is a *PriorityPolicy: data the routing kernel
+// executes without calling Route. Route is the extension point for every
+// other rule.
 //
 // rng is a deterministic per-engine source that randomized policies may use
 // for tie-breaking; deterministic policies must ignore it (and should report

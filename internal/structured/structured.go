@@ -84,7 +84,7 @@ func (p *twoPhase) Route(ns *sim.NodeState, out []mesh.Dir, rng *rand.Rand) {
 	}
 
 	// Local maximum matching toward virtual targets (hand-rolled because
-	// routing.Assigner matches against real-destination good sets).
+	// the kernel's priority matching uses real-destination good sets).
 	dirCount := ns.Mesh.DirCount()
 	owner := make([]int, dirCount)
 	for d := range owner {
