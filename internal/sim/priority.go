@@ -248,56 +248,47 @@ func (m *matcher) single(pr *Priority, s *Site, rng *rand.Rand) mesh.Dir {
 
 // augment looks for an augmenting path that matches packet i to one of its
 // good arcs, possibly moving matched packets to other good arcs of theirs.
+// It tries the arcs in packet i's preference order and skips those the
+// current search has explored already.
 func (m *matcher) augment(i int) bool {
-	if m.listed>>i&1 != 0 {
-		for _, d := range m.pref[i][:bits.OnesCount16(m.good[i])] {
-			if m.tryArc(i, d) {
-				return true
-			}
+	listed, good := m.listed>>i&1 != 0, m.good[i]
+	for k := 0; good != 0; k++ {
+		d := mesh.Dir(bits.TrailingZeros16(good))
+		if listed {
+			d = m.pref[i][k]
 		}
-		return false
-	}
-	for good := m.good[i]; good != 0; good &= good - 1 {
-		if m.tryArc(i, mesh.Dir(bits.TrailingZeros16(good))) {
-			return true
+		good &= good - 1 // one arc fewer to try, whichever it was
+		bit := uint16(1) << d
+		if m.visited&bit != 0 {
+			continue
 		}
+		m.visited |= bit
+		if m.taken&bit != 0 && !m.augment(int(m.owner[d])) {
+			continue
+		}
+		m.taken |= bit
+		m.owner[d] = uint8(i)
+		m.out[i] = d
+		return true
 	}
 	return false
 }
 
-// tryArc matches packet i to arc d unless the current search has explored d
-// already or d's packet cannot move elsewhere.
-func (m *matcher) tryArc(i int, d mesh.Dir) bool {
-	bit := uint16(1) << d
-	if m.visited&bit != 0 {
-		return false
-	}
-	m.visited |= bit
-	if m.taken&bit != 0 && !m.augment(int(m.owner[d])) {
-		return false
-	}
-	m.taken |= bit
-	m.owner[d] = uint8(i)
-	m.out[i] = d
-	return true
-}
-
-// takeFirst matches packet i to its first free good arc, if any.
+// takeFirst matches packet i to its first free good arc in its preference
+// order, if any.
 func (m *matcher) takeFirst(i int) {
-	if m.listed>>i&1 != 0 {
-		for _, d := range m.pref[i][:bits.OnesCount16(m.good[i])] {
-			if m.taken>>d&1 == 0 {
-				m.taken |= 1 << d
-				m.out[i] = d
-				return
-			}
+	listed, good := m.listed>>i&1 != 0, m.good[i]
+	for k := 0; good != 0; k++ {
+		d := mesh.Dir(bits.TrailingZeros16(good))
+		if listed {
+			d = m.pref[i][k]
 		}
-		return
-	}
-	if free := m.good[i] &^ m.taken; free != 0 {
-		d := mesh.Dir(bits.TrailingZeros16(free))
-		m.taken |= 1 << d
-		m.out[i] = d
+		good &= good - 1
+		if m.taken>>d&1 == 0 {
+			m.taken |= 1 << d
+			m.out[i] = d
+			return
+		}
 	}
 }
 
