@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim ladder-durable dist-demo policylab-demo clean
+.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke bench-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim ladder-durable dist-demo policylab-demo clean
 
 all: build vet test
 
@@ -147,6 +147,17 @@ dist-chaos-smoke:
 # in-process shard rungs they are read against.
 ladder-dshard:
 	$(GO) run ./bench --workload dense_torus.dshard --seconds 5 --trace 1 | awk '$$2 ~ /^(dshard|shard)\./'
+
+# Benchmark smoke: one 2-second pass of every workload of BENCHMARK.json
+# through the real harness. Every workload must report "correct":true (one
+# result line each), and no hotpotatod the harness started may outlive it:
+# a daemon left running is what makes a later measurement on the machine
+# meaningless. The pattern's [h] keeps pgrep from matching this recipe's
+# own shell.
+bench-smoke:
+	$(GO) run ./bench -seconds 2 > /tmp/hotpotato-bench-smoke.out
+	test "$$(grep -c '^{"correct":true' /tmp/hotpotato-bench-smoke.out)" -eq "$$(grep -c '"why":' BENCHMARK.json)"
+	! pgrep -f 'bench/out/[h]otpotatod'
 
 # The kernel rung of the cost ladder: one traced pass on each single-engine
 # workload — dense_torus.sim (every node busy) and sparse_arrivals.sim

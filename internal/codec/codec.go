@@ -19,30 +19,44 @@ import (
 	"fmt"
 )
 
-// Enc appends encoded fields to B.
+// Enc appends encoded fields to B. A field is appended to a copy of B's
+// header and B is then resliced in place, e.B = e.B[:n], which stores only
+// the length: the pointer is stored only when the append grew the array,
+// so encoding a record of many fields runs no GC write barrier per field
+// (Dec keeps an offset for the same reason). Callers may read, reslice or
+// replace B between calls.
 type Enc struct{ B []byte }
 
-func (e *Enc) U64(v uint64) { e.B = binary.AppendUvarint(e.B, v) }
-func (e *Enc) I64(v int64)  { e.B = binary.AppendVarint(e.B, v) }
+// keep makes b, which extends B, the new B.
+func (e *Enc) keep(b []byte) {
+	if cap(b) == cap(e.B) { // same array: only the length changed
+		e.B = e.B[:len(b)]
+	} else {
+		e.B = b
+	}
+}
+
+func (e *Enc) U64(v uint64) { e.keep(binary.AppendUvarint(e.B, v)) }
+func (e *Enc) I64(v int64)  { e.keep(binary.AppendVarint(e.B, v)) }
 func (e *Enc) Num(v int)    { e.I64(int64(v)) }
-func (e *Enc) Byte(v byte)  { e.B = append(e.B, v) }
+func (e *Enc) Byte(v byte)  { e.keep(append(e.B, v)) }
 
 func (e *Enc) Bool(v bool) {
 	if v {
-		e.B = append(e.B, 1)
+		e.Byte(1)
 	} else {
-		e.B = append(e.B, 0)
+		e.Byte(0)
 	}
 }
 
 func (e *Enc) Str(s string) {
 	e.U64(uint64(len(s)))
-	e.B = append(e.B, s...)
+	e.keep(append(e.B, s...))
 }
 
 func (e *Enc) Bytes(p []byte) {
 	e.U64(uint64(len(p)))
-	e.B = append(e.B, p...)
+	e.keep(append(e.B, p...))
 }
 
 // Dec consumes encoded fields from B. It tracks its position with an
@@ -149,6 +163,15 @@ func (d *Dec) AsI8(v int64) int8 {
 		return 0
 	}
 	return int8(v)
+}
+
+// AsU8 is the range check of a varint that must fit a byte-sized enum.
+func (d *Dec) AsU8(v int64) uint8 {
+	if uint64(v) > 0xff {
+		d.Fail("varint overflows uint8")
+		return 0
+	}
+	return uint8(v)
 }
 
 func (d *Dec) Byte() byte {

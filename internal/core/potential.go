@@ -32,6 +32,7 @@ import (
 // than asserted (see DESIGN.md).
 type Tracker struct {
 	mesh     *mesh.Mesh
+	tab      *mesh.Tables // the mesh's table: every per-move geometry query reads it
 	packets  []*sim.Packet
 	spare0   int
 	burn     int
@@ -167,6 +168,7 @@ func NewTracker(m *mesh.Mesh, packets []*sim.Packet, opts TrackerOptions) *Track
 	}
 	tr := &Tracker{
 		mesh:       m,
+		tab:        m.Tables(),
 		packets:    packets,
 		spare0:     spare0,
 		burn:       burn,
@@ -186,7 +188,7 @@ func NewTracker(m *mesh.Mesh, packets []*sim.Packet, opts TrackerOptions) *Track
 			continue
 		}
 		tr.c[p] = tr.spare0
-		tr.phi += int64(m.Dist(p.Node, p.Dst) + tr.spare0)
+		tr.phi += int64(tr.tab.Dist(p.Node, p.Dst) + tr.spare0)
 	}
 	tr.phiHist = append(tr.phiHist, tr.phi)
 	return tr
@@ -317,7 +319,7 @@ func (tr *Tracker) countSurfaceArcs(d int) int {
 			continue
 		}
 		for dir := mesh.Dir(0); dir < mesh.Dir(2*d); dir++ {
-			n2, ok := tr.mesh.TwoNeighbor(node, dir)
+			n2, ok := tr.tab.TwoNeighbor(node, dir)
 			if !ok || int(tr.load[n2]) <= d {
 				f++
 			}
@@ -346,7 +348,7 @@ func (tr *Tracker) applyNode(group []sim.Move, stats *StepStats) {
 			continue
 		}
 		var buf [2 * mesh.MaxDim]mesh.Dir
-		good := tr.mesh.GoodDirs(mv.From, mv.Packet.Dst, buf[:0])
+		good := tr.tab.GoodDirs(mv.From, mv.Packet.Dst, buf[:0])
 		if len(good) != 1 {
 			continue // defensive: WasTypeA implies restricted
 		}
@@ -364,7 +366,7 @@ func (tr *Tracker) applyNode(group []sim.Move, stats *StepStats) {
 		mv := &group[i]
 		p := mv.Packet
 		cBefore := tr.c[p]
-		before += int64(tr.mesh.Dist(mv.From, p.Dst) + cBefore)
+		before += int64(tr.tab.Dist(mv.From, p.Dst) + cBefore)
 
 		var cAfter, phiAfter int
 		switch {
@@ -373,7 +375,7 @@ func (tr *Tracker) applyNode(group []sim.Move, stats *StepStats) {
 			phiAfter = 0
 		case tr.distOnly:
 			cAfter = 0
-			phiAfter = tr.mesh.Dist(mv.To, p.Dst)
+			phiAfter = tr.tab.Dist(mv.To, p.Dst)
 			if phiAfter < tr.minPhi {
 				tr.minPhi = phiAfter
 			}
@@ -385,7 +387,7 @@ func (tr *Tracker) applyNode(group []sim.Move, stats *StepStats) {
 			} else {
 				cAfter = tr.spare0
 			}
-			phiAfter = tr.mesh.Dist(mv.To, p.Dst) + cAfter
+			phiAfter = tr.tab.Dist(mv.To, p.Dst) + cAfter
 			if phiAfter < tr.minPhi {
 				tr.minPhi = phiAfter
 			}
@@ -399,8 +401,8 @@ func (tr *Tracker) applyNode(group []sim.Move, stats *StepStats) {
 				tr.v.PhiZeroLive++
 			}
 		default:
-			distAfter := tr.mesh.Dist(mv.To, p.Dst)
-			restrictedAfter := tr.mesh.GoodDirCount(mv.To, p.Dst) == 1
+			distAfter := tr.tab.Dist(mv.To, p.Dst)
+			restrictedAfter := tr.tab.GoodDirCount(mv.To, p.Dst) == 1
 			typeAAfter := restrictedAfter && mv.WasRestricted && mv.Advanced
 			if typeAAfter {
 				if mv.Advanced && switchSet[mv.Dir] {
@@ -459,7 +461,7 @@ func (tr *Tracker) selfCheck() {
 		if p.Arrived() {
 			continue
 		}
-		phi += int64(tr.mesh.Dist(p.Node, p.Dst) + tr.c[p])
+		phi += int64(tr.tab.Dist(p.Node, p.Dst) + tr.c[p])
 	}
 	if phi != tr.phi {
 		tr.v.Conservation++

@@ -330,3 +330,99 @@ func TestLoadBodiesMatchCapturedStates(t *testing.T) {
 		t.Errorf("finalized at t=0: %+v, want %+v", c.finalized, want.Manifest.Finalized)
 	}
 }
+
+// TestHaloCarriesDisplacement steps two workers' nodes of a 2x1 grid, on a
+// mesh and on a torus, exchanging every halo bucket as bytes: encodeMoves
+// on the sender, decodeMoves into the receiver's recycled packets — which
+// carry a stale displacement from an earlier life — then ApplyArrived.
+// Every decoded packet still live after the step must carry the kernel mask
+// GoodMask gives at its new node, and the run must make the single engine's
+// hops.
+func TestHaloCarriesDisplacement(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		m := mesh.MustNew(2, 10)
+		if wrap {
+			m = mesh.MustNewTorus(2, 10)
+		}
+		pkts, err := workload.FullLoad(m, 2, rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := spec.NewPolicy("random")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := shard.Grid{P: 2, Q: 1}
+		pt, err := shard.NewPartition(m, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes [2]*shard.Node
+		var parts [2][]sim.PacketState
+		for i := range nodes {
+			if nodes[i], err = shard.NewNode(m, pol, g, []int{i}, 9, sim.ValidateOff); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, err := sim.New(m, pol, pkts, sim.Options{Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < m.Size(); id++ {
+			for _, p := range ref.PacketsAt(mesh.NodeID(id)) {
+				parts[pt.Owner(p.Node)] = append(parts[pt.Owner(p.Node)], sim.CapturePacket(p))
+			}
+		}
+		for i, n := range nodes {
+			if err := n.LoadShard(i, parts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := ref.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hops int64
+		halo := 0
+		for step := 0; nodes[0].Live()+nodes[1].Live() > 0; step++ {
+			var ingress [2][]shard.Bucket
+			for _, n := range nodes {
+				out, err := n.Route(step)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range out {
+					var e codec.Enc
+					encodeMoves(&e, b.Moves)
+					moves, err := decodeMoves(e.B, nil, nodes[b.To].Recycled)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ingress[b.To] = append(ingress[b.To], shard.Bucket{From: b.From, To: b.To, Moves: moves})
+				}
+			}
+			for i, n := range nodes {
+				rep, _, err := n.ApplyArrived(step, ingress[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				hops += rep.Hops
+				for _, b := range ingress[i] {
+					for _, mv := range b.Moves {
+						if p := mv.Packet; !p.Arrived() {
+							halo++
+							d := p.Disp()
+							if got, want := m.Tables().DispGood(p.Node, &d), m.Tables().GoodMask(p.Node, p.Dst); got != want {
+								t.Fatalf("%v step %d: halo packet %d at %d for %d: kernel mask %b, GoodMask %b", m, step, p.ID, p.Node, p.Dst, got, want)
+							}
+						}
+					}
+				}
+				n.Release()
+			}
+		}
+		if hops != res.TotalHops || halo == 0 {
+			t.Fatalf("%v: nodes made %d hops (%d live halo arrivals), the single engine %d", m, hops, halo, res.TotalHops)
+		}
+	}
+}

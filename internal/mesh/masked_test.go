@@ -132,7 +132,7 @@ func TestMaskedTablesMatchFailureSet(t *testing.T) {
 		o := NewOverlay(m)
 		ref := &failureSetRef{base: m, arcDown: map[[2]int]bool{}, nodeDown: map[NodeID]bool{}}
 		ref.check(t, o, "NewOverlay")
-		shared := slices.Clone(m.Tables().neighbor)
+		shared, sharedArcs := slices.Clone(m.Tables().neighbor), slices.Clone(m.Tables().arcs)
 		for i := 0; i < 60; i++ {
 			node := NodeID(rng.Intn(m.Size()))
 			dir := Dir(rng.Intn(m.DirCount()))
@@ -189,7 +189,7 @@ func TestMaskedTablesMatchFailureSet(t *testing.T) {
 			t.Fatalf("%v: rebooting node %d resurrected its cut link %v", m, centre, dir)
 		}
 
-		if !slices.Equal(shared, m.Tables().neighbor) || m.Tables().dead != 0 {
+		if !slices.Equal(shared, m.Tables().neighbor) || !slices.Equal(sharedArcs, m.Tables().arcs) || m.Tables().dead != 0 {
 			t.Fatalf("%v: overlay mutations leaked into the mesh's shared table", m)
 		}
 	}

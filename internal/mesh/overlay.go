@@ -4,7 +4,8 @@ package mesh
 // geometry with a current set of failed links and failed nodes subtracted
 // from the connectivity. It keeps the failure set and lowers it into the
 // embedded *Tables — a private copy of the base mesh's table in which every
-// arc the failure set removes reads -1 — so engines and policies route
+// arc the failure set removes is cleared from the arc masks (and, on a
+// torus, reads -1 in the neighbour row) — so engines and policies route
 // against Overlay.Tables exactly as they route against the intact mesh, and
 // the Overlay is a Topology through it. An arc is alive iff the base arc
 // exists, the link is not cut and neither endpoint is down; each mutation
@@ -45,21 +46,25 @@ func NewOverlay(base *Mesh) *Overlay {
 // flag is kept on both and the endpoints are the same two nodes.
 func (o *Overlay) refreshLink(from NodeID, dir Dir) {
 	i := int(from)*o.dirCount + int(dir)
-	to := o.intact.neighbor[i]
+	to, _ := o.intact.Neighbor(from, dir)
 	j := int(to)*o.dirCount + int(dir.Opposite())
 	alive := !o.arcDown[i] && !o.nodeDown[from] && !o.nodeDown[to]
-	switch {
-	case alive == (o.neighbor[i] >= 0):
-	case alive:
-		o.neighbor[i], o.neighbor[j] = to, from
+	if alive == o.HasArc(from, dir) {
+		return
+	}
+	nf, nt := to, from // the torus row's entries: the far end, or -1 when cut
+	if alive {
 		o.arcs[from] |= 1 << dir
 		o.arcs[to] |= 1 << dir.Opposite()
 		o.dead -= 2
-	default:
-		o.neighbor[i], o.neighbor[j] = -1, -1
+	} else {
+		nf, nt = -1, -1
 		o.arcs[from] &^= 1 << dir
 		o.arcs[to] &^= 1 << dir.Opposite()
 		o.dead += 2
+	}
+	if o.neighbor != nil {
+		o.neighbor[i], o.neighbor[j] = nf, nt
 	}
 }
 
@@ -101,8 +106,9 @@ func (o *Overlay) LinkDown(from NodeID, dir Dir) bool {
 // of its directed arcs and patches the table.
 func (o *Overlay) setLink(from NodeID, dir Dir, down bool) {
 	i := int(from)*o.dirCount + int(dir)
+	to, _ := o.intact.Neighbor(from, dir)
 	o.arcDown[i] = down
-	o.arcDown[int(o.intact.neighbor[i])*o.dirCount+int(dir.Opposite())] = down
+	o.arcDown[int(to)*o.dirCount+int(dir.Opposite())] = down
 	o.refreshLink(from, dir)
 }
 

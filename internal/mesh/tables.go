@@ -7,16 +7,17 @@ import (
 
 // Tables is the precomputed flat-array view of a Mesh: the same topology
 // with every hot primitive — Neighbor, HasArc, ArcMask, GoodMask, Dist,
-// coordinate access — turned into array lookups and subtractions
+// coordinate access — turned into array lookups, strides and subtractions
 // instead of div/mod coordinate arithmetic. It implements Topology and is
 // the one connectivity implementation every engine routes against: the
 // single engine, every shard and every distributed worker read the mesh's
 // shared table, and an Overlay lowers its failure set into a private copy.
 //
 // The shared table (*Mesh).Tables() returns is never mutated and is safe for
-// concurrent use; it is built once per mesh and cached, at O(size * dirs)
-// time and memory (a few words per node). Only an Overlay writes to a table,
-// and only to the private copy it owns.
+// concurrent use; it is built once per mesh and cached, at O(size * dim)
+// time and memory on a mesh and O(size * dirs) on a torus (a few words per
+// node). Only an Overlay writes to a table, and only to the private copy it
+// owns.
 type Tables struct {
 	base     *Mesh
 	dim      int
@@ -25,11 +26,13 @@ type Tables struct {
 	dirCount int
 
 	// neighbor[int(from)*dirCount+int(dir)] is the node reached along dir,
-	// or -1 when the arc leads off the mesh or (on an Overlay's copy) is
-	// masked by the failure set.
+	// or -1 when the arc (on an Overlay's copy) is masked by the failure
+	// set. Only a torus has the row: a mesh neighbour is the node plus the
+	// direction's stride, step[dir], with no wraparound to look up.
 	neighbor []NodeID
-	// arcs[id] has bit d set iff the node's neighbor entry along d is
-	// non-negative: its out-arcs as a mask, whose popcount is its degree.
+	step     [2 * MaxDim]NodeID
+	// arcs[id] has bit d set iff the node's arc along d exists and is not
+	// masked: its out-arcs as a mask, whose popcount is its degree.
 	arcs []uint16
 	// coord[int(id)*dim+axis] is the cached coordinate of the node.
 	coord []int32
@@ -37,11 +40,33 @@ type Tables struct {
 	// a packet whose destination lies delta = dst−from coordinates away on
 	// that axis: goodPlus, goodMinus, both (a torus tie) or neither.
 	axisGood []uint16
-	// dead counts the base arcs currently masked out of neighbor. It is 0 on
-	// the shared table for good; GoodMask consults the arc masks only when
+	// The lane layout of a Disp: axis a is the laneMask-wide lane at bit
+	// a<<laneLog. One formula serves both widths, so DispGood and Hop have
+	// no branch on the layout and stay inlinable.
+	laneLog  uint
+	laneMask uint32
+	// dead counts the base arcs currently masked out of arcs. It is 0 on
+	// the shared table for good; DispGood consults the arc masks only when
 	// it is non-zero.
 	dead int
 }
+
+// Disp is a packet's displacement to its destination: per axis, the
+// destination's coordinate minus the coordinate of the node holding the
+// packet, in (−side, side). On a torus only its value modulo the side
+// matters, and a hop that wraps round the ring keeps it in range by adding
+// or subtracting the side. Each axis is stored biased by the side, so a lane
+// holds a value in [1, 2·side−1] and never borrows from or carries into its
+// neighbour. Its 16 bytes hold four 32-bit lanes on a mesh of at most four
+// dimensions and eight 16-bit lanes on a wider one, two to a word:
+// side^dim < 2^31, so a mesh of five or more dimensions has a side below
+// 2^7, while a 1-dimensional mesh may be 2^20 nodes long. The table says
+// which (Tables.lane).
+//
+// Tables.Disp computes it from the coordinate rows; a packet that carries
+// it (sim.Packet) has a hop update it through Tables.Hop, and Tables.DispGood
+// turns it into good directions without a coordinate read.
+type Disp [4]uint32
 
 // Tables returns the flat-array view of the mesh, building it on first use.
 // The result is cached on the mesh and shared by all callers.
@@ -64,10 +89,19 @@ func buildTables(m *Mesh) *Tables {
 		side:     int32(m.side),
 		wrap:     m.wrap,
 		dirCount: m.DirCount(),
-		neighbor: make([]NodeID, m.size*m.DirCount()),
 		arcs:     make([]uint16, m.size),
 		coord:    make([]int32, m.size*m.dim),
 		axisGood: make([]uint16, 2*m.side+1),
+	}
+	if m.wrap {
+		t.neighbor = make([]NodeID, m.size*m.DirCount())
+	}
+	t.laneLog, t.laneMask = 5, 0xffffffff
+	if m.dim > len(Disp{}) {
+		t.laneLog, t.laneMask = 4, 0xffff
+	}
+	for a := 0; a < m.dim; a++ {
+		t.step[2*a], t.step[2*a+1] = NodeID(m.strides[a]), -NodeID(m.strides[a])
 	}
 	for delta := 1 - m.side; delta < m.side; delta++ {
 		switch fwd := (delta + m.side) % m.side; { // steps in "+" on the ring
@@ -82,9 +116,9 @@ func buildTables(m *Mesh) *Tables {
 	}
 	// One odometer walk over the rows along axis 0: c holds the row's
 	// coordinates on the other axes, and a neighbour is id ± stride, wrapped
-	// round the ring on a torus or -1 off the edge of a mesh. What the other
-	// axes contribute (neighbour offsets, arcs) is fixed for a whole row; no
-	// division anywhere.
+	// round the ring on a torus; off the edge of a mesh there is no arc.
+	// What the other axes contribute (neighbour offsets, arcs) is fixed for
+	// a whole row; no division anywhere.
 	var c [MaxDim]int32
 	var off [2 * MaxDim]int // per direction of axes ≥ 1: the neighbour's id offset
 	var has [2 * MaxDim]bool
@@ -115,30 +149,29 @@ func buildTables(m *Mesh) *Tables {
 			for a := 1; a < t.dim; a++ {
 				cd[a] = c[a]
 			}
-			nb := t.neighbor[id*t.dirCount : (id+1)*t.dirCount]
-			nb[0], nb[1] = NodeID(id+1), NodeID(id-1)
 			arcs := rowArcs | 3
-			switch {
-			case x < last:
-			case t.wrap:
-				nb[0] = NodeID(row)
-			default:
-				nb[0], arcs = -1, arcs&^1
-			}
-			switch {
-			case x > 0:
-			case t.wrap:
-				nb[1] = NodeID(row + int(last))
-			default:
-				nb[1], arcs = -1, arcs&^2
-			}
-			for d := 2; d < t.dirCount; d++ {
-				nb[d] = -1
-				if has[d] {
-					nb[d] = NodeID(id + off[d])
+			if !t.wrap {
+				if x == last {
+					arcs &^= 1
 				}
+				if x == 0 {
+					arcs &^= 2
+				}
+				t.arcs[id] = arcs
+				continue
 			}
 			t.arcs[id] = arcs
+			nb := t.neighbor[id*t.dirCount : (id+1)*t.dirCount]
+			nb[0], nb[1] = NodeID(id+1), NodeID(id-1)
+			if x == last {
+				nb[0] = NodeID(row)
+			}
+			if x == 0 {
+				nb[1] = NodeID(row + int(last))
+			}
+			for d := 2; d < t.dirCount; d++ {
+				nb[d] = NodeID(id + off[d])
+			}
 		}
 		for a := 1; a < t.dim; a++ {
 			if c[a]++; c[a] <= last {
@@ -150,8 +183,8 @@ func buildTables(m *Mesh) *Tables {
 	return t
 }
 
-// private returns a copy whose neighbor and arc rows the caller may patch;
-// the coordinate cache is never written and stays shared.
+// private returns a copy whose neighbor (torus) and arc rows the caller may
+// patch; the coordinate cache is never written and stays shared.
 func (t *Tables) private() *Tables {
 	c := *t
 	c.neighbor = slices.Clone(t.neighbor)
@@ -223,32 +256,36 @@ func (t *Tables) Dist(a, b NodeID) int {
 
 // HasArc reports whether the arc leaving `from` along dir exists (and is not
 // masked).
-func (t *Tables) HasArc(from NodeID, dir Dir) bool {
-	return t.neighbor[int(from)*t.dirCount+int(dir)] >= 0
-}
+func (t *Tables) HasArc(from NodeID, dir Dir) bool { return t.arcs[from]>>uint(dir)&1 != 0 }
 
 // Neighbor returns the node reached from `from` along dir; false if the arc
-// leads off the mesh or is masked.
+// leads off the mesh or is masked. On a mesh that is the arc bit and the
+// axis stride; a torus reads its neighbour row alone, which holds the
+// wraparound and reads -1 for a masked arc.
 func (t *Tables) Neighbor(from NodeID, dir Dir) (NodeID, bool) {
-	to := t.neighbor[int(from)*t.dirCount+int(dir)]
-	if to < 0 {
+	if t.wrap {
+		if uint(dir) < uint(t.dirCount) {
+			if to := t.neighbor[int(from)*t.dirCount+int(dir)]; to >= 0 {
+				return to, true
+			}
+		}
 		return from, false
 	}
-	return to, true
+	if t.arcs[from]>>uint(dir)&1 == 0 {
+		return from, false
+	}
+	return from + t.step[dir], true
 }
 
 // TwoNeighbor returns the 2-neighbor of `from` in direction dir
 // (Definition 4) via two table hops.
 func (t *Tables) TwoNeighbor(from NodeID, dir Dir) (NodeID, bool) {
-	mid := t.neighbor[int(from)*t.dirCount+int(dir)]
-	if mid < 0 {
-		return from, false
+	if mid, ok := t.Neighbor(from, dir); ok {
+		if to, ok := t.Neighbor(mid, dir); ok {
+			return to, true
+		}
 	}
-	to := t.neighbor[int(mid)*t.dirCount+int(dir)]
-	if to < 0 {
-		return from, false
-	}
-	return to, true
+	return from, false
 }
 
 // Degree returns the out-degree of the node: its arcs that exist and are not
@@ -261,18 +298,58 @@ func (t *Tables) ArcMask(id NodeID) uint16 { return t.arcs[id] }
 
 // GoodMask returns the good directions (Definition 5) for a packet at
 // `from` destined to dst as a mask: bit d is set iff Dir(d) is good. It is
-// the one definition of "good" every other query derives from: one
-// axisGood lookup per axis, shifted into the axis's two bits. On a table
-// with masked arcs only the good directions whose arc survives are set: a
-// packet all of whose geometrically good arcs are down has no good
-// direction, so every surviving arc deflects it — exactly how a bufferless
-// router degrades.
+// the displacement from the coordinate rows, then DispGood.
 func (t *Tables) GoodMask(from, dst NodeID) uint16 {
-	cf := t.coord[int(from)*t.dim:]
-	cd := t.coord[int(dst)*t.dim:]
+	d := t.Disp(from, dst)
+	return t.DispGood(from, &d)
+}
+
+// Disp returns the displacement from `from` to dst (see Disp) from the
+// coordinate rows.
+func (t *Tables) Disp(from, dst NodeID) (d Disp) {
+	cf := t.coord[int(from)*t.dim : int(from)*t.dim+t.dim]
+	cd := t.coord[int(dst)*t.dim : int(dst)*t.dim+t.dim]
+	for a := range cf {
+		o := uint(a) << t.laneLog
+		d[o>>5] |= uint32(cd[a]-cf[a]+t.side) << (o & 31)
+	}
+	return d
+}
+
+// lane returns axis a of d, biased by the side.
+func (t *Tables) lane(d *Disp, a int) uint32 {
+	o := uint(a) << t.laneLog
+	return d[o>>5] >> (o & 31) & t.laneMask
+}
+
+// Hop updates the displacement d of a packet that moves from its node along
+// dir: one unit off the axis dir moves on ("+" brings the destination one
+// unit nearer), wrapped back into (−side, side) on a torus. A move along a
+// mesh arc never leaves the range.
+func (t *Tables) Hop(d *Disp, dir Dir) {
+	o := uint(dir>>1) << t.laneLog
+	step := uint32(dir&1)<<1 - 1 // −1 or +1, modulo 2^32
+	switch d[o>>5]>>(o&31)&t.laneMask + step {
+	case 0:
+		step += uint32(t.side)
+	case 2 * uint32(t.side):
+		step -= uint32(t.side)
+	}
+	d[o>>5] += step << (o & 31)
+}
+
+// DispGood returns the good directions (Definition 5) of a packet at `from`
+// whose displacement to its destination is d, as a mask: bit d is set iff
+// Dir(d) is good. It is the one definition of "good" every other query
+// derives from: one axisGood lookup per axis, shifted into the axis's two
+// bits. On a table with masked arcs only the good directions whose arc
+// survives are set: a packet all of whose geometrically good arcs are down
+// has no good direction, so every surviving arc deflects it — exactly how a
+// bufferless router degrades.
+func (t *Tables) DispGood(from NodeID, d *Disp) uint16 {
 	var good uint16
 	for a := 0; a < t.dim; a++ {
-		good |= t.axisGood[cd[a]-cf[a]+t.side] << (2 * a)
+		good |= t.axisGood[t.lane(d, a)] << (2 * a)
 	}
 	if t.dead != 0 {
 		good &= t.arcs[from]

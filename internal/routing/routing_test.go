@@ -135,6 +135,9 @@ func TestPolicyNames(t *testing.T) {
 func routeOnce(t *testing.T, m *mesh.Mesh, pol sim.Policy, packets []*sim.Packet) []mesh.Dir {
 	t.Helper()
 	moves := make([]sim.Move, len(packets))
+	for _, p := range packets {
+		p.Locate(m.Tables())
+	}
 	r := sim.NewNodeRouter(m.Tables(), pol, 0, sim.ValidateBasic)
 	if err := r.RouteNode(packets[0].Node, 0, packets, moves); err != nil {
 		t.Fatal(err)

@@ -299,7 +299,7 @@ func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 	for i := range ck.Parts {
 		for j := range ck.Parts[i].Packets {
 			p := ck.Parts[i].Packets[j].Packet()
-			if !e.shards[e.pt.owner(p.Node)].enqueue(p) {
+			if !e.shards[e.pt.owner(p.Node)].load(p) {
 				return fmt.Errorf("%w: node %d holds more packets than its out-degree %d",
 					ErrBadCheckpoint, p.Node, e.mesh.Degree(p.Node))
 			}

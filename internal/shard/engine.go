@@ -73,6 +73,7 @@ type phaseCmd struct {
 type shardState struct {
 	idx    int
 	sub    *mesh.Subgrid
+	tab    *mesh.Tables // the mesh's shared table: the router's, and every hop's geometry
 	router *sim.NodeRouter
 	pt     *partition
 
@@ -252,6 +253,7 @@ func newShardState(m *mesh.Mesh, pt *partition, col, row int, policy sim.Policy,
 	s := &shardState{
 		idx:    row*pt.grid.P + col,
 		sub:    sub,
+		tab:    m.Tables(),
 		router: sim.NewNodeRouter(m.Tables(), policy, seed, validation),
 		pt:     pt,
 		q:      sim.NewQueues(sub.Len(), m.DirCount(), sub.DegreeLocal),
@@ -261,7 +263,7 @@ func newShardState(m *mesh.Mesh, pt *partition, col, row int, policy sim.Policy,
 	s.edge = make([]bool, sub.Len())
 	for l := range s.edge {
 		for d := range s.recvOf {
-			to, ok := m.Tables().Neighbor(sub.GlobalID(l), mesh.Dir(d))
+			to, ok := s.tab.Neighbor(sub.GlobalID(l), mesh.Dir(d))
 			s.edge[l] = s.edge[l] || ok && !sub.Owns(to)
 		}
 	}
@@ -393,7 +395,7 @@ var _ sim.InjectorHost = (*Engine)(nil)
 func (e *Engine) place(p *sim.Packet) (held int, ok bool) {
 	s := e.shards[e.pt.owner(p.Src)]
 	held = s.q.Len(s.sub.LocalID(p.Src))
-	if !s.enqueue(p) {
+	if !s.load(p) {
 		return held, false
 	}
 	e.live++
@@ -592,9 +594,13 @@ func (s *shardState) merge(t int, lists [][]sim.Move) error {
 		}
 		run := lists[best]
 		j := 0
-		for ; j < len(run) && run[j].From < bound; j++ {
-			mv := &run[j]
-			if !s.tally.Apply(mv, t+1) {
+		for j < len(run) && run[j].From < bound {
+			j++
+		}
+		s.tally.Apply(s.tab, run[:j], t+1)
+		for k := range run[:j] {
+			mv := &run[k]
+			if mv.ArrivedNow {
 				if s.finalized != nil {
 					*s.finalized = append(*s.finalized, mv.Packet)
 				}
@@ -613,6 +619,13 @@ func (s *shardState) merge(t int, lists [][]sim.Move) error {
 // enqueue queues p at its node, which the shard owns, and reports whether
 // the node had room.
 func (s *shardState) enqueue(p *sim.Packet) bool { return s.q.Push(s.sub.LocalID(p.Node), p) }
+
+// load is enqueue for a packet that arrives other than by a move the shard
+// applies — admitted, loaded or restored: it Locates the packet first.
+func (s *shardState) load(p *sim.Packet) bool {
+	p.Locate(s.tab)
+	return s.enqueue(p)
+}
 
 // Step advances the simulation by one synchronous step: a route barrier, an
 // apply barrier (the halo exchange happens between the two — receivers read

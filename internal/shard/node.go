@@ -227,7 +227,7 @@ func (n *Node) LoadBody(idx int, d *codec.Dec) error {
 		return fmt.Errorf("%w: packet id %d occurs more than once", ErrBadCheckpoint, id)
 	}
 	for i := range slab {
-		if p := &slab[i]; !s.enqueue(p) {
+		if p := &slab[i]; !s.load(p) {
 			return fmt.Errorf("%w: node %d holds more packets than its out-degree %d",
 				ErrBadCheckpoint, p.Node, n.m.Degree(p.Node))
 		}
@@ -237,12 +237,17 @@ func (n *Node) LoadBody(idx int, d *codec.Dec) error {
 
 // checkPacketIDs refuses a packet state whose source, destination or node
 // is not a node of m, as sim.Restore does: routing indexes the mesh's
-// tables with the node and the destination.
+// tables with the node and the destination. Like sim.Restore it also
+// refuses a good-direction count no node can have, which a sim.Packet could
+// not hold.
 func checkPacketIDs(m *mesh.Mesh, ps *sim.PacketState) error {
 	for _, id := range [...]mesh.NodeID{ps.Src, ps.Dst, ps.Node} {
 		if err := m.CheckID(id); err != nil {
 			return fmt.Errorf("%w: packet %d (%d->%d at %d): %v", ErrBadCheckpoint, ps.ID, ps.Src, ps.Dst, ps.Node, err)
 		}
+	}
+	if ps.GoodPrev < 0 || ps.GoodPrev > 2*mesh.MaxDim {
+		return fmt.Errorf("%w: packet %d good-direction count %d outside [0, %d]", ErrBadCheckpoint, ps.ID, ps.GoodPrev, 2*mesh.MaxDim)
 	}
 	return nil
 }
@@ -271,8 +276,9 @@ func (n *Node) Route(t int) ([]Bucket, error) {
 // Apply applies step t on every hosted shard: each shard's internal moves
 // merged with the ingress buckets addressed to it. Bucket order does not
 // matter (the merge orders by source node); each (From, To) pair may
-// appear at most once, exactly as senders produce them. Route(t) must have
-// run first.
+// appear at most once, exactly as senders produce them. An ingress packet
+// must hold its pre-move state (a halo move's decoded packet does); its
+// displacement is recomputed here. Route(t) must have run first.
 func (n *Node) Apply(t int, ingress []Bucket) (ApplyReport, error) {
 	rep, arrived, err := n.ApplyArrived(t, ingress)
 	for _, p := range arrived {
@@ -305,6 +311,9 @@ func (n *Node) ApplyArrived(t int, ingress []Bucket) (ApplyReport, []*sim.Packet
 			if cnt >= len(lists) {
 				return rep, nil, fmt.Errorf("shard: step %d shard %d: more than %d ingress lists (duplicate sender bucket?)",
 					t, idx, len(lists)-1)
+			}
+			for j := range in.Moves {
+				in.Moves[j].Packet.Locate(s.tab) // a packet off the wire carries no displacement
 			}
 			lists[cnt] = in.Moves
 			cnt++

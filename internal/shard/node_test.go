@@ -279,3 +279,101 @@ func BenchmarkNodeStep(b *testing.B) {
 	}
 	b.ReportMetric(float64(nodeTime)/float64(simTime), "x/sim")
 }
+
+// checkNodeLocated requires every packet queued in n to carry the
+// displacement its node and destination give: the kernel's mask, DispGood
+// on it, must equal GoodMask from the coordinate rows, and the neighbour of
+// its node in every direction (a stride on a mesh) the per-node definition.
+func checkNodeLocated(t *testing.T, where string, n *Node) {
+	t.Helper()
+	for _, s := range n.shards {
+		for _, l := range s.q.Active() {
+			for _, p := range s.q.At(int(l)) {
+				d := p.Disp()
+				if got, want := s.tab.DispGood(p.Node, &d), s.tab.GoodMask(p.Node, p.Dst); got != want {
+					t.Fatalf("%s: packet %d at %d for %d: kernel mask %b, GoodMask %b", where, p.ID, p.Node, p.Dst, got, want)
+				}
+				for dir := mesh.Dir(0); int(dir) < n.m.DirCount(); dir++ {
+					got, ok := s.tab.Neighbor(p.Node, dir)
+					if want, wok := n.m.Neighbor(p.Node, dir); got != want || ok != wok {
+						t.Fatalf("%s: node %d dir %v: Neighbor %d %v, want %d %v", where, p.Node, dir, got, ok, want, wok)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNodeCarriesDisplacement steps a Node hosting every shard of a 2x2 grid
+// on a mesh and on a torus the way a dshard worker does — loaded through
+// LoadShard (LoadBody), halo moves as freshly filled packets — reloads it
+// mid-run from its own parts, and checks every queued packet after every
+// load and step (checkNodeLocated) and the state hash against the single
+// engine's.
+func TestNodeCarriesDisplacement(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		m := mesh.MustNew(2, 10)
+		if wrap {
+			m = mesh.MustNewTorus(2, 10)
+		}
+		pkts, err := workload.FullLoad(m, 2, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		policy := routing.NewRandomGreedy
+		ref, err := sim.New(m, policy(), clonePackets(pkts), sim.Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, err := sim.New(m, policy(), pkts, sim.Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := Grid{P: 2, Q: 2}
+		n, err := NewNode(m, policy(), g, []int{0, 1, 2, 3}, 5, sim.ValidateOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadFrom(t, n, start)
+		checkNodeLocated(t, m.String()+" loaded", n)
+		for step := 0; n.Live() > 0; step++ {
+			if step == 4 {
+				for idx := range 4 {
+					part, err := n.Part(idx, step)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := n.LoadShard(idx, part.Packets); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkNodeLocated(t, m.String()+" reloaded", n)
+			}
+			out, err := n.Route(step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := n.ApplyArrived(step, overWire(n, out)); err != nil {
+				t.Fatal(err)
+			}
+			n.Release()
+			if err := ref.Step(); err != nil {
+				t.Fatal(err)
+			}
+			checkNodeLocated(t, m.String(), n)
+			if nodeHash(n) != ref.StateHash() {
+				t.Fatalf("%v: step %d: node hash differs from the single engine's", m, step)
+			}
+		}
+	}
+}
+
+// clonePackets copies packets for a second engine over the same problem.
+func clonePackets(pkts []*sim.Packet) []*sim.Packet {
+	out := make([]*sim.Packet, len(pkts))
+	for i, p := range pkts {
+		c := *p
+		out[i] = &c
+	}
+	return out
+}

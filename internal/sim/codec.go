@@ -60,7 +60,7 @@ func (ps *PacketState) Decode(d *codec.Dec) {
 	ps.Class = d.AsInt(f[6])
 	ps.ArrivedAt = d.AsInt(f[7])
 	ps.DroppedAt = d.AsInt(f[8])
-	ps.Cause = DropCause(d.AsInt(f[9]))
+	ps.Cause = DropCause(d.AsU8(f[9]))
 	ps.Hops = d.AsInt(f[10])
 	ps.Deflections = d.AsInt(f[11])
 	flags := d.Byte()
@@ -263,14 +263,21 @@ func (e *Engine) RestoreBinary(data []byte) error {
 	}
 	slab := make([]Packet, d.Items("packet", packetBytes))
 	var ps PacketState
+	var bad error // Restore's first refusal of a packet, reported once the payload decodes
 	for i := range slab {
 		ps.Decode(&d)
+		if bad == nil {
+			bad = ps.checkGoodPrev()
+		}
 		ps.Fill(&slab[i])
 	}
 	queues := decodeQueues(&d, len(slab))
 	s.decodeTail(&d)
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("sim: snapshot: %w", err)
+	}
+	if bad != nil {
+		return bad
 	}
 	return e.restore(&s, slab, queues)
 }

@@ -306,8 +306,8 @@ func New(m *mesh.Mesh, policy Policy, packets []*Packet, opts Options) (*Engine,
 func (e *Engine) Close() {}
 
 // place is the engine's PlaceFunc: it enqueues an admitted packet at its
-// source unless the current failure set leaves no room there — an endpoint
-// is down, or the surviving out-degree is already full.
+// source, located, unless the current failure set leaves no room there — an
+// endpoint is down, or the surviving out-degree is already full.
 func (e *Engine) place(p *Packet) (held int, ok bool) {
 	if e.overlay != nil && (e.overlay.NodeDown(p.Src) || e.overlay.NodeDown(p.Dst)) {
 		return 0, false
@@ -316,6 +316,7 @@ func (e *Engine) place(p *Packet) (held int, ok bool) {
 	if held >= e.topo.Degree(p.Src) || !e.q.Push(int(p.Src), p) {
 		return held, false
 	}
+	p.Locate(e.topo)
 	e.live++
 	return held + 1, true
 }
@@ -450,8 +451,9 @@ func (e *Engine) Step() error {
 	e.q.Clear()
 	e.time = t + 1
 	var tally MoveTally
+	tally.Apply(e.topo, e.moves, e.time)
 	for i := range e.moves {
-		if mv := &e.moves[i]; tally.Apply(mv, e.time) && !e.q.Push(int(mv.To), mv.Packet) {
+		if mv := &e.moves[i]; !mv.ArrivedNow && !e.q.Push(int(mv.To), mv.Packet) {
 			return fmt.Errorf("%w: step %d: node %d receives more packets than it has arcs", ErrLinkConflict, t, mv.To)
 		}
 	}

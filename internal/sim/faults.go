@@ -45,8 +45,8 @@ func (f PacketFate) String() string {
 }
 
 // DropCause records why the engine removed a packet from the network
-// without delivering it.
-type DropCause int
+// without delivering it. It is a byte so that it fits the tail of a Packet.
+type DropCause uint8
 
 const (
 	// DropNone marks a packet that is live, delivered, or not yet injected.

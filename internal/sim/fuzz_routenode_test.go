@@ -191,7 +191,9 @@ func (b *fuzzBytes) next() int {
 // must assign the same directions, leave the tie-break stream in the same
 // state, and reach the validation verdict the pre-kernel validation reached;
 // the Move records must agree with good directions computed by coordinate
-// arithmetic.
+// arithmetic. The packets carry displacements (Packet.Locate); applying the
+// kernel's moves must reach the per-node neighbours and leave every live
+// packet carrying the good directions of its new node.
 func FuzzRouteNode(f *testing.F) {
 	pairs := routeNodePairs()
 	f.Add([]byte{1, 1, 2, 0, 40, 0, 3, 0, 9, 3, 0, 2, 5, 1, 0, 11, 0, 0, 0, 0, 0, 0, 0, 0, 5, 7, 1, 2})
@@ -247,6 +249,7 @@ func FuzzRouteNode(f *testing.F) {
 			}
 			used[id] = true
 			p := sim.NewPacket(id, node, dst)
+			p.Locate(m.Tables())
 			flags := in.next()
 			p.AdvancedPrev, p.RestrictedPrev = flags&1 != 0, flags&2 != 0
 			p.Class, p.InjectedAt, p.Deflections = flags>>2&3, flags>>4&7, in.next()%4
@@ -291,6 +294,23 @@ func FuzzRouteNode(f *testing.F) {
 			if mv.GoodCount != len(good) || mv.Advanced != slices.Contains(good, mv.Dir) ||
 				mv.WasRestricted != (len(good) == 1) || mv.WasTypeA != (len(good) == 1 && p.RestrictedPrev && p.AdvancedPrev) {
 				t.Fatalf("%s: packet %d: move %+v disagrees with good directions %v", name, p.ID, mv, good)
+			}
+		}
+		// Apply the kernel's moves: each must reach the node the per-node
+		// definition gives, and a packet still live must carry, after its
+		// hop, the good directions the coordinate rows give at its new node.
+		var tally sim.MoveTally
+		tally.Apply(m.Tables(), movesK[:n], now+1)
+		for i, p := range pkts {
+			mv := &movesK[i]
+			if want, _ := m.Neighbor(node, mv.Dir); mv.To != want {
+				t.Fatalf("%s: packet %d via %v reached %d, want %d", name, p.ID, mv.Dir, mv.To, want)
+			}
+			if !mv.ArrivedNow {
+				d := p.Disp()
+				if got, want := tab.DispGood(p.Node, &d), tab.GoodMask(p.Node, p.Dst); got != want {
+					t.Fatalf("%s: packet %d at %d after its hop: carried mask %b, GoodMask %b", name, p.ID, p.Node, got, want)
+				}
 			}
 		}
 	})

@@ -72,7 +72,7 @@ func CapturePacket(p *Packet) PacketState {
 		ArrivedAt: p.ArrivedAt, DroppedAt: p.DroppedAt, Cause: p.Cause,
 		Hops: p.Hops, Deflections: p.Deflections,
 		AdvancedPrev: p.AdvancedPrev, RestrictedPrev: p.RestrictedPrev,
-		GoodPrev: p.GoodPrev,
+		GoodPrev: int(p.GoodPrev),
 	}
 }
 
@@ -85,7 +85,7 @@ func (ps *PacketState) capture(p *Packet) {
 	ps.EnteredVia, ps.InjectedAt, ps.Class = p.EnteredVia, p.InjectedAt, p.Class
 	ps.ArrivedAt, ps.DroppedAt, ps.Cause = p.ArrivedAt, p.DroppedAt, p.Cause
 	ps.Hops, ps.Deflections = p.Hops, p.Deflections
-	ps.AdvancedPrev, ps.RestrictedPrev, ps.GoodPrev = p.AdvancedPrev, p.RestrictedPrev, p.GoodPrev
+	ps.AdvancedPrev, ps.RestrictedPrev, ps.GoodPrev = p.AdvancedPrev, p.RestrictedPrev, int(p.GoodPrev)
 }
 
 // Packet materializes the captured state back into a live Packet.
@@ -97,13 +97,15 @@ func (ps *PacketState) Packet() *Packet {
 
 // Fill writes the captured state into p's observable fields, field by field
 // for capture's reason: Restore and a shard load fill every packet of their
-// slab, and a dshard worker fills a recycled packet per halo move.
+// slab, and a dshard worker fills a recycled packet per halo move. GoodPrev
+// is kept in a byte (every restore path refuses a count no node can have).
+// The displacement is not state: whoever queues the packet Locates it.
 func (ps *PacketState) Fill(p *Packet) {
 	p.ID, p.Src, p.Dst, p.Node = ps.ID, ps.Src, ps.Dst, ps.Node
 	p.EnteredVia, p.InjectedAt, p.Class = ps.EnteredVia, ps.InjectedAt, ps.Class
 	p.ArrivedAt, p.DroppedAt, p.Cause = ps.ArrivedAt, ps.DroppedAt, ps.Cause
 	p.Hops, p.Deflections = ps.Hops, ps.Deflections
-	p.AdvancedPrev, p.RestrictedPrev, p.GoodPrev = ps.AdvancedPrev, ps.RestrictedPrev, ps.GoodPrev
+	p.AdvancedPrev, p.RestrictedPrev, p.GoodPrev = ps.AdvancedPrev, ps.RestrictedPrev, uint8(ps.GoodPrev)
 }
 
 // NodeRouter routes single nodes against a *mesh.Tables: the mesh's shared
@@ -181,15 +183,20 @@ func (r *NodeRouter) DrainCounters() (maxNodeLoad int, reroutes int64) {
 
 // RouteNode routes one node's packets at step t, writing exactly len(pkts)
 // moves into dst (which must have length len(pkts)). Node ids — including
-// Move.To for boundary-crossing moves — are global.
+// Move.To for boundary-crossing moves — are global. A hop reads no geometry
+// row: each packet's good directions come from the displacement it carries
+// (so the packets must be queued by an engine, or Located), and on a mesh
+// the next node is the arc bit plus the axis stride; only a torus reads its
+// neighbour row.
 func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Move) error {
 	r.maxNodeLoad = max(r.maxNodeLoad, len(pkts))
-	// Good directions come from the routing table, so under faults they are
-	// the surviving good arcs; a live packet with none (possible only when
-	// faults cut every geometrically good arc) is a forced reroute.
+	// Good directions come from each packet's carried displacement through
+	// the routing table, so under faults they are the surviving good arcs; a
+	// live packet with none (possible only when faults cut every
+	// geometrically good arc) is a forced reroute.
 	tab, m := r.tab, &r.m
 	for i, p := range pkts {
-		good := tab.GoodMask(p.Node, p.Dst)
+		good := tab.DispGood(node, &p.disp)
 		if good == 0 {
 			r.reroutes++
 		}
@@ -210,14 +217,9 @@ func (r *NodeRouter) RouteNode(node mesh.NodeID, t int, pkts []*Packet, dst []Mo
 			return err
 		}
 	}
-	dirCount := r.dirCount
 	for i, p := range pkts {
 		dir := m.out[i]
-		var to mesh.NodeID
-		ok := dir >= 0 && int(dir) < dirCount
-		if ok {
-			to, ok = tab.Neighbor(node, dir)
-		}
+		to, ok := tab.Neighbor(node, dir) // false for NoDir and any other non-arc
 		if !ok {
 			// Unvalidated policies can still not corrupt the engine (nor
 			// route through an arc the failure set removed).

@@ -140,28 +140,33 @@ type MoveTally struct {
 	Arrivals    int
 }
 
-// Apply carries out one move of the step that ends at time now: the packet's
-// position, entry arc, history flags and counters. It reports whether the
-// packet is still in the network, i.e. must be enqueued at mv.To.
-func (c *MoveTally) Apply(mv *Move, now int) (live bool) {
-	p := mv.Packet
-	p.GoodPrev = mv.GoodCount
-	p.RestrictedPrev = mv.WasRestricted
-	p.AdvancedPrev = mv.Advanced
-	p.Node = mv.To
-	p.EnteredVia = mv.Dir
-	p.Hops++
-	c.Hops++
-	if !mv.Advanced {
-		p.Deflections++
-		c.Deflections++
+// Apply carries out a run of moves of the step that ends at time now: each
+// packet's position, displacement (one unit on the axis it moved along, by
+// tab's geometry), entry arc, history flags and counters. The caller then
+// enqueues every moved packet still in the network (!mv.ArrivedNow) at
+// mv.To. Taking the run, not one move, keeps the per-move work free of
+// calls: the hop is inlined into this loop.
+func (c *MoveTally) Apply(tab *mesh.Tables, moves []Move, now int) {
+	for i := range moves {
+		mv := &moves[i]
+		p := mv.Packet
+		p.GoodPrev = uint8(mv.GoodCount)
+		p.RestrictedPrev = mv.WasRestricted
+		p.AdvancedPrev = mv.Advanced
+		p.Node = mv.To
+		tab.Hop(&p.disp, mv.Dir)
+		p.EnteredVia = mv.Dir
+		p.Hops++
+		if !mv.Advanced {
+			p.Deflections++
+			c.Deflections++
+		}
+		if mv.ArrivedNow {
+			p.ArrivedAt = now
+			c.Arrivals++
+		}
 	}
-	if mv.ArrivedNow {
-		p.ArrivedAt = now
-		c.Arrivals++
-		return false
-	}
-	return true
+	c.Hops += int64(len(moves))
 }
 
 // Queues holds the packets of a set of nodes — the whole mesh for the single

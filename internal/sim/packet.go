@@ -26,9 +26,10 @@ type Packet struct {
 	// entered Node, or mesh.NoDir right after injection.
 	EnteredVia mesh.Dir
 
-	// The history fields sit with the position: a packet can straddle two
-	// cache lines, and the router reads ID, Dst, Node and these for every
-	// packet it routes, all within the first 32 bytes.
+	// The history fields and the displacement sit with the position: a
+	// packet can straddle two cache lines, and the router reads ID, Dst,
+	// Node, these and disp for every packet it routes, all within the first
+	// 40 bytes.
 
 	// AdvancedPrev reports whether the packet advanced (got closer to its
 	// destination) in the previous step. False right after injection.
@@ -39,7 +40,15 @@ type Packet struct {
 	RestrictedPrev bool
 	// GoodPrev is the packet's good-direction count at the beginning of the
 	// previous step, or 0 right after injection.
-	GoodPrev int
+	GoodPrev uint8
+
+	// disp is the packet's displacement from Node to Dst, the input of its
+	// good directions (mesh.Tables.DispGood). It is derived state: set from
+	// the coordinate rows (Locate) wherever a packet is queued other than by
+	// a move, updated by every applied move (MoveTally.Apply), and never
+	// serialized.
+	disp mesh.Disp
+
 	// InjectedAt is the step at which the packet entered the network:
 	// 0 for batch instances, the injection step for dynamic traffic.
 	// Age-based policies may use it (locally trackable information).
@@ -55,9 +64,6 @@ type Packet struct {
 	// that build packets as struct literals leave this zero-valued, and
 	// Cause is the authoritative flag.
 	DroppedAt int
-	// Cause records why the packet was removed undelivered; DropNone while
-	// the packet is live or after delivery.
-	Cause DropCause
 	// Hops is the number of arcs traversed so far.
 	Hops int
 	// Deflections is the number of steps in which the packet moved away
@@ -67,9 +73,24 @@ type Packet struct {
 	// pos is the packet's position in its sim.Engine's packet list, stamped
 	// when the packet joins it (New, injection, Restore): the checkpoint
 	// encoder writes queues as positions and reads them here instead of
-	// building an ID map per save. It sits in the struct's tail padding.
+	// building an ID map per save.
 	pos int32
+	// Cause records why the packet was removed undelivered; DropNone while
+	// the packet is live or after delivery. It sits with pos in the tail,
+	// where the router never reads.
+	Cause DropCause
 }
+
+// Locate sets the packet's carried displacement from its node to its
+// destination from tab's coordinate rows. Every path that queues a packet
+// other than by applying its move calls it — admission, Restore, a shard's
+// load and halo ingress — and so must a caller that routes packets it
+// built itself through NodeRouter.RouteNode.
+func (p *Packet) Locate(tab *mesh.Tables) { p.disp = tab.Disp(p.Node, p.Dst) }
+
+// Disp returns the packet's carried displacement to its destination (see
+// mesh.Disp), valid while the packet is queued.
+func (p *Packet) Disp() mesh.Disp { return p.disp }
 
 // NewPacket returns a packet ready for injection at src.
 func NewPacket(id int, src, dst mesh.NodeID) *Packet {

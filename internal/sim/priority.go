@@ -38,7 +38,7 @@ type Site struct {
 
 // KeyFunc returns the priority key of packet p at site s, given its good
 // directions as a mask (bit d set iff Dir(d) is good; see
-// mesh.Tables.GoodMask). It must be a pure function of its arguments: the
+// mesh.Tables.DispGood). It must be a pure function of its arguments: the
 // kernel evaluates it once per packet of every node with several packets,
 // from whichever goroutine routes the node.
 type KeyFunc func(s *Site, p *Packet, good uint16) Key

@@ -238,9 +238,22 @@ func (e *Engine) Restore(s *Snapshot) error {
 	// count.
 	slab := make([]Packet, len(s.Packets))
 	for i := range s.Packets {
+		if err := s.Packets[i].checkGoodPrev(); err != nil {
+			return err
+		}
 		s.Packets[i].Fill(&slab[i])
 	}
 	return e.restore(s, slab, s.Queues)
+}
+
+// checkGoodPrev refuses a packet whose good-direction count no node can
+// have: a Packet keeps the count in a byte, and a restored engine must
+// capture exactly the state it was handed.
+func (ps *PacketState) checkGoodPrev() error {
+	if ps.GoodPrev < 0 || ps.GoodPrev > maxDeg {
+		return fmt.Errorf("%w: packet %d good-direction count %d outside [0, %d]", ErrBadSnapshot, ps.ID, ps.GoodPrev, maxDeg)
+	}
+	return nil
 }
 
 // restore is Restore and RestoreBinary once the packets are in their slab:
@@ -348,6 +361,7 @@ func (e *Engine) restore(s *Snapshot, slab []Packet, queues []QueueState) error 
 	}
 	for _, q := range queues {
 		for _, pi := range q.Packets {
+			packets[pi].Locate(e.topo)
 			e.q.Push(int(q.Node), packets[pi])
 		}
 	}
