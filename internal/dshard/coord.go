@@ -175,15 +175,20 @@ type admission struct {
 	wantSlot int
 }
 
-// Coordinator drives one distributed sharded run: it owns the global
-// simulation state (time, live count, counters, livelock detector,
-// finalized packets), the worker set, and the last coordinated checkpoint,
-// while the packet queues themselves live only on the workers.
+// Coordinator drives one distributed sharded run: it owns the run's global
+// state (its embedded shard.Ledger, the one shard.Engine embeds too), the
+// worker set, and the last coordinated checkpoint, while the packet queues
+// themselves live only on the workers.
 //
 // Not safe for concurrent use; one goroutine calls Run.
 type Coordinator struct {
+	shard.Ledger
+
 	spec Spec
 	opts Options
+	// cfg is the run configuration the checkpoints record and resumes are
+	// checked against.
+	cfg shard.Config
 
 	m       *mesh.Mesh
 	part    *shard.Partition
@@ -194,40 +199,16 @@ type Coordinator struct {
 	// workerOfShard maps a shard index to its owning slot.
 	workerOfShard []int
 
-	epoch        uint64
-	time         int
-	live         int
-	lastArrival  int
-	nextID       int
-	total        int
-	livelock     bool
-	livelockable bool
-	// polName is the resolved policy's display name — what shard.Engine
-	// records in checkpoint manifests, so the directories interoperate even
-	// when the registry key differs (e.g. "random" vs "greedy-random").
-	polName string
-	seen    map[uint64]int
+	epoch uint64
 
-	totalHops        int64
-	totalDeflections int64
-	reroutes         int64
-	maxNodeLoad      int
-	recoveries       int
-	deadlineExceeded bool
-	// finalized is append-only (manifests share its backing array, clamped
-	// to their own length); finalizedRaw holds the arrivals since the last
-	// manifest as the workers encoded them, decoded only when the next
-	// manifest is due — total-live-len(finalized) of them.
-	finalized    []sim.PacketState
-	finalizedRaw []byte
-
-	// staged reports that every worker has routed step c.time and the
+	// staged reports that every worker has routed step c.Time() and the
 	// slots' step frames carry its regrouped egress — true from one STEP
-	// barrier to the next, false after a LOAD. stepReq and blocks are
-	// per-step scratch.
+	// barrier to the next, false after a LOAD. stepReq, blocks and words
+	// are per-step scratch.
 	staged  bool
 	stepReq msgStep
 	blocks  [][]byte
+	words   [][]uint64
 
 	// lastCK is the last coordinated checkpoint, recovery's floor. A fresh
 	// run's floor is the t=0 population as admit encoded it, one LOAD body
@@ -327,20 +308,24 @@ func New(spec Spec, packets []*sim.Packet, opts Options) (*Coordinator, error) {
 	}
 
 	c := &Coordinator{
-		spec:          spec,
-		opts:          opts,
+		Ledger: shard.NewLedger(spec.DetectLivelock && policy.Deterministic()),
+		spec:   spec,
+		opts:   opts,
+		// The policy's display name, not the registry key (e.g.
+		// "greedy-random" for "random"): what shard.Engine records, so the
+		// checkpoint directories interoperate.
+		cfg: shard.Config{
+			Mesh: m, Policy: policy.Name(), Seed: spec.Seed, MaxSteps: spec.MaxSteps,
+			Validation: spec.Validation, DetectLivelock: spec.DetectLivelock, Grid: grid,
+		},
 		m:             m,
 		part:          part,
 		grid:          grid,
 		admitCh:       make(chan admission, 2*opts.Workers),
 		workers:       make([]*workerSlot, opts.Workers),
 		workerOfShard: make([]int, grid.Count()),
-		polName:       policy.Name(),
-		livelockable:  spec.DetectLivelock && policy.Deterministic(),
-	}
-	if c.livelockable {
-		c.seen = make(map[uint64]int)
-		c.blocks = make([][]byte, grid.Count())
+		blocks:        make([][]byte, grid.Count()),
+		words:         make([][]uint64, grid.Count()),
 	}
 	// Contiguous shard ranges per slot: slot i owns count/W shards, the
 	// first count%W slots one extra.
@@ -382,26 +367,6 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // Grid returns the shard decomposition.
 func (c *Coordinator) Grid() shard.Grid { return c.grid }
 
-// Time, Live, Livelocked, Recoveries mirror shard.Engine's accessors.
-func (c *Coordinator) Time() int        { return c.time }
-func (c *Coordinator) Live() int        { return c.live }
-func (c *Coordinator) Livelocked() bool { return c.livelock }
-func (c *Coordinator) Recoveries() int  { return c.recoveries }
-
-// Progress mirrors shard.Engine.Progress, so frontends report distributed
-// runs through the same code path.
-func (c *Coordinator) Progress() sim.Progress {
-	return sim.Progress{
-		Time:             c.time,
-		Live:             c.live,
-		Delivered:        c.total - c.live,
-		Total:            c.total,
-		TotalHops:        c.totalHops,
-		TotalDeflections: c.totalDeflections,
-		MaxNodeLoad:      c.maxNodeLoad,
-	}
-}
-
 // StateHash returns the final configuration hash, bit-identical to the
 // equivalent single engine's StateHash at the same point — valid once Run
 // has returned (the coordinator captures it from the workers' final
@@ -420,14 +385,12 @@ func (c *Coordinator) admit(packets []*sim.Packet) error {
 			return held, false
 		}
 		perNode[p.Src]++
-		c.live++
 		return held + 1, true
 	})
 	if err != nil {
 		return err
 	}
-	c.nextID = nextID
-	c.total = len(packets)
+	c.Admitted(packets, nextID)
 
 	// A LOAD body lists its shard's packets in queue order over ascending
 	// nodes, and within one node in injection order — the queue order
@@ -452,10 +415,9 @@ func (c *Coordinator) admit(packets []*sim.Packet) error {
 			perNode[node], next[owner] = next[owner], next[owner]+n
 		}
 	}
-	order := make([]*sim.Packet, c.live)
+	order := make([]*sim.Packet, c.Live())
 	for _, p := range packets {
 		if p.Arrived() { // source == destination: absorbed at time 0
-			c.finalized = append(c.finalized, sim.CapturePacket(p))
 			continue
 		}
 		order[perNode[p.Src]] = p
@@ -482,7 +444,7 @@ func (c *Coordinator) admit(packets []*sim.Packet) error {
 	for i := range c.loads {
 		c.loads[i] = e.B[cut[i]:cut[i+1]:cut[i+1]]
 	}
-	m, err := c.manifest()
+	m, err := c.Manifest(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -495,89 +457,20 @@ func (c *Coordinator) admit(packets []*sim.Packet) error {
 // writer's grid need not match: parts are re-partitioned by current
 // ownership at load time.
 func (c *Coordinator) adoptCheckpoint(ck *shard.Checkpoint) error {
-	if err := ck.Check(shard.Guard{
-		Mesh: c.m, Policy: c.polName, Seed: c.spec.Seed, Validation: c.spec.Validation,
-		DetectLivelock: c.spec.DetectLivelock,
-	}); err != nil {
+	if err := ck.Check(c.cfg); err != nil {
 		return err
 	}
 	c.lastCK, c.loads = ck, nil
-	c.restoreState(&ck.Manifest)
-	c.total = ck.Manifest.Live + len(ck.Manifest.Finalized)
+	c.rollback()
 	return nil
 }
 
-// restoreState resets the coordinator's global state to a manifest — the
-// resume path and every rollback go through it.
-func (c *Coordinator) restoreState(m *shard.Manifest) {
-	c.time = m.Time
-	c.live = m.Live
-	c.lastArrival = m.LastArrival
-	c.nextID = m.NextID
-	c.livelock = m.Livelocked
-	c.totalDeflections = m.TotalDeflections
-	c.totalHops = m.TotalHops
-	c.maxNodeLoad = m.MaxNodeLoad
-	c.reroutes = m.Reroutes
-	c.deadlineExceeded = false
+// rollback resets the run's global state to the last coordinated
+// checkpoint's manifest, with nothing staged — the resume path and every
+// recovery go through it.
+func (c *Coordinator) rollback() {
+	c.Restore(&c.lastCK.Manifest)
 	c.staged = false
-	c.finalized = m.Finalized[:len(m.Finalized):len(m.Finalized)]
-	c.finalizedRaw = c.finalizedRaw[:0]
-	if c.livelockable {
-		c.seen = make(map[uint64]int, len(m.Seen))
-		for _, sn := range m.Seen {
-			c.seen[sn.Hash] = sn.Time
-		}
-	}
-}
-
-// manifest snapshots the coordinator's global state, decoding the arrivals
-// it has been holding as bytes since the last one.
-func (c *Coordinator) manifest() (shard.Manifest, error) {
-	d := codec.Dec{B: c.finalizedRaw}
-	pending := c.total - c.live - len(c.finalized)
-	c.finalized = slices.Grow(c.finalized, pending)
-	for ; pending > 0; pending-- {
-		var ps sim.PacketState
-		ps.Decode(&d)
-		c.finalized = append(c.finalized, ps)
-	}
-	if err := d.Done(); err != nil {
-		return shard.Manifest{}, fmt.Errorf("%w: finalized packets: %v", ErrBadMessage, err)
-	}
-	c.finalizedRaw = c.finalizedRaw[:0]
-	m := shard.Manifest{
-		Version:          shard.CheckpointVersion,
-		MeshDim:          2,
-		MeshSide:         c.spec.Side,
-		MeshWrap:         c.spec.Wrap,
-		PolicyName:       c.polName,
-		Seed:             c.spec.Seed,
-		MaxSteps:         c.spec.MaxSteps,
-		Validation:       c.spec.Validation,
-		DetectLive:       c.spec.DetectLivelock,
-		Grid:             c.grid.String(),
-		Time:             c.time,
-		LastArrival:      c.lastArrival,
-		NextID:           c.nextID,
-		Live:             c.live,
-		Livelocked:       c.livelock,
-		Shards:           c.grid.Count(),
-		TotalDeflections: c.totalDeflections,
-		TotalHops:        c.totalHops,
-		MaxNodeLoad:      c.maxNodeLoad,
-		Reroutes:         c.reroutes,
-		Recoveries:       c.recoveries,
-	}
-	if c.seen != nil {
-		m.Seen = make([]sim.SeenState, 0, len(c.seen))
-		for h, t := range c.seen {
-			m.Seen = append(m.Seen, sim.SeenState{Hash: h, Time: t})
-		}
-		sort.Slice(m.Seen, func(i, j int) bool { return m.Seen[i].Time < m.Seen[j].Time })
-	}
-	m.Finalized = c.finalized[:len(c.finalized):len(c.finalized)]
-	return m, nil
 }
 
 // ----- admission ---------------------------------------------------------
@@ -823,43 +716,13 @@ func (c *Coordinator) barrier(ctx context.Context, wantTyp byte, wantT int, req 
 
 // ----- phases ------------------------------------------------------------
 
-// partitionParts splits a checkpoint's live packets by current shard
-// ownership, preserving part order then packet order — the exact enqueue
-// order shard.Engine's grid-flexible restore uses, which is what keeps a
-// rebalanced or differently-sharded resume bit-identical. A checkpoint
-// whose parts already are this grid's shard populations (every rollback,
-// and a resume on the writer's grid) is handed on as it is.
-func (c *Coordinator) partitionParts(ck *shard.Checkpoint) [][]sim.PacketState {
-	parts := make([][]sim.PacketState, c.grid.Count())
-	aligned := len(ck.Parts) == len(parts)
-	for i := 0; aligned && i < len(ck.Parts); i++ {
-		aligned = ck.Parts[i].Index == i
-		for j := 0; aligned && j < len(ck.Parts[i].Packets); j++ {
-			aligned = c.part.Owner(ck.Parts[i].Packets[j].Node) == i
-		}
-		parts[i] = ck.Parts[i].Packets
-	}
-	if aligned {
-		return parts
-	}
-	clear(parts)
-	for i := range ck.Parts {
-		for j := range ck.Parts[i].Packets {
-			ps := ck.Parts[i].Packets[j]
-			owner := c.part.Owner(ps.Node)
-			parts[owner] = append(parts[owner], ps)
-		}
-	}
-	return parts
-}
-
 // standing rolls the coordinator back to the last coordinated checkpoint and
 // re-expresses it on the current grid, with the current manifest: what the
 // workers would capture if they were loaded from it and asked at once. A run
 // that cannot wait for its workers any longer ends on it.
 func (c *Coordinator) standing() (*shard.Checkpoint, error) {
-	c.restoreState(&c.lastCK.Manifest)
-	m, err := c.manifest()
+	c.rollback()
+	m, err := c.Manifest(c.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -882,7 +745,7 @@ func (c *Coordinator) standing() (*shard.Checkpoint, error) {
 // re-partitioned.
 func (c *Coordinator) floorParts() ([][]sim.PacketState, error) {
 	if c.loads == nil {
-		return c.partitionParts(c.lastCK), nil
+		return c.part.Repartition(c.lastCK), nil
 	}
 	parts := make([][]sim.PacketState, len(c.loads))
 	for i, body := range c.loads {
@@ -902,7 +765,7 @@ func (c *Coordinator) floorParts() ([][]sim.PacketState, error) {
 func (c *Coordinator) phaseLoad(ctx context.Context, assign map[int]bool) []workerFailure {
 	var parts [][]sim.PacketState
 	if c.loads == nil {
-		parts = c.partitionParts(c.lastCK)
+		parts = c.part.Repartition(c.lastCK)
 	}
 	t := c.lastCK.Manifest.Time
 	for _, ws := range c.workers {
@@ -911,7 +774,7 @@ func (c *Coordinator) phaseLoad(ctx context.Context, assign map[int]bool) []work
 				Epoch: c.epoch, Side: c.spec.Side, Wrap: c.spec.Wrap,
 				GridP: c.grid.P, GridQ: c.grid.Q, Policy: c.spec.Policy,
 				Seed: c.spec.Seed, Validation: int(c.spec.Validation),
-				HashWords: c.livelockable, Owned: ws.owned,
+				HashWords: c.Hashing(), Owned: ws.owned,
 				HeartbeatMillis: c.opts.HeartbeatEvery.Milliseconds(),
 			}
 			if err := ws.write(c.opts.StepTimeout, frameOf(nil, mtAssign, &a)); err != nil {
@@ -991,9 +854,10 @@ func (c *Coordinator) stepBarrier(ctx context.Context, t int, apply bool) []work
 // collectParts captures every shard's checkpoint part at the current
 // barrier.
 func (c *Coordinator) collectParts(ctx context.Context) ([]shard.ShardPart, []workerFailure) {
-	req := frameOf(nil, mtCkpt, &msgAt{Epoch: c.epoch, T: c.time})
+	t := c.Time()
+	req := frameOf(nil, mtCkpt, &msgAt{Epoch: c.epoch, T: t})
 	got := make([][]shard.ShardPart, len(c.workers))
-	fails := c.barrier(ctx, mtParts, c.time, func(*workerSlot) []byte { return req }, func(ws *workerSlot, payload []byte) error {
+	fails := c.barrier(ctx, mtParts, t, func(*workerSlot) []byte { return req }, func(ws *workerSlot, payload []byte) error {
 		m, err := decodeParts(payload)
 		got[ws.slot] = m.Parts
 		return err
@@ -1005,7 +869,7 @@ func (c *Coordinator) collectParts(ctx context.Context) ([]shard.ShardPart, []wo
 	seen := make([]bool, len(parts))
 	for slot, ps := range got {
 		for _, part := range ps {
-			if part.Index < 0 || part.Index >= len(parts) || part.Time != c.time {
+			if part.Index < 0 || part.Index >= len(parts) || part.Time != t {
 				return nil, []workerFailure{{slot: slot, err: fmt.Errorf("%w: bad part %d@%d", ErrBadMessage, part.Index, part.Time), respawn: true}}
 			}
 			parts[part.Index], seen[part.Index] = part, true
@@ -1021,68 +885,40 @@ func (c *Coordinator) collectParts(ctx context.Context) ([]shard.ShardPart, []wo
 
 // ----- hashing -----------------------------------------------------------
 
-// foldRows walks the global row order — shard rows ascending, mesh rows
-// within the band, shard columns left to right — calling emit for each
-// (shard, mesh row) pair until emit's cursor exhausts that shard's stream.
-// It reproduces exactly the visit order of shard.Engine.stateHash.
-func (c *Coordinator) foldRows(emit func(shardIdx, y int)) {
-	for r := 0; r < c.grid.Q; r++ {
-		_, y0, _, bh := c.part.Bounds(r * c.grid.P)
-		for y := y0; y < y0+bh; y++ {
-			for col := 0; col < c.grid.P; col++ {
-				emit(r*c.grid.P+col, y)
-			}
+// foldBlocks folds the per-shard hash-word blocks of the step just applied
+// (each in ascending node order, 8 bytes little-endian a word) into the
+// global configuration hash.
+func (c *Coordinator) foldBlocks() uint64 {
+	for i, b := range c.blocks {
+		w := c.words[i][:0]
+		for j := 0; j+8 <= len(b); j += 8 {
+			w = append(w, binary.LittleEndian.Uint64(b[j:]))
 		}
+		c.words[i] = w
 	}
-}
-
-// foldBlocks folds per-shard hash-word streams (each in ascending node
-// order, 8 bytes little-endian a word) into the global configuration hash.
-func (c *Coordinator) foldBlocks(blocks [][]byte) uint64 {
-	h := sim.ConfigHashSeed
-	cur := make([]int, len(blocks))
-	side := c.spec.Side
-	c.foldRows(func(si, y int) {
-		b := blocks[si]
-		i := cur[si]
-		for ; i+16 <= len(b); i += 16 {
-			pos := binary.LittleEndian.Uint64(b[i+8:])
-			if int(pos>>32)/side != y {
-				break
-			}
-			h = sim.ConfigHashFold(h, binary.LittleEndian.Uint64(b[i:]), pos)
-		}
-		cur[si] = i
-	})
-	return h
+	return c.part.FoldHash(c.words)
 }
 
 // foldParts is foldBlocks over checkpoint parts: the end-of-run state hash
 // is computed from the final parts so it exists even when livelock
 // detection (and therefore per-step word shipping) is off.
 func (c *Coordinator) foldParts(parts []shard.ShardPart) uint64 {
-	h := sim.ConfigHashSeed
-	cur := make([]int, len(parts))
-	side := c.spec.Side
-	c.foldRows(func(si, y int) {
-		pkts := parts[si].Packets
-		i := cur[si]
-		for i < len(pkts) && int(pkts[i].Node)/side == y {
-			p := pkts[i].Packet()
-			id, pos := sim.ConfigHashPacketWords(p)
-			h = sim.ConfigHashFold(h, id, pos)
-			i++
+	var p sim.Packet
+	for i := range parts {
+		w := c.words[i][:0]
+		for j := range parts[i].Packets {
+			parts[i].Packets[j].Fill(&p)
+			id, pos := sim.ConfigHashPacketWords(&p)
+			w = append(w, id, pos)
 		}
-		cur[si] = i
-	})
-	return h
+		c.words[i] = w
+	}
+	return c.part.FoldHash(c.words)
 }
 
 // ----- run loop ----------------------------------------------------------
 
-func (c *Coordinator) runnable() bool {
-	return c.live > 0 && !c.livelock && c.time < c.spec.MaxSteps
-}
+func (c *Coordinator) runnable() bool { return c.Runnable(c.spec.MaxSteps, false) }
 
 // step completes step c.time with one round trip: every worker applies it
 // from the staged ingress and, in the same breath, routes the step after it
@@ -1092,7 +928,7 @@ func (c *Coordinator) runnable() bool {
 // untouched — the step either completes on every worker or is re-executed
 // from a rollback.
 func (c *Coordinator) step(ctx context.Context) []workerFailure {
-	t := c.time
+	t := c.Time()
 	if !c.staged {
 		c.stageStep(t, false)
 		if fails := c.stepBarrier(ctx, t, false); len(fails) > 0 {
@@ -1105,17 +941,14 @@ func (c *Coordinator) step(ctx context.Context) []workerFailure {
 		return fails
 	}
 
-	c.time = t + 1
 	clear(c.blocks)
 	for _, ws := range c.workers {
 		ap := &ws.stepped
-		c.totalHops += ap.Hops
-		c.totalDeflections += ap.Deflections
-		c.live -= ap.Arrivals
-		c.lastArrival = max(c.lastArrival, ap.LastArrival)
-		c.reroutes += ap.Reroutes
-		c.maxNodeLoad = max(c.maxNodeLoad, ap.MaxNodeLoad)
-		c.finalizedRaw = append(c.finalizedRaw, ap.Finalized...)
+		c.Fold(t, &shard.ApplyReport{
+			Hops: ap.Hops, Deflections: ap.Deflections, Arrivals: ap.Arrivals,
+			LastArrival: ap.LastArrival, Reroutes: ap.Reroutes, MaxNodeLoad: ap.MaxNodeLoad,
+		})
+		c.ArrivedEncoded(ap.Finalized)
 		for i := range ap.Blocks {
 			if b := &ap.Blocks[i]; b.Shard >= 0 && b.Shard < len(c.blocks) {
 				c.blocks[b.Shard] = b.Words
@@ -1123,23 +956,19 @@ func (c *Coordinator) step(ctx context.Context) []workerFailure {
 		}
 	}
 	if c.StepHook != nil {
-		c.StepHook(c.time, c.live)
+		c.StepHook(t+1, c.Live())
 	}
-	if c.livelockable && c.live > 0 {
-		h := c.foldBlocks(c.blocks)
+	if c.Hashing() && c.Live() > 0 {
+		h := c.foldBlocks()
 		if c.HashHook != nil {
-			c.HashHook(c.time, h)
+			c.HashHook(t+1, h)
 		}
-		if _, dup := c.seen[h]; dup {
-			c.livelock = true
-		} else {
-			c.seen[h] = c.time
-		}
+		c.Observe(h)
 	}
 	// The egress of the step just routed is staged last, once nothing else
 	// aliases the read buffers it lies in.
-	if c.staged = c.time < c.spec.MaxSteps; c.staged {
-		c.stageStep(c.time+1, true)
+	if c.staged = t+1 < c.spec.MaxSteps; c.staged {
+		c.stageStep(t+2, true)
 	}
 	return nil
 }
@@ -1172,8 +1001,7 @@ func (c *Coordinator) recoverFrom(ctx context.Context, fails []workerFailure) er
 				return f.err
 			}
 		}
-		c.recoveries++
-		if c.recoveries > c.opts.MaxRecoveries {
+		if c.Recovered() > c.opts.MaxRecoveries {
 			errs := make([]error, 0, len(fails)+1)
 			errs = append(errs, fmt.Errorf("%w: recovery budget (%d) exhausted", ErrRunLost, c.opts.MaxRecoveries))
 			for _, f := range fails {
@@ -1185,7 +1013,7 @@ func (c *Coordinator) recoverFrom(ctx context.Context, fails []workerFailure) er
 		var respawn []int
 		newConn := make(map[int]bool)
 		for _, f := range fails {
-			c.logf("coordinator: worker slot %d failed (recovery %d/%d): %v", f.slot, c.recoveries, c.opts.MaxRecoveries, f.err)
+			c.logf("coordinator: worker slot %d failed (recovery %d/%d): %v", f.slot, c.Recoveries(), c.opts.MaxRecoveries, f.err)
 			if !f.respawn {
 				continue
 			}
@@ -1207,7 +1035,7 @@ func (c *Coordinator) recoverFrom(ctx context.Context, fails []workerFailure) er
 		c.logf("coordinator: rolling back to checkpoint of step %d (epoch %d)", c.lastCK.Manifest.Time, c.epoch)
 		fails = c.phaseLoad(ctx, newConn)
 		if len(fails) == 0 {
-			c.restoreState(&c.lastCK.Manifest)
+			c.rollback()
 			return nil
 		}
 	}
@@ -1238,7 +1066,7 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 	// save gives the parts of the current barrier their manifest and
 	// persists the checkpoint.
 	save := func(parts []shard.ShardPart) (*shard.Checkpoint, error) {
-		m, err := c.manifest()
+		m, err := c.Manifest(c.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -1262,9 +1090,8 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 			return nil, fmt.Errorf("dshard: final checkpoint save: %w", err)
 		}
 		c.finalHash = c.foldParts(ck.Parts)
-		runErr := sim.StopCause(ctx)
-		c.deadlineExceeded = runErr == nil
-		return c.result(), runErr
+		runErr := c.Stopped(ctx)
+		return c.Result(c.spec.MaxSteps), runErr
 	}
 
 	// Bring up the fleet and distribute the starting state.
@@ -1314,9 +1141,7 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 		}
 		runErr = nil
 		if c.runnable() { // stopped early: resolve the cause
-			if runErr = sim.StopCause(ctx); runErr == nil {
-				c.deadlineExceeded = true
-			}
+			runErr = c.Stopped(ctx)
 		}
 		// Capture the final state: the run's state hash (for parity and
 		// fingerprinting) and, when stopping early with unsaved progress,
@@ -1345,22 +1170,7 @@ func (c *Coordinator) Run(ctx context.Context) (*sim.Result, error) {
 		sinceCK = 0
 	}
 	c.shutdownWorkers()
-	return c.result(), runErr
-}
-
-func (c *Coordinator) result() *sim.Result {
-	return &sim.Result{
-		Steps:            c.lastArrival,
-		Delivered:        c.total - c.live,
-		Total:            c.total,
-		Livelocked:       c.livelock,
-		HitMaxSteps:      c.live > 0 && !c.livelock && !c.deadlineExceeded && c.time >= c.spec.MaxSteps,
-		TotalDeflections: c.totalDeflections,
-		TotalHops:        c.totalHops,
-		MaxNodeLoad:      c.maxNodeLoad,
-		Reroutes:         c.reroutes,
-		DeadlineExceeded: c.deadlineExceeded,
-	}
+	return c.Result(c.spec.MaxSteps), runErr
 }
 
 // shutdownWorkers asks every worker to exit cleanly, then severs.

@@ -326,8 +326,8 @@ func TestLoadBodiesMatchCapturedStates(t *testing.T) {
 			t.Errorf("shard %d: LOAD from packets differs from LOAD from captured states", i)
 		}
 	}
-	if !reflect.DeepEqual(c.finalized, want.Manifest.Finalized) {
-		t.Errorf("finalized at t=0: %+v, want %+v", c.finalized, want.Manifest.Finalized)
+	if got := c.lastCK.Manifest.Finalized; !reflect.DeepEqual(got, want.Manifest.Finalized) {
+		t.Errorf("finalized at t=0: %+v, want %+v", got, want.Manifest.Finalized)
 	}
 }
 

@@ -6,8 +6,8 @@
 // (Spec.Validate), builds the engine the Spec selects and returns a Run that
 // hides which engine steps, how it is hooked and how and where it persists.
 //
-// Nothing imports this package but frontends (cmd/hotpotato, cmd/shardcoord,
-// internal/server).
+// Nothing imports this package but frontends: cmd/hotpotato,
+// cmd/shardcoord, cmd/sweep, cmd/policylab, cmd/figures and internal/server.
 package engine
 
 import (

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"hotpotato/internal/checkpoint"
-	"hotpotato/internal/mesh"
 	"hotpotato/internal/sim"
 )
 
@@ -113,57 +111,34 @@ var ErrBadCheckpoint = errors.New("shard: invalid checkpoint")
 // kept in memory as the rollback point for panic recovery. It fails only
 // when an installed CheckpointableInjector cannot serialize its state.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
-	m := Manifest{
-		Version:          CheckpointVersion,
-		MeshDim:          e.mesh.Dim(),
-		MeshSide:         e.mesh.Side(),
-		MeshWrap:         e.mesh.Wrap(),
-		PolicyName:       e.policy.Name(),
-		Seed:             e.opts.Seed,
-		MaxSteps:         e.opts.MaxSteps,
-		Validation:       e.opts.Validation,
-		DetectLive:       e.opts.DetectLivelock,
-		Grid:             e.opts.Grid.String(),
-		Time:             e.time,
-		LastArrival:      e.lastArrival,
-		NextID:           e.nextID,
-		Live:             e.live,
-		Livelocked:       e.livelock,
-		Shards:           len(e.shards),
-		TotalDeflections: e.totalDeflections,
-		TotalHops:        e.totalHops,
-		MaxNodeLoad:      e.maxNodeLoad,
-		Reroutes:         e.reroutes,
-		Recoveries:       e.recoveries,
-	}
-	if e.seen != nil {
-		m.Seen = make([]sim.SeenState, 0, len(e.seen))
-		for h, t := range e.seen {
-			m.Seen = append(m.Seen, sim.SeenState{Hash: h, Time: t})
-		}
-		sort.Slice(m.Seen, func(i, j int) bool { return m.Seen[i].Time < m.Seen[j].Time })
+	m, err := e.Manifest(e.config())
+	if err != nil {
+		return nil, err
 	}
 	if e.injector != nil {
-		m.HasInjector = true
 		m.InjRNG = e.injSrc.State()
 		if ci, ok := e.injector.(sim.CheckpointableInjector); ok {
-			data, err := ci.SnapshotState()
-			if err != nil {
+			if m.InjectorState, err = ci.SnapshotState(); err != nil {
 				return nil, fmt.Errorf("shard: checkpoint injector state: %w", err)
 			}
-			m.InjectorState = data
-		}
-	}
-	for _, p := range e.packets {
-		if p.Arrived() {
-			m.Finalized = append(m.Finalized, sim.CapturePacket(p))
 		}
 	}
 	ck := &Checkpoint{Manifest: m, Parts: make([]ShardPart, len(e.shards))}
-	for i, s := range e.shards {
-		ck.Parts[i] = s.part(e.time)
+	for i, w := range e.shards {
+		if ck.Parts[i], err = w.node.Part(i, e.time); err != nil {
+			return nil, err
+		}
 	}
 	return ck, nil
+}
+
+// config is the run configuration the engine's checkpoints record.
+func (e *Engine) config() Config {
+	return Config{
+		Mesh: e.mesh, Policy: e.policy.Name(), Seed: e.opts.Seed, MaxSteps: e.opts.MaxSteps,
+		Validation: e.opts.Validation, DetectLivelock: e.opts.DetectLivelock, Grid: e.opts.Grid,
+		Injector: e.injector != nil,
+	}
 }
 
 // part captures the shard's live packets as its checkpoint part for step t,
@@ -186,33 +161,23 @@ func (s *shardState) part(t int) ShardPart {
 // run is bit-identical to the uninterrupted one regardless of either
 // decomposition.
 func (e *Engine) Restore(ck *Checkpoint) error {
-	if e.time != 0 || len(e.packets) != 0 {
+	if e.time != 0 || e.total != 0 {
 		return fmt.Errorf("%w: Restore needs a fresh engine (built with no packets)", ErrBadCheckpoint)
 	}
 	return e.loadCheckpoint(ck)
 }
 
-// Guard is the run configuration a resuming engine requires a checkpoint to
-// have been written under.
-type Guard struct {
-	Mesh           *mesh.Mesh
-	Policy         string
-	Seed           int64
-	Validation     sim.ValidationLevel
-	DetectLivelock bool
-	Injector       bool
-}
-
 // Check is the one guard every sharded checkpoint passes before an engine
 // loads it — Restore and in-run panic recovery on Engine, and a dshard
 // resume. It refuses, as ErrBadCheckpoint: a schema from a later build; a
-// configuration other than want's; a manifest whose shard count is not its
+// configuration other than want's (the step budget and the grid may
+// differ); a manifest whose shard count is not its
 // part count; a part from another step (a torn checkpoint); a packet off
 // the mesh, with an ID at or past NextID, or in the wrong section (a live
 // packet that arrived, a finalized one that did not); a live count the
 // parts do not carry; and a packet ID that occurs twice anywhere. It does
 // not check node capacity: the loader that enqueues does.
-func (ck *Checkpoint) Check(want Guard) error {
+func (ck *Checkpoint) Check(want Config) error {
 	m := &ck.Manifest
 	switch {
 	case m.Version > CheckpointVersion:
@@ -277,53 +242,21 @@ func (ck *Checkpoint) Check(want Guard) error {
 	return nil
 }
 
-// loadCheckpoint resets every shard and loads the checkpoint's state once
-// Check has passed it. Used by Restore and by in-run panic recovery (where
-// the checks hold trivially).
+// loadCheckpoint loads the checkpoint once Check has passed it: each
+// shard's Node takes its share of the parts re-partitioned to this grid,
+// and the ledger and the injector take the manifest. Used by Restore and by
+// in-run panic recovery (where the checks hold trivially).
 func (e *Engine) loadCheckpoint(ck *Checkpoint) error {
 	m := &ck.Manifest
-	if err := ck.Check(Guard{
-		Mesh: e.mesh, Policy: e.policy.Name(), Seed: e.opts.Seed, Validation: e.opts.Validation,
-		DetectLivelock: e.opts.DetectLivelock, Injector: e.injector != nil,
-	}); err != nil {
+	if err := ck.Check(e.config()); err != nil {
 		return err
 	}
-
-	for _, s := range e.shards {
-		s.reset()
-	}
-	packets := make([]*sim.Packet, 0, len(m.Finalized)+m.Live)
-	for i := range m.Finalized {
-		packets = append(packets, m.Finalized[i].Packet())
-	}
-	for i := range ck.Parts {
-		for j := range ck.Parts[i].Packets {
-			p := ck.Parts[i].Packets[j].Packet()
-			if !e.shards[e.pt.owner(p.Node)].load(p) {
-				return fmt.Errorf("%w: node %d holds more packets than its out-degree %d",
-					ErrBadCheckpoint, p.Node, e.mesh.Degree(p.Node))
-			}
-			packets = append(packets, p)
+	for i, pkts := range e.pt.Repartition(ck) {
+		if err := e.shards[i].node.LoadShard(i, pkts); err != nil {
+			return err
 		}
 	}
-
-	e.packets = packets
-	e.live = m.Live
-	e.time = m.Time
-	e.lastArrival = m.LastArrival
-	e.nextID = m.NextID
-	e.livelock = m.Livelocked
-	e.totalDeflections = m.TotalDeflections
-	e.totalHops = m.TotalHops
-	e.maxNodeLoad = m.MaxNodeLoad
-	e.reroutes = m.Reroutes
-	e.deadlineExceeded = false
-	if e.livelockable {
-		e.seen = make(map[uint64]int, len(m.Seen))
-		for _, sn := range m.Seen {
-			e.seen[sn.Hash] = sn.Time
-		}
-	}
+	e.Ledger.Restore(m)
 	if m.HasInjector {
 		e.injSrc.SetState(m.InjRNG)
 		if len(m.InjectorState) > 0 {

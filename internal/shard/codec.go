@@ -96,38 +96,36 @@ func (m *Manifest) AppendBinary(b []byte) ([]byte, error) {
 // reference to data.
 func (m *Manifest) UnmarshalBinary(data []byte) error {
 	d := codec.Dec{B: data}
-	*m = Manifest{
-		Version:    d.Num(),
-		MeshDim:    d.Num(),
-		MeshSide:   d.Num(),
-		MeshWrap:   d.Bool(),
-		PolicyName: d.Str(),
-		Seed:       d.I64(),
-		MaxSteps:   d.Num(),
-		Validation: sim.ValidationLevel(d.Num()),
-		DetectLive: d.Bool(),
-		Grid:       d.Str(),
+	m.Version = d.Num()
+	m.MeshDim = d.Num()
+	m.MeshSide = d.Num()
+	m.MeshWrap = d.Bool()
+	m.PolicyName = d.Str()
+	m.Seed = d.I64()
+	m.MaxSteps = d.Num()
+	m.Validation = sim.ValidationLevel(d.Num())
+	m.DetectLive = d.Bool()
+	m.Grid = d.Str()
 
-		Time:        d.Num(),
-		LastArrival: d.Num(),
-		NextID:      d.Num(),
-		Live:        d.Num(),
-		Livelocked:  d.Bool(),
-		Shards:      d.Num(),
+	m.Time = d.Num()
+	m.LastArrival = d.Num()
+	m.NextID = d.Num()
+	m.Live = d.Num()
+	m.Livelocked = d.Bool()
+	m.Shards = d.Num()
 
-		TotalDeflections: d.I64(),
-		TotalHops:        d.I64(),
-		MaxNodeLoad:      d.Num(),
-		Reroutes:         d.I64(),
-		Recoveries:       d.Num(),
+	m.TotalDeflections = d.I64()
+	m.TotalHops = d.I64()
+	m.MaxNodeLoad = d.Num()
+	m.Reroutes = d.I64()
+	m.Recoveries = d.Num()
 
-		HasInjector:   d.Bool(),
-		InjectorState: d.Bytes(),
-		InjRNG:        d.U64(),
+	m.HasInjector = d.Bool()
+	m.InjectorState = d.Bytes()
+	m.InjRNG = d.U64()
 
-		Seen:      sim.DecodeSeen(&d),
-		Finalized: sim.DecodePackets(&d, "finalized packet"),
-		StepDir:   d.Str(),
-	}
+	m.Seen = sim.DecodeSeen(&d)
+	m.Finalized = sim.DecodePackets(&d, "finalized packet")
+	m.StepDir = d.Str()
 	return finish(&d, m.Version, "manifest")
 }

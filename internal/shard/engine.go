@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -53,7 +50,7 @@ type Options struct {
 	MaxWallTime time.Duration
 }
 
-// phase identifiers broadcast to the shard workers at each barrier.
+// phase identifiers broadcast to the shard goroutines at each barrier.
 const (
 	phaseRoute = iota
 	phaseApply
@@ -64,75 +61,46 @@ type phaseCmd struct {
 	t     int
 }
 
-// shardState is one shard: the owned rectangle (a Subgrid), a NodeRouter
-// over the mesh's shared table, the per-node queues of the owned rectangle,
-// and the halo mailboxes. It is owned by one worker goroutine during phases
-// and by the coordinator between barriers; it deliberately holds no
-// reference to the Engine so an abandoned engine can be collected and its
-// finalizer can stop the workers.
-type shardState struct {
-	idx    int
-	sub    *mesh.Subgrid
-	tab    *mesh.Tables // the mesh's shared table: the router's, and every hop's geometry
-	router *sim.NodeRouter
-	pt     *partition
+// shardWorker is one shard of an Engine: a Node hosting that shard alone,
+// stepped by its own goroutine with its own policy clone. It is owned by the
+// goroutine during a phase and by the stepping goroutine between barriers;
+// it deliberately holds no reference to the Engine, so an abandoned engine
+// can be collected and its finalizer can stop the goroutines.
+type shardWorker struct {
+	idx  int
+	node *Node
 
-	q sim.Queues // by local id, which orders like the global id within the shard
-
-	// Halo mailboxes. internal stages this shard's own moves; egress[b]
-	// stages moves leaving toward receiver shard recvShard[b]. recvOf maps
-	// a travel direction to its egress bucket (-1: off-mesh or wraps back
-	// into this shard). Buckets are keyed by receiver — two directions that
-	// reach the same shard (a 2-wide torus ring) share one bucket, so a
-	// node emitting through both still delivers its moves in queue order.
-	internal  []sim.Move
-	edge      []bool // edge[l]: an arc out of local node l leaves the shard
-	egress    [][]sim.Move
-	recvShard []int
-	recvOf    []int
-	// ingress points at the egress buckets of the neighbors that send to
-	// this shard — read only after the route barrier, which provides the
-	// happens-before edge.
-	ingress []*[]sim.Move
-
-	// Per-step partials, drained by the coordinator at the apply barrier.
-	tally sim.MoveTally
-	err   error
-
-	// finalized, when non-nil, collects packets that arrive during merge —
-	// set by the distributed Node, which has no Engine packet list to
-	// consult afterwards. The in-process Engine leaves it nil.
-	finalized *[]*sim.Packet
+	// out is the egress the shard's last route produced; in is the buckets
+	// addressed to it, gathered from every out at the route barrier.
+	out, in []Bucket
+	// rep and arrived are the last apply's report and arrived packets.
+	rep     ApplyReport
+	arrived []*sim.Packet
+	err     error
 
 	cmds chan phaseCmd
 	wg   *sync.WaitGroup
 }
 
 // Engine steps one routing problem across P*Q shard goroutines with
-// lock-step barriers: every shard routes its nodes, then every shard
-// applies the moves destined to it (its own plus its neighbors' halo
-// transfers), in an order chosen so the resulting configurations are
+// lock-step barriers: every shard's Node routes, then every Node applies the
+// moves destined to it (its own plus its neighbors' halo transfers, handed
+// over in memory), in an order chosen so the resulting configurations are
 // bit-identical to a single engine's. See the package comment for the
-// determinism argument.
+// determinism argument. The run's global state is its embedded Ledger.
 //
 // The Engine itself is not safe for concurrent use: one goroutine drives
 // Step/Run and may inspect state between steps.
 type Engine struct {
+	Ledger
+
 	mesh   *mesh.Mesh
 	policy sim.Policy
-	pt     *partition
-	shards []*shardState
+	pt     *Partition
+	shards []*shardWorker
 	opts   Options
-
-	packets     []*sim.Packet
-	time        int
-	live        int
-	lastArrival int
-	nextID      int
-
-	livelock     bool
-	livelockable bool
-	seen         map[uint64]int
+	// words is StateHash's per-shard scratch.
+	words [][]uint64
 
 	// Continuous traffic. injSrc is seeded rng.Mix(opts.Seed) — exactly the
 	// single engine's injection stream (tie-breaks come from per-(seed, step,
@@ -141,13 +109,6 @@ type Engine struct {
 	injector sim.Injector
 	injSrc   rng.SplitMix64
 	injRng   *rand.Rand
-
-	totalDeflections int64
-	totalHops        int64
-	maxNodeLoad      int
-	reroutes         int64
-	deadlineExceeded bool
-	recoveries       int
 
 	// StepHook, when set before running, is called after every completed
 	// step with the new time and live count (progress reporting).
@@ -174,22 +135,20 @@ func New(m *mesh.Mesh, policy sim.Policy, packets []*sim.Packet, opts Options) (
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = sim.DefaultMaxSteps
 	}
-	pt, err := newPartition(m, opts.Grid)
+	pt, err := NewPartition(m, opts.Grid)
 	if err != nil {
 		return nil, err
 	}
 	n := opts.Grid.Count()
 	e := &Engine{
-		mesh:         m,
-		policy:       policy,
-		pt:           pt,
-		opts:         opts,
-		packets:      packets,
-		livelockable: opts.DetectLivelock && policy.Deterministic(),
-		wg:           new(sync.WaitGroup),
-	}
-	if e.livelockable {
-		e.seen = make(map[uint64]int)
+		Ledger: NewLedger(opts.DetectLivelock && policy.Deterministic()),
+		mesh:   m,
+		policy: policy,
+		pt:     pt,
+		opts:   opts,
+		shards: make([]*shardWorker, n),
+		words:  make([][]uint64, n),
+		wg:     new(sync.WaitGroup),
 	}
 	e.injSrc.Seed(rng.Mix(opts.Seed))
 	e.injRng = rand.New(&e.injSrc)
@@ -203,157 +162,42 @@ func New(m *mesh.Mesh, policy sim.Policy, packets []*sim.Packet, opts Options) (
 		}
 		shardPolicy = func() sim.Policy { return cp.Clone() }
 	}
-
-	e.shards = make([]*shardState, n)
-	for row := 0; row < opts.Grid.Q; row++ {
-		for col := 0; col < opts.Grid.P; col++ {
-			s, err := newShardState(m, pt, col, row, shardPolicy(), opts.Seed, opts.Validation)
-			if err != nil {
-				return nil, err
-			}
-			s.cmds = make(chan phaseCmd, 1)
-			s.wg = e.wg
-			e.shards[s.idx] = s
+	for idx := range e.shards {
+		node, err := NewNode(m, shardPolicy(), opts.Grid, []int{idx}, opts.Seed, opts.Validation)
+		if err != nil {
+			return nil, err
 		}
+		e.shards[idx] = &shardWorker{idx: idx, node: node, cmds: make(chan phaseCmd, 1), wg: e.wg}
 	}
-	// Wire ingress: every egress bucket of every sender feeds exactly one
-	// receiver's ingress list.
-	for _, s := range e.shards {
-		for b, recv := range s.recvShard {
-			r := e.shards[recv]
-			r.ingress = append(r.ingress, &s.egress[b])
-		}
-	}
-
-	if e.nextID, err = sim.AdmitInitial(m, packets, e.place); err != nil {
+	nextID, err := sim.AdmitInitial(m, packets, e.place)
+	if err != nil {
 		return nil, err
 	}
+	e.Admitted(packets, nextID)
 
-	for _, s := range e.shards {
-		go s.work()
+	for _, w := range e.shards {
+		go w.work()
 	}
 	// Stop the shard goroutines when the engine is collected, so callers
-	// that never Close do not leak them (the workers reference only their
-	// shardState, never the Engine, so collection is not prevented).
+	// that never Close do not leak them (the goroutines reference only their
+	// shardWorker, never the Engine, so collection is not prevented).
 	runtime.SetFinalizer(e, (*Engine).Close)
 	return e, nil
 }
 
-// newShardState builds one shard: the owned rectangle, its NodeRouter over
-// the table every shard of the mesh shares, its queues, and the egress
-// buckets. Shared by the in-process Engine (which adds the phase channel and
-// a worker goroutine) and the distributed Node (which steps its shards
-// sequentially and leaves cmds/wg nil).
-func newShardState(m *mesh.Mesh, pt *partition, col, row int, policy sim.Policy, seed int64, validation sim.ValidationLevel) (*shardState, error) {
-	x0, y0, w, h := pt.bounds(col, row)
-	sub, err := m.Subgrid(x0, y0, w, h)
-	if err != nil {
-		return nil, err
-	}
-	s := &shardState{
-		idx:    row*pt.grid.P + col,
-		sub:    sub,
-		tab:    m.Tables(),
-		router: sim.NewNodeRouter(m.Tables(), policy, seed, validation),
-		pt:     pt,
-		q:      sim.NewQueues(sub.Len(), m.DirCount(), sub.DegreeLocal),
-		recvOf: make([]int, m.DirCount()),
-	}
-	wireEgress(s, pt.grid, m.Wrap(), col, row)
-	s.edge = make([]bool, sub.Len())
-	for l := range s.edge {
-		for d := range s.recvOf {
-			to, ok := s.tab.Neighbor(sub.GlobalID(l), mesh.Dir(d))
-			s.edge[l] = s.edge[l] || ok && !sub.Owns(to)
-		}
-	}
-	return s, nil
-}
-
-// wireEgress computes, for shard (col, row), the receiver shard of each
-// travel direction and allocates one egress bucket per distinct receiver.
-func wireEgress(s *shardState, g Grid, wrap bool, col, row int) {
-	for d := range s.recvOf {
-		s.recvOf[d] = -1
-		ncol, nrow := col, row
-		switch mesh.Dir(d) {
-		case mesh.DirPlus(0):
-			ncol++
-		case mesh.DirMinus(0):
-			ncol--
-		case mesh.DirPlus(1):
-			nrow++
-		case mesh.DirMinus(1):
-			nrow--
-		}
-		if ncol < 0 || ncol >= g.P || nrow < 0 || nrow >= g.Q {
-			if !wrap {
-				continue // the arc leads off the mesh; nothing ever leaves this way
-			}
-			ncol = (ncol + g.P) % g.P
-			nrow = (nrow + g.Q) % g.Q
-		}
-		recv := nrow*g.P + ncol
-		if recv == s.idx {
-			continue // wraps back into this shard: such moves are internal
-		}
-		b := -1
-		for i, r := range s.recvShard {
-			if r == recv {
-				b = i
-				break
-			}
-		}
-		if b < 0 {
-			b = len(s.recvShard)
-			s.recvShard = append(s.recvShard, recv)
-			s.egress = append(s.egress, nil)
-		}
-		s.recvOf[d] = b
-	}
-}
-
-// Close stops the shard worker goroutines. Safe to call more than once; the
+// Close stops the shard goroutines. Safe to call more than once; the
 // engine must not be stepped after Close. Called automatically by a
 // finalizer when the engine is collected.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		for _, s := range e.shards {
-			close(s.cmds)
+		for _, w := range e.shards {
+			close(w.cmds)
 		}
 	})
 }
 
-// Accessors, mirroring sim.Engine's.
-
 // Mesh returns the base mesh.
 func (e *Engine) Mesh() *mesh.Mesh { return e.mesh }
-
-// Policy returns the routing policy New was given (shards route with their
-// own clones of it).
-func (e *Engine) Policy() sim.Policy { return e.policy }
-
-// Grid returns the shard decomposition.
-func (e *Engine) Grid() Grid { return e.opts.Grid }
-
-// Packets returns all packets of the problem. Callers must not mutate them.
-func (e *Engine) Packets() []*sim.Packet { return e.packets }
-
-// Time returns the current step index.
-func (e *Engine) Time() int { return e.time }
-
-// Live returns the number of packets still in the network.
-func (e *Engine) Live() int { return e.live }
-
-// Done reports whether every packet has arrived.
-func (e *Engine) Done() bool { return e.live == 0 }
-
-// Livelocked reports whether a repeated configuration was detected.
-func (e *Engine) Livelocked() bool { return e.livelock }
-
-// Recoveries returns how many checkpoint rollbacks Run performed after
-// shard panics.
-func (e *Engine) Recoveries() int { return e.recoveries }
 
 // SetInjector installs a continuous traffic source, with the same contract
 // as sim.Engine.SetInjector: injection happens at the beginning of every
@@ -369,13 +213,7 @@ func (e *Engine) SetInjector(inj sim.Injector) {
 // InjectionCapacity implements sim.InjectorHost: how many packets can still
 // be injected at the node this step without exceeding its out-degree.
 func (e *Engine) InjectionCapacity(node mesh.NodeID) int {
-	s := e.shards[e.pt.owner(node)]
-	l := s.sub.LocalID(node)
-	c := s.sub.DegreeLocal(l) - s.q.Len(l)
-	if c < 0 {
-		return 0
-	}
-	return c
+	return e.shards[e.pt.Owner(node)].node.Room(node)
 }
 
 // NextPacketID implements sim.InjectorHost: a fresh packet ID, unique
@@ -388,18 +226,11 @@ func (e *Engine) NextPacketID() int {
 
 var _ sim.InjectorHost = (*Engine)(nil)
 
-// place is the engine's sim.PlaceFunc: it enqueues an admitted packet in
-// the shard owning its source unless the node's out-degree is already full.
-// Runs coordinator-side between step barriers, so it may touch shard queues
-// freely.
+// place is the engine's sim.PlaceFunc: the Node of the shard owning the
+// packet's source admits it. It runs on the stepping goroutine between
+// barriers.
 func (e *Engine) place(p *sim.Packet) (held int, ok bool) {
-	s := e.shards[e.pt.owner(p.Src)]
-	held = s.q.Len(s.sub.LocalID(p.Src))
-	if !s.load(p) {
-		return held, false
-	}
-	e.live++
-	return held + 1, true
+	return e.shards[e.pt.Owner(p.Src)].node.Admit(p)
 }
 
 // inject runs the installed injector and admits its output with the single
@@ -416,220 +247,55 @@ func (e *Engine) inject() error {
 	if err != nil {
 		return err
 	}
-	e.nextID = nextID
-	e.packets = append(e.packets, batch...)
+	e.Admitted(batch, nextID)
 	return nil
 }
 
-// Progress returns the engine's current progress counters, shaped exactly
-// like sim.Engine.Progress so frontends can report either engine through
-// one code path. Sharded runs never drop or absorb packets (no fault
-// injection), so those counters are always zero.
-func (e *Engine) Progress() sim.Progress {
-	return sim.Progress{
-		Time:             e.time,
-		Live:             e.live,
-		Delivered:        len(e.packets) - e.live,
-		Total:            len(e.packets),
-		TotalHops:        e.totalHops,
-		TotalDeflections: e.totalDeflections,
-		MaxNodeLoad:      e.maxNodeLoad,
+// work is the shard goroutine's loop: one phase per barrier, panic-isolated.
+func (w *shardWorker) work() {
+	for cmd := range w.cmds {
+		w.runPhase(cmd)
+		w.wg.Done()
 	}
 }
 
-// work is the shard worker loop: one phase per barrier, panic-isolated.
-func (s *shardState) work() {
-	for cmd := range s.cmds {
-		s.runPhase(cmd)
-		s.wg.Done()
-	}
-}
-
-func (s *shardState) runPhase(cmd phaseCmd) {
+func (w *shardWorker) runPhase(cmd phaseCmd) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.err = fmt.Errorf("%w: shard %d, step %d: %v", ErrShardPanic, s.idx, cmd.t, r)
+			w.err = fmt.Errorf("%w: shard %d, step %d: %v", ErrShardPanic, w.idx, cmd.t, r)
 		}
 	}()
 	switch cmd.phase {
 	case phaseRoute:
-		s.err = s.route(cmd.t)
+		w.out, w.err = w.node.Route(cmd.t)
 	case phaseApply:
-		s.err = s.apply(cmd.t)
+		w.rep, w.arrived, w.err = w.node.ApplyArrived(cmd.t, w.in)
 	}
 }
 
 // phase broadcasts one phase to every shard and waits for the barrier. The
-// WaitGroup gives the coordinator (and, transitively, the next phase's
-// workers) a happens-before edge over everything the shards wrote.
+// WaitGroup gives the stepping goroutine (and, transitively, the next
+// phase's goroutines) a happens-before edge over everything the shards
+// wrote.
 func (e *Engine) phase(ph, t int) error {
 	e.wg.Add(len(e.shards))
-	for _, s := range e.shards {
-		s.err = nil
-		s.cmds <- phaseCmd{phase: ph, t: t}
+	for _, w := range e.shards {
+		w.err = nil
+		w.cmds <- phaseCmd{phase: ph, t: t}
 	}
 	e.wg.Wait()
-	for _, s := range e.shards {
-		if s.err != nil {
-			return s.err
+	for _, w := range e.shards {
+		if w.err != nil {
+			return w.err
 		}
 	}
 	return nil
 }
 
-// route routes every active node of the shard in ascending global-node
-// order. The router writes a node's moves straight into the internal list;
-// at an edge node the boundary-crossing ones then move to the egress bucket
-// of their receiving shard and the rest close up in place. Every staging
-// list thus holds its moves in (source node, queue position) order — the
-// single engine's application order restricted to that list — which is
-// what the receivers' merge relies on.
-func (s *shardState) route(t int) error {
-	s.internal = s.internal[:0]
-	for b := range s.egress {
-		s.egress[b] = s.egress[b][:0]
-	}
-	for _, l := range s.q.Active() {
-		pkts := s.q.At(int(l))
-		n := len(s.internal)
-		s.internal = slices.Grow(s.internal, len(pkts))[:n+len(pkts)]
-		if err := s.router.RouteNode(s.sub.GlobalID(int(l)), t, pkts, s.internal[n:]); err != nil {
-			return err
-		}
-		if !s.edge[l] {
-			continue // every move stays in the shard
-		}
-		for i := n; i < len(s.internal); i++ {
-			mv := &s.internal[i]
-			if s.sub.Owns(mv.To) {
-				if n != i {
-					s.internal[n] = *mv
-				}
-				n++
-				continue
-			}
-			b := s.recvOf[mv.Dir]
-			if b < 0 {
-				return fmt.Errorf("shard: internal error: shard %d step %d move %d->%d via %v has no receiver",
-					s.idx, t, mv.From, mv.To, mv.Dir)
-			}
-			s.egress[b] = append(s.egress[b], *mv)
-		}
-		s.internal = s.internal[:n]
-	}
-	return nil
-}
-
-// apply empties the shard's queues and applies the moves destined to it —
-// its internal list merged with the ingress buckets — in ascending global
-// source-node order. Each staging list is sorted by source node (route's
-// invariant) and the lists' source sets are disjoint (every node has one
-// owner), so merging them by Move.From reproduces exactly the single
-// engine's per-destination enqueue order; queue order is routing-relevant
-// state, so this is where sharded equals unsharded.
-func (s *shardState) apply(t int) error {
-	s.q.Clear()
-	var lists [maxMergeLists][]sim.Move
-	n := 0
-	if len(s.internal) > 0 {
-		lists[n] = s.internal
-		n++
-	}
-	for _, in := range s.ingress {
-		if len(*in) > 0 {
-			lists[n] = *in
-			n++
-		}
-	}
-	return s.merge(t, lists[:n])
-}
-
-// maxMergeLists bounds how many staging lists one shard's apply can merge:
-// its internal list plus one per distinct sending neighbor shard. Buckets
-// are receiver-keyed on the sender, so each of the at most four neighbor
-// shards (fewer when torus wrap aliases them) contributes one list.
-const maxMergeLists = 5
-
-// reset empties the shard for (re)loading from a checkpoint part: queues and
-// the per-step partials. The coordinator owns the global counters.
-func (s *shardState) reset() {
-	s.q.Clear()
-	s.tally = sim.MoveTally{}
-	s.router.DrainCounters()
-}
-
-// drain folds the shard's partials of the step that ended at time now into
-// rep and clears them.
-func (s *shardState) drain(rep *ApplyReport, now int) {
-	rep.Hops += s.tally.Hops
-	rep.Deflections += s.tally.Deflections
-	if s.tally.Arrivals > 0 {
-		rep.Arrivals += s.tally.Arrivals
-		rep.LastArrival = now
-	}
-	s.tally = sim.MoveTally{}
-	maxLoad, reroutes := s.router.DrainCounters()
-	rep.MaxNodeLoad = max(rep.MaxNodeLoad, maxLoad)
-	rep.Reroutes += reroutes
-}
-
-// merge applies the staging lists in ascending source-node order, a run at
-// a time: the list with the smallest head applies every move whose source
-// precedes the other lists' heads. Each list is sorted by source node
-// (route's invariant) and the lists' source sets are disjoint (every node
-// has one owner), so this is exactly the single engine's per-destination
-// enqueue order. When s.finalized is non-nil (the distributed Node), arrived
-// packets are also collected there. A node receives at most one packet per
-// incoming arc, so a queue overflows only when an unvalidated policy sent
-// two packets down one arc; that is an error.
-func (s *shardState) merge(t int, lists [][]sim.Move) error {
-	for n := len(lists); n > 0; {
-		best, bound := 0, mesh.NodeID(math.MaxInt32) // bound: the smallest head but best's
-		for i := 1; i < n; i++ {
-			if head := lists[i][0].From; head < lists[best][0].From {
-				best, bound = i, lists[best][0].From
-			} else {
-				bound = min(bound, head)
-			}
-		}
-		run := lists[best]
-		j := 0
-		for j < len(run) && run[j].From < bound {
-			j++
-		}
-		s.tally.Apply(s.tab, run[:j], t+1)
-		for k := range run[:j] {
-			mv := &run[k]
-			if mv.ArrivedNow {
-				if s.finalized != nil {
-					*s.finalized = append(*s.finalized, mv.Packet)
-				}
-			} else if !s.enqueue(mv.Packet) {
-				return fmt.Errorf("%w: step %d: node %d receives more packets than it has arcs", sim.ErrLinkConflict, t, mv.To)
-			}
-		}
-		if lists[best] = run[j:]; j == len(run) {
-			n--
-			lists[best] = lists[n]
-		}
-	}
-	return nil
-}
-
-// enqueue queues p at its node, which the shard owns, and reports whether
-// the node had room.
-func (s *shardState) enqueue(p *sim.Packet) bool { return s.q.Push(s.sub.LocalID(p.Node), p) }
-
-// load is enqueue for a packet that arrives other than by a move the shard
-// applies — admitted, loaded or restored: it Locates the packet first.
-func (s *shardState) load(p *sim.Packet) bool {
-	p.Locate(s.tab)
-	return s.enqueue(p)
-}
-
-// Step advances the simulation by one synchronous step: a route barrier, an
-// apply barrier (the halo exchange happens between the two — receivers read
-// their neighbors' egress buckets), then coordinator bookkeeping.
+// Step advances the simulation by one synchronous step: a route barrier,
+// the halo exchange — every egress bucket handed to its receiver in memory
+// — an apply barrier, then the ledger's bookkeeping. Injection comes first,
+// so the injector sees the queues the previous apply left.
 func (e *Engine) Step() error {
 	t := e.time
 	if e.injector != nil {
@@ -640,79 +306,51 @@ func (e *Engine) Step() error {
 	if err := e.phase(phaseRoute, t); err != nil {
 		return err
 	}
+	for _, w := range e.shards {
+		w.in = w.in[:0]
+	}
+	for _, w := range e.shards {
+		for _, b := range w.out {
+			recv := e.shards[b.To]
+			recv.in = append(recv.in, b)
+		}
+	}
 	if err := e.phase(phaseApply, t); err != nil {
 		return err
 	}
-	e.time = t + 1
-	var rep ApplyReport
-	for _, s := range e.shards {
-		s.drain(&rep, e.time)
+	for _, w := range e.shards {
+		e.Fold(t, &w.rep)
+		for _, p := range w.arrived {
+			e.Arrived(p)
+		}
 	}
-	e.totalHops += rep.Hops
-	e.totalDeflections += rep.Deflections
-	e.live -= rep.Arrivals
-	e.lastArrival = max(e.lastArrival, rep.LastArrival)
-	e.maxNodeLoad = max(e.maxNodeLoad, rep.MaxNodeLoad)
-	e.reroutes += rep.Reroutes
 	if e.StepHook != nil {
 		e.StepHook(e.time, e.live)
 	}
-	if e.livelockable && e.live > 0 {
-		h := e.stateHash()
-		if _, dup := e.seen[h]; dup {
-			e.livelock = true
-		} else {
-			e.seen[h] = e.time
-		}
+	if e.Hashing() && e.live > 0 {
+		e.Observe(e.StateHash())
 	}
 	return nil
-}
-
-// stateHash folds every live packet in queue order over the globally-sorted
-// active nodes — rows in ascending y, shard columns left to right within a
-// row, owned nodes in ascending x — reproducing sim.Engine's stateHash fold
-// exactly. Within a shard, the active nodes of one global row form a
-// contiguous local-id range, found by binary search in the ascending active
-// list.
-func (e *Engine) stateHash() uint64 {
-	h := sim.ConfigHashSeed
-	g := e.pt.grid
-	for r := 0; r < g.Q; r++ {
-		band := e.shards[r*g.P : (r+1)*g.P]
-		_, y0, _, bh := band[0].sub.Bounds()
-		for y := y0; y < y0+bh; y++ {
-			for _, s := range band {
-				_, sy0, w, _ := s.sub.Bounds()
-				lo := int32((y - sy0) * w)
-				hi := lo + int32(w)
-				a := s.q.Active()
-				i := sort.Search(len(a), func(i int) bool { return a[i] >= lo })
-				for ; i < len(a) && a[i] < hi; i++ {
-					for _, p := range s.q.At(int(a[i])) {
-						h = sim.ConfigHashPacket(h, p)
-					}
-				}
-			}
-		}
-	}
-	return h
 }
 
 // StateHash returns the engine's configuration hash, bit-identical to the
 // equivalent sim.Engine.StateHash in the same configuration — the package's
 // parity contract. Valid between steps.
-func (e *Engine) StateHash() uint64 { return e.stateHash() }
+func (e *Engine) StateHash() uint64 {
+	for i, w := range e.shards {
+		e.words[i], _ = w.node.HashWords(i, e.words[i][:0])
+	}
+	return e.pt.FoldHash(e.words)
+}
 
 // runnable reports whether the run has work left: packets in flight or an
 // injector still producing, no livelock, and step budget remaining.
 func (e *Engine) runnable() bool {
-	return (e.live > 0 || (e.injector != nil && !e.injector.Exhausted(e.time))) &&
-		!e.livelock && e.time < e.opts.MaxSteps
+	return e.Runnable(e.opts.MaxSteps, e.injector != nil && !e.injector.Exhausted(e.time))
 }
 
 // Run steps the engine until every packet arrives, a livelock is detected,
-// or the step budget is exhausted, and returns the summary. The Result type
-// is sim's: a sharded run summarizes identically to a single-shard one.
+// or the step budget is exhausted, and returns the summary.
 func (e *Engine) Run() (*sim.Result, error) { return e.RunContext(context.Background()) }
 
 // RunContext is Run with cancellation and deadline control, with the same
@@ -789,9 +427,7 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Chec
 
 	var runErr error
 	if e.runnable() { // stopped early: resolve the cause
-		if runErr = sim.StopCause(ctx); runErr == nil {
-			e.deadlineExceeded = true
-		}
+		runErr = e.Stopped(ctx)
 		if save != nil && sinceDisk > 0 {
 			ck, err := e.Checkpoint()
 			if err != nil {
@@ -802,7 +438,7 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Chec
 			}
 		}
 	}
-	return e.result(), runErr
+	return e.Result(e.opts.MaxSteps), runErr
 }
 
 // recoverableErr reports whether a step error is a crash-class failure —
@@ -811,19 +447,4 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Chec
 // would only repeat on replay.
 func recoverableErr(err error) bool {
 	return errors.Is(err, ErrShardPanic) || errors.Is(err, sim.ErrPolicyPanic)
-}
-
-func (e *Engine) result() *sim.Result {
-	return &sim.Result{
-		Steps:            e.lastArrival,
-		Delivered:        len(e.packets) - e.live,
-		Total:            len(e.packets),
-		Livelocked:       e.livelock,
-		HitMaxSteps:      e.live > 0 && !e.livelock && !e.deadlineExceeded && e.time >= e.opts.MaxSteps,
-		TotalDeflections: e.totalDeflections,
-		TotalHops:        e.totalHops,
-		MaxNodeLoad:      e.maxNodeLoad,
-		Reroutes:         e.reroutes,
-		DeadlineExceeded: e.deadlineExceeded,
-	}
 }

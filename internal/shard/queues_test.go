@@ -69,8 +69,8 @@ func TestShardQueuesInvariants(t *testing.T) {
 	defer e.Close()
 	for {
 		queued := 0
-		for _, s := range e.shards {
-			queued += checkShardQueues(t, s, e.time)
+		for i, w := range e.shards {
+			queued += checkShardQueues(t, w.node.shards[i], e.time)
 		}
 		if queued != e.live {
 			t.Fatalf("step %d: %d packets queued, %d live", e.time, queued, e.live)
