@@ -393,7 +393,7 @@ func (e *Engine) RunCheckpointed(ctx context.Context, every int, save func(*Chec
 	for e.runnable() && !stop.Stopped() {
 		if err := e.Step(); err != nil {
 			if recoverable && e.recoveries < e.opts.MaxRecoveries && recoverableErr(err) && lastCK != nil {
-				e.recoveries++
+				e.Recovered()
 				if rerr := e.loadCheckpoint(lastCK); rerr != nil {
 					return nil, errors.Join(err, fmt.Errorf("shard: rollback failed: %w", rerr))
 				}
