@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke shard-parity experiments experiments-quick figures cover sweep-resume-demo serve serve-smoke bench-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim ladder-durable dist-demo policylab-demo clean
+.PHONY: all build test test-short test-race vet fmt fuzz-smoke saturation-smoke shard-parity experiments experiments-quick report cover sweep-resume-demo serve serve-smoke bench-smoke chaos chaos-smoke dist-chaos-smoke ladder-dshard ladder-sim ladder-durable dist-demo policylab-demo clean
 
 all: build vet test
 
@@ -73,8 +73,10 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
-figures:
-	$(GO) run ./cmd/figures
+# Rewrite results/REPORT.md (every table plus Figures 1-6); go test
+# ./cmd/experiments fails until the committed file matches a regeneration.
+report:
+	$(GO) run ./cmd/experiments -out results
 
 # Demonstrate crash-safe sweeps: start a journaled grid, kill it partway
 # through with SIGTERM, then finish it with -resume. The resumed run reruns

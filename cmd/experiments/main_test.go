@@ -1,10 +1,15 @@
 package main
 
 import (
+	"flag"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite results/REPORT.md")
 
 func capture(t *testing.T, f func() error) (string, error) {
 	t.Helper()
@@ -50,7 +55,7 @@ func TestSingleExperimentText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"=== E7", "claim:", "completed in"} {
+	for _, want := range []string{"=== E7", "claim:", "E7 (Claim 13)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
@@ -72,8 +77,9 @@ func TestMultipleExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "=== E2") || !strings.Contains(out, "=== E3") {
-		t.Error("expected both E2 and E3")
+	e2, e3 := strings.Index(out, "=== E2"), strings.Index(out, "=== E3")
+	if e2 < 0 || e3 < e2 {
+		t.Errorf("expected E2, then E3:\n%s", out)
 	}
 }
 
@@ -88,12 +94,17 @@ func TestOutDir(t *testing.T) {
 	if _, err := capture(t, func() error { return run([]string{"-quick", "-exp", "E7", "-out", dir}) }); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(dir + "/E7.txt")
+	report, err := os.ReadFile(filepath.Join(dir, "REPORT.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "E7 (Claim 13)") {
-		t.Errorf("E7.txt content wrong:\n%s", data)
+	for _, want := range []string{"`experiments -seed 1 -quick -exp E7`", "## E7 —", "| d | shape |", "## Figures"} {
+		if !strings.Contains(string(report), want) {
+			t.Errorf("REPORT.md missing %q:\n%s", want, report)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("-out wrote %d files, want REPORT.md only", len(entries))
 	}
 }
 
@@ -107,34 +118,103 @@ func TestMarkdownOutput(t *testing.T) {
 	}
 }
 
-// TestJournalResume: a journaled experiment replays on resume without
-// recomputation, and experiments missing from the journal still run.
-func TestJournalResume(t *testing.T) {
-	journal := t.TempDir() + "/exp.jsonl"
-	out, err := capture(t, func() error {
-		return run([]string{"-quick", "-exp", "E7", "-journal", journal})
-	})
+// TestReportGolden regenerates the full report and compares it byte for
+// byte with the committed results/REPORT.md, so a change that moves any
+// table value or figure is a reviewed, deliberate act. Run with -update to
+// rewrite the file.
+func TestReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size report skipped in -short mode")
+	}
+	dir := t.TempDir()
+	if _, err := capture(t, func() error { return run([]string{"-out", dir}) }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "REPORT.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "=== E7") {
-		t.Fatalf("first run missing E7:\n%s", out)
+	golden := filepath.Join("..", "..", "results", "REPORT.md")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if string(got) != string(want) {
+		gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("report drifted from %s at line %d (run with -update if intended):\ngot:  %s\nwant: %s",
+					golden, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("report drifted from %s: %d lines, want %d (run with -update if intended)",
+			golden, len(gotLines), len(wantLines))
+	}
+}
 
-	out, err = capture(t, func() error {
-		return run([]string{"-quick", "-exp", "E7, E3", "-journal", journal, "-resume"})
-	})
+// TestReportQuick: the quick report holds every registered experiment, the
+// asserted checks and all six figures.
+func TestReportQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick report skipped in -short mode")
+	}
+	dir := t.TempDir()
+	if _, err := capture(t, func() error { return run([]string{"-quick", "-out", dir}) }); err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(filepath.Join(dir, "REPORT.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "=== E7") || !strings.Contains(out, "=== E3") {
-		t.Errorf("resumed run should replay E7 and compute E3:\n%s", out)
+	for _, want := range []string{"## E1 —", "## E24 —", "no violations", "| n | k |", "live snapshot", "Figure 6"} {
+		if !strings.Contains(string(report), want) {
+			t.Errorf("report missing %q", want)
+		}
 	}
+}
 
-	// A journal recorded under different output settings must be refused.
-	if _, err := capture(t, func() error {
-		return run([]string{"-quick", "-exp", "E7", "-journal", journal, "-resume", "-csv"})
-	}); err == nil {
-		t.Error("format mismatch accepted on resume")
+func TestReportBadDir(t *testing.T) {
+	if _, err := capture(t, func() error { return run([]string{"-quick", "-exp", "E7", "-out", "/dev/null/nope"}) }); err == nil {
+		t.Error("unwritable -out accepted")
+	}
+}
+
+func TestAllFigures(t *testing.T) {
+	var out strings.Builder
+	if err := writeFigures(&out, 8, 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 6; i++ {
+		if !strings.Contains(out.String(), "Figure "+string(rune('0'+i))) {
+			t.Errorf("figure %d missing", i)
+		}
+	}
+	if !strings.Contains(out.String(), "live snapshot") {
+		t.Error("figures 3-4 snapshot header missing")
+	}
+}
+
+func TestSnapshotDeterministic(t *testing.T) {
+	_, loads1, t1, err := congestedSnapshot(10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, loads2, t2, err := congestedSnapshot(10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t1 != t2 || !reflect.DeepEqual(loads1, loads2) {
+		t.Error("snapshot not deterministic under a fixed seed")
+	}
+}
+
+func TestBadMeshSize(t *testing.T) {
+	if err := writeFigures(new(strings.Builder), 1, 3); err == nil {
+		t.Error("n=1 accepted")
 	}
 }

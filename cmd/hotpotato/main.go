@@ -153,7 +153,7 @@ func report(h *engine.Run, es engine.Spec, wl string, res *sim.Result, runErr er
 	m, packets := h.Mesh(), h.Packets()
 	switch {
 	case es.DistWorkers > 0:
-		fmt.Printf("shards:      %s across %d loopback worker processes\n", es.Grid, es.DistWorkers)
+		fmt.Printf("shards:      %s across %d in-process workers over loopback TCP\n", es.Grid, es.DistWorkers)
 	case h.Sim() == nil:
 		fmt.Printf("shards:      %s (%d shard goroutines)\n", es.Grid, es.Grid.Count())
 	}
@@ -228,7 +228,7 @@ func runCtx(ctx context.Context, args []string) error {
 		listPol        = fs.Bool("list-policies", false, "print every registered policy with its parameter schema, then exit")
 		conflictTrace  = fs.String("conflict-trace", "", "record every routing conflict (contenders, features, winner, deflections) to this CRC-framed JSONL file (see cmd/policylab)")
 		shards         = fs.String("shards", "", "run the sharded engine with a PxQ spatial decomposition, e.g. 4x2 (2-D only; -checkpoint becomes a directory)")
-		dist           = fs.Int("dist", 0, "with -shards, run distributed: this many worker processes over loopback TCP instead of shard goroutines (see cmd/shardcoord for real multi-process runs)")
+		dist           = fs.Int("dist", 0, "with -shards, run distributed: this many workers, each a goroutine speaking the dshard wire protocol over loopback TCP, instead of the in-process shard barrier (see cmd/shardcoord for multi-process runs)")
 
 		faultRate    = fs.Float64("fault-rate", 0, "per-link per-step failure probability (0 = no link flaps)")
 		faultRepair  = fs.Float64("fault-repair", 0.05, "per-link per-step repair probability for downed links")

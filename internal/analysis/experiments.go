@@ -26,7 +26,7 @@ func (c Config) trials(full, quick int) int {
 // Experiment is one reproducible result: a paper claim plus the code that
 // regenerates the table quantifying it.
 type Experiment struct {
-	// ID is the experiment identifier from DESIGN.md (E1..E10).
+	// ID is the experiment identifier from DESIGN.md (E1..E24).
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -51,7 +51,7 @@ func Experiments() []Experiment {
 	for _, e := range registry {
 		out = append(out, e)
 	}
-	// Order E1..E10 numerically, not lexically.
+	// Order E1..E24 numerically, not lexically.
 	slices.SortFunc(out, func(a, b Experiment) int {
 		return expOrder(a.ID) - expOrder(b.ID)
 	})

@@ -7,7 +7,8 @@
 // hides which engine steps, how it is hooked and how and where it persists.
 //
 // Nothing imports this package but frontends: cmd/hotpotato,
-// cmd/shardcoord, cmd/sweep, cmd/policylab, cmd/figures and internal/server.
+// cmd/shardcoord, cmd/sweep, cmd/policylab, cmd/experiments and
+// internal/server.
 package engine
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 // TestDistributedJobLifecycle runs the same routing problem as a distributed
-// job (coordinator plus loopback worker processes), as an in-process sharded
+// job (coordinator plus goroutine workers over loopback TCP), as an in-process sharded
 // job, and as a plain single-engine job, and demands identical final-state
 // fingerprints — the bit-identity contract of internal/dshard observed end
 // to end through the HTTP API.

@@ -82,8 +82,8 @@ type JobSpec struct {
 	// directory, and resume_from must name such a directory.
 	Shards string `json:"shards,omitempty"`
 	// DistWorkers, with Shards set, runs the job on the distributed
-	// coordinator (internal/dshard) with that many worker processes over
-	// loopback instead of in-process shard goroutines. 1 <= DistWorkers <=
+	// coordinator (internal/dshard) with that many goroutine workers over
+	// loopback TCP instead of the in-process shard barrier. 1 <= DistWorkers <=
 	// the grid's shard count. Results stay bit-identical; checkpoints use
 	// the same directory format, so distributed and in-process runs resume
 	// each other's snapshots freely.
