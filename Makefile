@@ -123,8 +123,8 @@ serve-smoke:
 chaos:
 	HOTPOTATOD_CHAOS_CYCLES=15 $(GO) test -run TestChaosSIGKILLRecovery \
 		-v -count=1 -timeout 10m ./cmd/hotpotatod/
-	SHARDCOORD_CHAOS_KILLS=8 $(GO) test -run TestDistChaosSIGKILL \
-		-v -count=1 -timeout 10m ./cmd/shardcoord/
+	DSHARD_CHAOS_KILLS=8 $(GO) test -run 'TestDistChaosSIGKILL|TestDistWorkersDoNotOutliveRun' \
+		-v -count=1 -timeout 10m ./internal/dshard/ ./cmd/hotpotato/
 
 chaos-smoke:
 	HOTPOTATOD_CHAOS_CYCLES=6 $(GO) test -run 'TestChaos' -count=1 -timeout 5m \
@@ -135,12 +135,14 @@ chaos-smoke:
 # bit-identical (every Result field plus the final state hash) to the same
 # problem on the in-process sharded engine with no kills. Runs the whole
 # dshard suite (transport faults, corrupt frames, kill/rejoin, cross-grid
-# resume) plus the process-level harness, under the race detector, then the
-# parity, transport-fault and kill/rejoin tests twice more — one reply cache
-# serves a whole step, so the schedule gets a second roll. Blocking in CI.
+# resume, the process-level harness) and the hotpotato command's (-dist on
+# child worker processes, external workers, hotpotato worker) under the race
+# detector, then the parity, transport-fault and kill/rejoin tests twice
+# more — one reply cache serves a whole step, so the schedule gets a second
+# roll. Blocking in CI.
 dist-chaos-smoke:
-	SHARDCOORD_CHAOS_KILLS=5 $(GO) test -race -count=1 -timeout 10m \
-		./internal/dshard/ ./cmd/shardcoord/ ./cmd/shardworker/
+	DSHARD_CHAOS_KILLS=5 $(GO) test -race -count=1 -timeout 10m \
+		./internal/dshard/ ./cmd/hotpotato/
 	$(GO) test -race -count=2 -timeout 10m \
 		-run 'TestDistributedParity|TestDistributedTransportFaults|TestDistributedKillRejoin' ./internal/dshard/
 
@@ -178,17 +180,27 @@ ladder-durable:
 	$(GO) run ./bench --workload durable_jobs.daemon --seconds 5 --trace 1 \
 		| awk '$$2 ~ /^(checkpoint|server|store|daemon)\./ || $$2 == "sim.snapshot_ms" || $$2 == "sim.restore_ms"'
 
-# Distributed demo: a coordinator spawns two worker processes, one is
-# SIGKILLed mid-run, and the run recovers from the last coordinated
-# checkpoint and finishes — same summary as an uninterrupted run.
+# Distributed demo: a coordinator waits on a unix socket for two external
+# workers started by this recipe; one is SIGKILLed mid-run, a replacement
+# dials in, and the run recovers from the last coordinated checkpoint and
+# finishes — same summary and state hash as an uninterrupted run, and at
+# least one recovery.
 dist-demo:
-	$(GO) build -o /tmp/hp-shardworker ./cmd/shardworker
-	$(GO) build -o /tmp/hp-shardcoord ./cmd/shardcoord
-	@echo "--- distributed run; kill -9 one worker after 2 seconds ---"
-	/tmp/hp-shardcoord -n 24 -workload permutation -policy random -shards 2x2 \
-		-workers 2 -worker-bin /tmp/hp-shardworker -checkpoint-every 8 \
-		-worker-flags "-step-delay 50ms" & \
-	pid=$$!; sleep 2; kill -9 $$(pgrep -x hp-shardworker | head -1); wait $$pid
+	$(GO) build -o /tmp/hp-dist ./cmd/hotpotato
+	rm -rf /tmp/hp-dist.sock /tmp/hp-dist.shards
+	@echo "--- distributed run; kill -9 one worker after 2 seconds, then start a replacement ---"
+	/tmp/hp-dist -n 24 -workload permutation -policy random -shards 2x2 -dist 2 \
+		-listen /tmp/hp-dist.sock -token demo -checkpoint /tmp/hp-dist.shards -checkpoint-every 8 \
+		> /tmp/hp-dist.out & \
+	coord=$$!; worker="/tmp/hp-dist worker -addr /tmp/hp-dist.sock -token demo -step-delay 50ms"; \
+	$$worker & victim=$$!; $$worker & \
+	sleep 2; kill -9 $$victim; $$worker & \
+	wait $$coord; status=$$?; cat /tmp/hp-dist.out; test $$status -eq 0
+	grep -Eq '^recoveries: +[1-9]' /tmp/hp-dist.out
+	/tmp/hp-dist -n 24 -workload permutation -policy random > /tmp/hp-dist.want
+	summary='^(steps|delivered|deflections|max load|state hash):'; \
+	grep -E "$$summary" /tmp/hp-dist.want > /tmp/hp-dist.want.sum; \
+	grep -E "$$summary" /tmp/hp-dist.out | diff /tmp/hp-dist.want.sum -
 
 # Policy-lab demo: record a conflict trace (with a mid-run checkpoint) on
 # the (rho,sigma) column adversary, then replay the checkpointed window

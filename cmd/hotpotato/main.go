@@ -1,11 +1,14 @@
 // Command hotpotato runs one hot-potato routing problem on a d-dimensional
-// mesh and reports the outcome, optionally with full potential-function
-// tracking.
+// mesh or torus and reports the outcome, optionally with full
+// potential-function tracking.
 //
 // Usage:
 //
 //	hotpotato -d 2 -n 16 -workload uniform -k 128 -policy restricted -seed 1 -track
 //	hotpotato -workload hotspot:frac=0.7 -arrivals "poisson:rate=0.02;adversary:rho=1"
+//	hotpotato -n 64 -workload full-load -shards 2x2 -dist 2   # 2 worker processes
+//	hotpotato -n 64 -workload full-load -shards 2x2 -dist 2 -listen /tmp/c.sock -token T
+//	hotpotato worker -addr /tmp/c.sock -token T               # one of them, started by hand
 //
 // Workloads and arrival processes take parameters with the
 // name:key=val,... syntax; run with -list-workloads for every registered
@@ -18,11 +21,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"hotpotato/internal/analysis"
 	"hotpotato/internal/bound"
 	"hotpotato/internal/core"
+	"hotpotato/internal/dshard"
 	"hotpotato/internal/engine"
 	"hotpotato/internal/policylab"
 	"hotpotato/internal/shard"
@@ -62,7 +67,11 @@ func main() {
 	// signal: default disposition (kill).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := runCtx(ctx, os.Args[1:]); err != nil {
+	body, args := runCtx, os.Args[1:]
+	if len(args) > 0 && args[0] == "worker" {
+		body, args = runWorker, args[1:]
+	}
+	if err := body(ctx, args); err != nil {
 		fmt.Fprintln(os.Stderr, "hotpotato:", err)
 		os.Exit(1)
 	}
@@ -77,7 +86,7 @@ func printParams(params []spec.ParamDef) {
 		constraint := ""
 		switch {
 		case len(p.Enum) > 0:
-			constraint = " (" + joinComma(p.Enum) + ")"
+			constraint = " (" + strings.Join(p.Enum, ", ") + ")"
 		case p.Min != nil && p.Max != nil:
 			lo := "["
 			if p.MinExcl {
@@ -97,17 +106,6 @@ func printParams(params []spec.ParamDef) {
 	}
 }
 
-func joinComma(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ", "
-		}
-		out += x
-	}
-	return out
-}
-
 // listPolicies prints just the policy section of the catalog: every
 // registered policy with its parameter schema (the parameterized families
 // take -policy name:key=val,...).
@@ -123,12 +121,8 @@ func listPolicies() {
 // listWorkloads prints the discovery catalog: every registered policy,
 // workload and arrival process with parameter schemas and defaults.
 func listWorkloads() {
+	listPolicies()
 	c := spec.Catalog()
-	fmt.Println("policies (-policy name[:key=val,...]):")
-	for _, e := range c.Policies {
-		fmt.Printf("  %-18s %s\n", e.Name, e.Doc)
-		printParams(e.Params)
-	}
 	fmt.Println("\nworkloads (-workload name[:key=val,...]):")
 	for _, e := range c.Workloads {
 		suffix := ""
@@ -143,8 +137,8 @@ func listWorkloads() {
 		fmt.Printf("  %-18s %s\n", e.Name, e.Doc)
 		printParams(e.Params)
 	}
-	fmt.Printf("\nvalidation levels: %s\n", joinComma(c.Validation))
-	fmt.Printf("fault fates:       %s\n", joinComma(c.Fates))
+	fmt.Printf("\nvalidation levels: %s\n", strings.Join(c.Validation, ", "))
+	fmt.Printf("fault fates:       %s\n", strings.Join(c.Fates, ", "))
 }
 
 // report prints the run summary: one layout whichever engine ran, with the
@@ -153,7 +147,7 @@ func report(h *engine.Run, es engine.Spec, wl string, res *sim.Result, runErr er
 	m, packets := h.Mesh(), h.Packets()
 	switch {
 	case es.DistWorkers > 0:
-		fmt.Printf("shards:      %s across %d in-process workers over loopback TCP\n", es.Grid, es.DistWorkers)
+		fmt.Printf("shards:      %s across %d worker processes\n", es.Grid, es.DistWorkers)
 	case h.Sim() == nil:
 		fmt.Printf("shards:      %s (%d shard goroutines)\n", es.Grid, es.Grid.Count())
 	}
@@ -171,6 +165,10 @@ func report(h *engine.Run, es engine.Spec, wl string, res *sim.Result, runErr er
 	fmt.Printf("delivered:   %d/%d\n", res.Delivered, res.Total)
 	fmt.Printf("deflections: %d (of %d hops)\n", res.TotalDeflections, res.TotalHops)
 	fmt.Printf("max load:    %d packets in one node\n", res.MaxNodeLoad)
+	fmt.Printf("state hash:  %016x\n", h.StateHash())
+	if h.Dist() != nil {
+		fmt.Printf("recoveries:  %d\n", h.Dist().Recoveries())
+	}
 	if es.Fault != nil {
 		fmt.Printf("faults:      %d link failures, %d node failures over the run\n",
 			res.LinkFailures, res.NodeFailures)
@@ -195,20 +193,34 @@ func report(h *engine.Run, es engine.Spec, wl string, res *sim.Result, runErr er
 			fmt.Printf("interrupted at step %d (no -checkpoint set, progress not saved)\n", res.Steps)
 		}
 	}
-	if es.Dim == 2 {
-		b := analysis.Theorem20Bound(es.Side, res.Total)
-		fmt.Printf("theorem 20:  bound %.0f, measured/bound = %.4f\n", b, float64(res.Steps)/b)
-	} else {
-		b := analysis.Section5Bound(es.Dim, es.Side, res.Total)
-		fmt.Printf("section 5:   bound %.0f, measured/bound = %.6f\n", b, float64(res.Steps)/b)
+	if name, b := analysis.BatchBound(es.Dim, es.Side, res.Total, es.Torus, es.Workload.Arrivals != nil); name != "" {
+		prec := 4
+		if es.Dim > 2 { // the d-dimensional bound is orders of magnitude looser
+			prec = 6
+		}
+		fmt.Printf("%-12s bound %.0f, measured/bound = %.*f\n", name+":", b, prec, float64(res.Steps)/b)
 	}
 }
+
+// closeFlushed runs flush, which finishes writing a trace into f, then closes f.
+func closeFlushed(f *os.File, flush func() error) error {
+	if err := flush(); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: %w", f.Name(), err)
+	}
+	return f.Close()
+}
+
+// spawner starts a -dist run's worker processes; a test swaps it to
+// inspect them.
+var spawner = dshard.NewExecSpawner
 
 func runCtx(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("hotpotato", flag.ContinueOnError)
 	var (
 		dim            = fs.Int("d", 2, "mesh dimension")
 		side           = fs.Int("n", 16, "mesh side length")
+		torus          = fs.Bool("torus", false, "torus (wraparound) connectivity instead of a mesh")
 		k              = fs.Int("k", 64, "packet count (where the workload takes one)")
 		policy         = fs.String("policy", "restricted", "routing policy")
 		wl             = fs.String("workload", "uniform", "workload generator")
@@ -228,7 +240,9 @@ func runCtx(ctx context.Context, args []string) error {
 		listPol        = fs.Bool("list-policies", false, "print every registered policy with its parameter schema, then exit")
 		conflictTrace  = fs.String("conflict-trace", "", "record every routing conflict (contenders, features, winner, deflections) to this CRC-framed JSONL file (see cmd/policylab)")
 		shards         = fs.String("shards", "", "run the sharded engine with a PxQ spatial decomposition, e.g. 4x2 (2-D only; -checkpoint becomes a directory)")
-		dist           = fs.Int("dist", 0, "with -shards, run distributed: this many workers, each a goroutine speaking the dshard wire protocol over loopback TCP, instead of the in-process shard barrier (see cmd/shardcoord for multi-process runs)")
+		dist           = fs.Int("dist", 0, "with -shards, run distributed: this many worker processes (\"hotpotato worker\", started from this binary unless -listen is set) instead of the in-process shard barrier")
+		listen         = fs.String("listen", "", "with -dist, start no workers: listen here (host:port, or a path for a unix socket) for external \"hotpotato worker\" processes to dial in")
+		token          = fs.String("token", "", "with -dist, the shared secret workers must present")
 
 		faultRate    = fs.Float64("fault-rate", 0, "per-link per-step failure probability (0 = no link flaps)")
 		faultRepair  = fs.Float64("fault-repair", 0.05, "per-link per-step repair probability for downed links")
@@ -265,6 +279,9 @@ func runCtx(ctx context.Context, args []string) error {
 	}
 	if (*ckptEvery != 0 || *resume) && *ckptPath == "" {
 		return fmt.Errorf("-checkpoint-every and -resume need -checkpoint")
+	}
+	if (*listen != "" || *token != "") && *dist == 0 {
+		return fmt.Errorf("-listen and -token need -dist")
 	}
 	if *resume && (*track || *traceOut != "" || *heatmap || *animate > 0) {
 		// These observers reconstruct per-packet state from the initial
@@ -312,6 +329,7 @@ func runCtx(ctx context.Context, args []string) error {
 	es := engine.Spec{
 		Dim:              *dim,
 		Side:             *side,
+		Torus:            *torus,
 		Policy:           *policy,
 		Validation:       *validate,
 		Workload:         ws,
@@ -334,11 +352,26 @@ func runCtx(ctx context.Context, args []string) error {
 	if *resume {
 		es.ResumeFrom = *ckptPath
 	}
+	if *dist > 0 {
+		// External workers dial in at -listen; otherwise each slot is a quiet
+		// "hotpotato worker" child of this binary, and the coordinator logs nothing.
+		es.Dist = &dshard.Options{Listen: *listen, Token: *token}
+		if *listen == "" {
+			bin, err := os.Executable()
+			if err != nil {
+				return err
+			}
+			es.Dist.Spawn = spawner(bin, "worker", "-token", *token, "-quiet").Spawn
+		}
+	}
 	h, err := engine.Open(es)
 	if err != nil {
 		return err
 	}
 	defer h.Close()
+	if *listen != "" {
+		fmt.Printf("listening on %s\n", h.Dist().Addr())
+	}
 	m, pol, packets, src := h.Mesh(), h.Policy(), h.Packets(), h.Source()
 	e := h.Sim()
 	if e == nil && (*track || *traceOut != "" || *heatmap || *animate > 0 || *conflictTrace != "") {
@@ -357,13 +390,7 @@ func runCtx(ctx context.Context, args []string) error {
 			return err
 		}
 		src.SetTrace(tw)
-		arrivalsFlush = func() error {
-			if err := tw.Flush(); err != nil {
-				f.Close()
-				return fmt.Errorf("arrivals trace %s: %w", *arrivalsRecord, err)
-			}
-			return f.Close()
-		}
+		arrivalsFlush = func() error { return closeFlushed(f, tw.Flush) }
 	}
 	var conflictRec *policylab.Recorder
 	var conflictFlush func() error
@@ -382,13 +409,7 @@ func runCtx(ctx context.Context, args []string) error {
 		conflictRec = policylab.NewRecorder(0)
 		conflictRec.Spill(cw)
 		e.SetConflictObserver(conflictRec)
-		conflictFlush = func() error {
-			if err := cw.Flush(); err != nil {
-				f.Close()
-				return fmt.Errorf("conflict trace %s: %w", *conflictTrace, err)
-			}
-			return f.Close()
-		}
+		conflictFlush = func() error { return closeFlushed(f, cw.Flush) }
 	}
 	var tracker *core.Tracker
 	if *track {
@@ -433,11 +454,7 @@ func runCtx(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := recorder.Trace().Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := closeFlushed(f, func() error { return recorder.Trace().Write(f) }); err != nil {
 			return err
 		}
 		fmt.Printf("trace:       written to %s\n", *traceOut)

@@ -11,6 +11,16 @@ import (
 	"hotpotato/internal/engine"
 )
 
+// TestMain lets a -dist run start this test binary as its workers: run as
+// "<test binary> worker ...", it is "hotpotato worker".
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "worker" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
 // capture runs f with os.Stdout redirected and returns what it printed.
 func capture(t *testing.T, f func() error) (string, error) {
 	t.Helper()
@@ -310,6 +320,13 @@ func TestRunArrivals(t *testing.T) {
 	if !strings.Contains(out, "arrivals:") {
 		t.Errorf("arrivals stats line missing:\n%s", out)
 	}
+	// Theorem 20 and Section 5 bound a batch; k counted as the packets
+	// injected so far would quote a bound that does not apply.
+	for _, batchOnly := range []string{"theorem 20", "section 5"} {
+		if strings.Contains(out, batchOnly) {
+			t.Errorf("arrivals run quotes a batch bound (%s):\n%s", batchOnly, out)
+		}
+	}
 }
 
 // TestRunParameterizedWorkload: the name:key=val,... syntax reaches the
@@ -392,14 +409,19 @@ var engineModes = map[string][]string{
 	"dist":   {"-shards", "2x2", "-dist", "2"},
 }
 
-var summaryLines = []string{"steps:", "delivered:", "deflections:", "max load:"}
+var summaryLines = []string{"steps:", "delivered:", "deflections:", "max load:", "state hash:"}
 
-// TestEngineModesAgree: the same problem prints the same summary on the
-// single engine, on shard goroutines and on loopback workers — for a closed
-// batch and, where the engine accepts them, for arrivals.
+// TestEngineModesAgree: the same problem prints the same summary and final
+// state hash on the single engine, on shard goroutines and on worker
+// processes — for a closed batch on a mesh and on a torus, one stopped by
+// its step budget and, where the engine accepts them, for arrivals.
 func TestEngineModesAgree(t *testing.T) {
 	for name, problem := range map[string][]string{
-		"batch":    {"-n", "8", "-workload", "full-load", "-policy", "random", "-seed", "4"},
+		"batch": {"-n", "8", "-workload", "full-load", "-policy", "random", "-seed", "4"},
+		"torus": {"-torus", "-n", "8", "-workload", "full-load", "-policy", "random", "-seed", "4"},
+		// Cut short, so the final state hash is of a live configuration, not
+		// the empty one every finished run ends in.
+		"budget":   {"-n", "8", "-workload", "full-load", "-policy", "random", "-seed", "4", "-max-steps", "5"},
 		"arrivals": {"-n", "8", "-workload", "none", "-arrivals", "poisson:rate=0.05,until=30", "-seed", "4"},
 	} {
 		want, err := capture(t, func() error { return run(problem) })
@@ -429,13 +451,19 @@ func TestEngineModesAgree(t *testing.T) {
 			if mode != "single" && !strings.Contains(got, "shards:      2x2") {
 				t.Errorf("%s/%s: no shards line:\n%s", name, mode, got)
 			}
+			if recovered := strings.Contains(got, "recoveries:  0\n"); recovered != (mode == "dist") {
+				t.Errorf("%s/%s: recoveries line present = %v:\n%s", name, mode, recovered, got)
+			}
+			if name == "torus" && (!strings.Contains(got, "torus(d=2, n=8)") || strings.Contains(got, "theorem 20")) {
+				t.Errorf("%s/%s: not a torus, or a mesh bound quoted for it:\n%s", name, mode, got)
+			}
 		}
 	}
 }
 
 // TestCheckpointResumeEveryEngine: the -checkpoint/-resume round trip on each
 // engine, plus the .shards directory crossing between shard goroutines and
-// loopback workers in both directions.
+// worker processes in both directions.
 func TestCheckpointResumeEveryEngine(t *testing.T) {
 	problem := []string{"-n", "8", "-workload", "full-load", "-policy", "random", "-seed", "6"}
 	for _, tc := range []struct{ writer, reader string }{

@@ -4,10 +4,10 @@
 // where experiments regenerates the fixed tables of EXPERIMENTS.md, sweep
 // lets you explore any slice of the parameter space.
 //
-// Grids run under the internal/run supervisor: each cell is retried on
-// failure, a panicking or failing cell is recorded and skipped rather than
-// aborting the grid, and with -journal every finished cell is persisted as
-// one JSONL line. A sweep interrupted by SIGINT/SIGTERM (or a crash) can
+// Grids run under the internal/run supervisor: a failing or panicking cell
+// is recorded and skipped, not retried (a cell is a pure function of its
+// parameters and seed), and with -journal every finished cell is persisted
+// as one JSONL line. A sweep interrupted by SIGINT/SIGTERM (or a crash) can
 // then be continued with -resume, rerunning only the missing cells.
 //
 // Example:
@@ -56,29 +56,20 @@ func main() {
 // run keeps the historical signature for tests and non-interruptible use.
 func run(args []string) error { return runCtx(context.Background(), args) }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses a comma-separated flag value with parse.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q: %w", s, err)
+			return nil, fmt.Errorf("bad list %q: %w", s, err)
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float list %q: %w", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // openTrial opens one trial through the engine opener and, with track,
 // attaches the potential tracker to the single engine's move stream — which
@@ -136,7 +127,7 @@ type cellRow struct {
 	StepsStd   float64 `json:"steps_std"`
 	StepsMax   int     `json:"steps_max"`
 	DeflMean   float64 `json:"defl_mean"`
-	Bound      float64 `json:"bound"`
+	Bound      float64 `json:"bound"` // 0: no proved bound applies (arrivals, torus)
 	Violations string  `json:"violations"`
 }
 
@@ -164,8 +155,7 @@ func runCtx(ctx context.Context, args []string) error {
 		journalPath   = fs.String("journal", "", "record finished cells to this JSONL journal")
 		resume        = fs.Bool("resume", false, "with -journal, skip cells the journal already records")
 		cellsParallel = fs.Int("cells-parallel", 1, "grid cells run concurrently")
-		retries       = fs.Int("retries", 1, "retries per failing cell (attempts = retries + 1)")
-		cellTimeout   = fs.Duration("cell-timeout", 0, "per-attempt wall-clock budget per cell (0 = unlimited)")
+		cellTimeout   = fs.Duration("cell-timeout", 0, "wall-clock budget per cell (0 = unlimited)")
 		quietCells    = fs.Bool("quiet-cells", false, "suppress per-cell progress lines on stderr")
 		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile    = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -192,11 +182,11 @@ func runCtx(ctx context.Context, args []string) error {
 			}
 		}()
 	}
-	ns, err := parseInts(*nsFlag)
+	ns, err := parseList(*nsFlag, strconv.Atoi)
 	if err != nil {
 		return err
 	}
-	ks, err := parseInts(*ksFlag)
+	ks, err := parseList(*ksFlag, strconv.Atoi)
 	if err != nil {
 		return err
 	}
@@ -213,7 +203,7 @@ func runCtx(ctx context.Context, args []string) error {
 	if arrSpec != nil && *track {
 		return errors.New("-arrivals and -track are mutually exclusive (the tracker reconstructs runs from the initial batch)")
 	}
-	faultRates, err := parseFloats(*frFlag)
+	faultRates, err := parseList(*frFlag, parseFloat)
 	if err != nil {
 		return err
 	}
@@ -283,12 +273,7 @@ func runCtx(ctx context.Context, args []string) error {
 									delivered += r.Result.Delivered
 									dropped += r.Result.Dropped + r.Result.Absorbed
 								}
-								var bound float64
-								if *dim == 2 && !*torus {
-									bound = analysis.Theorem20Bound(n, kAct)
-								} else {
-									bound = analysis.Section5Bound(*dim, n, kAct)
-								}
+								_, bound := analysis.BatchBound(*dim, n, kAct, *torus, arrSpec != nil)
 								viol := "-"
 								if *track {
 									viol = analysis.TotalViolations(results).String()
@@ -318,7 +303,6 @@ func runCtx(ctx context.Context, args []string) error {
 	opts := runner.Options{
 		Workers:     *cellsParallel,
 		CellTimeout: *cellTimeout,
-		MaxAttempts: *retries + 1,
 		Seed:        *seed,
 	}
 	if !*quietCells {
@@ -355,9 +339,13 @@ func runCtx(ctx context.Context, args []string) error {
 		if err := json.Unmarshal(c.Result, &row); err != nil {
 			return fmt.Errorf("cell %s: corrupt payload: %w", c.Key, err)
 		}
+		var bound, ratio any = "-", "-"
+		if row.Bound > 0 {
+			bound, ratio = row.Bound, float64(row.StepsMax)/row.Bound
+		}
 		tb.AddRow(row.Network, row.N, row.K, row.Workload, row.Policy, row.FaultRate,
 			row.Delivered, row.Dropped, row.StepsMean, row.StepsStd, row.StepsMax,
-			row.DeflMean, row.Bound, float64(row.StepsMax)/row.Bound, row.Violations)
+			row.DeflMean, bound, ratio, row.Violations)
 	}
 	if *csvOut {
 		err = tb.WriteCSV(os.Stdout)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"errors"
 	"os"
 	"os/signal"
@@ -252,17 +253,36 @@ func TestSweepParameterizedWorkloads(t *testing.T) {
 	}
 }
 
-// TestSweepArrivals: cells can run under continuous traffic.
+// TestSweepArrivals: cells can run under continuous traffic, and such a
+// cell quotes no bound: the paper's bounds are for a batch, and k counted
+// as the packets injected would quote one that does not apply. Nor does a
+// torus cell: the paper proves its bounds on the mesh.
 func TestSweepArrivals(t *testing.T) {
-	out, err := capture(t, func() error {
-		return run([]string{"-n", "6", "-trials", "2", "-workload", "none",
-			"-arrivals", "poisson:rate=0.05,until=30", "-max-steps", "4000"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "mesh(d=2") {
-		t.Errorf("arrivals sweep produced no rows:\n%s", out)
+	for _, tc := range []struct {
+		args      []string
+		boundless bool
+	}{
+		{[]string{"-workload", "none", "-arrivals", "poisson:rate=0.05,until=30", "-max-steps", "4000"}, true},
+		{[]string{"-workload", "uniform", "-k", "16"}, false},
+		{[]string{"-torus", "-workload", "uniform", "-k", "16"}, true},
+	} {
+		out, err := capture(t, func() error {
+			return run(append([]string{"-n", "6", "-trials", "2", "-csv"}, tc.args...))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+		if err != nil || len(rows) != 2 {
+			t.Fatalf("%v: want a header and one row, got %v:\n%s", tc.args, err, out)
+		}
+		for i, col := range rows[0] {
+			if col == "bound" || col == "max/bound" {
+				if boundless := rows[1][i] == "-"; boundless != tc.boundless {
+					t.Errorf("%v: %s = %q", tc.args, col, rows[1][i])
+				}
+			}
+		}
 	}
 }
 

@@ -34,6 +34,21 @@ func Section5Bound(d, n, k int) float64 {
 		math.Pow(float64(k), 1/df) * math.Pow(float64(n), df-1)
 }
 
+// BatchBound returns the bound the paper proves for a run of k packets on
+// the d-dimensional side-n network, with the result that proves it:
+// Theorem 20 at d = 2, the Section-5 sketch above. The paper bounds a batch
+// on a mesh only, so a torus or a run with continuous arrivals gets "", 0.
+func BatchBound(d, n, k int, torus, arrivals bool) (string, float64) {
+	switch {
+	case torus || arrivals:
+		return "", 0
+	case d == 2:
+		return "theorem 20", Theorem20Bound(n, k)
+	default:
+		return "section 5", Section5Bound(d, n, k)
+	}
+}
+
 // FullPermutationBound returns the strengthened bound of the Section-4
 // remark for one packet per node (k = n^2): 8n^2, obtained by splitting the
 // problem into the two origin-parity classes (which never interact, since

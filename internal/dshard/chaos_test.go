@@ -1,17 +1,13 @@
-package main
+package dshard_test
 
 import (
 	"context"
-	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"os/exec"
-	"os/signal"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -24,100 +20,53 @@ import (
 
 const chaosToken = "chaos-token"
 
-// TestHelperWorker is not a test: it is the worker body for the SIGKILL
-// chaos harness. The coordinator side re-executes this test binary with
-// SHARDWORKER_HELPER=1 and "-- <addr> <slot>", then kills the process for
-// real — the only way to exercise recovery from an actual kill -9 rather
-// than an in-process simulation.
-func TestHelperWorker(t *testing.T) {
-	if os.Getenv("SHARDWORKER_HELPER") != "1" {
-		t.Skip("helper process body; only runs when re-executed by the chaos test")
+// TestMain makes the test binary its own worker process: started as
+// "<test binary> worker -addr A -slot N" (by dshard.ExecSpawner), it serves
+// one slot and exits instead of running the tests.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "worker" {
+		os.Exit(chaosWorker(os.Args[2:]))
 	}
-	var args []string
-	for i, a := range os.Args {
-		if a == "--" {
-			args = os.Args[i+1:]
-			break
-		}
-	}
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "helper worker: want -- <addr> <slot>")
-		os.Exit(2)
-	}
-	slot, err := strconv.Atoi(args[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "helper worker: bad slot:", err)
-		os.Exit(2)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opts := dshard.WorkerOptions{
-		Token:    chaosToken,
-		Slot:     slot,
-		Policies: spec.NewPolicy,
-		// Slow each step so the run is long enough for kills to land mid-run
-		// on a loopback link that would otherwise finish in milliseconds.
+	os.Exit(m.Run())
+}
+
+// chaosWorker is the body of a spawned test worker. Each step is slowed so
+// the run lasts long enough for kills to land mid-run on a loopback link
+// that would otherwise finish in milliseconds.
+func chaosWorker(args []string) int {
+	fs := flag.NewFlagSet("worker", flag.ExitOnError)
+	addr := fs.String("addr", "", "coordinator address")
+	slot := fs.Int("slot", -1, "worker slot")
+	fs.Parse(args) //nolint:errcheck // ExitOnError
+	err := dshard.RunWorker(context.Background(), *addr, dshard.WorkerOptions{
+		Token:            chaosToken,
+		Slot:             *slot,
+		Policies:         spec.NewPolicy,
 		TestHookPreRoute: func(int) { time.Sleep(5 * time.Millisecond) },
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chaos worker:", err)
+		return 1
 	}
-	if err := dshard.RunWorker(ctx, args[0], opts); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "helper worker:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// chaosSpawner spawns real worker processes (re-execing the test binary)
-// and remembers their PIDs so the killer can SIGKILL them behind the
-// coordinator's back.
-type chaosSpawner struct {
-	mu    sync.Mutex
-	procs map[int]*exec.Cmd
-}
-
-func (s *chaosSpawner) spawn(slot int, addr string) (dshard.WorkerProc, error) {
-	cmd := exec.Command(os.Args[0], "-test.run=^TestHelperWorker$", "--", addr, strconv.Itoa(slot))
-	cmd.Env = append(os.Environ(), "SHARDWORKER_HELPER=1")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	p := &execProc{cmd: cmd, done: make(chan struct{})}
-	go func() {
-		cmd.Wait() //nolint:errcheck // killed workers exit non-zero by design
-		close(p.done)
-	}()
-	s.mu.Lock()
-	s.procs[slot] = cmd
-	s.mu.Unlock()
-	return p, nil
-}
-
-// kill SIGKILLs the current incarnation of a slot — no warning, no flush.
-func (s *chaosSpawner) kill(slot int) bool {
-	s.mu.Lock()
-	cmd := s.procs[slot]
-	s.mu.Unlock()
-	if cmd == nil {
-		return false
-	}
-	return cmd.Process.Kill() == nil
+	return 0
 }
 
 // TestDistChaosSIGKILL is the distributed-durability proof at the process
-// level: a coordinator drives four real worker processes, a killer SIGKILLs
-// one of them every few steps, and the finished run must be bit-identical —
-// every Result field and the final state hash — to the same problem on the
-// in-process sharded engine with no kills at all. SHARDCOORD_CHAOS_KILLS
-// overrides the kill count (default 5); `make chaos` runs it higher.
+// level: a coordinator drives four real worker processes through
+// dshard.ExecSpawner, a killer SIGKILLs one of them every few steps, and the
+// finished run must be bit-identical — every Result field and the final
+// state hash — to the same problem on the in-process sharded engine with no
+// kills at all. DSHARD_CHAOS_KILLS overrides the kill count (default 5);
+// `make chaos` runs it higher.
 func TestDistChaosSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level chaos harness; skipped in -short")
 	}
 	kills := 5
-	if v := os.Getenv("SHARDCOORD_CHAOS_KILLS"); v != "" {
+	if v := os.Getenv("DSHARD_CHAOS_KILLS"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			t.Fatalf("bad SHARDCOORD_CHAOS_KILLS %q", v)
+			t.Fatalf("bad DSHARD_CHAOS_KILLS %q", v)
 		}
 		kills = n
 	}
@@ -167,7 +116,7 @@ func TestDistChaosSIGKILL(t *testing.T) {
 	se.Close()
 
 	// The kill-scarred distributed run of the same problem.
-	sp := &chaosSpawner{procs: map[int]*exec.Cmd{}}
+	sp := dshard.NewExecSpawner(os.Args[0], "worker")
 	c, err := dshard.New(dshard.Spec{
 		Side: side, Wrap: true, Policy: "random", Grid: grid,
 		Seed: seed + 1, MaxSteps: maxSteps, Validation: lvl, DetectLivelock: true,
@@ -175,7 +124,7 @@ func TestDistChaosSIGKILL(t *testing.T) {
 		Workers:          workers,
 		Token:            chaosToken,
 		Policies:         spec.NewPolicy,
-		Spawn:            sp.spawn,
+		Spawn:            sp.Spawn,
 		StepTimeout:      5 * time.Second,
 		MaxRetries:       3,
 		BackoffBase:      5 * time.Millisecond,
@@ -216,7 +165,7 @@ func TestDistChaosSIGKILL(t *testing.T) {
 				time.Sleep(2 * time.Millisecond)
 			}
 			slot := i % workers
-			if !sp.kill(slot) {
+			if !sp.Kill(slot) {
 				killErr <- fmt.Errorf("kill %d: slot %d had no process", i+1, slot)
 				cancel()
 				return
@@ -238,6 +187,9 @@ func TestDistChaosSIGKILL(t *testing.T) {
 	}
 	if c.Recoveries() < kills {
 		t.Errorf("recoveries = %d, want >= %d (every SIGKILL must force a rollback)", c.Recoveries(), kills)
+	}
+	if got := len(sp.Pids()); got < workers+kills {
+		t.Errorf("%d worker processes started, want >= %d (one per slot plus one per kill)", got, workers+kills)
 	}
 
 	// Bit-identity with the uninterrupted reference.

@@ -1,9 +1,10 @@
 // Package dshard executes one PxQ sharded routing run across OS processes:
-// a coordinator (cmd/shardcoord, or a hotpotatod job in distributed mode)
-// drives the step barrier, and each worker process (cmd/shardworker) hosts a
-// subset of the decomposition's shards through shard.Node. The halo exchange
-// — PR 7's receiver-keyed egress buckets — travels over a length-prefixed,
-// CRC-framed protocol on TCP or unix sockets.
+// a coordinator (hotpotato -dist, or a hotpotatod job in distributed mode)
+// drives the step barrier, and each worker (a hotpotato worker process, or a
+// daemon goroutine) hosts a subset of the decomposition's shards through
+// shard.Node. The halo exchange — PR 7's receiver-keyed egress buckets —
+// travels over a length-prefixed, CRC-framed protocol on TCP or unix
+// sockets.
 //
 // Robustness is the package's headline: the coordinator enforces per-step
 // deadlines with bounded, jitter-backoff retries (requests are idempotent —

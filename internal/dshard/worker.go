@@ -435,7 +435,7 @@ var ErrDial = errors.New("dshard: coordinator unreachable")
 
 // RunWorker dials the coordinator (with jittered-backoff retries, since a
 // freshly spawned worker often races the listener) and serves the protocol
-// until shutdown. This is cmd/shardworker's whole job.
+// until shutdown. `hotpotato worker` calls it in its rejoin loop.
 func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	var conn net.Conn
 	var err error

@@ -6,9 +6,8 @@
 // (Spec.Validate), builds the engine the Spec selects and returns a Run that
 // hides which engine steps, how it is hooked and how and where it persists.
 //
-// Nothing imports this package but frontends: cmd/hotpotato,
-// cmd/shardcoord, cmd/sweep, cmd/policylab, cmd/experiments and
-// internal/server.
+// Nothing imports this package but frontends: cmd/hotpotato, cmd/sweep,
+// cmd/policylab, cmd/experiments and internal/server.
 package engine
 
 import (
@@ -528,7 +527,7 @@ func (r *Run) Packets() []*sim.Packet  { return r.packets }
 func (r *Run) Source() *traffic.Source { return r.source }
 
 // Dist returns the coordinator of a distributed run (its listen address and
-// recovery count are what cmd/shardcoord reports); nil otherwise.
+// recovery count are what cmd/hotpotato reports); nil otherwise.
 func (r *Run) Dist() *dshard.Coordinator { return r.coord }
 
 // HasCheckpoint reports whether path holds a checkpoint some Spec could

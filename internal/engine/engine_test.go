@@ -299,8 +299,8 @@ func TestRemoveCheckpointOrphanedTemps(t *testing.T) {
 
 // TestValidateTable pins the one compatibility table: which feature
 // combinations each engine refuses, always as ErrUnsupported. The frontends
-// assert the same rows in their own dialects (JobSpec JSON, hotpotato and
-// shardcoord flags).
+// assert the same rows in their own dialects (JobSpec JSON, hotpotato
+// flags).
 func TestValidateTable(t *testing.T) {
 	g22 := shard.Grid{P: 2, Q: 2}
 	faults := &spec.FaultConfig{Rate: 0.01}

@@ -1,9 +1,11 @@
 // Package run executes a grid of independent work cells under supervision:
 // bounded parallelism, per-cell panic isolation and timeout, retry with
-// exponential backoff and jitter, and a crash-safe journal of fates. It is
-// the machinery behind cmd/sweep and cmd/experiments — a sweep that dies 90%
-// of the way through a 400-cell grid resumes from its journal and reruns
-// only the missing cells.
+// exponential backoff and jitter, and a crash-safe journal of fates. Its
+// users are cmd/sweep (Execute and the journal — a sweep that dies 90% of
+// the way through a 400-cell grid resumes from its journal and reruns only
+// the missing cells), hotpotatod's job supervisor in internal/server
+// (Single, with its retries) and internal/dshard (BackoffDelay, for dial
+// and barrier retries).
 //
 // The journal is an internal/frame line log (JournalVersion 2): line 1 is a
 // JSON header labelling the grid, every later line one JSON Entry. The
